@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .errors import ConfigError, DivergenceError, FormatError, ToolkitError
 from .pianoroll import (
     Dataset,
-    Pianoroll,
     PianorollShape,
     SplitSpec,
     StyleParams,
@@ -21,7 +20,6 @@ from .pianoroll import (
     split,
     synth_generate,
     synth_sampler,
-    unflatten,
     write_dataset,
 )
 from .nn import AdamState, DenseLayer, Mlp, adam_step, backward, bce_logits_loss, forward
@@ -46,14 +44,11 @@ from .montecarlo import (
     EpsilonHeuristic,
     McConfig,
     McResult,
-    Stash,
     build_stash,
     distance,
     epsilon_from_heuristic,
     mc_score,
     run_mc_trials,
-    set_mi,
-    single_mi,
 )
 from .harness import (
     ExperimentConfig,
@@ -67,8 +62,8 @@ from .harness import (
 __all__ = [
     "__version__",
     "ToolkitError", "ConfigError", "FormatError", "DivergenceError",
-    "PianorollShape", "Pianoroll", "Dataset", "SplitSpec", "StyleParams",
-    "synth_generate", "synth_sampler", "split", "flatten", "unflatten",
+    "PianorollShape", "Dataset", "SplitSpec", "StyleParams",
+    "synth_generate", "synth_sampler", "split", "flatten",
     "pitch_class_profile", "write_dataset", "read_dataset",
     "DenseLayer", "Mlp", "AdamState", "forward", "backward",
     "bce_logits_loss", "adam_step",
@@ -77,9 +72,8 @@ __all__ = [
     "OracleGenerator", "OracleDiscriminator", "oracle_generate", "oracle_d_score",
     "ConfusionCounts", "MetricsRow", "compute_metrics", "confusion_from_predictions",
     "ScoredCandidate", "WbAttackResult", "rank_and_label", "run_whitebox",
-    "EpsilonHeuristic", "Stash", "McConfig", "McResult", "build_stash",
+    "EpsilonHeuristic", "McConfig", "McResult", "build_stash",
     "distance", "epsilon_from_heuristic", "mc_score", "run_mc_trials",
-    "single_mi", "set_mi",
     "SyntheticSpec", "ExperimentConfig", "ReportTable", "emit_reports",
     "load_experiment_config", "run_experiment",
 ]

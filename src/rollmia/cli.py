@@ -110,16 +110,7 @@ def cmd_train(args) -> int:
         raise ConfigError("train config needs schema_version 1")
     try:
         dataset = read_dataset(data["dataset"]["path"])
-        t = data["train"]
-        config = TrainConfig(
-            iterations=int(t["iterations"]),
-            batch_size=int(t["batch_size"]),
-            latent_dim=int(t["latent_dim"]),
-            lr=float(t["lr"]),
-            seed=int(t["seed"]),
-            checkpoint_every=int(t["checkpoint_every"]),
-            d_steps_per_g_step=int(t.get("d_steps_per_g_step", 1)),
-        )
+        config = TrainConfig.from_dict(data["train"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad train config: {exc}") from exc
     out_dir = Path(args.out_dir)
@@ -187,17 +178,14 @@ def cmd_attack_mc(args) -> int:
             population_sampler=synth_sampler(train_set.shape),
         )
         sample_fn = lambda seed: oracle_generate(oracle, seed)
-        provenance = f"oracle:p={spec['p']:g},sigma={spec['sigma']:g}"
         iteration = 0
     else:
         ckpt = load_checkpoint(args.checkpoint)
         if ckpt.gan.shape != train_set.shape:
             raise FormatError("architecture mismatch: checkpoint shape differs from dataset")
         sample_fn = checkpoint_sampler(ckpt.gan)
-        provenance = f"checkpoint:{ckpt.iteration}"
         iteration = ckpt.iteration
     stash = build_stash(sample_fn, config.stash_size, seed=config.seed)
-    stash.provenance = provenance
     result = run_mc_trials(train_set, test_set, stash, config)
     row = McRow(
         iteration=iteration,
@@ -291,7 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     exp_sub = p_exp.add_subparsers(dest="experiment_command", required=True)
     p_run = exp_sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--force", action="store_true", help="overwrite a non-empty output dir")
+    p_run.add_argument(
+        "--force", action="store_true", help="overwrite an earlier run's output dir (one with a manifest.json)"
+    )
     p_run.set_defaults(func=cmd_experiment_run)
 
     p_report = sub.add_parser("report", help="re-render report tables from a run dir")

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import nn
 from .errors import ConfigError, DivergenceError, FormatError
-from .pianoroll import Dataset, Pianoroll, PianorollShape, flatten
+from .pianoroll import Dataset, PianorollShape, flatten
 
 CHECKPOINT_MAGIC = b"GANC"
 CHECKPOINT_VERSION = 1
@@ -94,20 +94,19 @@ def _generator_logits(gan: ComposerGan, z: np.ndarray) -> tuple[np.ndarray, list
     return logits, [trunk_cache, head_caches]
 
 
-def g_sample(gan: ComposerGan, z: np.ndarray) -> Pianoroll:
-    """Deterministic sample for a latent vector: cells are 1 where the head
-    logit is strictly positive."""
+def g_sample(gan: ComposerGan, z: np.ndarray) -> np.ndarray:
+    """Deterministic sample for a latent vector: a uint8 roll whose cells are
+    1 where the head logit is strictly positive."""
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (gan.latent_dim,):
         raise ConfigError(f"latent vector must have length {gan.latent_dim}")
     logits, _ = _generator_logits(gan, z)
-    cells = (logits > 0.0).astype(np.uint8).reshape(gan.shape.dims())
-    return Pianoroll(gan.shape, cells)
+    return (logits > 0.0).astype(np.uint8).reshape(gan.shape.dims())
 
 
-def d_score(gan: ComposerGan, roll: Pianoroll) -> float:
+def d_score(gan: ComposerGan, roll: np.ndarray) -> float:
     """Raw discriminator logit; larger means more training-set-like."""
-    if roll.shape != gan.shape:
+    if np.shape(roll) != gan.shape.dims():
         raise ConfigError("roll shape does not match the model")
     out, _ = nn.forward(gan.discriminator, flatten(roll))
     return float(out[0])
@@ -132,6 +131,20 @@ class TrainConfig:
             raise ConfigError("lr must be positive")
         if self.iterations % self.checkpoint_every != 0:
             raise ConfigError("checkpoint_every must divide iterations")
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "TrainConfig":
+        """Build from a config's "train" block; a missing or mistyped key
+        raises KeyError, TypeError or ValueError for the caller to report."""
+        return cls(
+            iterations=int(data["iterations"]),
+            batch_size=int(data["batch_size"]),
+            latent_dim=int(data["latent_dim"]),
+            lr=float(data["lr"]),
+            seed=int(data["seed"]),
+            checkpoint_every=int(data["checkpoint_every"]),
+            d_steps_per_g_step=int(data.get("d_steps_per_g_step", 1)),
+        )
 
 
 @dataclass
@@ -210,7 +223,7 @@ def train(
     gan = build_gan(train_set.shape, config.latent_dim, init_ss)
     rng = np.random.default_rng(loop_ss)
 
-    X = np.stack([flatten(r) for r in train_set.rolls])
+    X = flatten(train_set.rolls)
     n = len(train_set)
     g_params = gan.generator_params()
     d_params = nn.mlp_params(gan.discriminator)
@@ -274,7 +287,7 @@ class OracleGenerator:
     memorization_rate: float
     flip_noise: float
     training_rolls: Dataset
-    population_sampler: Callable[[int], Pianoroll]
+    population_sampler: Callable[[int], np.ndarray]
 
     def __post_init__(self):
         if not 0.0 <= self.memorization_rate <= 1.0:
@@ -283,18 +296,17 @@ class OracleGenerator:
             raise ConfigError("flip_noise must be in [0, 1]")
 
 
-def oracle_generate(oracle: OracleGenerator, seed) -> Pianoroll:
+def oracle_generate(oracle: OracleGenerator, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
     memorize = rng.random() < oracle.memorization_rate
     pop_seed = int(rng.integers(2**63))
     if not memorize:
         return oracle.population_sampler(pop_seed)
     roll = oracle.training_rolls.rolls[int(rng.integers(len(oracle.training_rolls)))]
-    cells = roll.cells
     if oracle.flip_noise > 0.0:
-        flips = rng.random(cells.shape) < oracle.flip_noise
-        cells = np.where(flips, 1 - cells, cells).astype(np.uint8)
-    return Pianoroll(roll.shape, cells.copy())
+        flips = rng.random(roll.shape) < oracle.flip_noise
+        return np.where(flips, 1 - roll, roll).astype(np.uint8)
+    return roll.copy()
 
 
 @dataclass

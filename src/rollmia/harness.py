@@ -143,16 +143,7 @@ def parse_experiment_config(data: dict, base_dir: Path | None = None) -> Experim
             train_fraction=float(data["split"]["train_fraction"]),
             seed=int(data["split"]["seed"]),
         )
-        t = data["train"]
-        train_config = TrainConfig(
-            iterations=int(t["iterations"]),
-            batch_size=int(t["batch_size"]),
-            latent_dim=int(t["latent_dim"]),
-            lr=float(t["lr"]),
-            seed=int(t["seed"]),
-            checkpoint_every=int(t["checkpoint_every"]),
-            d_steps_per_g_step=int(t.get("d_steps_per_g_step", 1)),
-        )
+        train_config = TrainConfig.from_dict(data["train"])
         attacks = data.get("attacks", {})
         mc_configs = [_mc_from_dict(m) for m in attacks.get("mc", [])]
         config = ExperimentConfig(
@@ -431,7 +422,6 @@ def mc_row(
     stash = build_stash(
         checkpoint_sampler(gan), mc_config.stash_size, seed=(mc_config.seed, iteration)
     )
-    stash.provenance = f"checkpoint:{iteration}"
     result = run_mc_trials(train_set, test_set, stash, mc_config)
     return McRow(
         iteration=iteration,
@@ -447,13 +437,19 @@ def run_experiment(config: ExperimentConfig, force: bool = False) -> dict:
     """Run the full pipeline and return the manifest dict.
 
     Partial outputs plus a manifest naming the failed stage are left behind
-    when a stage raises; the exception propagates to the caller.
+    when a stage raises; the exception propagates to the caller.  ``force``
+    replaces only an earlier run's directory, one that holds a manifest.json.
     """
     out = config.output_dir
     if out.exists() and any(out.iterdir()):
         if not force:
             raise ConfigError(
                 f"output directory {out} is not empty (pass force to overwrite)"
+            )
+        if not (out / "manifest.json").is_file():
+            raise ConfigError(
+                f"output directory {out} holds no manifest.json, so it is not a rollmia run; "
+                "refusing to overwrite it"
             )
         shutil.rmtree(out)
     out.mkdir(parents=True, exist_ok=True)

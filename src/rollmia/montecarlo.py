@@ -1,9 +1,12 @@
 """Black-box Monte Carlo membership inference.
 
-A candidate's score is the fraction of generated samples (drawn from a fixed
-stash) lying within distance epsilon of it.  Per trial, M train and M test
-records compete for the top-M set; single-record accuracy is the train
-fraction of that set, and the set-level decision labels whichever side
+The stash is one uint8 array of generated rolls, shape
+(size, tracks, bars, steps, pitches), built once and reused for every
+candidate.  Features (flattened cells, or per-step tonal centroids) are
+computed once per set of rolls.  A candidate's score is the fraction of its
+seeded stash draws lying within distance epsilon of it.  Per trial, M train
+and M test records compete for the top-M set; single-record accuracy is the
+train fraction of that set, and the set-level decision labels whichever side
 contributed more records.  Both are averaged over repeated trials so the
 set-level answer is a frequency rather than a one-shot 0/1 outcome.
 """
@@ -17,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .pianoroll import Dataset, Pianoroll, PianorollShape, flatten, pitch_class_profile
+from .pianoroll import Dataset, PianorollShape
 
 EUCLIDEAN = "euclidean_raw"
 TONAL = "tonal_centroid"
@@ -77,30 +80,6 @@ PERCENT_01 = EpsilonHeuristic.percentile(0.001)
 PERCENT_001 = EpsilonHeuristic.percentile(0.0001)
 
 
-@dataclass
-class Stash:
-    """Fixed pool of pre-generated rolls reused across candidates."""
-
-    rolls: list[Pianoroll]
-    provenance: str
-    seed: int
-
-    def __post_init__(self):
-        if not self.rolls:
-            raise ConfigError("stash must be non-empty")
-        shape = self.rolls[0].shape
-        for roll in self.rolls:
-            if roll.shape != shape:
-                raise ConfigError("all stash rolls must share a shape")
-
-    @property
-    def shape(self) -> PianorollShape:
-        return self.rolls[0].shape
-
-    def __len__(self) -> int:
-        return len(self.rolls)
-
-
 @dataclass(frozen=True)
 class McConfig:
     stash_size: int
@@ -140,8 +119,9 @@ class McResult:
     trials: list[McTrial] = field(default_factory=list)
 
 
-def build_stash(sample_fn: Callable[[int], Pianoroll], size: int, seed: int) -> Stash:
-    """Draw ``size`` samples from a seeded generator function.
+def build_stash(sample_fn: Callable[[int], np.ndarray], size: int, seed) -> np.ndarray:
+    """Draw ``size`` samples from a seeded generator function and stack them
+    into one (size, tracks, bars, steps, pitches) array.
 
     Per-sample seeds are derived from ``seed`` so the stash is reproducible
     regardless of how sample_fn consumes its own randomness.
@@ -149,8 +129,7 @@ def build_stash(sample_fn: Callable[[int], Pianoroll], size: int, seed: int) -> 
     if size < 1:
         raise ConfigError("stash size must be >= 1")
     child_seeds = np.random.SeedSequence(seed).generate_state(size, np.uint64)
-    rolls = [sample_fn(int(s)) for s in child_seeds]
-    return Stash(rolls, provenance="sample_fn", seed=seed)
+    return np.stack([sample_fn(int(s)) for s in child_seeds])
 
 
 # ---------------------------------------------------------------------------
@@ -184,27 +163,43 @@ def step_centroid(profile: np.ndarray) -> np.ndarray:
     return _TONAL_BASIS @ (profile / total)
 
 
-def _tonal_features(roll: Pianoroll) -> np.ndarray:
-    """Per-step centroids, shape (tracks*bars*steps, 6)."""
-    tracks, bars, steps, _ = roll.shape.dims()
-    base = roll.shape.base_midi_pitch
-    # counts per pitch class for every (track, bar, step) at once
-    classes = (base + np.arange(roll.shape.pitches)) % 12
-    counts = np.zeros((tracks * bars * steps, 12))
-    cells = roll.cells.reshape(tracks * bars * steps, roll.shape.pitches)
-    for cls in range(12):
-        counts[:, cls] = cells[:, classes == cls].sum(axis=1)
-    totals = counts.sum(axis=1, keepdims=True)
-    safe = np.where(totals > 0.0, totals, 1.0)
-    normalized = np.where(totals > 0.0, counts / safe, 0.0)
-    return normalized @ _TONAL_BASIS.T
+# rolls per block of the tonal feature pass, which bounds its temporaries
+TONAL_BLOCK = 256
 
 
-def roll_features(metric: str, roll: Pianoroll) -> np.ndarray:
+def _tonal_features(shape: PianorollShape, rolls: np.ndarray) -> np.ndarray:
+    """Per-step centroids: (..., tracks, bars, steps, pitches) ->
+    (..., tracks*bars*steps, 6), computed in blocks of TONAL_BLOCK rolls."""
+    lead = rolls.shape[:-4]
+    steps = rolls.reshape(-1, shape.tracks * shape.bars * shape.steps_per_bar, shape.pitches)
+    # one-hot map from pitch index to pitch class; counts stay exact integers
+    classes = (shape.base_midi_pitch + np.arange(shape.pitches)) % 12
+    onehot = (classes[:, None] == np.arange(12)).astype(np.float64)
+    out = np.empty((*steps.shape[:2], 6))
+    for start in range(0, len(steps), TONAL_BLOCK):
+        counts = steps[start : start + TONAL_BLOCK] @ onehot
+        totals = counts.sum(axis=-1, keepdims=True)
+        safe = np.where(totals > 0.0, totals, 1.0)
+        normalized = np.where(totals > 0.0, counts / safe, 0.0)
+        out[start : start + TONAL_BLOCK] = normalized @ _TONAL_BASIS.T
+    return out.reshape(*lead, *out.shape[1:])
+
+
+def roll_features(metric: str, shape: PianorollShape, rolls: np.ndarray) -> np.ndarray:
+    """Features of one roll or a leading-axis stack of rolls.
+
+    Euclidean features are the flattened cells themselves, viewed as int8 so
+    that differences are signed, with no copy.  ``np.linalg.norm`` converts
+    integer input to float64, so the distances are bit for bit those of
+    float64 features.
+    """
+    rolls = np.asarray(rolls, dtype=np.uint8)
+    if rolls.shape[-4:] != shape.dims():
+        raise ConfigError(f"rolls shape {rolls.shape} does not match {shape.dims()}")
     if metric == EUCLIDEAN:
-        return flatten(roll)
+        return rolls.reshape(*rolls.shape[:-4], -1).view(np.int8)
     if metric == TONAL:
-        return _tonal_features(roll)
+        return _tonal_features(shape, rolls)
     raise ConfigError(f"unknown metric {metric!r}")
 
 
@@ -220,11 +215,11 @@ def features_distance(metric: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.norm(b - a, axis=-1).mean(axis=-1)
 
 
-def distance(metric: str, a: Pianoroll, b: Pianoroll) -> float:
-    """Distance between two rolls under the chosen metric."""
-    if a.shape != b.shape:
-        raise ConfigError("rolls must share a shape")
-    return float(features_distance(metric, roll_features(metric, a), roll_features(metric, b)))
+def distance(metric: str, shape: PianorollShape, a: np.ndarray, b: np.ndarray) -> float:
+    """Distance between two rolls of the given shape under the chosen metric."""
+    return float(
+        features_distance(metric, roll_features(metric, shape, a), roll_features(metric, shape, b))
+    )
 
 
 def epsilon_from_heuristic(distances: Sequence[float], heuristic: EpsilonHeuristic) -> float:
@@ -244,23 +239,38 @@ def epsilon_from_heuristic(distances: Sequence[float], heuristic: EpsilonHeurist
     return float(values[rank - 1])
 
 
-def _drawn_indices(seed, stash_size: int, n: int) -> np.ndarray:
-    return np.random.default_rng(seed).choice(stash_size, size=n, replace=False)
+def _query_distances(metric: str, candidate: np.ndarray, stash: np.ndarray, n: int, seed) -> np.ndarray:
+    """Distances from one candidate's features to ``n`` stash rows drawn
+    without replacement by ``default_rng(seed)``."""
+    drawn = np.random.default_rng(seed).choice(len(stash), size=n, replace=False)
+    return features_distance(metric, candidate, stash[drawn])
+
+
+def _fraction_within(dists: np.ndarray, epsilon: float) -> float:
+    return float(np.mean(dists <= epsilon))
 
 
 def mc_score(
-    candidate: Pianoroll, stash: Stash, config: McConfig, epsilon: float, seed
+    shape: PianorollShape,
+    candidate: np.ndarray,
+    stash: np.ndarray,
+    config: McConfig,
+    epsilon: float,
+    seed,
 ) -> float:
     """Fraction of n seeded stash draws within ``epsilon`` of the candidate."""
     if epsilon < 0.0:
         raise ConfigError("epsilon must be >= 0")
     if config.n_per_query > len(stash):
         raise ConfigError("n_per_query exceeds stash size")
-    idx = _drawn_indices(seed, len(stash), config.n_per_query)
-    cand = roll_features(config.metric, candidate)
-    feats = np.stack([roll_features(config.metric, stash.rolls[i]) for i in idx])
-    dists = features_distance(config.metric, cand, feats)
-    return float(np.mean(dists <= epsilon))
+    dists = _query_distances(
+        config.metric,
+        roll_features(config.metric, shape, candidate),
+        roll_features(config.metric, shape, stash),
+        config.n_per_query,
+        seed,
+    )
+    return _fraction_within(dists, epsilon)
 
 
 @dataclass
@@ -269,30 +279,31 @@ class _Candidate:
     origin: int  # 0 = train, 1 = test
     mean_distance: float
     distances: np.ndarray
-    seed: object
 
 
 def run_mc_trials(
-    train_rolls: Dataset, test_rolls: Dataset, stash: Stash, config: McConfig
+    train_rolls: Dataset, test_rolls: Dataset, stash: np.ndarray, config: McConfig
 ) -> McResult:
     """Run R trials of the distance-threshold attack and aggregate.
 
     Per trial: draw M records from each side, pool every candidate-to-
     drawn-stash distance, pick epsilon by the configured heuristic, score all
     2M candidates, and select the top M by (score desc, mean distance asc,
-    id asc).  Deterministic in (stash seed, config seed).
+    id asc).  Deterministic in (stash, config seed).  The roll shape comes
+    from the train set.
     """
+    shape = train_rolls.shape
     m = config.subset_size
     if len(train_rolls) < m or len(test_rolls) < m:
         raise ConfigError("need at least subset_size records on each side")
     if config.n_per_query > len(stash):
         raise ConfigError("n_per_query exceeds stash size")
-    if train_rolls.shape != test_rolls.shape or train_rolls.shape != stash.shape:
+    if test_rolls.shape != shape or stash.shape[1:] != shape.dims():
         raise ConfigError("train, test, and stash must share a shape")
 
-    stash_feats = np.stack([roll_features(config.metric, r) for r in stash.rolls])
-    train_feats = [roll_features(config.metric, r) for r in train_rolls.rolls]
-    test_feats = [roll_features(config.metric, r) for r in test_rolls.rolls]
+    stash_feats = roll_features(config.metric, shape, stash)
+    train_feats = roll_features(config.metric, shape, train_rolls.rolls)
+    test_feats = roll_features(config.metric, shape, test_rolls.rolls)
 
     trials: list[McTrial] = []
     trial_seeds = np.random.SeedSequence(config.seed).spawn(config.trials)
@@ -304,25 +315,19 @@ def run_mc_trials(
         cand_seeds = candidate_root.spawn(2 * m)
 
         candidates: list[_Candidate] = []
-        pool: list[np.ndarray] = []
-        for pos, (origin, ds_idx, feats, dataset) in enumerate(
-            [(0, train_idx, train_feats, train_rolls), (1, test_idx, test_feats, test_rolls)]
+        for pos, (ds_idx, feats, dataset) in enumerate(
+            [(train_idx, train_feats, train_rolls), (test_idx, test_feats, test_rolls)]
         ):
             for j, i in enumerate(ds_idx):
-                seed = cand_seeds[pos * m + j]
-                drawn = _drawn_indices(seed, len(stash), config.n_per_query)
-                dists = features_distance(
-                    config.metric, feats[i], stash_feats[drawn]
+                dists = _query_distances(
+                    config.metric, feats[i], stash_feats, config.n_per_query, cand_seeds[pos * m + j]
                 )
-                pool.append(dists)
-                candidates.append(
-                    _Candidate(dataset.ids[i], origin, float(dists.mean()), dists, seed)
-                )
+                candidates.append(_Candidate(int(dataset.ids[i]), pos, float(dists.mean()), dists))
 
-        epsilon = epsilon_from_heuristic(np.concatenate(pool), config.heuristic)
-        scored = [
-            (float(np.mean(c.distances <= epsilon)), c) for c in candidates
-        ]
+        epsilon = epsilon_from_heuristic(
+            np.concatenate([c.distances for c in candidates]), config.heuristic
+        )
+        scored = [(_fraction_within(c.distances, epsilon), c) for c in candidates]
         order = sorted(
             scored,
             key=lambda sc: (-sc[0], sc[1].mean_distance, sc[1].record_id, sc[1].origin),
@@ -343,18 +348,3 @@ def run_mc_trials(
     single = float(np.mean([t.single_accuracy for t in trials]))
     set_fraction = float(np.mean([1.0 if t.set_correct else 0.0 for t in trials]))
     return McResult(single, set_fraction, trials)
-
-
-def single_mi(
-    train_rolls: Dataset, test_rolls: Dataset, stash: Stash, config: McConfig
-) -> float:
-    """Mean over trials of the train fraction in the selected top-M set."""
-    return run_mc_trials(train_rolls, test_rolls, stash, config).single_mi_accuracy
-
-
-def set_mi(
-    train_rolls: Dataset, test_rolls: Dataset, stash: Stash, config: McConfig
-) -> float:
-    """Fraction of trials whose majority-vote set label is correct; ties count
-    as incorrect."""
-    return run_mc_trials(train_rolls, test_rolls, stash, config).set_mi_correct_fraction

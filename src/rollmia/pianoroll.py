@@ -1,8 +1,11 @@
 """Pianoroll data model: synthetic generation, splitting, and binary file I/O.
 
-A pianoroll is a binary tensor indexed (track, bar, step, pitch); a dataset is
-an ordered list of same-shaped rolls with stable integer ids.  Everything here
-is a pure function of its seed, so identical calls reproduce identical bytes.
+A pianoroll is a binary uint8 array indexed (track, bar, step, pitch).  A set
+of rolls is one C-contiguous uint8 array of shape
+(n, tracks, bars, steps_per_bar, pitches) plus an int64 array of n unique,
+stable ids; generation, splitting, flattening and file I/O all act on the
+whole array.  Everything here is a pure function of its seed, so identical
+calls reproduce identical bytes.
 """
 
 from __future__ import annotations
@@ -54,49 +57,39 @@ class PianorollShape:
         return (self.tracks, self.bars, self.steps_per_bar, self.pitches)
 
 
-@dataclass
-class Pianoroll:
-    """One binary multi-track record; ``cells`` is uint8 of 0/1, indexed
-    (track, bar, step, pitch)."""
-
-    shape: PianorollShape
-    cells: np.ndarray
-
-    def __post_init__(self):
-        if self.cells.shape != self.shape.dims():
-            raise ConfigError(
-                f"cells shape {self.cells.shape} does not match {self.shape.dims()}"
-            )
-        if self.cells.dtype != np.uint8:
-            self.cells = self.cells.astype(np.uint8)
-        hi = int(self.cells.max(initial=0))
-        if hi > 1:
-            raise ConfigError("pianoroll cells must be binary")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Pianoroll):
-            return NotImplemented
-        return self.shape == other.shape and np.array_equal(self.cells, other.cells)
-
-
-@dataclass
+@dataclass(eq=False)
 class Dataset:
-    """Ordered collection of same-shaped rolls with unique integer ids."""
+    """A set of same-shaped rolls with unique integer ids.
+
+    ``rolls`` is C-contiguous uint8 of 0/1 with shape (n, *shape.dims()) and
+    ``ids`` is int64 of shape (n,); any array-like of those shapes is
+    accepted and converted once, for the whole set.
+    """
 
     shape: PianorollShape
-    rolls: list[Pianoroll]
-    ids: list[int]
+    rolls: np.ndarray
+    ids: np.ndarray
 
     def __post_init__(self):
-        if not self.rolls:
+        try:
+            rolls = np.asarray(self.rolls)
+        except ValueError as exc:  # ragged list of rolls
+            raise ConfigError("all rolls must share the dataset shape") from exc
+        if rolls.size == 0:
             raise ConfigError("empty dataset")
-        if len(self.ids) != len(self.rolls):
+        if rolls.shape[1:] != self.shape.dims():
+            raise ConfigError("all rolls must share the dataset shape")
+        self.rolls = np.ascontiguousarray(rolls, dtype=np.uint8)
+        if int(self.rolls.max()) > 1:
+            raise ConfigError("pianoroll cells must be binary")
+        ids = np.asarray(self.ids)
+        if ids.dtype.kind not in "iu" or not np.can_cast(ids.dtype, np.int64):
+            raise ConfigError("dataset ids must be int64 integers")
+        if ids.shape != (len(self.rolls),):
             raise ConfigError("ids/rolls length mismatch")
-        if len(set(self.ids)) != len(self.ids):
+        self.ids = ids.astype(np.int64)
+        if np.unique(self.ids).size != self.ids.size:
             raise ConfigError("dataset ids must be unique")
-        for roll in self.rolls:
-            if roll.shape != self.shape:
-                raise ConfigError("all rolls must share the dataset shape")
 
     def __len__(self) -> int:
         return len(self.rolls)
@@ -106,8 +99,8 @@ class Dataset:
             return NotImplemented
         return (
             self.shape == other.shape
-            and self.ids == other.ids
-            and all(a == b for a, b in zip(self.rolls, other.rolls))
+            and np.array_equal(self.ids, other.ids)
+            and np.array_equal(self.rolls, other.rolls)
         )
 
 
@@ -162,7 +155,7 @@ def _pitch_indices_for_class(shape: PianorollShape, pitch_class: int) -> np.ndar
     return idx[(shape.base_midi_pitch + idx) % 12 == pitch_class]
 
 
-def _synth_roll(rng: np.random.Generator, shape: PianorollShape, style: StyleParams) -> Pianoroll:
+def _synth_roll(rng: np.random.Generator, shape: PianorollShape, style: StyleParams) -> np.ndarray:
     tracks, bars, steps, pitches = shape.dims()
     total_steps = bars * steps
     cells = np.zeros(shape.dims(), dtype=np.uint8)
@@ -205,7 +198,7 @@ def _synth_roll(rng: np.random.Generator, shape: PianorollShape, style: StylePar
         ornaments = rng.random(cells.shape) < style.ornament_prob
         cells = np.where(ornaments, np.uint8(1), cells)
 
-    return Pianoroll(shape, cells)
+    return cells
 
 
 def synth_generate(
@@ -226,11 +219,11 @@ def synth_generate(
     if shape.pitches < 12:
         raise ConfigError("pitch range too small for pitch classes")
     style = style or StyleParams()
-    rolls = []
+    rolls = np.empty((count, *shape.dims()), dtype=np.uint8)
     for i in range(count):
         rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
-        rolls.append(_synth_roll(rng, shape, style))
-    return Dataset(shape, rolls, list(range(count)))
+        rolls[i] = _synth_roll(rng, shape, style)
+    return Dataset(shape, rolls, np.arange(count))
 
 
 def synth_sampler(shape: PianorollShape, style: StyleParams | None = None):
@@ -240,7 +233,7 @@ def synth_sampler(shape: PianorollShape, style: StyleParams | None = None):
         raise ConfigError("pitch range too small for pitch classes")
     style = style or StyleParams()
 
-    def sample(seed) -> Pianoroll:
+    def sample(seed) -> np.ndarray:
         return _synth_roll(np.random.default_rng(seed), shape, style)
 
     return sample
@@ -260,46 +253,33 @@ def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
         raise ConfigError("degenerate split")
     rng = np.random.default_rng(spec.seed)
     perm = rng.permutation(n)
-    train_idx = np.sort(perm[:train_size])
-    test_idx = np.sort(perm[train_size:])
 
     def take(indices: np.ndarray) -> Dataset:
-        return Dataset(
-            dataset.shape,
-            [dataset.rolls[i] for i in indices],
-            [dataset.ids[i] for i in indices],
-        )
+        return Dataset(dataset.shape, dataset.rolls[indices], dataset.ids[indices])
 
-    return take(train_idx), take(test_idx)
+    return take(np.sort(perm[:train_size])), take(np.sort(perm[train_size:]))
 
 
-def flatten(roll: Pianoroll) -> np.ndarray:
-    """Row-major (track, bar, step, pitch) vectorization as float64 of 0.0/1.0."""
-    return roll.cells.astype(np.float64).ravel()
+def flatten(rolls: np.ndarray) -> np.ndarray:
+    """Row-major (track, bar, step, pitch) vectorization as float64 of 0.0/1.0:
+    (..., tracks, bars, steps, pitches) -> (..., cells), for one roll or a
+    stack of them."""
+    rolls = np.asarray(rolls)
+    return rolls.reshape(*rolls.shape[:-4], -1).astype(np.float64)
 
 
-def unflatten(values: np.ndarray, shape: PianorollShape) -> Pianoroll:
-    """Inverse of :func:`flatten` for binary vectors of the right length."""
-    values = np.asarray(values)
-    if values.size != shape.cells:
-        raise ConfigError(f"expected {shape.cells} values, got {values.size}")
-    return Pianoroll(shape, values.reshape(shape.dims()).astype(np.uint8))
-
-
-def pitch_class_profile(roll: Pianoroll, track: int, bar: int, step: int) -> np.ndarray:
+def pitch_class_profile(
+    shape: PianorollShape, roll: np.ndarray, track: int, bar: int, step: int
+) -> np.ndarray:
     """Count active cells at (track, bar, step) per pitch class (12-vector).
 
     Class of pitch index p is (base_midi_pitch + p) mod 12.
     """
-    tracks, bars, steps, _ = roll.shape.dims()
+    tracks, bars, steps, _ = shape.dims()
     if not (0 <= track < tracks and 0 <= bar < bars and 0 <= step < steps):
         raise IndexError(f"index ({track}, {bar}, {step}) out of range")
-    column = roll.cells[track, bar, step]
-    profile = np.zeros(12, dtype=np.float64)
-    active = np.nonzero(column)[0]
-    for p in active:
-        profile[(roll.shape.base_midi_pitch + int(p)) % 12] += 1.0
-    return profile
+    active = np.nonzero(roll[track, bar, step])[0]
+    return np.bincount((shape.base_midi_pitch + active) % 12, minlength=12).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +313,9 @@ def write_dataset(dataset: Dataset, path: str | Path, style: StyleParams | None 
                 shape.base_midi_pitch,
             )
         )
-        for roll in dataset.rolls:
-            fh.write(np.packbits(roll.cells.ravel(), bitorder="big").tobytes())
-    meta: dict = {"ids": list(dataset.ids)}
+        rows = dataset.rolls.reshape(len(dataset), -1)
+        fh.write(np.packbits(rows, axis=1, bitorder="big").tobytes())
+    meta: dict = {"ids": dataset.ids.tolist()}
     if style is not None:
         meta["style"] = style.to_dict()
     with open(_sidecar_path(path), "w", encoding="utf-8") as fh:
@@ -347,7 +327,8 @@ def read_dataset(path: str | Path) -> Dataset:
     """Read a dataset file written by :func:`write_dataset`.
 
     Raises :class:`FormatError` with a distinct message for bad magic,
-    unsupported version, empty datasets, truncation, and trailing bytes.
+    unsupported version, empty datasets, truncation, trailing bytes, and a
+    sidecar that is not a JSON object or whose ids are not n unique integers.
     """
     path = Path(path)
     blob = path.read_bytes()
@@ -370,24 +351,22 @@ def read_dataset(path: str | Path) -> Dataset:
         raise FormatError(f"truncated dataset in {path}")
     if len(blob) > expected:
         raise FormatError(f"trailing data in {path}")
-    rolls = []
-    offset = _HEADER.size
-    for _ in range(count):
-        packed = np.frombuffer(blob, dtype=np.uint8, count=roll_bytes, offset=offset)
-        bits = np.unpackbits(packed, count=shape.cells, bitorder="big")
-        rolls.append(Pianoroll(shape, bits.reshape(shape.dims())))
-        offset += roll_bytes
+    packed = np.frombuffer(blob, dtype=np.uint8, offset=_HEADER.size).reshape(count, roll_bytes)
+    bits = np.unpackbits(packed, axis=1, count=shape.cells, bitorder="big")
+    rolls = bits.reshape(count, *shape.dims())
 
-    ids = list(range(count))
+    ids = np.arange(count)
     sidecar = _sidecar_path(path)
     if sidecar.exists():
         try:
             meta = json.loads(sidecar.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise FormatError(f"bad sidecar json for {path}: {exc}") from exc
-        raw_ids = meta.get("ids")
-        if raw_ids is not None:
-            if len(raw_ids) != count:
-                raise FormatError(f"sidecar ids count mismatch for {path}")
-            ids = [int(i) for i in raw_ids]
-    return Dataset(shape, rolls, ids)
+        if not isinstance(meta, dict):
+            raise FormatError(f"bad sidecar for {path}: expected a JSON object")
+        if meta.get("ids") is not None:
+            ids = meta["ids"]
+    try:
+        return Dataset(shape, rolls, ids)
+    except (ConfigError, ValueError) as exc:  # only the sidecar ids can be bad here
+        raise FormatError(f"bad sidecar ids for {path}: {exc}") from exc

@@ -11,9 +11,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .errors import ConfigError
 from .metrics import ConfusionCounts, confusion_from_predictions
-from .pianoroll import Dataset, Pianoroll
+from .pianoroll import Dataset
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,7 @@ def rank_and_label(scored: list[ScoredCandidate], n_members: int) -> WbAttackRes
 
 
 def run_whitebox(
-    scorer: Callable[[int, Pianoroll], float],
+    scorer: Callable[[int, np.ndarray], float],
     members: Dataset,
     nonmembers: Dataset,
 ) -> WbAttackResult:
@@ -65,7 +67,7 @@ def run_whitebox(
         raise ConfigError("member and nonmember ids must be disjoint")
     scored = []
     for dataset, is_member in ((members, True), (nonmembers, False)):
-        for rid, roll in zip(dataset.ids, dataset.rolls):
+        for rid, roll in zip(dataset.ids.tolist(), dataset.rolls):
             try:
                 score = float(scorer(rid, roll))
             except Exception as exc:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rollmia import PianorollShape, Pianoroll, synth_generate
+from rollmia import PianorollShape, synth_generate
 
 
 @pytest.fixture(scope="session")
@@ -18,4 +18,4 @@ def make_roll(shape: PianorollShape, on_cells=()):
     cells = np.zeros(shape.dims(), dtype=np.uint8)
     for idx in on_cells:
         cells[idx] = 1
-    return Pianoroll(shape, cells)
+    return cells

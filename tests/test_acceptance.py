@@ -280,8 +280,8 @@ def test_criterion_7_mc_score_properties():
     for case in range(1000):
         candidate = sampler(50_000 + case)
         eps_a, eps_b = np.sort(rng.uniform(0.0, 14.0, size=2))
-        s_a = mc_score(candidate, stash, config, float(eps_a), seed=case)
-        s_b = mc_score(candidate, stash, config, float(eps_b), seed=case)
+        s_a = mc_score(DESK_SHAPE, candidate, stash, config, float(eps_a), seed=case)
+        s_b = mc_score(DESK_SHAPE, candidate, stash, config, float(eps_b), seed=case)
         monotone_ok &= s_a <= s_b
         lattice_ok &= round(s_a, 12) in lattice and round(s_b, 12) in lattice
 

@@ -145,6 +145,29 @@ def test_exit_code_format_error(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "make_sidecar",
+    [
+        lambda count: [1, 2],
+        lambda count: {"ids": 7},
+        lambda count: {"ids": [0] * count},
+        lambda count: {"ids": [i + 0.5 for i in range(count)]},
+    ],
+    ids=["json-list", "ids-not-a-list", "duplicate-ids", "non-integer-ids"],
+)
+def test_exit_code_bad_sidecar(tmp_path, cli_workspace, make_sidecar):
+    root, data, train, test = cli_workspace
+    bad = tmp_path / "bad.prd"
+    bad.write_bytes(data.read_bytes())
+    sidecar = make_sidecar(len(read_dataset(data)))
+    (tmp_path / "bad.prd.meta.json").write_text(json.dumps(sidecar))
+    code = run(
+        ["split", "--in", bad, "--fraction", 0.5, "--seed", 1,
+         "--train", tmp_path / "a.prd", "--test", tmp_path / "b.prd"]
+    )
+    assert code == 3
+
+
 def test_exit_code_config_error(tmp_path, cli_workspace):
     root, data, train, test = cli_workspace
     code = run(

@@ -214,6 +214,17 @@ def test_rerun_with_force_is_byte_identical(finished_run):
         assert before[name] == after[name], name
 
 
+def test_force_refuses_a_directory_without_manifest(tmp_path):
+    out = tmp_path / "not_a_run"
+    out.mkdir()
+    (out / "notes.txt").write_text("keep me")
+    config = parse_experiment_config(tiny_config_dict(out))
+    with pytest.raises(ConfigError, match="manifest"):
+        run_experiment(config, force=True)
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
+    assert (out / "notes.txt").read_text() == "keep me"
+
+
 def test_failed_stage_manifest(tmp_path):
     data = tiny_config_dict(tmp_path / "fail")
     data["dataset"] = {"path": str(tmp_path / "missing.prd")}

@@ -12,20 +12,25 @@ from rollmia import (
     McConfig,
     OracleGenerator,
     PianorollShape,
-    Pianoroll,
-    Stash,
     build_stash,
     distance,
     epsilon_from_heuristic,
+    flatten,
     mc_score,
     oracle_generate,
+    pitch_class_profile,
     run_mc_trials,
-    set_mi,
-    single_mi,
     synth_generate,
     synth_sampler,
 )
-from rollmia.montecarlo import EUCLIDEAN, TONAL, step_centroid
+from rollmia.montecarlo import (
+    EUCLIDEAN,
+    TONAL,
+    TONAL_BLOCK,
+    features_distance,
+    roll_features,
+    step_centroid,
+)
 
 from conftest import make_roll
 
@@ -97,39 +102,42 @@ def test_heuristic_parse_and_label():
 
 def test_distance_identity(small_population):
     roll = small_population.rolls[0]
-    assert distance(EUCLIDEAN, roll, roll) == 0.0
-    assert distance(TONAL, roll, roll) == 0.0
+    shape = small_population.shape
+    assert distance(EUCLIDEAN, shape, roll, roll) == 0.0
+    assert distance(TONAL, shape, roll, roll) == 0.0
 
 
 def test_distance_single_cell():
     a = make_roll(SHAPE)
     b = make_roll(SHAPE, [(0, 0, 0, 0)])
-    assert distance(EUCLIDEAN, a, b) == 1.0
+    assert distance(EUCLIDEAN, SHAPE, a, b) == 1.0
 
 
 def test_distance_is_sqrt_hamming(small_population):
     a, b = small_population.rolls[0], small_population.rolls[1]
-    hamming = int(np.sum(a.cells != b.cells))
-    assert math.isclose(distance(EUCLIDEAN, a, b), math.sqrt(hamming))
+    hamming = int(np.sum(a != b))
+    assert math.isclose(distance(EUCLIDEAN, small_population.shape, a, b), math.sqrt(hamming))
 
 
 def test_distance_symmetry_and_nonnegativity(small_population):
     rolls = small_population.rolls[:6]
+    shape = small_population.shape
     for metric in (EUCLIDEAN, TONAL):
         for a in rolls:
             for b in rolls:
-                d_ab = distance(metric, a, b)
+                d_ab = distance(metric, shape, a, b)
                 assert d_ab >= 0.0
-                assert d_ab == distance(metric, b, a)
+                assert d_ab == distance(metric, shape, b, a)
 
 
 def test_distance_triangle_inequality_euclidean(small_population):
     rolls = small_population.rolls[:6]
+    shape = small_population.shape
     for a in rolls:
         for b in rolls:
             for c in rolls:
-                assert distance(EUCLIDEAN, a, c) <= distance(EUCLIDEAN, a, b) + distance(
-                    EUCLIDEAN, b, c
+                assert distance(EUCLIDEAN, shape, a, c) <= distance(EUCLIDEAN, shape, a, b) + distance(
+                    EUCLIDEAN, shape, b, c
                 ) + 1e-12
 
 
@@ -137,19 +145,24 @@ def test_distance_shape_mismatch():
     a = make_roll(SHAPE)
     b = make_roll(PianorollShape(1, 1, 8, 12))
     with pytest.raises(ConfigError):
-        distance(EUCLIDEAN, a, b)
+        distance(EUCLIDEAN, SHAPE, a, b)
+
+
+TRIAD_SHAPE = PianorollShape(1, 1, 1, 12)
 
 
 def triad_roll(classes):
     # base_midi_pitch 24 is a multiple of 12, so pitch index == pitch class
-    return make_roll(PianorollShape(1, 1, 1, 12), [(0, 0, 0, c) for c in classes])
+    return make_roll(TRIAD_SHAPE, [(0, 0, 0, c) for c in classes])
 
 
 def test_tonal_triads_circle_of_fifths():
     c_major = triad_roll([0, 4, 7])
     a_minor = triad_roll([9, 0, 4])
     fs_major = triad_roll([6, 10, 1])
-    assert distance(TONAL, c_major, a_minor) < distance(TONAL, c_major, fs_major)
+    assert distance(TONAL, TRIAD_SHAPE, c_major, a_minor) < distance(
+        TONAL, TRIAD_SHAPE, c_major, fs_major
+    )
 
 
 def test_tonal_centroid_reference_values():
@@ -174,7 +187,35 @@ def test_tonal_empty_step_is_zero_centroid():
     assert not step_centroid(np.zeros(12)).any()
     a = make_roll(SHAPE)
     b = make_roll(SHAPE)
-    assert distance(TONAL, a, b) == 0.0
+    assert distance(TONAL, SHAPE, a, b) == 0.0
+
+
+def test_euclidean_features_match_float64_reference(small_population):
+    # int8 cell features must give bit-identical distances to float64 cells
+    shape = small_population.shape
+    feats = roll_features(EUCLIDEAN, shape, small_population.rolls)
+    cells = flatten(small_population.rolls)
+    got = features_distance(EUCLIDEAN, feats[0], feats[1:])
+    assert np.array_equal(got, np.linalg.norm(cells[1:] - cells[0], axis=-1))
+
+
+def test_tonal_features_match_per_step_reference(small_population):
+    # the whole-set pass, in blocks of TONAL_BLOCK rolls, against one roll at
+    # a time and against a loop over steps built from the per-step helpers
+    shape = small_population.shape
+    rolls = small_population.rolls
+    assert len(rolls) > TONAL_BLOCK
+    feats = roll_features(TONAL, shape, rolls)
+    tracks, bars, steps, _ = shape.dims()
+    for i in (0, TONAL_BLOCK - 1, TONAL_BLOCK, len(rolls) - 1):
+        assert np.array_equal(feats[i], roll_features(TONAL, shape, rolls[i]))
+        expected = [
+            step_centroid(pitch_class_profile(shape, rolls[i], t, b, s))
+            for t in range(tracks)
+            for b in range(bars)
+            for s in range(steps)
+        ]
+        assert np.allclose(feats[i], expected, rtol=0.0, atol=1e-12)
 
 
 # --- stash and scores --------------------------------------------------------
@@ -185,30 +226,30 @@ def test_build_stash_size_and_determinism(desk_shape):
     a = build_stash(sampler, 100, seed=5)
     b = build_stash(sampler, 100, seed=5)
     assert len(a) == 100
-    assert all(x == y for x, y in zip(a.rolls, b.rolls))
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
     c = build_stash(sampler, 100, seed=6)
-    assert any(x != y for x, y in zip(a.rolls, c.rolls))
+    assert any(not np.array_equal(x, y) for x, y in zip(a, c))
 
 
 def test_build_stash_from_memorizing_oracle():
     train = synth_generate(3, 20, SHAPE)
     oracle = OracleGenerator(1.0, 0.0, train, synth_sampler(SHAPE))
     stash = build_stash(lambda s: oracle_generate(oracle, s), 50, seed=1)
-    for roll in stash.rolls:
-        assert any(roll == r for r in train.rolls)
+    for roll in stash:
+        assert any(np.array_equal(roll, r) for r in train.rolls)
 
 
 def hamming_stash(candidate, hammings):
     """Stash whose rolls sit at the given hamming distances from candidate."""
     rolls = []
-    flat_len = candidate.shape.cells
+    flat_len = candidate.size
     for h, start in zip(hammings, range(0, 10_000, max(hammings) + 1)):
-        cells = candidate.cells.copy().ravel()
+        cells = candidate.copy().ravel()
         for k in range(h):
             idx = (start + k) % flat_len
             cells[idx] ^= 1
-        rolls.append(Pianoroll(candidate.shape, cells.reshape(candidate.shape.dims())))
-    return Stash(rolls, provenance="test", seed=0)
+        rolls.append(cells.reshape(candidate.shape))
+    return np.stack(rolls)
 
 
 def mc_config(**kw):
@@ -229,16 +270,16 @@ def test_mc_score_counts_within_epsilon():
     candidate = make_roll(SHAPE, [(0, 0, 0, 0)])
     stash = hamming_stash(candidate, [1, 4, 9, 16])  # dists 1, 2, 3, 4
     config = mc_config()
-    assert mc_score(candidate, stash, config, epsilon=2.5, seed=0) == 0.5
-    assert mc_score(candidate, stash, config, epsilon=0.0, seed=0) == 0.0
-    assert mc_score(candidate, stash, config, epsilon=4.0, seed=0) == 1.0
+    assert mc_score(SHAPE, candidate, stash, config, epsilon=2.5, seed=0) == 0.5
+    assert mc_score(SHAPE, candidate, stash, config, epsilon=0.0, seed=0) == 0.0
+    assert mc_score(SHAPE, candidate, stash, config, epsilon=4.0, seed=0) == 1.0
 
 
 def test_mc_score_epsilon_zero_self_in_stash():
     candidate = make_roll(SHAPE, [(0, 0, 0, 0)])
     stash = hamming_stash(candidate, [0, 3, 5])
     config = mc_config(stash_size=3, n_per_query=3)
-    assert mc_score(candidate, stash, config, epsilon=0.0, seed=1) == pytest.approx(1 / 3)
+    assert mc_score(SHAPE, candidate, stash, config, epsilon=0.0, seed=1) == pytest.approx(1 / 3)
 
 
 def test_mc_score_draw_semantics():
@@ -248,19 +289,19 @@ def test_mc_score_draw_semantics():
     config = mc_config(stash_size=6, n_per_query=3)
     seed = 99
     idx = np.random.default_rng(seed).choice(6, size=3, replace=False)
-    dists = [distance(EUCLIDEAN, candidate, stash.rolls[i]) for i in idx]
+    dists = [distance(EUCLIDEAN, SHAPE, candidate, stash[i]) for i in idx]
     eps = sorted(dists)[1]
     expected = np.mean([d <= eps for d in dists])
-    assert mc_score(candidate, stash, config, eps, seed) == expected
+    assert mc_score(SHAPE, candidate, stash, config, eps, seed) == expected
 
 
 def test_mc_score_rejects_overlong_draw():
     candidate = make_roll(SHAPE)
     stash = hamming_stash(candidate, [1, 2])
     with pytest.raises(ConfigError):
-        mc_score(candidate, stash, mc_config(stash_size=2, n_per_query=3), 1.0, 0)
+        mc_score(SHAPE, candidate, stash, mc_config(stash_size=2, n_per_query=3), 1.0, 0)
     with pytest.raises(ConfigError):
-        mc_score(candidate, stash, mc_config(stash_size=2, n_per_query=2), -1.0, 0)
+        mc_score(SHAPE, candidate, stash, mc_config(stash_size=2, n_per_query=2), -1.0, 0)
 
 
 def test_mc_score_monotone_in_epsilon():
@@ -271,7 +312,7 @@ def test_mc_score_monotone_in_epsilon():
     for case in range(50):
         candidate = sampler(1000 + case)
         eps_grid = np.sort(rng.uniform(0.0, 12.0, size=6))
-        scores = [mc_score(candidate, stash, config, e, seed=case) for e in eps_grid]
+        scores = [mc_score(SHAPE, candidate, stash, config, e, seed=case) for e in eps_grid]
         assert all(a <= b for a, b in zip(scores, scores[1:]))
         n = config.n_per_query
         for s in scores:
@@ -295,12 +336,12 @@ def id_blocks(population, train_count, test_count):
 
 def test_single_mi_m1_perfect_separation():
     base = make_roll(SHAPE, [(0, 0, 0, 0)])
-    far = hamming_stash(base, [100]).rolls[0]
+    far = hamming_stash(base, [100])[0]
     train = Dataset(SHAPE, [base], [0])
     test = Dataset(SHAPE, [far], [1])
-    stash = Stash([base] * 4, provenance="test", seed=0)
+    stash = np.stack([base] * 4)
     config = mc_config(stash_size=4, n_per_query=4, subset_size=1, trials=3)
-    assert single_mi(train, test, stash, config) == 1.0
+    assert run_mc_trials(train, test, stash, config).single_mi_accuracy == 1.0
 
 
 def test_set_mi_majority_rule_three_train_one_test():
@@ -308,11 +349,11 @@ def test_set_mi_majority_rule_three_train_one_test():
     rolls = population.rolls
     train_rolls, test_rolls = rolls[:4], rolls[4:8]
     # memorize 3 train rolls and 1 test roll; everything else stays far
-    memorized = train_rolls[:3] + [test_rolls[0]]
-    assert all(a != b for i, a in enumerate(memorized) for b in memorized[i + 1:])
+    memorized = [*train_rolls[:3], test_rolls[0]]
+    assert all(not np.array_equal(a, b) for i, a in enumerate(memorized) for b in memorized[i + 1:])
     train = Dataset(SHAPE, train_rolls, [0, 1, 2, 3])
     test = Dataset(SHAPE, test_rolls, [10, 11, 12, 13])
-    stash = Stash(memorized * 50, provenance="test", seed=0)
+    stash = np.stack(memorized * 50)
     config = mc_config(
         stash_size=200,
         n_per_query=200,
@@ -335,8 +376,8 @@ def test_set_mi_tie_counts_incorrect():
     train = Dataset(SHAPE, rolls[:4], [0, 1, 2, 3])
     test = Dataset(SHAPE, rolls[4:8], [10, 11, 12, 13])
     # memorize 2 from each side -> selected set always ties 2:2
-    memorized = rolls[:2] + rolls[4:6]
-    stash = Stash(memorized * 50, provenance="test", seed=0)
+    memorized = [*rolls[:2], *rolls[4:6]]
+    stash = np.stack(memorized * 50)
     config = mc_config(
         stash_size=200,
         n_per_query=200,
@@ -370,11 +411,12 @@ def test_equal_scores_fall_back_to_mean_distance(small_population):
     # reproduce the expected selection: every candidate drew the whole stash
     from rollmia.montecarlo import EUCLIDEAN as METRIC, roll_features, features_distance
 
-    stash_feats = np.stack([roll_features(METRIC, r) for r in stash.rolls])
+    shape = small_population.shape
+    stash_feats = np.stack([roll_features(METRIC, shape, r) for r in stash])
     mean_dists = []
     for origin, ds in ((0, train), (1, test)):
         for rid, roll in zip(ds.ids, ds.rolls):
-            d = features_distance(METRIC, roll_features(METRIC, roll), stash_feats)
+            d = features_distance(METRIC, roll_features(METRIC, shape, roll), stash_feats)
             mean_dists.append((float(np.mean(d)), rid, origin))
     expected_train = sum(1 for _, _, origin in sorted(mean_dists)[:30] if origin == 0)
     assert trial.train_selected == expected_train
@@ -392,8 +434,8 @@ def test_run_mc_trials_deterministic(small_population):
     assert a.single_mi_accuracy == b.single_mi_accuracy
     assert a.set_mi_correct_fraction == b.set_mi_correct_fraction
     assert [t.epsilon for t in a.trials] == [t.epsilon for t in b.trials]
-    assert single_mi(train, test, stash, config) == a.single_mi_accuracy
-    assert set_mi(train, test, stash, config) == a.set_mi_correct_fraction
+    assert a.single_mi_accuracy == np.mean([t.single_accuracy for t in a.trials])
+    assert a.set_mi_correct_fraction == np.mean([t.set_correct for t in a.trials])
 
 
 def test_run_mc_trials_preconditions(small_population):
