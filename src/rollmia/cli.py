@@ -2,6 +2,11 @@
 
 Exit codes: 0 success, 2 configuration/validation error, 3 data/format error,
 4 training divergence.
+
+``attack wb`` and ``attack mc`` compute their row with the experiment's own
+row functions, so a checkpoint gives the same row from either entry point.
+The Monte Carlo stash is seeded by ``(seed, checkpoint iteration)``, or
+``(seed, 0)`` for an oracle, as in the experiment.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from .gan import (
     OracleDiscriminator,
     OracleGenerator,
     TrainConfig,
-    d_score,
     load_checkpoint,
     oracle_d_score,
     oracle_generate,
@@ -27,23 +31,18 @@ from .gan import (
 from .harness import (
     MC_HEADER,
     WB_HEADER,
-    mc_csv_line,
-    wb_csv_line,
-    McRow,
     checkpoint_sampler,
+    checkpoint_scorer,
     load_experiment_config,
+    mc_csv_line,
+    mc_row,
     report_from_dir,
     run_experiment,
+    wb_csv_line,
+    whitebox_row,
+    write_lines,
 )
-from .metrics import compute_metrics
-from .montecarlo import (
-    EpsilonHeuristic,
-    McConfig,
-    METRIC_FROM_LABEL,
-    METRIC_LABELS,
-    build_stash,
-    run_mc_trials,
-)
+from .montecarlo import METRIC_FROM_LABEL, McConfig
 from .pianoroll import (
     PianorollShape,
     SplitSpec,
@@ -54,7 +53,6 @@ from .pianoroll import (
     synth_sampler,
     write_dataset,
 )
-from .whitebox import run_whitebox
 
 
 def _parse_oracle(text: str, expected: tuple[str, ...]) -> dict[str, float]:
@@ -126,76 +124,59 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_attack_inputs(args):
+def _attack_model(args, from_gan, from_oracle):
+    """Read --train and --test and build the attacked model: ``from_gan(gan)``
+    for a --checkpoint, whose shape must match the datasets, or
+    ``from_oracle(spec, train_set)`` for an --oracle spec.
+
+    Returns (model, iteration, train_set, test_set); an oracle's iteration is 0.
+    """
     train_set = read_dataset(args.train)
     test_set = read_dataset(args.test)
-    if args.oracle is None and args.checkpoint is None:
-        raise ConfigError("need --checkpoint or --oracle")
-    return train_set, test_set
+    if args.oracle is not None:
+        return from_oracle(args.oracle, train_set), 0, train_set, test_set
+    ckpt = load_checkpoint(args.checkpoint)
+    if ckpt.gan.shape != train_set.shape:
+        raise FormatError("architecture mismatch: checkpoint shape differs from dataset")
+    return from_gan(ckpt.gan), ckpt.iteration, train_set, test_set
 
 
 def cmd_attack_wb(args) -> int:
-    train_set, test_set = _load_attack_inputs(args)
-    if args.oracle is not None:
-        spec = _parse_oracle(args.oracle, ("margin", "tau"))
+    def from_oracle(text, train_set):
+        spec = _parse_oracle(text, ("margin", "tau"))
         oracle = OracleDiscriminator(
             margin=spec["margin"],
             score_noise=spec["tau"],
             member_ids=frozenset(train_set.ids),
         )
-        scorer = lambda rid, _roll: oracle_d_score(oracle, rid, (args.seed, rid))
-        iteration = 0
-    else:
-        ckpt = load_checkpoint(args.checkpoint)
-        if ckpt.gan.shape != train_set.shape:
-            raise FormatError("architecture mismatch: checkpoint shape differs from dataset")
-        scorer = lambda _rid, roll: d_score(ckpt.gan, roll)
-        iteration = ckpt.iteration
-    result = run_whitebox(scorer, train_set, test_set)
-    row = compute_metrics(result.confusion, iteration)
-    Path(args.out).write_text(WB_HEADER + "\n" + wb_csv_line(row) + "\n", encoding="utf-8")
+        return lambda rid, _roll: oracle_d_score(oracle, rid, (args.seed, rid))
+
+    scorer, iteration, train_set, test_set = _attack_model(args, checkpoint_scorer, from_oracle)
+    row = whitebox_row(scorer, iteration, train_set, test_set)
+    write_lines(args.out, [WB_HEADER, wb_csv_line(row)])
     print(f"white-box success rate {row.success_rate:.3f} -> {args.out}")
     return 0
 
 
 def cmd_attack_mc(args) -> int:
-    train_set, test_set = _load_attack_inputs(args)
-    config = McConfig(
-        stash_size=args.stash,
-        n_per_query=args.n,
-        heuristic=EpsilonHeuristic.parse(args.heuristic),
-        metric=METRIC_FROM_LABEL[args.metric],
-        subset_size=args.subset,
-        trials=args.trials,
-        seed=args.seed,
-    )
-    if args.oracle is not None:
-        spec = _parse_oracle(args.oracle, ("p", "sigma"))
+    config = McConfig.from_dict(dict(
+        stash_size=args.stash, n_per_query=args.n, heuristic=args.heuristic, metric=args.metric,
+        subset_size=args.subset, trials=args.trials, seed=args.seed,
+    ))
+
+    def from_oracle(text, train_set):
+        spec = _parse_oracle(text, ("p", "sigma"))
         oracle = OracleGenerator(
             memorization_rate=spec["p"],
             flip_noise=spec["sigma"],
             training_rolls=train_set,
             population_sampler=synth_sampler(train_set.shape),
         )
-        sample_fn = lambda seed: oracle_generate(oracle, seed)
-        iteration = 0
-    else:
-        ckpt = load_checkpoint(args.checkpoint)
-        if ckpt.gan.shape != train_set.shape:
-            raise FormatError("architecture mismatch: checkpoint shape differs from dataset")
-        sample_fn = checkpoint_sampler(ckpt.gan)
-        iteration = ckpt.iteration
-    stash = build_stash(sample_fn, config.stash_size, seed=config.seed)
-    result = run_mc_trials(train_set, test_set, stash, config)
-    row = McRow(
-        iteration=iteration,
-        single_mi_accuracy=result.single_mi_accuracy,
-        set_mi_accuracy=result.set_mi_correct_fraction,
-        heuristic=config.heuristic.label(),
-        metric=METRIC_LABELS[config.metric],
-        trials=config.trials,
-    )
-    Path(args.out).write_text(MC_HEADER + "\n" + mc_csv_line(row) + "\n", encoding="utf-8")
+        return lambda seed: oracle_generate(oracle, seed)
+
+    sample_fn, iteration, train_set, test_set = _attack_model(args, checkpoint_sampler, from_oracle)
+    row = mc_row(sample_fn, iteration, train_set, test_set, config)
+    write_lines(args.out, [MC_HEADER, mc_csv_line(row)])
     print(
         f"mc single {row.single_mi_accuracy:.3f} / set {row.set_mi_accuracy:.3f} -> {args.out}"
     )
@@ -252,8 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     attack_sub = p_attack.add_subparsers(dest="attack_command", required=True)
 
     p_wb = attack_sub.add_parser("wb", help="white-box discriminator attack")
-    p_wb.add_argument("--checkpoint")
-    p_wb.add_argument("--oracle", help='oracle discriminator, e.g. "margin=1,tau=0.1"')
+    wb_model = p_wb.add_mutually_exclusive_group(required=True)
+    wb_model.add_argument("--checkpoint")
+    wb_model.add_argument("--oracle", help='oracle discriminator, e.g. "margin=1,tau=0.1"')
     p_wb.add_argument("--train", required=True)
     p_wb.add_argument("--test", required=True)
     p_wb.add_argument("--seed", type=int, default=0, help="seed for oracle score noise")
@@ -261,8 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_wb.set_defaults(func=cmd_attack_wb)
 
     p_mc = attack_sub.add_parser("mc", help="Monte Carlo distance attack")
-    p_mc.add_argument("--checkpoint")
-    p_mc.add_argument("--oracle", help='oracle generator, e.g. "p=1,sigma=0"')
+    mc_model = p_mc.add_mutually_exclusive_group(required=True)
+    mc_model.add_argument("--checkpoint")
+    mc_model.add_argument("--oracle", help='oracle generator, e.g. "p=1,sigma=0"')
     p_mc.add_argument("--train", required=True)
     p_mc.add_argument("--test", required=True)
     p_mc.add_argument("--heuristic", default="median", help="median or p:Q")
@@ -271,7 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--n", type=int, required=True)
     p_mc.add_argument("--subset", type=int, required=True)
     p_mc.add_argument("--trials", type=int, required=True)
-    p_mc.add_argument("--seed", type=int, required=True)
+    p_mc.add_argument(
+        "--seed",
+        type=int,
+        required=True,
+        help="trial seed; the stash is seeded by (seed, checkpoint iteration), "
+        "or (seed, 0) for an oracle, as in the experiment",
+    )
     p_mc.add_argument("--out", required=True)
     p_mc.set_defaults(func=cmd_attack_mc)
 

@@ -11,8 +11,9 @@ import hashlib
 import json
 import platform
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -25,18 +26,12 @@ from .gan import (
     TrainConfig,
     d_score,
     g_sample,
+    load_checkpoint,
     save_checkpoint,
     train,
 )
 from .metrics import MetricsRow, compute_metrics
-from .montecarlo import (
-    EpsilonHeuristic,
-    McConfig,
-    METRIC_FROM_LABEL,
-    METRIC_LABELS,
-    build_stash,
-    run_mc_trials,
-)
+from .montecarlo import METRIC_LABELS, McConfig, build_stash, run_mc_trials
 from .pianoroll import (
     DATASET_VERSION,
     Dataset,
@@ -100,23 +95,12 @@ def _shape_from_dict(d: dict) -> PianorollShape:
     )
 
 
-def _mc_from_dict(d: dict) -> McConfig:
-    metric_label = d.get("metric", "euclidean")
-    if metric_label not in METRIC_FROM_LABEL:
-        raise ConfigError(f"unknown mc metric {metric_label!r}")
-    return McConfig(
-        stash_size=int(d["stash_size"]),
-        n_per_query=int(d["n_per_query"]),
-        heuristic=EpsilonHeuristic.parse(d.get("heuristic", "median")),
-        metric=METRIC_FROM_LABEL[metric_label],
-        subset_size=int(d["subset_size"]),
-        trials=int(d["trials"]),
-        seed=int(d["seed"]),
-    )
+def parse_experiment_config(data: dict) -> ExperimentConfig:
+    """Build an ExperimentConfig from decoded JSON, with schema checking.
 
-
-def parse_experiment_config(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
-    """Build an ExperimentConfig from decoded JSON, with schema checking."""
+    A relative ``dataset.path`` or ``output_dir`` is kept as given, so it
+    resolves against the working directory of the run.
+    """
     try:
         version = data["schema_version"]
     except KeyError as exc:
@@ -145,8 +129,8 @@ def parse_experiment_config(data: dict, base_dir: Path | None = None) -> Experim
         )
         train_config = TrainConfig.from_dict(data["train"])
         attacks = data.get("attacks", {})
-        mc_configs = [_mc_from_dict(m) for m in attacks.get("mc", [])]
-        config = ExperimentConfig(
+        mc_configs = [McConfig.from_dict(m) for m in attacks.get("mc", [])]
+        return ExperimentConfig(
             label=data.get("label", "custom"),
             split=split_spec,
             train=train_config,
@@ -158,9 +142,6 @@ def parse_experiment_config(data: dict, base_dir: Path | None = None) -> Experim
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad experiment config: {exc}") from exc
-    if base_dir is not None and config.dataset_path is not None and not config.dataset_path.is_absolute():
-        config.dataset_path = base_dir / config.dataset_path
-    return config
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
@@ -174,18 +155,14 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
 
 def config_echo(config: ExperimentConfig) -> dict:
     """Normalized JSON form of a config; hashed into the manifest."""
-    if config.synthetic is not None:
-        shape = config.synthetic.shape
+    synthetic = config.synthetic
+    if synthetic is not None:
         dataset = {
             "synthetic": {
-                "count": config.synthetic.count,
-                "tracks": shape.tracks,
-                "bars": shape.bars,
-                "steps_per_bar": shape.steps_per_bar,
-                "pitches": shape.pitches,
-                "base_midi_pitch": shape.base_midi_pitch,
-                "seed": config.synthetic.seed,
-                "style": config.synthetic.style.to_dict(),
+                "count": synthetic.count,
+                **asdict(synthetic.shape),
+                "seed": synthetic.seed,
+                "style": asdict(synthetic.style),
             }
         }
     else:
@@ -194,28 +171,12 @@ def config_echo(config: ExperimentConfig) -> dict:
         "schema_version": CONFIG_SCHEMA_VERSION,
         "label": config.label,
         "dataset": dataset,
-        "split": {"train_fraction": config.split.train_fraction, "seed": config.split.seed},
-        "train": {
-            "iterations": config.train.iterations,
-            "batch_size": config.train.batch_size,
-            "latent_dim": config.train.latent_dim,
-            "lr": config.train.lr,
-            "seed": config.train.seed,
-            "checkpoint_every": config.train.checkpoint_every,
-            "d_steps_per_g_step": config.train.d_steps_per_g_step,
-        },
+        "split": asdict(config.split),
+        "train": asdict(config.train),
         "attacks": {
             "whitebox": config.whitebox,
             "mc": [
-                {
-                    "stash_size": m.stash_size,
-                    "n_per_query": m.n_per_query,
-                    "heuristic": m.heuristic.label(),
-                    "metric": METRIC_LABELS[m.metric],
-                    "subset_size": m.subset_size,
-                    "trials": m.trials,
-                    "seed": m.seed,
-                }
+                {**asdict(m), "heuristic": m.heuristic.label(), "metric": METRIC_LABELS[m.metric]}
                 for m in config.mc
             ],
         },
@@ -274,8 +235,9 @@ def mc_csv_line(row: McRow) -> str:
     )
 
 
-def _write_text(path: Path, lines: list[str]) -> None:
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def write_lines(path: str | Path, lines: list[str]) -> None:
+    """Write ``lines`` as a newline-terminated UTF-8 text file."""
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _md_table(header: str, lines: list[str]) -> list[str]:
@@ -312,7 +274,7 @@ def emit_reports(tables: list[ReportTable], output_dir: str | Path) -> list[Path
         for table in wb_tables:
             wb_lines.extend(wb_csv_line(r) for r in table.rows)
         path = output_dir / "wb_metrics.csv"
-        _write_text(path, [WB_HEADER] + wb_lines)
+        write_lines(path, [WB_HEADER] + wb_lines)
         written.append(path)
         md += ["## White-box discriminator attack", ""]
         md += _md_table(WB_HEADER, wb_lines)
@@ -326,7 +288,7 @@ def emit_reports(tables: list[ReportTable], output_dir: str | Path) -> list[Path
         for table in mc_tables:
             mc_lines.extend(mc_csv_line(r) for r in table.rows)
         path = output_dir / "mc_metrics.csv"
-        _write_text(path, [MC_HEADER] + mc_lines)
+        write_lines(path, [MC_HEADER] + mc_lines)
         written.append(path)
         md += ["## Monte Carlo attack", ""]
         md += _md_table(MC_HEADER, mc_lines)
@@ -353,11 +315,11 @@ def emit_reports(tables: list[ReportTable], output_dir: str | Path) -> list[Path
         ",".join([str(it)] + vals) for it, vals in sorted(series.items())
     ]
     path = output_dir / "success_vs_iteration.csv"
-    _write_text(path, [",".join(series_header)] + series_lines)
+    write_lines(path, [",".join(series_header)] + series_lines)
     written.append(path)
 
     report_path = output_dir / "report.md"
-    _write_text(report_path, md)
+    write_lines(report_path, md)
     written.append(report_path)
     return written
 
@@ -397,9 +359,10 @@ def _platform_info() -> dict:
     }
 
 
-def whitebox_row(gan: ComposerGan, iteration: int, train_set: Dataset, test_set: Dataset) -> MetricsRow:
-    result = run_whitebox(lambda _rid, roll: d_score(gan, roll), train_set, test_set)
-    return compute_metrics(result.confusion, iteration)
+def checkpoint_scorer(gan: ComposerGan):
+    """White-box scorer of a trained model: the discriminator logit of the
+    roll; the candidate id is unused."""
+    return lambda _rid, roll: d_score(gan, roll)
 
 
 def checkpoint_sampler(gan: ComposerGan):
@@ -412,16 +375,30 @@ def checkpoint_sampler(gan: ComposerGan):
     return sample
 
 
+def whitebox_row(
+    scorer: Callable[[int, np.ndarray], float],
+    iteration: int,
+    train_set: Dataset,
+    test_set: Dataset,
+) -> MetricsRow:
+    """The white-box table row for one model, given as an (id, roll) scorer."""
+    result = run_whitebox(scorer, train_set, test_set)
+    return compute_metrics(result.confusion, iteration)
+
+
 def mc_row(
-    gan: ComposerGan,
+    sample_fn: Callable[[int], np.ndarray],
     iteration: int,
     train_set: Dataset,
     test_set: Dataset,
     mc_config: McConfig,
 ) -> McRow:
-    stash = build_stash(
-        checkpoint_sampler(gan), mc_config.stash_size, seed=(mc_config.seed, iteration)
-    )
+    """The Monte Carlo table row for one model, given as a seeded sampler.
+
+    The stash is seeded by ``(mc_config.seed, iteration)``, so each
+    checkpoint of a run draws its own stash; oracles use iteration 0.
+    """
+    stash = build_stash(sample_fn, mc_config.stash_size, seed=(mc_config.seed, iteration))
     result = run_mc_trials(train_set, test_set, stash, mc_config)
     return McRow(
         iteration=iteration,
@@ -504,22 +481,30 @@ def run_experiment(config: ExperimentConfig, force: bool = False) -> dict:
         stage = "train"
         ckpt_dir = out / "checkpoints"
         ckpt_dir.mkdir(exist_ok=True)
+        ckpt_paths: list[Path] = []
 
         def sink(ckpt: Checkpoint) -> None:
-            save_checkpoint(ckpt, ckpt_dir / f"checkpoint_{ckpt.iteration:06d}.ganc")
+            ckpt_paths.append(ckpt_dir / f"checkpoint_{ckpt.iteration:06d}.ganc")
+            save_checkpoint(ckpt, ckpt_paths[-1])
 
-        checkpoints = train(train_set, config.train, checkpoint_sink=sink)
+        train(train_set, config.train, checkpoint_sink=sink)
         manifest["outputs"].append("checkpoints/")
         finish_stage(stage)
 
         stage = "attacks"
         wb_rows: list[MetricsRow] = []
         mc_rows: list[McRow] = []
-        for ckpt in checkpoints:
+        # each model is read back from its file, so the experiment attacks
+        # the same float32 weights as ``rollmia attack --checkpoint``
+        for path in ckpt_paths:
+            ckpt = load_checkpoint(path)
             if config.whitebox:
-                wb_rows.append(whitebox_row(ckpt.gan, ckpt.iteration, train_set, test_set))
+                wb_rows.append(
+                    whitebox_row(checkpoint_scorer(ckpt.gan), ckpt.iteration, train_set, test_set)
+                )
+            sampler = checkpoint_sampler(ckpt.gan)
             for mc_config in config.mc:
-                mc_rows.append(mc_row(ckpt.gan, ckpt.iteration, train_set, test_set, mc_config))
+                mc_rows.append(mc_row(sampler, ckpt.iteration, train_set, test_set, mc_config))
         finish_stage(stage)
 
         stage = "reports"

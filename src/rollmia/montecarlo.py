@@ -102,6 +102,24 @@ class McConfig:
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "McConfig":
+        """Build from one entry of a config's "attacks.mc" list, with the
+        metric and heuristic given by their labels; a missing or mistyped key
+        raises KeyError, TypeError or ValueError for the caller to report."""
+        metric_label = data.get("metric", "euclidean")
+        if metric_label not in METRIC_FROM_LABEL:
+            raise ConfigError(f"unknown mc metric {metric_label!r}")
+        return cls(
+            stash_size=int(data["stash_size"]),
+            n_per_query=int(data["n_per_query"]),
+            heuristic=EpsilonHeuristic.parse(data.get("heuristic", "median")),
+            metric=METRIC_FROM_LABEL[metric_label],
+            subset_size=int(data["subset_size"]),
+            trials=int(data["trials"]),
+            seed=int(data["seed"]),
+        )
+
 
 @dataclass
 class McTrial:

@@ -106,6 +106,78 @@ def test_train_and_checkpoint_attacks(cli_workspace):
     assert mc_out.read_text().splitlines()[1].startswith("20,")
 
 
+@pytest.mark.parametrize("kind", ["wb", "mc"])
+def test_attack_needs_exactly_one_model(cli_workspace, tmp_path, kind):
+    root, _, train, test = cli_workspace
+    mc_args = ["--stash", 32, "--n", 16, "--subset", 10, "--trials", 2, "--seed", 8]
+    common = ["--train", train, "--test", test, "--out", tmp_path / "o.csv"]
+    common += mc_args if kind == "mc" else []
+    oracle = "margin=1,tau=0" if kind == "wb" else "p=1,sigma=0"
+    for model in ([], ["--checkpoint", root / "any.ganc", "--oracle", oracle]):
+        with pytest.raises(SystemExit) as exc:
+            run(["attack", kind, *model, *common])
+        assert exc.value.code == 2
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_cli_rows_equal_experiment_rows(tmp_path):
+    """``attack wb`` and ``attack mc`` on each checkpoint of a run give the
+    very rows the run reported for that checkpoint."""
+    out_dir = tmp_path / "run"
+    mc_configs = [
+        {"stash_size": 32, "n_per_query": 16, "heuristic": "median", "metric": "euclidean",
+         "subset_size": 10, "trials": 3, "seed": 44},
+        {"stash_size": 32, "n_per_query": 16, "heuristic": "p:0.1", "metric": "tonal",
+         "subset_size": 10, "trials": 3, "seed": 45},
+    ]
+    config = {
+        "schema_version": 1,
+        "label": "custom",
+        "dataset": {
+            "synthetic": {
+                "count": 60, "tracks": 2, "bars": 1, "steps_per_bar": 8,
+                "pitches": 12, "seed": 2,
+            }
+        },
+        "split": {"train_fraction": 0.5, "seed": 3},
+        "train": {
+            "iterations": 30, "batch_size": 8, "latent_dim": 4, "lr": 0.01,
+            "seed": 4, "checkpoint_every": 10,
+        },
+        "attacks": {"whitebox": True, "mc": mc_configs},
+        "output_dir": str(out_dir),
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run(["experiment", "run", "--config", path]) == 0
+    wb_rows = (out_dir / "wb_metrics.csv").read_text().splitlines()[1:]
+    mc_rows = (out_dir / "mc_metrics.csv").read_text().splitlines()[1:]
+    data = ["--train", out_dir / "train.prd", "--test", out_dir / "test.prd"]
+    checkpoints = sorted((out_dir / "checkpoints").glob("*.ganc"))
+    assert len(checkpoints) == 3
+    for ckpt, wb_row in zip(checkpoints, wb_rows):
+        wb_out = tmp_path / f"wb_{ckpt.stem}.csv"
+        assert run(["attack", "wb", "--checkpoint", ckpt, *data, "--out", wb_out]) == 0
+        assert wb_out.read_text().splitlines()[1] == wb_row
+    for ckpt in checkpoints:
+        for mc in mc_configs:
+            mc_out = tmp_path / f"mc_{ckpt.stem}_{mc['metric']}.csv"
+            assert run(
+                ["attack", "mc", "--checkpoint", ckpt, *data,
+                 "--heuristic", mc["heuristic"], "--metric", mc["metric"],
+                 "--stash", mc["stash_size"], "--n", mc["n_per_query"],
+                 "--subset", mc["subset_size"], "--trials", mc["trials"],
+                 "--seed", mc["seed"], "--out", mc_out]
+            ) == 0
+            cli_row = mc_out.read_text().splitlines()[1]
+            iteration, metric = cli_row.split(",")[0], cli_row.split(",")[4]
+            expected = [
+                r for r in mc_rows
+                if r.split(",")[0] == iteration and r.split(",")[4] == metric
+            ]
+            assert [cli_row] == expected
+
+
 def test_experiment_run_and_report(tmp_path):
     out_dir = tmp_path / "run"
     config = {

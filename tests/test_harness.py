@@ -13,6 +13,8 @@ from rollmia import (
     TrainConfig,
     emit_reports,
     run_experiment,
+    synth_generate,
+    write_dataset,
 )
 from rollmia.harness import (
     ExperimentConfig,
@@ -237,6 +239,20 @@ def test_failed_stage_manifest(tmp_path):
     assert "error" in manifest
 
 
+def test_relative_dataset_path_resolves_against_working_directory(tmp_path, monkeypatch):
+    shape = PianorollShape(tracks=2, bars=1, steps_per_bar=8, pitches=12)
+    write_dataset(synth_generate(11, 40, shape), tmp_path / "data.prd")
+    data = tiny_config_dict("run", iterations=20, every=10)
+    data["dataset"] = {"path": "data.prd"}
+    data["attacks"] = {"whitebox": True, "mc": []}
+    monkeypatch.chdir(tmp_path)
+    config = parse_experiment_config(data)
+    assert config.dataset_path == Path("data.prd")
+    manifest = run_experiment(config)
+    assert manifest["config"]["dataset"] == {"path": "data.prd"}
+    assert len((tmp_path / "run" / "wb_metrics.csv").read_text().splitlines()) == 3
+
+
 def test_report_from_dir(finished_run):
     out, _, _ = finished_run
     md = report_from_dir(out, "md")
@@ -282,10 +298,16 @@ def test_paired_default_and_overfitted_runs(tmp_path):
 
 def test_packaged_configs_parse():
     root = Path(__file__).resolve().parents[1] / "configs"
-    for name in ("default.json", "overfitted.json"):
+    # the hash of the config echo names a run in its manifest and report
+    hashes = {
+        "default.json": "77c0773f14e7fbdef911423004dcba87465b4108c9627549146bbc15024f6633",
+        "overfitted.json": "6f61ee777c6fc813b3da979529535040fbc0a6f39d482501c1fad19a97c7aded",
+    }
+    for name, expected_hash in hashes.items():
         data = json.loads((root / name).read_text())
         config = parse_experiment_config(data)
         assert config.label in ("default", "overfitted")
+        assert config_hash(config) == expected_hash
         # overfitted mirrors the default at a tenth of the data and 10x rounds
         if config.label == "overfitted":
             assert config.split.train_fraction == 0.1
