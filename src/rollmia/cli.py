@@ -119,8 +119,9 @@ def cmd_train(args) -> int:
         save_checkpoint(ckpt, path)
         print(f"checkpoint {ckpt.iteration} -> {path}")
 
-    checkpoints = train(dataset, config, checkpoint_sink=sink)
-    print(f"trained {config.iterations} iterations, {len(checkpoints)} checkpoints")
+    train(dataset, config, checkpoint_sink=sink)
+    checkpoints = config.iterations // config.checkpoint_every
+    print(f"trained {config.iterations} iterations, {checkpoints} checkpoints")
     return 0
 
 

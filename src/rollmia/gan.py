@@ -82,16 +82,11 @@ def build_gan(shape: PianorollShape, latent_dim: int, seed) -> ComposerGan:
 
 
 def _generator_logits(gan: ComposerGan, z: np.ndarray) -> tuple[np.ndarray, list]:
-    """Concatenated per-track logits (track-major) plus caches for backward."""
+    """Per-track logits concatenated track-major, one row per latent row of
+    ``z``, plus caches for backward."""
     h, trunk_cache = nn.forward(gan.trunk, z)
-    logits = np.empty(gan.shape.cells)
-    head_caches = []
-    cpt = gan.shape.cells_per_track
-    for t, head in enumerate(gan.heads):
-        out, cache = nn.forward(head, h)
-        logits[t * cpt : (t + 1) * cpt] = out
-        head_caches.append(cache)
-    return logits, [trunk_cache, head_caches]
+    outs, head_caches = zip(*(nn.forward(head, h) for head in gan.heads))
+    return np.concatenate(outs, axis=1), [trunk_cache, head_caches]
 
 
 def g_sample(gan: ComposerGan, z: np.ndarray) -> np.ndarray:
@@ -100,16 +95,16 @@ def g_sample(gan: ComposerGan, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (gan.latent_dim,):
         raise ConfigError(f"latent vector must have length {gan.latent_dim}")
-    logits, _ = _generator_logits(gan, z)
-    return (logits > 0.0).astype(np.uint8).reshape(gan.shape.dims())
+    logits, _ = _generator_logits(gan, z[None])
+    return (logits[0] > 0.0).astype(np.uint8).reshape(gan.shape.dims())
 
 
 def d_score(gan: ComposerGan, roll: np.ndarray) -> float:
     """Raw discriminator logit; larger means more training-set-like."""
     if np.shape(roll) != gan.shape.dims():
         raise ConfigError("roll shape does not match the model")
-    out, _ = nn.forward(gan.discriminator, flatten(roll))
-    return float(out[0])
+    out, _ = nn.forward(gan.discriminator, flatten(roll)[None])
+    return float(out[0, 0])
 
 
 @dataclass(frozen=True)
@@ -153,31 +148,20 @@ class Checkpoint:
     gan: ComposerGan
 
 
-def _snapshot(iteration: int, gan: ComposerGan) -> Checkpoint:
-    return Checkpoint(iteration, copy.deepcopy(gan))
+def _disc_step(gan: ComposerGan, real: np.ndarray, fake: np.ndarray) -> tuple[float, list]:
+    """Discriminator loss and gradients on real rows (target 1) stacked over
+    fake rows (target 0); each row's gradient is scaled by 1/len(real)."""
+    x = np.concatenate([real, fake])
+    targets = np.concatenate([np.ones(len(real)), np.zeros(len(fake))])[:, None]
+    logits, cache = nn.forward(gan.discriminator, x)
+    loss, dlogits = nn.bce_logits_loss(logits, targets)
+    grads, _ = nn.backward(gan.discriminator, cache, dlogits * (1.0 / len(real)))
+    return float(loss.sum()), grads
 
 
-def _accumulate(total: list[np.ndarray], grads: list[np.ndarray], scale: float) -> None:
-    # grads are freshly allocated per sample, so scale them in place
-    for acc, g in zip(total, grads):
-        g *= scale
-        acc += g
-
-
-def _disc_step_grads(
-    gan: ComposerGan, x: np.ndarray, target: int, acc: list[np.ndarray], scale: float
-) -> float:
-    logit, cache = nn.forward(gan.discriminator, x)
-    loss, dlogit = nn.bce_logits_loss(logit[0], target)
-    grads, _ = nn.backward(gan.discriminator, cache, np.array([dlogit]))
-    _accumulate(acc, nn.grads_to_list(grads), scale)
-    return loss
-
-
-def _gen_step_grads(
-    gan: ComposerGan, z: np.ndarray, acc: list[np.ndarray], scale: float
-) -> float:
-    """Non-saturating generator loss through sigmoid head outputs.
+def _gen_step(gan: ComposerGan, z: np.ndarray) -> tuple[float, list]:
+    """Non-saturating generator loss and gradients through sigmoid head
+    outputs, each row's gradient scaled by 1/len(z).
 
     The discriminator sees the continuous sigmoid roll here so gradients can
     flow back into the generator; its own parameters are left untouched.
@@ -185,36 +169,34 @@ def _gen_step_grads(
     logits, (trunk_cache, head_caches) = _generator_logits(gan, z)
     cont = nn.sigmoid(logits)
     d_out, d_cache = nn.forward(gan.discriminator, cont)
-    loss, dlogit = nn.bce_logits_loss(d_out[0], 1)
-    _, dx = nn.backward(gan.discriminator, d_cache, np.array([dlogit]))
+    loss, dlogit = nn.bce_logits_loss(d_out, 1.0)
+    _, dx = nn.backward(gan.discriminator, d_cache, dlogit * (1.0 / len(z)))
     dlogits = dx * cont * (1.0 - cont)
 
     cpt = gan.shape.cells_per_track
-    trunk_out_grad = np.zeros(gan.trunk.out_dim)
+    trunk_out_grad = np.zeros((len(z), gan.trunk.out_dim))
     head_grads = []
     for t, head in enumerate(gan.heads):
-        hg, dh = nn.backward(head, head_caches[t], dlogits[t * cpt : (t + 1) * cpt])
-        head_grads.append(hg)
+        hg, dh = nn.backward(head, head_caches[t], dlogits[:, t * cpt : (t + 1) * cpt])
+        head_grads += hg
         trunk_out_grad += dh
     trunk_grads, _ = nn.backward(gan.trunk, trunk_cache, trunk_out_grad)
-
-    flat = nn.grads_to_list(trunk_grads)
-    for hg in head_grads:
-        flat.extend(nn.grads_to_list(hg))
-    _accumulate(acc, flat, scale)
-    return loss
+    return float(loss.sum()), trunk_grads + head_grads
 
 
 def train(
     train_set: Dataset,
     config: TrainConfig,
     checkpoint_sink: Callable[[Checkpoint], None] | None = None,
-) -> list[Checkpoint]:
+) -> Checkpoint:
     """Alternating D/G training with a checkpoint every ``checkpoint_every``
-    iterations.  Fully determined by config.seed.
+    iterations; returns the final checkpoint.  Fully determined by
+    config.seed, for a fixed BLAS build and thread count.
 
-    The discriminator trains on real rolls (target 1) and binarized generator
-    samples (target 0); gradient accumulation is sequential in sample order.
+    Each step is one batched pass: the discriminator trains on real rolls
+    (target 1) stacked over binarized generator samples (target 0), and the
+    gradients are batch sums of per-row gradients scaled by 1/batch_size.
+    Only the latest checkpoint is kept in memory; the sink sees each one.
     Non-finite losses raise DivergenceError carrying the last good checkpoint.
     """
     if len(train_set) < config.batch_size:
@@ -229,31 +211,19 @@ def train(
     d_params = nn.mlp_params(gan.discriminator)
     g_state = nn.AdamState.for_params(g_params, lr=config.lr)
     d_state = nn.AdamState.for_params(d_params, lr=config.lr)
-
-    checkpoints: list[Checkpoint] = []
     last_good: Checkpoint | None = None
-    inv_batch = 1.0 / config.batch_size
 
     for it in range(1, config.iterations + 1):
-        d_loss = 0.0
         for _ in range(config.d_steps_per_g_step):
             real_idx = rng.choice(n, size=config.batch_size, replace=False)
             z_batch = rng.standard_normal((config.batch_size, config.latent_dim))
-            d_acc = [np.zeros_like(p) for p in d_params]
-            d_loss = 0.0
-            for i in real_idx:
-                d_loss += _disc_step_grads(gan, X[i], 1, d_acc, inv_batch)
-            for z in z_batch:
-                fake = (_generator_logits(gan, z)[0] > 0.0).astype(np.float64)
-                d_loss += _disc_step_grads(gan, fake, 0, d_acc, inv_batch)
-            nn.adam_step(d_params, d_acc, d_state)
+            fake = (_generator_logits(gan, z_batch)[0] > 0.0).astype(np.float64)
+            d_loss, d_grads = _disc_step(gan, X[real_idx], fake)
+            nn.adam_step(d_params, d_grads, d_state)
 
         z_batch = rng.standard_normal((config.batch_size, config.latent_dim))
-        g_acc = [np.zeros_like(p) for p in g_params]
-        g_loss = 0.0
-        for z in z_batch:
-            g_loss += _gen_step_grads(gan, z, g_acc, inv_batch)
-        nn.adam_step(g_params, g_acc, g_state)
+        g_loss, g_grads = _gen_step(gan, z_batch)
+        nn.adam_step(g_params, g_grads, g_state)
 
         if not (np.isfinite(d_loss) and np.isfinite(g_loss)):
             raise DivergenceError(
@@ -261,13 +231,11 @@ def train(
             )
 
         if it % config.checkpoint_every == 0:
-            ckpt = _snapshot(it, gan)
-            checkpoints.append(ckpt)
-            last_good = ckpt
+            last_good = Checkpoint(it, copy.deepcopy(gan))
             if checkpoint_sink is not None:
-                checkpoint_sink(ckpt)
+                checkpoint_sink(last_good)
 
-    return checkpoints
+    return last_good
 
 
 # ---------------------------------------------------------------------------

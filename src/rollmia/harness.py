@@ -2,13 +2,15 @@
 
 A run is driven by one JSON config and leaves behind CSV tables, a Markdown
 report, and a manifest recording every seed and format version, so identical
-configs reproduce identical bytes on the same platform.
+configs reproduce identical bytes on the same platform and BLAS thread
+count, which the manifest records.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import platform
 import shutil
 from dataclasses import asdict, dataclass, field
@@ -351,11 +353,14 @@ def report_from_dir(in_dir: str | Path, fmt: str) -> str:
 
 
 def _platform_info() -> dict:
+    """Versions and the BLAS thread setting (OPENBLAS_NUM_THREADS, else
+    OMP_NUM_THREADS, else null) under which a run's bytes are reproducible."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "system": platform.system(),
         "machine": platform.machine(),
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS")),
     }
 
 

@@ -1,9 +1,11 @@
 """Minimal dense-network kernel: forward, hand-derived backward, Adam.
 
-Vectors in, vectors out, float64 throughout.  Gradients are exact reverse-mode
-derivatives of the forward map and are checked against finite differences in
-the test suite.  No batching — callers accumulate per-sample gradients in a
-fixed order so training stays bitwise reproducible.
+Rows are samples: activations are ``(batch, dim)`` float64 matrices, each
+layer is one ``a @ W.T + b`` product, and backward returns batch-summed
+parameter gradients (``dW = dZ.T @ X``, one GEMM per layer).  Gradients are
+exact reverse-mode derivatives of the forward map and are checked against
+finite differences in the test suite.  Results are bitwise reproducible for
+a fixed BLAS build and thread count.
 """
 
 from __future__ import annotations
@@ -110,14 +112,15 @@ def _apply_grad(activation: str, z: np.ndarray, a: np.ndarray, da: np.ndarray) -
 
 
 def forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[tuple]]:
-    """Run the network; returns (output, cache) with cache consumed by backward."""
+    """Run the network on a ``(batch, in_dim)`` matrix; returns the
+    ``(batch, out_dim)`` output and a cache consumed by backward."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (mlp.in_dim,):
-        raise ValueError(f"expected input of shape ({mlp.in_dim},), got {x.shape}")
+    if x.ndim != 2 or x.shape[1] != mlp.in_dim:
+        raise ValueError(f"expected input of shape (batch, {mlp.in_dim}), got {x.shape}")
     cache = []
     a = x
     for layer in mlp.layers:
-        z = layer.weights @ a + layer.bias
+        z = a @ layer.weights.T + layer.bias
         out = _apply(layer.activation, z)
         cache.append((a, z, out))
         a = out
@@ -126,41 +129,44 @@ def forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[tuple]]:
 
 def backward(
     mlp: Mlp, cache: list[tuple], dy: np.ndarray
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+) -> tuple[list[np.ndarray], np.ndarray]:
     """Reverse-mode gradients for a matching forward call.
 
-    Returns ([(dW, db) per layer], dx).  The cache must come from forward on
-    the same network; a structural mismatch raises ValueError.
+    Returns ([dW0, db0, dW1, ...], dx): parameter gradients summed over the
+    batch, in :func:`mlp_params` order, and the per-row input gradient.  The
+    cache must come from forward on the same network; a structural mismatch
+    raises ValueError.
     """
     if len(cache) != len(mlp.layers):
         raise ValueError("cache does not match network depth")
     dy = np.asarray(dy, dtype=np.float64)
-    if dy.shape != (mlp.out_dim,):
-        raise ValueError(f"expected dy of shape ({mlp.out_dim},), got {dy.shape}")
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(mlp.layers)
+    batch = len(cache[0][0])
+    if dy.shape != (batch, mlp.out_dim):
+        raise ValueError(f"expected dy of shape ({batch}, {mlp.out_dim}), got {dy.shape}")
+    grads: list[np.ndarray] = [None] * (2 * len(mlp.layers))
     da = dy
     for i in range(len(mlp.layers) - 1, -1, -1):
         layer = mlp.layers[i]
         x, z, a = cache[i]
-        if x.shape != (layer.in_dim,) or z.shape != (layer.out_dim,):
+        if x.shape != (batch, layer.in_dim) or z.shape != (batch, layer.out_dim):
             raise ValueError("stale cache: layer shapes do not match")
         dz = _apply_grad(layer.activation, z, a, da)
-        grads[i] = (np.outer(dz, x), dz.copy())
-        da = layer.weights.T @ dz
+        grads[2 * i] = dz.T @ x
+        grads[2 * i + 1] = dz.sum(axis=0)
+        da = dz @ layer.weights
     return grads, da
 
 
-def bce_logits_loss(logit: float, target: int) -> tuple[float, float]:
-    """Binary cross-entropy on a raw logit.
+def bce_logits_loss(logit: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise binary cross-entropy on raw logits.
 
     Uses the log(1 + exp(.)) form that never overflows; the gradient is
     sigmoid(logit) - target.
     """
-    z = float(logit)
-    t = float(target)
-    loss = max(z, 0.0) - z * t + math.log1p(math.exp(-abs(z)))
-    sig = 1.0 / (1.0 + math.exp(-z)) if z >= 0 else math.exp(z) / (1.0 + math.exp(z))
-    return loss, sig - t
+    z = np.asarray(logit, dtype=np.float64)
+    t = np.asarray(target, dtype=np.float64)
+    loss = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
+    return loss, sigmoid(z) - t
 
 
 def mlp_params(mlp: Mlp) -> list[np.ndarray]:
@@ -169,15 +175,6 @@ def mlp_params(mlp: Mlp) -> list[np.ndarray]:
     for layer in mlp.layers:
         out.append(layer.weights)
         out.append(layer.bias)
-    return out
-
-
-def grads_to_list(grads: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
-    """Flatten backward() output to match :func:`mlp_params` ordering."""
-    out = []
-    for dw, db in grads:
-        out.append(dw)
-        out.append(db)
     return out
 
 

@@ -44,7 +44,7 @@ from rollmia import (
 )
 from rollmia.harness import parse_experiment_config
 from rollmia.montecarlo import EUCLIDEAN, epsilon_from_heuristic
-from rollmia.nn import backward, forward, glorot_init, grads_to_list, mlp_params
+from rollmia.nn import backward, forward, glorot_init, mlp_params
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 DESK_SHAPE = PianorollShape(2, 1, 16, 24)
@@ -223,9 +223,9 @@ def test_criterion_5_end_to_end_desk_run(tmp_path):
 def _finite_difference_worst(mlp, rng, h=1e-4):
     x = rng.standard_normal(mlp.in_dim)
     dy = rng.standard_normal(mlp.out_dim)
-    _, cache = forward(mlp, x)
-    grads, dx = backward(mlp, cache, dy)
-    analytic = grads_to_list(grads) + [dx]
+    _, cache = forward(mlp, x[None])
+    grads, dx = backward(mlp, cache, dy[None])
+    analytic = grads + [dx[0]]
     targets = mlp_params(mlp) + [x]
     worst = 0.0
     for param, grad in zip(targets, analytic):
@@ -234,11 +234,11 @@ def _finite_difference_worst(mlp, rng, h=1e-4):
             idx = it.multi_index
             orig = param[idx]
             param[idx] = orig + h
-            y_plus, _ = forward(mlp, x)
+            y_plus, _ = forward(mlp, x[None])
             param[idx] = orig - h
-            y_minus, _ = forward(mlp, x)
+            y_minus, _ = forward(mlp, x[None])
             param[idx] = orig
-            numeric = float(dy @ (y_plus - y_minus)) / (2.0 * h)
+            numeric = float(np.sum(dy * (y_plus - y_minus))) / (2.0 * h)
             scale = max(abs(numeric), abs(grad[idx]), 1.0)
             worst = max(worst, abs(numeric - grad[idx]) / scale)
     return worst
@@ -321,9 +321,9 @@ def test_criterion_8_determinism_and_io(tmp_path):
     )
     ckpt_bytes = []
     for run_idx in range(2):
-        ckpts = train(train_set, config)
+        final = train(train_set, config)
         path = tmp_path / f"run{run_idx}.ganc"
-        save_checkpoint(ckpts[-1], path)
+        save_checkpoint(final, path)
         ckpt_bytes.append(path.read_bytes())
     checkpoints_ok = ckpt_bytes[0] == ckpt_bytes[1]
     ckpt_roundtrip = load_checkpoint(tmp_path / "run0.ganc")

@@ -116,8 +116,14 @@ def tiny_train_set():
 
 
 def test_checkpoint_cadence(tiny_train_set):
-    ckpts = train(tiny_train_set, train_config(iterations=200, every=20))
-    assert [c.iteration for c in ckpts] == list(range(20, 201, 20))
+    seen = []
+    final = train(
+        tiny_train_set,
+        train_config(iterations=200, every=20),
+        checkpoint_sink=lambda c: seen.append(c.iteration),
+    )
+    assert seen == list(range(20, 201, 20))
+    assert final.iteration == 200
 
 
 def test_train_requires_enough_rolls():
@@ -142,8 +148,7 @@ def test_train_deterministic_bytes(tiny_train_set, tmp_path):
 
 
 def test_train_separates_real_from_fake(tiny_train_set):
-    ckpts = train(tiny_train_set, train_config(iterations=200, every=100))
-    gan = ckpts[-1].gan
+    gan = train(tiny_train_set, train_config(iterations=200, every=100)).gan
     rng = np.random.default_rng(0)
     real = np.mean([d_score(gan, r) for r in tiny_train_set.rolls])
     fake = np.mean(
@@ -164,7 +169,7 @@ def test_train_divergence_carries_last_checkpoint(tiny_train_set):
 
 
 def test_checkpoint_roundtrip(tiny_train_set, tmp_path):
-    ckpt = train(tiny_train_set, train_config(iterations=20, every=20))[0]
+    ckpt = train(tiny_train_set, train_config(iterations=20, every=20))
     path = tmp_path / "c.ganc"
     save_checkpoint(ckpt, path)
     back = load_checkpoint(path)

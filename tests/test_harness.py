@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -194,6 +195,46 @@ def test_manifest_records_all_seeds(finished_run):
     assert all(v == "ok" for v in on_disk["stages"].values())
     assert set(on_disk["stages"]) == {"dataset", "split", "train", "attacks", "reports"}
     assert "python" in on_disk["platform"]
+
+
+# SHA-256 of the tables of the tiny two-checkpoint run, recorded before
+# training moved from per-sample to batched gradients: the batch sums change
+# the summation order, and no table may change with it.
+PINNED_TABLE_DIGESTS = {
+    "wb_metrics.csv": "a8eeda74c44895fdd36fd028e33936091e84019e5fd0d0281a5edf8e426a98bb",
+    "mc_metrics.csv": "088c8c8685dd020b311e666f16a56015c29de2ee91c48e7ad074c30ea2f9cda9",
+    "success_vs_iteration.csv": "dd96ab58b444297faf56746dfef0817d097182c218559145da6d0aa18e5d30d2",
+}
+
+
+def test_attack_tables_are_pinned(finished_run):
+    out, _, _ = finished_run
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PINNED_TABLE_DIGESTS
+    }
+    assert digests == PINNED_TABLE_DIGESTS
+
+
+@pytest.mark.parametrize(
+    "env, expected",
+    [
+        ({}, None),
+        ({"OMP_NUM_THREADS": "2"}, "2"),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, "1"),
+    ],
+)
+def test_manifest_records_blas_threads(tmp_path, monkeypatch, env, expected):
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.chdir(tmp_path)
+    data = tiny_config_dict("run", iterations=10, every=10)
+    data["attacks"] = {"whitebox": True, "mc": []}
+    manifest = run_experiment(parse_experiment_config(data))
+    assert manifest["platform"]["blas_threads"] == expected
+    # the thread setting is recorded beside the config, not hashed into it
+    assert manifest["config_hash"] == "553b0a8c959a34c06a93ee9b10f59287f3f486afb5898ebe8e65c26b2cdb1f1d"
 
 
 def test_rerun_refuses_without_force(finished_run):

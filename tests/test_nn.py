@@ -13,7 +13,7 @@ from rollmia import (
     bce_logits_loss,
     forward,
 )
-from rollmia.nn import glorot_init, grads_to_list, mlp_params, sigmoid
+from rollmia.nn import glorot_init, mlp_params, sigmoid
 
 
 def identity_layer(n, activation="linear"):
@@ -22,27 +22,40 @@ def identity_layer(n, activation="linear"):
 
 def test_forward_identity():
     mlp = Mlp([identity_layer(3)])
-    x = np.array([1.0, -2.0, 0.5])
+    x = np.array([[1.0, -2.0, 0.5]])
     y, _ = forward(mlp, x)
     assert np.array_equal(y, x)
 
 
 def test_forward_relu():
     mlp = Mlp([identity_layer(2, "relu")])
-    y, _ = forward(mlp, np.array([-1.0, 2.0]))
-    assert np.array_equal(y, [0.0, 2.0])
+    y, _ = forward(mlp, np.array([[-1.0, 2.0]]))
+    assert np.array_equal(y, [[0.0, 2.0]])
 
 
 def test_forward_sigmoid_at_zero():
     mlp = Mlp([identity_layer(4, "sigmoid")])
-    y, _ = forward(mlp, np.zeros(4))
+    y, _ = forward(mlp, np.zeros((1, 4)))
     assert np.allclose(y, 0.5)
 
 
 def test_forward_dim_mismatch():
     mlp = Mlp([identity_layer(3)])
     with pytest.raises(ValueError, match="shape"):
-        forward(mlp, np.zeros(4))
+        forward(mlp, np.zeros((1, 4)))
+    with pytest.raises(ValueError, match="shape"):
+        forward(mlp, np.zeros(3))
+
+
+def test_forward_rows_are_independent():
+    rng = np.random.default_rng(4)
+    mlp = glorot_init([6, 9, 4], ["relu", "tanh"], rng)
+    x = rng.standard_normal((5, 6))
+    y, _ = forward(mlp, x)
+    assert y.shape == (5, 4)
+    for row in range(5):
+        alone, _ = forward(mlp, x[row : row + 1])
+        assert np.allclose(y[row], alone[0], rtol=1e-12, atol=0.0)
 
 
 def test_layer_chaining_validated():
@@ -52,40 +65,49 @@ def test_layer_chaining_validated():
 
 def test_backward_identity_layer():
     mlp = Mlp([identity_layer(3)])
-    x = np.array([0.5, -1.0, 2.0])
+    x = np.array([[0.5, -1.0, 2.0]])
     _, cache = forward(mlp, x)
-    dy = np.array([1.0, 0.0, 0.0])
+    dy = np.array([[1.0, 0.0, 0.0]])
     grads, dx = backward(mlp, cache, dy)
     assert np.array_equal(dx, dy)
-    assert np.array_equal(grads[0][0], np.outer(dy, x))
-    assert np.array_equal(grads[0][1], dy)
+    assert np.array_equal(grads[0], np.outer(dy, x))
+    assert np.array_equal(grads[1], dy[0])
 
 
 def test_backward_zero_dy():
     rng = np.random.default_rng(0)
     mlp = glorot_init([4, 5, 2], ["tanh", "linear"], rng)
-    _, cache = forward(mlp, rng.standard_normal(4))
-    grads, dx = backward(mlp, cache, np.zeros(2))
+    _, cache = forward(mlp, rng.standard_normal((3, 4)))
+    grads, dx = backward(mlp, cache, np.zeros((3, 2)))
     assert not dx.any()
-    for dw, db in grads:
-        assert not dw.any() and not db.any()
+    for g in grads:
+        assert not g.any()
 
 
 def test_backward_stale_cache():
     rng = np.random.default_rng(0)
     mlp = glorot_init([4, 5, 2], ["relu", "linear"], rng)
     other = glorot_init([3, 2], ["linear"], rng)
-    _, cache = forward(other, rng.standard_normal(3))
+    _, cache = forward(other, rng.standard_normal((1, 3)))
     with pytest.raises(ValueError):
-        backward(mlp, cache, np.zeros(2))
+        backward(mlp, cache, np.zeros((1, 2)))
 
 
-def finite_difference_check(mlp, rng, h=1e-4, tol=1e-4):
-    x = rng.standard_normal(mlp.in_dim)
-    dy = rng.standard_normal(mlp.out_dim)
+def test_backward_dy_shape_validated():
+    mlp = Mlp([identity_layer(3)])
+    _, cache = forward(mlp, np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="dy"):
+        backward(mlp, cache, np.zeros((1, 3)))
+
+
+def finite_difference_check(mlp, rng, batch=1, h=1e-4, tol=1e-4):
+    """Central differences of sum(dy * forward(x)) against backward's
+    batch-summed parameter gradients and per-row input gradient."""
+    x = rng.standard_normal((batch, mlp.in_dim))
+    dy = rng.standard_normal((batch, mlp.out_dim))
     _, cache = forward(mlp, x)
     grads, dx = backward(mlp, cache, dy)
-    analytic = grads_to_list(grads) + [dx]
+    analytic = grads + [dx]
     targets = mlp_params(mlp) + [x]
     worst = 0.0
     for param, grad in zip(targets, analytic):
@@ -98,7 +120,7 @@ def finite_difference_check(mlp, rng, h=1e-4, tol=1e-4):
             param[idx] = orig - h
             ym, _ = forward(mlp, x)
             param[idx] = orig
-            numeric = float(dy @ (yp - ym)) / (2.0 * h)
+            numeric = float(np.sum(dy * (yp - ym))) / (2.0 * h)
             scale = max(abs(numeric), abs(grad[idx]), 1.0)
             worst = max(worst, abs(numeric - grad[idx]) / scale)
     assert worst < tol, f"finite-difference mismatch {worst}"
@@ -116,7 +138,8 @@ def test_gradient_check_activations(acts):
     rng = np.random.default_rng(hash(tuple(acts)) % 2**32)
     dims = [5] + [8] * (len(acts) - 1) + [3]
     mlp = glorot_init(dims, acts, rng)
-    finite_difference_check(mlp, rng)
+    for batch in (1, 4):
+        finite_difference_check(mlp, rng, batch)
 
 
 def test_bce_closed_forms():
@@ -140,11 +163,12 @@ def test_bce_stable_at_large_logits():
 
 def test_bce_non_negative():
     rng = np.random.default_rng(3)
-    for _ in range(200):
-        z = float(rng.standard_normal() * 10.0)
-        t = int(rng.integers(2))
-        loss, _ = bce_logits_loss(z, t)
-        assert loss >= 0.0
+    z = rng.standard_normal(200) * 10.0
+    t = rng.integers(2, size=200)
+    loss, dlogit = bce_logits_loss(z, t)
+    assert loss.shape == dlogit.shape == (200,)
+    assert (loss >= 0.0).all()
+    assert np.array_equal(dlogit, sigmoid(z) - t)
 
 
 def test_adam_zero_grad_fixed_point():
