@@ -287,7 +287,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DivergenceError as exc:
+    except (DivergenceError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except (FormatError, OSError) as exc:

@@ -1,7 +1,9 @@
 """Exception types shared across the toolkit.
 
 The CLI maps these onto process exit codes: configuration/validation
-problems exit 2, data/format problems exit 3, runtime divergence exits 4.
+problems exit 2, data/format problems exit 3, and runtime failures exit 4:
+training divergence, and a white-box scorer that raises on a candidate
+(``run_whitebox`` reports it as a ``RuntimeError``).
 """
 
 

@@ -9,6 +9,12 @@ and M test records compete for the top-M set; single-record accuracy is the
 train fraction of that set, and the set-level decision labels whichever side
 contributed more records.  Both are averaged over repeated trials so the
 set-level answer is a frequency rather than a one-shot 0/1 outcome.
+
+A trial is one array pipeline over its 2M candidates: a (2M, n) array of
+stash draws, a (2M, n) array of distances, then epsilon, scores and the
+top-M selection on whole arrays.  Euclidean distances come from one
+candidate x stash Gram product per trial, exact in float32 because the cells
+are 0/1; tonal distances are measured per candidate on its drawn rows.
 """
 
 from __future__ import annotations
@@ -257,15 +263,42 @@ def epsilon_from_heuristic(distances: Sequence[float], heuristic: EpsilonHeurist
     return float(values[rank - 1])
 
 
-def _query_distances(metric: str, candidate: np.ndarray, stash: np.ndarray, n: int, seed) -> np.ndarray:
-    """Distances from one candidate's features to ``n`` stash rows drawn
-    without replacement by ``default_rng(seed)``."""
-    drawn = np.random.default_rng(seed).choice(len(stash), size=n, replace=False)
-    return features_distance(metric, candidate, stash[drawn])
+# stash rows per block of the Euclidean Gram product, which bounds its float32 copies
+GRAM_BLOCK = 256
 
 
-def _fraction_within(dists: np.ndarray, epsilon: float) -> float:
-    return float(np.mean(dists <= epsilon))
+def _squared_euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) squared distances between rows of 0/1 cell features,
+    as |a|² + |b|² − 2a·b with the products a float32 GEMM over blocks of
+    GRAM_BLOCK rows of ``b``.
+
+    Every float32 operand and partial sum is an integer no larger than the
+    cell count (at most MAX_CELLS = 2**24), which float32 holds exactly, and
+    the three terms are combined in float64, so the result is bit for bit the
+    float64 sum of squared differences.
+    """
+    a32 = a.astype(np.float32)
+    a_sq = np.einsum("ij,ij->i", a32, a32)
+    out = np.empty((len(a), len(b)))
+    for start in range(0, len(b), GRAM_BLOCK):
+        b32 = b[start : start + GRAM_BLOCK].astype(np.float32)
+        block = out[:, start : start + GRAM_BLOCK]
+        np.multiply(a32 @ b32.T, -2.0, out=block)
+        block += a_sq[:, None]
+        block += np.einsum("ij,ij->i", b32, b32)
+    return out
+
+
+def _query_distances(metric: str, candidates: np.ndarray, stash: np.ndarray, n: int, seeds) -> np.ndarray:
+    """(k, n) distances from each of k candidate features to ``n`` stash rows
+    drawn without replacement by ``default_rng(seed)``, one seed per candidate."""
+    drawn = np.stack(
+        [np.random.default_rng(seed).choice(len(stash), size=n, replace=False) for seed in seeds]
+    )
+    if metric == EUCLIDEAN:
+        squared = np.take_along_axis(_squared_euclidean(candidates, stash), drawn, axis=1)
+        return np.sqrt(squared, out=squared)
+    return np.stack([features_distance(metric, c, stash[d]) for c, d in zip(candidates, drawn)])
 
 
 def mc_score(
@@ -283,20 +316,12 @@ def mc_score(
         raise ConfigError("n_per_query exceeds stash size")
     dists = _query_distances(
         config.metric,
-        roll_features(config.metric, shape, candidate),
+        roll_features(config.metric, shape, np.asarray(candidate)[None]),
         roll_features(config.metric, shape, stash),
         config.n_per_query,
-        seed,
+        [seed],
     )
-    return _fraction_within(dists, epsilon)
-
-
-@dataclass
-class _Candidate:
-    record_id: int
-    origin: int  # 0 = train, 1 = test
-    mean_distance: float
-    distances: np.ndarray
+    return float(np.mean(dists <= epsilon))
 
 
 def run_mc_trials(
@@ -307,8 +332,8 @@ def run_mc_trials(
     Per trial: draw M records from each side, pool every candidate-to-
     drawn-stash distance, pick epsilon by the configured heuristic, score all
     2M candidates, and select the top M by (score desc, mean distance asc,
-    id asc).  Deterministic in (stash, config seed).  The roll shape comes
-    from the train set.
+    id asc, train before test).  Deterministic in (stash, config seed).  The
+    roll shape comes from the train set.
     """
     shape = train_rolls.shape
     m = config.subset_size
@@ -322,6 +347,7 @@ def run_mc_trials(
     stash_feats = roll_features(config.metric, shape, stash)
     train_feats = roll_features(config.metric, shape, train_rolls.rolls)
     test_feats = roll_features(config.metric, shape, test_rolls.rolls)
+    origin = np.repeat([0, 1], m)  # 0 = train, 1 = test
 
     trials: list[McTrial] = []
     trial_seeds = np.random.SeedSequence(config.seed).spawn(config.trials)
@@ -330,28 +356,21 @@ def run_mc_trials(
         rng = np.random.default_rng(record_ss)
         train_idx = rng.choice(len(train_rolls), size=m, replace=False)
         test_idx = rng.choice(len(test_rolls), size=m, replace=False)
-        cand_seeds = candidate_root.spawn(2 * m)
-
-        candidates: list[_Candidate] = []
-        for pos, (ds_idx, feats, dataset) in enumerate(
-            [(train_idx, train_feats, train_rolls), (test_idx, test_feats, test_rolls)]
-        ):
-            for j, i in enumerate(ds_idx):
-                dists = _query_distances(
-                    config.metric, feats[i], stash_feats, config.n_per_query, cand_seeds[pos * m + j]
-                )
-                candidates.append(_Candidate(int(dataset.ids[i]), pos, float(dists.mean()), dists))
-
-        epsilon = epsilon_from_heuristic(
-            np.concatenate([c.distances for c in candidates]), config.heuristic
+        ids = np.concatenate([train_rolls.ids[train_idx], test_rolls.ids[test_idx]])
+        dists = _query_distances(
+            config.metric,
+            np.concatenate([train_feats[train_idx], test_feats[test_idx]]),
+            stash_feats,
+            config.n_per_query,
+            candidate_root.spawn(2 * m),
         )
-        scored = [(_fraction_within(c.distances, epsilon), c) for c in candidates]
-        order = sorted(
-            scored,
-            key=lambda sc: (-sc[0], sc[1].mean_distance, sc[1].record_id, sc[1].origin),
-        )
-        selected = [c for _, c in order[:m]]
-        train_sel = sum(1 for c in selected if c.origin == 0)
+
+        means = dists.mean(axis=1)
+        epsilon = epsilon_from_heuristic(dists.ravel(), config.heuristic)
+        scores = (dists <= epsilon).mean(axis=1)
+        # top M by (score desc, mean distance asc, id asc, origin asc)
+        selected = np.lexsort((origin, ids, means, -scores))[:m]
+        train_sel = int(np.count_nonzero(origin[selected] == 0))
         test_sel = m - train_sel
         trials.append(
             McTrial(

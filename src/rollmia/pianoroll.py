@@ -173,14 +173,13 @@ def _synth_roll(rng: np.random.Generator, shape: PianorollShape, style: StylePar
     # track 0: chord tones held at every step, chord change at the halfway point
     chord_track = np.zeros((bars, steps, pitches), dtype=np.uint8)
     flat_steps = chord_track.reshape(total_steps, pitches)
-    half = total_steps // 2
-    for s in range(total_steps):
-        chord = chords[0] if s < max(half, 1) else chords[1]
+    cut = max(total_steps // 2, 1)
+    for chord, held in ((chords[0], slice(None, cut)), (chords[1], slice(cut, None))):
         for pc in chord:
             candidates = _pitch_indices_for_class(shape, pc)
             register = candidates[candidates >= 12 * octave]
             pick = register[0] if register.size else candidates[0]
-            flat_steps[s, pick] = 1
+            flat_steps[held, pick] = 1
     cells[0] = chord_track
 
     if tracks >= 2:

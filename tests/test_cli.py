@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from rollmia import harness
 from rollmia.cli import main
 from rollmia.pianoroll import read_dataset
 
@@ -274,6 +275,39 @@ def test_exit_code_divergence(cli_workspace, tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert run(["train", "--config", config, "--out-dir", tmp_path / "ck"]) == 4
+
+
+def test_exit_code_scorer_failure(cli_workspace, tmp_path, monkeypatch, capsys):
+    root, _, train, test = cli_workspace
+    config = tmp_path / "t.json"
+    config.write_text(
+        json.dumps(
+            {
+                "schema_version": 1,
+                "dataset": {"path": str(train)},
+                "train": {
+                    "iterations": 10, "batch_size": 8, "latent_dim": 4,
+                    "lr": 0.001, "seed": 1, "checkpoint_every": 10,
+                },
+            }
+        )
+    )
+    assert run(["train", "--config", config, "--out-dir", tmp_path / "ck"]) == 0
+
+    def failing_d_score(gan, roll):
+        raise FloatingPointError("overflow in d_score")
+
+    # the checkpoint scorer calls gan.d_score through the name harness imported
+    monkeypatch.setattr(harness, "d_score", failing_d_score)
+    out = tmp_path / "wb.csv"
+    code = run(
+        ["attack", "wb", "--checkpoint", tmp_path / "ck" / "checkpoint_000010.ganc",
+         "--train", train, "--test", test, "--out", out]
+    )
+    assert code == 4
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: scorer failed on candidate {read_dataset(train).ids[0]}: overflow in d_score"]
+    assert not out.exists()
 
 
 def test_bad_oracle_specs(cli_workspace, tmp_path):

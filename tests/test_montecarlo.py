@@ -25,9 +25,11 @@ from rollmia import (
 )
 from rollmia.montecarlo import (
     EUCLIDEAN,
+    GRAM_BLOCK,
     TONAL,
     TONAL_BLOCK,
     features_distance,
+    _squared_euclidean,
     roll_features,
     step_centroid,
 )
@@ -197,6 +199,26 @@ def test_euclidean_features_match_float64_reference(small_population):
     cells = flatten(small_population.rolls)
     got = features_distance(EUCLIDEAN, feats[0], feats[1:])
     assert np.array_equal(got, np.linalg.norm(cells[1:] - cells[0], axis=-1))
+
+
+
+def test_gram_distances_are_exact(desk_shape):
+    # random binary rolls of every density, plus the all-zero and all-ones
+    # rolls, against a stash that ends in a partial Gram block
+    rng = np.random.default_rng(12)
+    count = 2 * GRAM_BLOCK + 37
+    density = rng.random((count, 1, 1, 1, 1))
+    rolls = (rng.random((count, *desk_shape.dims())) < density).astype(np.uint8)
+    rolls[0], rolls[1] = 0, 1
+    feats = roll_features(EUCLIDEAN, desk_shape, rolls)
+    picked = np.r_[0, 1, 2, GRAM_BLOCK, count - 1, 40:80]
+    got = np.sqrt(_squared_euclidean(feats[picked], feats))
+    expected = np.linalg.norm(
+        feats.astype(np.float64)[None] - feats[picked].astype(np.float64)[:, None], axis=-1
+    )
+    assert np.array_equal(got, expected)
+    assert got[0, 1] == got[1, 0] == math.sqrt(desk_shape.cells) == got.max()
+    assert not got[np.arange(len(picked)), picked].any()
 
 
 def test_tonal_features_match_per_step_reference(small_population):
@@ -516,3 +538,55 @@ def test_population_stash_set_mi_envelope(small_population):
     first, last, stash = null_setup(small_population)
     result = run_mc_trials(first, last, stash, null_config(4, 20))
     assert 0.25 <= result.set_mi_correct_fraction <= 0.75
+
+
+# --- pinned results ------------------------------------------------------------
+
+# Recorded from the per-candidate reference implementation.  Half the stash
+# copies training rolls, so distances hold exact zeros and many ties, and the
+# 1% threshold lands on 0.0.
+MC_PINS = {
+    (EUCLIDEAN, "median"): (
+        [("11.090536506409418", 6, False), ("11.135528725660043", 7, True),
+         ("11.135528725660043", 7, True), ("11.135528725660043", 7, True)],
+        [0.76, 0.36, 0.28],
+    ),
+    (EUCLIDEAN, "p:0.01"): (
+        [("0.0", 10, True), ("0.0", 10, True), ("0.0", 9, True), ("0.0", 8, True)],
+        [0.0, 0.0, 0.0],
+    ),
+    (TONAL, "median"): (
+        [("1.2468034939407597", 7, True), ("1.2484265318654542", 6, False),
+         ("1.253708488971753", 6, False), ("1.255769128621985", 6, False)],
+        [0.54, 0.28, 0.24],
+    ),
+    (TONAL, "p:0.01"): (
+        [("0.0", 10, True), ("0.0", 10, True), ("0.0", 8, True), ("0.0", 8, True)],
+        [0.0, 0.0, 0.0],
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_setup(small_population):
+    shape = small_population.shape
+    train = Dataset(shape, small_population.rolls[:16], list(range(16)))
+    test = Dataset(shape, small_population.rolls[16:32], list(range(1000, 1016)))
+    oracle = OracleGenerator(0.5, 0.0, train, synth_sampler(shape))
+    stash = build_stash(lambda s: oracle_generate(oracle, s), 120, seed=31)
+    return train, test, stash
+
+
+@pytest.mark.parametrize("metric, heuristic", sorted(MC_PINS))
+def test_mc_results_are_pinned(pinned_setup, metric, heuristic):
+    train, test, stash = pinned_setup
+    config = McConfig(120, 50, EpsilonHeuristic.parse(heuristic), metric, 12, 4, 17)
+    trials, scores = MC_PINS[metric, heuristic]
+    result = run_mc_trials(train, test, stash, config)
+    assert [(repr(t.epsilon), t.train_selected, t.set_correct) for t in result.trials] == trials
+    epsilon = result.trials[0].epsilon
+    candidates = ((train.rolls[0], 0), (train.rolls[5], 1), (test.rolls[0], 2))
+    assert [mc_score(train.shape, roll, stash, config, epsilon, seed) for roll, seed in candidates] == scores
+    # memorized copies sit at distance exactly 0
+    zero_scores = [mc_score(train.shape, train.rolls[i], stash, config, 0.0, i) for i in range(6)]
+    assert zero_scores == [0.0, 0.02, 0.02, 0.02, 0.06, 0.0]
