@@ -39,7 +39,7 @@ from .gan import (
     train,
 )
 from .metrics import ConfusionCounts, MetricsRow, compute_metrics, confusion_from_predictions
-from .whitebox import ScoredCandidate, WbAttackResult, rank_and_label, run_whitebox
+from .whitebox import WbAttackResult, rank_scores, run_whitebox, run_whitebox_sets
 from .montecarlo import (
     EpsilonHeuristic,
     McConfig,
@@ -49,6 +49,7 @@ from .montecarlo import (
     epsilon_from_heuristic,
     mc_score,
     run_mc_trials,
+    stash_seeds,
 )
 from .harness import (
     ExperimentConfig,
@@ -71,8 +72,8 @@ __all__ = [
     "d_score", "train", "save_checkpoint", "load_checkpoint",
     "OracleGenerator", "OracleDiscriminator", "oracle_generate", "oracle_d_score",
     "ConfusionCounts", "MetricsRow", "compute_metrics", "confusion_from_predictions",
-    "ScoredCandidate", "WbAttackResult", "rank_and_label", "run_whitebox",
-    "EpsilonHeuristic", "McConfig", "McResult", "build_stash",
+    "WbAttackResult", "rank_scores", "run_whitebox", "run_whitebox_sets",
+    "EpsilonHeuristic", "McConfig", "McResult", "build_stash", "stash_seeds",
     "distance", "epsilon_from_heuristic", "mc_score", "run_mc_trials",
     "SyntheticSpec", "ExperimentConfig", "ReportTable", "emit_reports",
     "load_experiment_config", "run_experiment",

@@ -5,6 +5,8 @@ Exit codes: 0 success, 2 configuration/validation error, 3 data/format error,
 
 ``attack wb`` and ``attack mc`` compute their row with the experiment's own
 row functions, so a checkpoint gives the same row from either entry point.
+An ``--oracle`` model scores or samples one record at a time, and is wrapped
+into the row functions' whole-set scorer and seed-array sampler.
 The Monte Carlo stash is seeded by ``(seed, checkpoint iteration)``, or
 ``(seed, 0)`` for an oracle, as in the experiment.
 """
@@ -15,6 +17,8 @@ import argparse
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ConfigError, DivergenceError, FormatError
 from .gan import (
@@ -150,7 +154,9 @@ def cmd_attack_wb(args) -> int:
             score_noise=spec["tau"],
             member_ids=frozenset(train_set.ids),
         )
-        return lambda rid, _roll: oracle_d_score(oracle, rid, (args.seed, rid))
+        return lambda ids, _rolls: np.array(
+            [oracle_d_score(oracle, rid, (args.seed, rid)) for rid in ids.tolist()]
+        )
 
     scorer, iteration, train_set, test_set = _attack_model(args, checkpoint_scorer, from_oracle)
     row = whitebox_row(scorer, iteration, train_set, test_set)
@@ -173,7 +179,7 @@ def cmd_attack_mc(args) -> int:
             training_rolls=train_set,
             population_sampler=synth_sampler(train_set.shape),
         )
-        return lambda seed: oracle_generate(oracle, seed)
+        return lambda seeds: np.stack([oracle_generate(oracle, s) for s in seeds.tolist()])
 
     sample_fn, iteration, train_set, test_set = _attack_model(args, checkpoint_sampler, from_oracle)
     row = mc_row(sample_fn, iteration, train_set, test_set, config)

@@ -2,8 +2,9 @@
 
 The CLI maps these onto process exit codes: configuration/validation
 problems exit 2, data/format problems exit 3, and runtime failures exit 4:
-training divergence, and a white-box scorer that raises on a candidate
-(``run_whitebox`` reports it as a ``RuntimeError``).
+training divergence, and a white-box scorer that raises, which
+``run_whitebox_sets`` reports as a ``RuntimeError`` naming the side it was
+scoring (``run_whitebox``: naming the candidate).
 """
 
 

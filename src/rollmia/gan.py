@@ -4,6 +4,12 @@ One discriminator scores flattened rolls.  Training alternates discriminator
 and generator updates with logistic loss (non-saturating for the generator),
 checkpoints on a fixed cadence, and is a pure function of its config seed.
 
+Scoring and sampling act on whole sets: ``d_score`` maps a
+(k, tracks, bars, steps, pitches) stack to k logits and ``g_sample`` maps k
+latent rows to a (k, ...) uint8 stack.  Both run the network over blocks of
+NET_BLOCK rows, so one float64 block of flattened rolls or logits exists at
+a time, however large the set; a single roll is passed as ``roll[None]``.
+
 Also hosts the oracle models used to validate attack power: a generator with
 a memorization dial and a discriminator with a controllable member margin.
 """
@@ -21,13 +27,16 @@ import numpy as np
 
 from . import nn
 from .errors import ConfigError, DivergenceError, FormatError
-from .pianoroll import Dataset, PianorollShape, flatten
+from .pianoroll import Dataset, PianorollShape, atomic_open, flatten
 
 CHECKPOINT_MAGIC = b"GANC"
 CHECKPOINT_VERSION = 1
 
 TRUNK_WIDTH = 128
 DISC_WIDTH = 128
+
+# rows per block of a scoring or sampling pass, which bounds its float64 copies
+NET_BLOCK = 256
 
 
 @dataclass
@@ -90,21 +99,31 @@ def _generator_logits(gan: ComposerGan, z: np.ndarray) -> tuple[np.ndarray, list
 
 
 def g_sample(gan: ComposerGan, z: np.ndarray) -> np.ndarray:
-    """Deterministic sample for a latent vector: a uint8 roll whose cells are
-    1 where the head logit is strictly positive."""
+    """Deterministic samples for a (k, latent_dim) batch of latent rows: a
+    (k, tracks, bars, steps, pitches) uint8 stack whose cells are 1 where the
+    head logit is strictly positive, computed in blocks of NET_BLOCK rows."""
     z = np.asarray(z, dtype=np.float64)
-    if z.shape != (gan.latent_dim,):
-        raise ConfigError(f"latent vector must have length {gan.latent_dim}")
-    logits, _ = _generator_logits(gan, z[None])
-    return (logits[0] > 0.0).astype(np.uint8).reshape(gan.shape.dims())
+    if z.ndim != 2 or z.shape[1] != gan.latent_dim:
+        raise ConfigError(f"latent rows must have shape (k, {gan.latent_dim})")
+    out = np.empty((len(z), gan.shape.cells), dtype=np.uint8)
+    for start in range(0, len(z), NET_BLOCK):
+        logits, _ = _generator_logits(gan, z[start : start + NET_BLOCK])
+        np.greater(logits, 0.0, out=out[start : start + NET_BLOCK])
+    return out.reshape(len(z), *gan.shape.dims())
 
 
-def d_score(gan: ComposerGan, roll: np.ndarray) -> float:
-    """Raw discriminator logit; larger means more training-set-like."""
-    if np.shape(roll) != gan.shape.dims():
-        raise ConfigError("roll shape does not match the model")
-    out, _ = nn.forward(gan.discriminator, flatten(roll)[None])
-    return float(out[0, 0])
+def d_score(gan: ComposerGan, rolls: np.ndarray) -> np.ndarray:
+    """Raw discriminator logits of a (k, tracks, bars, steps, pitches) stack
+    as a (k,) float64 vector; larger means more training-set-like.  Rolls are
+    flattened and scored in blocks of NET_BLOCK."""
+    rolls = np.asarray(rolls)
+    if rolls.shape[1:] != gan.shape.dims():
+        raise ConfigError("rolls shape does not match the model")
+    out = np.empty(len(rolls))
+    for start in range(0, len(rolls), NET_BLOCK):
+        logits, _ = nn.forward(gan.discriminator, flatten(rolls[start : start + NET_BLOCK]))
+        out[start : start + NET_BLOCK] = logits[:, 0]
+    return out
 
 
 @dataclass(frozen=True)
@@ -341,10 +360,10 @@ def _mlp_from_dims(dims: list[int], tensors: list[np.ndarray], family: str) -> n
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    path = Path(path)
+    """Write a checkpoint file, replacing any file at ``path`` atomically."""
     desc = json.dumps(_descriptor(ckpt.gan), sort_keys=True, separators=(",", ":")).encode("utf-8")
     tensors = ckpt.gan.all_params()
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<Q", ckpt.iteration))

@@ -3,7 +3,27 @@
 A run is driven by one JSON config and leaves behind CSV tables, a Markdown
 report, and a manifest recording every seed and format version, so identical
 configs reproduce identical bytes on the same platform and BLAS thread
-count, which the manifest records.
+count, which the manifest records.  Every file is written to a temp file and
+moved into place, so a crash leaves the earlier file or the whole new one.
+
+``whitebox_row`` and ``mc_row`` are the only code that turns a model into a
+table row; the experiment and ``rollmia attack`` both call them.  A model is
+given to them as whole-set functions:
+
+- a white-box set scorer maps (k,) ids and a (k, tracks, bars, steps,
+  pitches) roll stack to a (k,) float64 score vector;
+- a sampler maps a (k,) array of seeds from ``stash_seeds`` to a (k, ...)
+  uint8 roll stack.
+
+A checkpoint meets both contracts with one network pass per set
+(``checkpoint_scorer``, ``checkpoint_sampler``), run in blocks of
+``gan.NET_BLOCK`` rows: flattening a whole set to float64 takes 8 bytes per
+cell (11 MB for 1,800 desk rolls), a block of 256 rolls 1.5 MB.  Models that
+score or sample one record at a time, such as the oracles, whose noise is
+seeded per id or per seed, are wrapped into the same shapes by their caller.
+For such models ``whitebox.run_whitebox`` and ``montecarlo.build_stash``
+keep their per-row forms, as thin adapters onto the same ranking and the
+same stash seeds, so there is one ranking and one seed rule.
 """
 
 from __future__ import annotations
@@ -33,19 +53,20 @@ from .gan import (
     train,
 )
 from .metrics import MetricsRow, compute_metrics
-from .montecarlo import METRIC_LABELS, McConfig, build_stash, run_mc_trials
+from .montecarlo import METRIC_LABELS, McConfig, run_mc_trials, stash_seeds
 from .pianoroll import (
     DATASET_VERSION,
     Dataset,
     PianorollShape,
     SplitSpec,
     StyleParams,
+    atomic_open,
     read_dataset,
     split,
     synth_generate,
     write_dataset,
 )
-from .whitebox import run_whitebox
+from .whitebox import run_whitebox_sets
 
 CONFIG_SCHEMA_VERSION = 1
 LABELS = ("default", "overfitted", "custom")
@@ -238,8 +259,10 @@ def mc_csv_line(row: McRow) -> str:
 
 
 def write_lines(path: str | Path, lines: list[str]) -> None:
-    """Write ``lines`` as a newline-terminated UTF-8 text file."""
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write ``lines`` as a newline-terminated UTF-8 text file, replacing any
+    file at ``path`` atomically."""
+    with atomic_open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _md_table(header: str, lines: list[str]) -> list[str]:
@@ -365,45 +388,49 @@ def _platform_info() -> dict:
 
 
 def checkpoint_scorer(gan: ComposerGan):
-    """White-box scorer of a trained model: the discriminator logit of the
-    roll; the candidate id is unused."""
-    return lambda _rid, roll: d_score(gan, roll)
+    """White-box set scorer of a trained model: the discriminator logits of
+    the rolls, in blocked passes; the ids are unused."""
+    return lambda _ids, rolls: d_score(gan, rolls)
 
 
 def checkpoint_sampler(gan: ComposerGan):
-    """Seeded latent draw -> binarized generator sample."""
+    """Seed array -> binarized generator samples: the per-seed latent draws
+    ``default_rng(seed).standard_normal(latent_dim)``, stacked, then one
+    blocked generator pass."""
 
-    def sample(seed: int):
-        z = np.random.default_rng(seed).standard_normal(gan.latent_dim)
-        return g_sample(gan, z)
+    def sample(seeds: np.ndarray) -> np.ndarray:
+        draws = [np.random.default_rng(s).standard_normal(gan.latent_dim) for s in seeds.tolist()]
+        return g_sample(gan, np.stack(draws))
 
     return sample
 
 
 def whitebox_row(
-    scorer: Callable[[int, np.ndarray], float],
+    set_scorer: Callable[[np.ndarray, np.ndarray], np.ndarray],
     iteration: int,
     train_set: Dataset,
     test_set: Dataset,
 ) -> MetricsRow:
-    """The white-box table row for one model, given as an (id, roll) scorer."""
-    result = run_whitebox(scorer, train_set, test_set)
+    """The white-box table row for one model, given as an (ids, rolls) set
+    scorer."""
+    result = run_whitebox_sets(set_scorer, train_set, test_set)
     return compute_metrics(result.confusion, iteration)
 
 
 def mc_row(
-    sample_fn: Callable[[int], np.ndarray],
+    sampler: Callable[[np.ndarray], np.ndarray],
     iteration: int,
     train_set: Dataset,
     test_set: Dataset,
     mc_config: McConfig,
 ) -> McRow:
-    """The Monte Carlo table row for one model, given as a seeded sampler.
+    """The Monte Carlo table row for one model, given as a sampler from a
+    seed array to a roll stack.
 
-    The stash is seeded by ``(mc_config.seed, iteration)``, so each
+    The stash seeds come from ``(mc_config.seed, iteration)``, so each
     checkpoint of a run draws its own stash; oracles use iteration 0.
     """
-    stash = build_stash(sample_fn, mc_config.stash_size, seed=(mc_config.seed, iteration))
+    stash = sampler(stash_seeds(mc_config.stash_size, (mc_config.seed, iteration)))
     result = run_mc_trials(train_set, test_set, stash, mc_config)
     return McRow(
         iteration=iteration,
@@ -539,5 +566,5 @@ def run_experiment(config: ExperimentConfig, force: bool = False) -> dict:
 
 
 def _write_manifest(out: Path, manifest: dict) -> None:
-    path = out / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with atomic_open(out / "manifest.json", "w") as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -1,13 +1,14 @@
 """Black-box Monte Carlo membership inference.
 
 The stash is one uint8 array of generated rolls, shape
-(size, tracks, bars, steps, pitches), built once and reused for every
-candidate.  Features (flattened cells, or per-step tonal centroids) are
-computed once per set of rolls.  A candidate's score is the fraction of its
-seeded stash draws lying within distance epsilon of it.  Per trial, M train
-and M test records compete for the top-M set; single-record accuracy is the
-train fraction of that set, and the set-level decision labels whichever side
-contributed more records.  Both are averaged over repeated trials so the
+(size, tracks, bars, steps, pitches), one sample per seed of
+``stash_seeds``, built once and reused for every candidate.  Features
+(flattened cells, or per-step tonal centroids) are computed once per set of
+rolls.  A candidate's score is the fraction of its seeded stash draws lying
+within distance epsilon of it.  Per trial, M train and M test records
+compete for the top-M set; single-record accuracy is the train fraction of
+that set, and the set-level decision labels whichever side contributed more
+records.  Both are averaged over repeated trials so the
 set-level answer is a frequency rather than a one-shot 0/1 outcome.
 
 A trial is one array pipeline over its 2M candidates: a (2M, n) array of
@@ -80,12 +81,6 @@ class EpsilonHeuristic:
         return f"p:{self.q:g}"
 
 
-# the named presets: 1%, 0.1%, 0.01% of observed distances
-PERCENT_1 = EpsilonHeuristic.percentile(0.01)
-PERCENT_01 = EpsilonHeuristic.percentile(0.001)
-PERCENT_001 = EpsilonHeuristic.percentile(0.0001)
-
-
 @dataclass(frozen=True)
 class McConfig:
     stash_size: int
@@ -143,17 +138,23 @@ class McResult:
     trials: list[McTrial] = field(default_factory=list)
 
 
-def build_stash(sample_fn: Callable[[int], np.ndarray], size: int, seed) -> np.ndarray:
-    """Draw ``size`` samples from a seeded generator function and stack them
-    into one (size, tracks, bars, steps, pitches) array.
+def stash_seeds(size: int, seed) -> np.ndarray:
+    """The ``size`` per-sample seeds of a stash seeded by ``seed``, as uint64.
 
-    Per-sample seeds are derived from ``seed`` so the stash is reproducible
-    regardless of how sample_fn consumes its own randomness.
+    Every stash is drawn from these seeds, one sample per seed, so it is
+    reproducible however a sampler consumes its own randomness and whether
+    it samples one seed at a time or the whole array at once.
     """
     if size < 1:
         raise ConfigError("stash size must be >= 1")
-    child_seeds = np.random.SeedSequence(seed).generate_state(size, np.uint64)
-    return np.stack([sample_fn(int(s)) for s in child_seeds])
+    return np.random.SeedSequence(seed).generate_state(size, np.uint64)
+
+
+def build_stash(sample_fn: Callable[[int], np.ndarray], size: int, seed) -> np.ndarray:
+    """Stack one sample per seed of ``stash_seeds(size, seed)`` into a
+    (size, tracks, bars, steps, pitches) array, calling a per-seed sampler
+    ``sample_fn(int) -> roll`` once per seed."""
+    return np.stack([sample_fn(s) for s in stash_seeds(size, seed).tolist()])
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -291,15 +293,33 @@ def pitch_class_profile(
 _HEADER = struct.Struct("<4sIIIIIIi")
 
 
+@contextmanager
+def atomic_open(path: str | Path, mode: str = "wb"):
+    """Open a temp file beside ``path`` for writing and move it over ``path``
+    with ``os.replace`` once the block completes, so a reader sees the old
+    file or the whole new one.  If the block raises, the temp file is removed
+    and ``path`` is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _sidecar_path(path: Path) -> Path:
     return path.parent / (path.name + ".meta.json")
 
 
 def write_dataset(dataset: Dataset, path: str | Path, style: StyleParams | None = None) -> None:
-    """Write the bit-packed dataset file plus its ids sidecar."""
+    """Write the bit-packed dataset file plus its ids sidecar, each replaced
+    atomically."""
     path = Path(path)
     shape = dataset.shape
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(
             _HEADER.pack(
                 DATASET_MAGIC,
@@ -317,7 +337,7 @@ def write_dataset(dataset: Dataset, path: str | Path, style: StyleParams | None 
     meta: dict = {"ids": dataset.ids.tolist()}
     if style is not None:
         meta["style"] = style.to_dict()
-    with open(_sidecar_path(path), "w", encoding="utf-8") as fh:
+    with atomic_open(_sidecar_path(path), "w") as fh:
         json.dump(meta, fh, sort_keys=True)
         fh.write("\n")
 

@@ -294,10 +294,11 @@ def test_exit_code_scorer_failure(cli_workspace, tmp_path, monkeypatch, capsys):
     )
     assert run(["train", "--config", config, "--out-dir", tmp_path / "ck"]) == 0
 
-    def failing_d_score(gan, roll):
+    def failing_d_score(gan, rolls):
         raise FloatingPointError("overflow in d_score")
 
-    # the checkpoint scorer calls gan.d_score through the name harness imported
+    # the checkpoint scorer makes one blocked gan.d_score call per set,
+    # through the name harness imported
     monkeypatch.setattr(harness, "d_score", failing_d_score)
     out = tmp_path / "wb.csv"
     code = run(
@@ -306,7 +307,7 @@ def test_exit_code_scorer_failure(cli_workspace, tmp_path, monkeypatch, capsys):
     )
     assert code == 4
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: scorer failed on candidate {read_dataset(train).ids[0]}: overflow in d_score"]
+    assert err == ["error: scorer failed on members: overflow in d_score"]
     assert not out.exists()
 
 

@@ -17,11 +17,13 @@ from rollmia import (
     load_checkpoint,
     oracle_d_score,
     oracle_generate,
+    rank_scores,
     save_checkpoint,
     synth_generate,
     synth_sampler,
     train,
 )
+from rollmia.gan import NET_BLOCK
 from rollmia.pianoroll import flatten
 
 SHAPE = PianorollShape(2, 1, 8, 12)
@@ -33,8 +35,10 @@ def small_gan(seed=0):
 
 def test_g_sample_deterministic():
     gan = small_gan()
-    z = np.random.default_rng(1).standard_normal(4)
-    assert np.array_equal(g_sample(gan, z), g_sample(gan, z))
+    z = np.random.default_rng(1).standard_normal((3, 4))
+    rolls = g_sample(gan, z)
+    assert rolls.shape == (3, *SHAPE.dims()) and rolls.dtype == np.uint8
+    assert np.array_equal(rolls, g_sample(gan, z))
 
 
 def test_g_sample_bias_controls_output():
@@ -42,11 +46,11 @@ def test_g_sample_bias_controls_output():
     for head in gan.heads:
         head.layers[-1].weights[:] = 0.0
         head.layers[-1].bias[:] = -1.0
-    roll = g_sample(gan, np.zeros(4))
+    roll = g_sample(gan, np.zeros((1, 4)))
     assert not roll.any()
     for head in gan.heads:
         head.layers[-1].bias[:] = 1.0
-    roll = g_sample(gan, np.zeros(4))
+    roll = g_sample(gan, np.zeros((1, 4)))
     assert roll.all()
 
 
@@ -55,12 +59,13 @@ def test_g_sample_zero_logit_is_off():
     for head in gan.heads:
         head.layers[-1].weights[:] = 0.0
         head.layers[-1].bias[:] = 0.0
-    assert not g_sample(gan, np.zeros(4)).any()
+    assert not g_sample(gan, np.zeros((1, 4))).any()
 
 
 def test_g_sample_dim_mismatch():
-    with pytest.raises(ConfigError):
-        g_sample(small_gan(), np.zeros(5))
+    for z in (np.zeros((1, 5)), np.zeros(4)):
+        with pytest.raises(ConfigError):
+            g_sample(small_gan(), z)
 
 
 def test_d_score_zero_weights_gives_bias(small_population):
@@ -69,17 +74,16 @@ def test_d_score_zero_weights_gives_bias(small_population):
         layer.weights[:] = 0.0
         layer.bias[:] = 0.0
     gan.discriminator.layers[-1].bias[:] = 0.75
-    for roll in small_population.rolls[:5]:
-        assert d_score(gan, roll) == 0.75
+    assert d_score(gan, small_population.rolls[:5]).tolist() == [0.75] * 5
 
 
 def test_d_score_final_layer_scaling(small_population):
     gan = build_gan(small_population.shape, 4, seed=1)
-    scores = [d_score(gan, r) for r in small_population.rolls[:20]]
+    scores = d_score(gan, small_population.rolls[:20])
     gan.discriminator.layers[-1].weights *= 2.0
     gan.discriminator.layers[-1].bias *= 2.0
-    doubled = [d_score(gan, r) for r in small_population.rolls[:20]]
-    assert np.allclose(doubled, np.array(scores) * 2.0)
+    doubled = d_score(gan, small_population.rolls[:20])
+    assert np.allclose(doubled, scores * 2.0)
     assert list(np.argsort(scores)) == list(np.argsort(doubled))
 
 
@@ -87,7 +91,9 @@ def test_d_score_shape_mismatch():
     gan = small_gan()
     other = synth_generate(0, 1, PianorollShape(1, 1, 8, 12))
     with pytest.raises(ConfigError):
-        d_score(gan, other.rolls[0])
+        d_score(gan, other.rolls)
+    with pytest.raises(ConfigError):  # one roll is passed as roll[None]
+        d_score(gan, synth_generate(0, 1, SHAPE).rolls[0])
 
 
 def test_train_config_validation():
@@ -150,11 +156,22 @@ def test_train_deterministic_bytes(tiny_train_set, tmp_path):
 def test_train_separates_real_from_fake(tiny_train_set):
     gan = train(tiny_train_set, train_config(iterations=200, every=100)).gan
     rng = np.random.default_rng(0)
-    real = np.mean([d_score(gan, r) for r in tiny_train_set.rolls])
-    fake = np.mean(
-        [d_score(gan, g_sample(gan, rng.standard_normal(4))) for _ in range(64)]
-    )
+    real = d_score(gan, tiny_train_set.rolls).mean()
+    fake = d_score(gan, g_sample(gan, rng.standard_normal((64, 4)))).mean()
     assert real > fake
+
+
+def test_d_score_blocks_match_one_row_scores(tiny_train_set):
+    gan = train(tiny_train_set, train_config(iterations=60, every=60)).gan
+    candidates = synth_generate(3, 2 * NET_BLOCK + 1, SHAPE)
+    blocked = d_score(gan, candidates.rolls)
+    rows = np.array([d_score(gan, roll[None])[0] for roll in candidates.rolls])
+    # only the summation order of the products may differ
+    assert np.max(np.abs(blocked - rows)) <= 1e-12 * np.max(np.abs(rows))
+    members = candidates.ids[: NET_BLOCK]
+    assert set(rank_scores(candidates.ids, blocked, members).predicted_member_ids) == set(
+        rank_scores(candidates.ids, rows, members).predicted_member_ids
+    )
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -176,8 +193,8 @@ def test_checkpoint_roundtrip(tiny_train_set, tmp_path):
     assert back.iteration == ckpt.iteration
     save_checkpoint(back, tmp_path / "c2.ganc")
     assert path.read_bytes() == (tmp_path / "c2.ganc").read_bytes()
-    roll = tiny_train_set.rolls[0]
-    assert np.isclose(d_score(back.gan, roll), d_score(ckpt.gan, roll), atol=1e-4)
+    roll = tiny_train_set.rolls[:1]
+    assert np.isclose(d_score(back.gan, roll)[0], d_score(ckpt.gan, roll)[0], atol=1e-4)
 
 
 def make_saved_checkpoint(tmp_path):

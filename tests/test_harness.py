@@ -1,3 +1,4 @@
+import builtins
 import hashlib
 import json
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from rollmia import (
+    Checkpoint,
     ConfigError,
     MetricsRow,
     PianorollShape,
@@ -12,19 +14,24 @@ from rollmia import (
     StyleParams,
     SyntheticSpec,
     TrainConfig,
+    build_gan,
     emit_reports,
     run_experiment,
+    save_checkpoint,
     synth_generate,
     write_dataset,
 )
+from rollmia import pianoroll
 from rollmia.harness import (
     ExperimentConfig,
     McRow,
     ReportTable,
+    _write_manifest,
     config_echo,
     config_hash,
     parse_experiment_config,
     report_from_dir,
+    write_lines,
 )
 from rollmia.montecarlo import EpsilonHeuristic, McConfig
 
@@ -278,6 +285,49 @@ def test_failed_stage_manifest(tmp_path):
     assert manifest["failed_stage"] == "dataset"
     assert manifest["stages"]["dataset"] == "failed"
     assert "error" in manifest
+
+
+class HalfWriter:
+    """A file whose every write stores half its data, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError("no space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+SHAPE_2X8 = PianorollShape(2, 1, 8, 12)
+WRITERS = {
+    "dataset": lambda d, v: write_dataset(synth_generate(v, 5, SHAPE_2X8), d / "data.prd"),
+    "checkpoint": lambda d, v: save_checkpoint(Checkpoint(v, build_gan(SHAPE_2X8, 4, v)), d / "c.ganc"),
+    "lines": lambda d, v: write_lines(d / "t.csv", ["h", str(v)]),
+    "manifest": lambda d, v: _write_manifest(d, {"version": v}),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_failed_write_leaves_the_earlier_file(tmp_path, monkeypatch, writer):
+    WRITERS[writer](tmp_path, 1)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    # atomic_open looks ``open`` up in the pianoroll module
+    monkeypatch.setattr(
+        pianoroll, "open", lambda *a, **kw: HalfWriter(builtins.open(*a, **kw)), raising=False
+    )
+    with pytest.raises(OSError, match="no space"):
+        WRITERS[writer](tmp_path, 2)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    monkeypatch.undo()
+    WRITERS[writer](tmp_path, 2)
+    after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert after.keys() == before.keys() and after != before
 
 
 def test_relative_dataset_path_resolves_against_working_directory(tmp_path, monkeypatch):

@@ -12,17 +12,22 @@ from rollmia import (
     McConfig,
     OracleGenerator,
     PianorollShape,
+    TrainConfig,
     build_stash,
     distance,
     epsilon_from_heuristic,
     flatten,
+    g_sample,
     mc_score,
     oracle_generate,
     pitch_class_profile,
     run_mc_trials,
+    stash_seeds,
     synth_generate,
     synth_sampler,
+    train,
 )
+from rollmia.harness import checkpoint_sampler
 from rollmia.montecarlo import (
     EUCLIDEAN,
     GRAM_BLOCK,
@@ -259,6 +264,31 @@ def test_build_stash_from_memorizing_oracle():
     stash = build_stash(lambda s: oracle_generate(oracle, s), 50, seed=1)
     for roll in stash:
         assert any(np.array_equal(roll, r) for r in train.rolls)
+
+
+def test_checkpoint_sampler_matches_per_seed_stash():
+    train_set = synth_generate(11, 64, SHAPE)
+    config = TrainConfig(
+        iterations=40, batch_size=8, latent_dim=4, lr=1e-3, seed=5, checkpoint_every=40
+    )
+    gan = train(train_set, config).gan
+
+    def one_roll(seed):
+        return g_sample(gan, np.random.default_rng(seed).standard_normal((1, gan.latent_dim)))[0]
+
+    # 257 seeds: one full block of the generator pass plus one row
+    batched = checkpoint_sampler(gan)(stash_seeds(257, (9, 40)))
+    per_seed = build_stash(one_roll, 257, seed=(9, 40))
+    assert batched.shape == (257, *SHAPE.dims()) and batched.dtype == np.uint8
+    assert 0 < batched.mean() < 1
+    assert np.array_equal(batched, per_seed)
+
+
+def test_stash_seeds_reject_empty_stash():
+    with pytest.raises(ConfigError):
+        stash_seeds(0, 1)
+    with pytest.raises(ConfigError):
+        build_stash(synth_sampler(SHAPE), 0, seed=1)
 
 
 def hamming_stash(candidate, hammings):

@@ -6,11 +6,11 @@ from rollmia import (
     Dataset,
     OracleDiscriminator,
     PianorollShape,
-    ScoredCandidate,
     compute_metrics,
     oracle_d_score,
-    rank_and_label,
+    rank_scores,
     run_whitebox,
+    run_whitebox_sets,
     synth_generate,
 )
 
@@ -18,74 +18,98 @@ SHAPE = PianorollShape(1, 1, 4, 12)
 
 
 def candidates(scores, members=()):
-    return [ScoredCandidate(i, s, i in members) for i, s in enumerate(scores)]
+    """(ids, scores, member_ids) for candidates 0..len(scores)-1."""
+    members = np.array(sorted(members), dtype=np.int64)
+    return np.arange(len(scores)), np.array(scores, dtype=np.float64), members
+
+
+def reference_ranking(ids, scores, n_members):
+    """The ranking as a sort of Python tuples by (-score, id)."""
+    ranked = sorted(zip(scores.tolist(), ids.tolist()), key=lambda c: (-c[0], c[1]))
+    return tuple(rid for _, rid in ranked[:n_members])
 
 
 def test_rank_top_scores():
-    result = rank_and_label(candidates([3.0, 1.0, 2.0, 0.0]), 2)
+    ids, scores, _ = candidates([3.0, 1.0, 2.0, 0.0])
+    result = rank_scores(ids, scores, [0, 1])
     assert set(result.predicted_member_ids) == {0, 2}
     assert result.predicted_member_ids == (0, 2)  # rank order
 
 
 def test_rank_tiebreak_by_id():
-    result = rank_and_label(candidates([1.0, 1.0, 1.0, 1.0]), 2)
+    ids, scores, _ = candidates([1.0, 1.0, 1.0, 1.0])
+    result = rank_scores(ids[::-1], scores, [2, 3])
     assert result.predicted_member_ids == (0, 1)
 
 
+def test_rank_signed_zeros_and_ties_order_by_id():
+    ids = np.array([9, 4, 7, 2, 5, 1, 8])
+    scores = np.array([0.0, -0.0, 1.5, -0.0, 0.0, 1.5, -1.0])
+    assert rank_scores(ids, scores, ids[:5]).predicted_member_ids == (1, 7, 2, 4, 5)
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        n = int(rng.integers(2, 40))
+        ids = rng.permutation(1000)[:n]
+        scores = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], size=n)
+        n_members = int(rng.integers(1, n + 1))
+        result = rank_scores(ids, scores, ids[:n_members])
+        assert result.predicted_member_ids == reference_ranking(ids, scores, n_members)
+
+
 def test_rank_confusion():
-    result = rank_and_label(candidates([3.0, 1.0, 2.0, 0.0], members={0, 2}), 2)
-    c = result.confusion
+    ids, scores, members = candidates([3.0, 1.0, 2.0, 0.0], members={0, 2})
+    c = rank_scores(ids, scores, members).confusion
     assert (c.tp, c.fp, c.fn, c.tn) == (2, 0, 0, 2)
 
 
 def test_rank_exactly_n():
     rng = np.random.default_rng(0)
     for n in (1, 3, 7):
-        scored = candidates(rng.standard_normal(9).tolist())
-        assert len(rank_and_label(scored, n).predicted_member_ids) == n
+        ids, scores, _ = candidates(rng.standard_normal(9))
+        assert len(rank_scores(ids, scores, ids[:n]).predicted_member_ids) == n
 
 
 def test_rank_n_out_of_range():
-    scored = candidates([1.0, 2.0])
-    with pytest.raises(ConfigError):
-        rank_and_label(scored, 0)
-    with pytest.raises(ConfigError):
-        rank_and_label(scored, 3)
+    ids, scores, _ = candidates([1.0, 2.0])
+    with pytest.raises(ConfigError, match="n_members"):
+        rank_scores(ids, scores, [])
+    with pytest.raises(ConfigError, match="n_members"):
+        rank_scores(ids, scores, [0, 1, 2])
 
 
 def test_rank_duplicate_ids():
-    scored = [ScoredCandidate(1, 0.0, False), ScoredCandidate(1, 1.0, True)]
     with pytest.raises(ConfigError, match="unique"):
-        rank_and_label(scored, 1)
+        rank_scores([1, 1], [0.0, 1.0], [1])
 
 
 def test_rank_non_finite_score():
-    scored = [ScoredCandidate(0, float("nan"), False), ScoredCandidate(1, 0.0, True)]
-    with pytest.raises(ConfigError, match="finite"):
-        rank_and_label(scored, 1)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            rank_scores([0, 1], [bad, 0.0], [1])
+
+
+def test_rank_score_length_mismatch():
+    for scores in ([0.0], [0.0, 1.0, 2.0], [[0.0, 1.0]]):
+        with pytest.raises(ConfigError, match="one score per candidate"):
+            rank_scores([0, 1], scores, [1])
 
 
 def test_monotone_transform_invariance():
     rng = np.random.default_rng(4)
-    scored = candidates(rng.standard_normal(30).tolist(), members=set(range(10)))
-    base = rank_and_label(scored, 10)
+    ids, scores, members = candidates(rng.standard_normal(30), members=set(range(10)))
+    base = rank_scores(ids, scores, members)
     for transform in (lambda s: 3.0 * s + 7.0, np.tanh, lambda s: np.exp(s / 2.0)):
-        warped = [
-            ScoredCandidate(c.id, float(transform(c.score)), c.is_member) for c in scored
-        ]
-        assert set(rank_and_label(warped, 10).predicted_member_ids) == set(
-            base.predicted_member_ids
-        )
+        warped = rank_scores(ids, transform(scores), members)
+        assert set(warped.predicted_member_ids) == set(base.predicted_member_ids)
 
 
 def test_permutation_invariance():
     rng = np.random.default_rng(5)
-    scored = candidates(rng.standard_normal(40).tolist(), members=set(range(20)))
-    base = rank_and_label(scored, 20)
+    ids, scores, members = candidates(rng.standard_normal(40), members=set(range(20)))
+    base = rank_scores(ids, scores, members)
     for seed in range(3):
-        shuffled = list(scored)
-        np.random.default_rng(seed).shuffle(shuffled)
-        result = rank_and_label(shuffled, 20)
+        order = np.random.default_rng(seed).permutation(len(ids))
+        result = rank_scores(ids[order], scores[order], members)
         assert result.predicted_member_ids == base.predicted_member_ids
         assert result.confusion == base.confusion
 
@@ -163,3 +187,36 @@ def test_run_whitebox_scorer_failure_names_candidate():
 
     with pytest.raises(RuntimeError, match="candidate 7"):
         run_whitebox(scorer, members, nonmembers)
+
+
+def test_set_scorer_matches_per_row_scorer():
+    ds = synth_generate(0, 60, SHAPE)
+    members, nonmembers = split_ids(ds, 20)
+    oracle = OracleDiscriminator(0.5, 1.0, frozenset(members.ids))
+    per_row = run_whitebox(oracle_scorer(oracle, 3), members, nonmembers)
+    sets = run_whitebox_sets(
+        lambda ids, _rolls: [oracle_d_score(oracle, rid, (3, rid)) for rid in ids.tolist()],
+        members,
+        nonmembers,
+    )
+    assert sets == per_row
+
+
+def test_run_whitebox_sets_scorer_failure_names_the_side():
+    ds = synth_generate(0, 10, SHAPE)
+    members, nonmembers = split_ids(ds, 5)
+
+    def scorer(ids, _rolls):
+        if 7 in ids:
+            raise FloatingPointError("boom")
+        return np.zeros(len(ids))
+
+    with pytest.raises(RuntimeError, match="^scorer failed on nonmembers: boom$"):
+        run_whitebox_sets(scorer, members, nonmembers)
+
+
+def test_run_whitebox_sets_rejects_wrong_score_count():
+    ds = synth_generate(0, 10, SHAPE)
+    members, nonmembers = split_ids(ds, 5)
+    with pytest.raises(ConfigError, match="members"):
+        run_whitebox_sets(lambda ids, _rolls: np.zeros(len(ids) + 1), members, nonmembers)
