@@ -15,7 +15,6 @@ from .pianoroll import (
     SplitSpec,
     StyleParams,
     flatten,
-    pitch_class_profile,
     read_dataset,
     split,
     synth_generate,
@@ -45,7 +44,6 @@ from .montecarlo import (
     McConfig,
     McResult,
     build_stash,
-    distance,
     epsilon_from_heuristic,
     mc_score,
     run_mc_trials,
@@ -65,7 +63,7 @@ __all__ = [
     "ToolkitError", "ConfigError", "FormatError", "DivergenceError",
     "PianorollShape", "Dataset", "SplitSpec", "StyleParams",
     "synth_generate", "synth_sampler", "split", "flatten",
-    "pitch_class_profile", "write_dataset", "read_dataset",
+    "write_dataset", "read_dataset",
     "DenseLayer", "Mlp", "AdamState", "forward", "backward",
     "bce_logits_loss", "adam_step",
     "ComposerGan", "TrainConfig", "Checkpoint", "build_gan", "g_sample",
@@ -74,7 +72,7 @@ __all__ = [
     "ConfusionCounts", "MetricsRow", "compute_metrics", "confusion_from_predictions",
     "WbAttackResult", "rank_scores", "run_whitebox", "run_whitebox_sets",
     "EpsilonHeuristic", "McConfig", "McResult", "build_stash", "stash_seeds",
-    "distance", "epsilon_from_heuristic", "mc_score", "run_mc_trials",
+    "epsilon_from_heuristic", "mc_score", "run_mc_trials",
     "SyntheticSpec", "ExperimentConfig", "ReportTable", "emit_reports",
     "load_experiment_config", "run_experiment",
 ]

@@ -10,16 +10,27 @@ latent rows to a (k, ...) uint8 stack.  Both run the network over blocks of
 NET_BLOCK rows, so one float64 block of flattened rolls or logits exists at
 a time, however large the set; a single roll is passed as ``roll[None]``.
 
+Each network family lives in one contiguous float64 vector: ``g_params``
+holds the trunk then the heads in track order, ``d_params`` the
+discriminator, each in ``nn.mlp_params`` order, and every layer's weights
+and bias are views of it (``nn.bind_params``).  Training cuts one gradient
+vector into the same views for each family in turn, and a step computes
+only what it consumes: the discriminator step has no input gradient, and the
+generator step takes no discriminator parameter gradients and no trunk input
+gradient.  Each step's Adam update consumes its gradients before the other
+step writes, so that vector and one scratch vector serve both families.  A
+checkpoint's model is a snapshot over its own vectors, so training on does
+not move it.
+
 Also hosts the oracle models used to validate attack power: a generator with
 a memorization dial and a discriminator with a controllable member margin.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -49,6 +60,8 @@ class ComposerGan:
     trunk: nn.Mlp
     heads: list[nn.Mlp]
     discriminator: nn.Mlp
+    g_params: np.ndarray = field(init=False, repr=False, compare=False)
+    d_params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.heads) != self.shape.tracks:
@@ -64,15 +77,26 @@ class ComposerGan:
             raise ConfigError("discriminator input must match cell count")
         if self.discriminator.out_dim != 1:
             raise ConfigError("discriminator must output a single logit")
+        self.g_params = nn.bind_params(self.generator_mlps())
+        self.d_params = nn.bind_params([self.discriminator])
 
-    def generator_params(self) -> list[np.ndarray]:
-        params = nn.mlp_params(self.trunk)
-        for head in self.heads:
-            params.extend(nn.mlp_params(head))
-        return params
+    def generator_mlps(self) -> list[nn.Mlp]:
+        return [self.trunk, *self.heads]
 
     def all_params(self) -> list[np.ndarray]:
-        return self.generator_params() + nn.mlp_params(self.discriminator)
+        """Every parameter tensor: generator, then discriminator."""
+        return [p for mlp in self.generator_mlps() + [self.discriminator] for p in nn.mlp_params(mlp)]
+
+    def snapshot(self) -> "ComposerGan":
+        """A copy over new parameter vectors, independent of this model."""
+
+        def layers(mlp: nn.Mlp) -> nn.Mlp:
+            return nn.Mlp([nn.DenseLayer(x.weights, x.bias, x.activation) for x in mlp.layers])
+
+        return ComposerGan(
+            self.latent_dim, self.shape, layers(self.trunk),
+            [layers(head) for head in self.heads], layers(self.discriminator),
+        )
 
 
 def build_gan(shape: PianorollShape, latent_dim: int, seed) -> ComposerGan:
@@ -167,20 +191,22 @@ class Checkpoint:
     gan: ComposerGan
 
 
-def _disc_step(gan: ComposerGan, real: np.ndarray, fake: np.ndarray) -> tuple[float, list]:
-    """Discriminator loss and gradients on real rows (target 1) stacked over
-    fake rows (target 0); each row's gradient is scaled by 1/len(real)."""
+def _disc_step(gan: ComposerGan, real: np.ndarray, fake: np.ndarray, grads: list) -> float:
+    """Discriminator loss on real rows (target 1) stacked over fake rows
+    (target 0); its parameter gradients, each row's scaled by 1/len(real),
+    are written into ``grads``."""
     x = np.concatenate([real, fake])
     targets = np.concatenate([np.ones(len(real)), np.zeros(len(fake))])[:, None]
     logits, cache = nn.forward(gan.discriminator, x)
     loss, dlogits = nn.bce_logits_loss(logits, targets)
-    grads, _ = nn.backward(gan.discriminator, cache, dlogits * (1.0 / len(real)))
-    return float(loss.sum()), grads
+    nn.backward(gan.discriminator, cache, dlogits * (1.0 / len(real)), out=grads, input_grad=False)
+    return float(loss.sum())
 
 
-def _gen_step(gan: ComposerGan, z: np.ndarray) -> tuple[float, list]:
-    """Non-saturating generator loss and gradients through sigmoid head
-    outputs, each row's gradient scaled by 1/len(z).
+def _gen_step(gan: ComposerGan, z: np.ndarray, grads: list[list]) -> float:
+    """Non-saturating generator loss through sigmoid head outputs; the
+    gradients, each row's scaled by 1/len(z), are written into ``grads``
+    (the trunk's views, then each head's).
 
     The discriminator sees the continuous sigmoid roll here so gradients can
     flow back into the generator; its own parameters are left untouched.
@@ -189,18 +215,18 @@ def _gen_step(gan: ComposerGan, z: np.ndarray) -> tuple[float, list]:
     cont = nn.sigmoid(logits)
     d_out, d_cache = nn.forward(gan.discriminator, cont)
     loss, dlogit = nn.bce_logits_loss(d_out, 1.0)
-    _, dx = nn.backward(gan.discriminator, d_cache, dlogit * (1.0 / len(z)))
+    _, dx = nn.backward(gan.discriminator, d_cache, dlogit * (1.0 / len(z)), param_grads=False)
     dlogits = dx * cont * (1.0 - cont)
 
     cpt = gan.shape.cells_per_track
     trunk_out_grad = np.zeros((len(z), gan.trunk.out_dim))
-    head_grads = []
     for t, head in enumerate(gan.heads):
-        hg, dh = nn.backward(head, head_caches[t], dlogits[:, t * cpt : (t + 1) * cpt])
-        head_grads += hg
+        _, dh = nn.backward(
+            head, head_caches[t], dlogits[:, t * cpt : (t + 1) * cpt], out=grads[1 + t]
+        )
         trunk_out_grad += dh
-    trunk_grads, _ = nn.backward(gan.trunk, trunk_cache, trunk_out_grad)
-    return float(loss.sum()), trunk_grads + head_grads
+    nn.backward(gan.trunk, trunk_cache, trunk_out_grad, out=grads[0], input_grad=False)
+    return float(loss.sum())
 
 
 def train(
@@ -216,7 +242,8 @@ def train(
     (target 1) stacked over binarized generator samples (target 0), and the
     gradients are batch sums of per-row gradients scaled by 1/batch_size.
     Only the latest checkpoint is kept in memory; the sink sees each one.
-    Non-finite losses raise DivergenceError carrying the last good checkpoint.
+    A non-finite gradient or loss raises DivergenceError naming the
+    iteration and carrying the last good checkpoint (None before the first).
     """
     if len(train_set) < config.batch_size:
         raise ConfigError("training set smaller than batch size")
@@ -226,31 +253,40 @@ def train(
 
     X = flatten(train_set.rolls)
     n = len(train_set)
-    g_params = gan.generator_params()
-    d_params = nn.mlp_params(gan.discriminator)
-    g_state = nn.AdamState.for_params(g_params, lr=config.lr)
-    d_state = nn.AdamState.for_params(d_params, lr=config.lr)
+    # the two steps take turns, and each step's Adam update consumes its
+    # gradients before the other step writes, so both families share one
+    # gradient vector and one scratch vector
+    size = max(gan.g_params.size, gan.d_params.size)
+    grad, scratch = np.empty(size), np.empty(size)
+    g_grad, d_grad = grad[: gan.g_params.size], grad[: gan.d_params.size]
+    g_views = nn.param_views(gan.generator_mlps(), g_grad)
+    (d_views,) = nn.param_views([gan.discriminator], d_grad)
+    g_state = nn.AdamState.for_params(gan.g_params, lr=config.lr)
+    d_state = nn.AdamState.for_params(gan.d_params, lr=config.lr)
     last_good: Checkpoint | None = None
 
     for it in range(1, config.iterations + 1):
-        for _ in range(config.d_steps_per_g_step):
-            real_idx = rng.choice(n, size=config.batch_size, replace=False)
-            z_batch = rng.standard_normal((config.batch_size, config.latent_dim))
-            fake = (_generator_logits(gan, z_batch)[0] > 0.0).astype(np.float64)
-            d_loss, d_grads = _disc_step(gan, X[real_idx], fake)
-            nn.adam_step(d_params, d_grads, d_state)
+        try:
+            for _ in range(config.d_steps_per_g_step):
+                real_idx = rng.choice(n, size=config.batch_size, replace=False)
+                z_batch = rng.standard_normal((config.batch_size, config.latent_dim))
+                fake = (_generator_logits(gan, z_batch)[0] > 0.0).astype(np.float64)
+                d_loss = _disc_step(gan, X[real_idx], fake, d_views)
+                nn.adam_step(gan.d_params, d_grad, d_state, scratch)
 
-        z_batch = rng.standard_normal((config.batch_size, config.latent_dim))
-        g_loss, g_grads = _gen_step(gan, z_batch)
-        nn.adam_step(g_params, g_grads, g_state)
+            z_batch = rng.standard_normal((config.batch_size, config.latent_dim))
+            g_loss = _gen_step(gan, z_batch, g_views)
+            nn.adam_step(gan.g_params, g_grad, g_state, scratch)
+        except DivergenceError as exc:
+            raise DivergenceError(f"{exc} at iteration {it}", last_checkpoint=last_good) from exc
 
         if not (np.isfinite(d_loss) and np.isfinite(g_loss)):
             raise DivergenceError(
-                f"divergence at iteration {it}", last_checkpoint=last_good
+                f"divergence: non-finite loss at iteration {it}", last_checkpoint=last_good
             )
 
         if it % config.checkpoint_every == 0:
-            last_good = Checkpoint(it, copy.deepcopy(gan))
+            last_good = Checkpoint(it, gan.snapshot())
             if checkpoint_sink is not None:
                 checkpoint_sink(last_good)
 
@@ -395,6 +431,15 @@ class _Reader:
     def u64(self) -> int:
         return struct.unpack("<Q", self.take(8))[0]
 
+    def f32(self, count: int) -> np.ndarray:
+        """The next ``count`` little-endian float32 values, as a read-only
+        view of the blob."""
+        if self.off + 4 * count > len(self.blob):
+            raise FormatError(f"truncated checkpoint {self.path}")
+        out = np.frombuffer(self.blob, dtype="<f4", count=count, offset=self.off)
+        self.off += 4 * count
+        return out
+
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Load a checkpoint, rebuilding the model from its descriptor.
@@ -439,8 +484,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         rank = r.u32()
         dims = struct.unpack(f"<{rank}I", r.take(4 * rank))
         size = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        data = np.frombuffer(r.take(4 * size), dtype="<f4").astype(np.float64)
-        tensors.append(data.reshape(dims))
+        # float32 views of the file; the model converts each family once,
+        # into its own float64 vector
+        tensors.append(r.f32(size).reshape(dims))
     if r.off != len(r.blob):
         raise FormatError(f"trailing data in checkpoint {path}")
 

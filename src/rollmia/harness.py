@@ -40,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError
+from .errors import ConfigError, DivergenceError
 from .gan import (
     CHECKPOINT_VERSION,
     Checkpoint,
@@ -446,7 +446,9 @@ def run_experiment(config: ExperimentConfig, force: bool = False) -> dict:
     """Run the full pipeline and return the manifest dict.
 
     Partial outputs plus a manifest naming the failed stage are left behind
-    when a stage raises; the exception propagates to the caller.  ``force``
+    when a stage raises; the exception propagates to the caller.  When
+    training diverges, the manifest's ``last_good_iteration`` names the last
+    checkpoint written before it (null if there was none).  ``force``
     replaces only an earlier run's directory, one that holds a manifest.json.
     """
     out = config.output_dir
@@ -486,6 +488,9 @@ def run_experiment(config: ExperimentConfig, force: bool = False) -> dict:
         manifest["stages"][name] = "failed"
         manifest["failed_stage"] = name
         manifest["error"] = str(exc)
+        if isinstance(exc, DivergenceError):
+            last = exc.last_checkpoint
+            manifest["last_good_iteration"] = None if last is None else last.iteration
         _write_manifest(out, manifest)
 
     try:

@@ -179,15 +179,6 @@ def _tonal_basis() -> np.ndarray:
 _TONAL_BASIS = _tonal_basis()
 
 
-def step_centroid(profile: np.ndarray) -> np.ndarray:
-    """6-D tonal centroid of one pitch-class profile; empty profiles map to
-    the zero centroid."""
-    total = profile.sum()
-    if total == 0.0:
-        return np.zeros(6)
-    return _TONAL_BASIS @ (profile / total)
-
-
 # rolls per block of the tonal feature pass, which bounds its temporaries
 TONAL_BLOCK = 256
 
@@ -238,13 +229,6 @@ def features_distance(metric: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.linalg.norm(b - a, axis=-1)
     # tonal: mean over steps of per-step centroid distances
     return np.linalg.norm(b - a, axis=-1).mean(axis=-1)
-
-
-def distance(metric: str, shape: PianorollShape, a: np.ndarray, b: np.ndarray) -> float:
-    """Distance between two rolls of the given shape under the chosen metric."""
-    return float(
-        features_distance(metric, roll_features(metric, shape, a), roll_features(metric, shape, b))
-    )
 
 
 def epsilon_from_heuristic(distances: Sequence[float], heuristic: EpsilonHeuristic) -> float:

@@ -6,6 +6,18 @@ parameter gradients (``dW = dZ.T @ X``, one GEMM per layer).  Gradients are
 exact reverse-mode derivatives of the forward map and are checked against
 finite differences in the test suite.  Results are bitwise reproducible for
 a fixed BLAS build and thread count.
+
+Training works on flat vectors.  ``bind_params`` copies a family of networks'
+parameters into one contiguous float64 vector and makes every layer's
+``weights`` and ``bias`` a reshaped view of it, in ``mlp_params`` order;
+``param_views`` cuts a matching gradient vector into views of the same
+shapes, which ``backward`` fills in place through ``out``.  A step asks
+backward only for what it consumes (``param_grads`` and ``input_grad``), and
+``adam_step`` updates a whole vector with a handful of in-place ufunc calls,
+using the consumed gradient vector and one scratch vector, which several
+optimizers may share, as its only work space.  Assigning a new array to a
+layer's ``weights`` or ``bias`` detaches it from the vector; write through
+the view (``layer.weights[:] = ...``) instead.
 """
 
 from __future__ import annotations
@@ -83,12 +95,12 @@ def glorot_init(dims: list[int], activations: list[str], rng: np.random.Generato
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Elementwise logistic function, stable on both tails."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
+    # e is exp(-z) where z >= 0 and exp(z) elsewhere, so both branches are
+    # the masked textbook forms bit for bit (NaN included, which -|z| would
+    # turn negative), and neither overflows
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.where(pos, -z, z))
+    return np.where(pos, 1.0, e) / (1.0 + e)
 
 
 def _apply(activation: str, z: np.ndarray) -> np.ndarray:
@@ -128,14 +140,26 @@ def forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[tuple]]:
 
 
 def backward(
-    mlp: Mlp, cache: list[tuple], dy: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray]:
+    mlp: Mlp,
+    cache: list[tuple],
+    dy: np.ndarray,
+    *,
+    out: list[np.ndarray] | None = None,
+    param_grads: bool = True,
+    input_grad: bool = True,
+) -> tuple[list[np.ndarray] | None, np.ndarray | None]:
     """Reverse-mode gradients for a matching forward call.
 
     Returns ([dW0, db0, dW1, ...], dx): parameter gradients summed over the
-    batch, in :func:`mlp_params` order, and the per-row input gradient.  The
-    cache must come from forward on the same network; a structural mismatch
-    raises ValueError.
+    batch, in :func:`mlp_params` order, and the per-row input gradient.
+    ``out``, arrays of those shapes in that order (such as one network's
+    :func:`param_views` of a flat gradient vector), receives the parameter
+    gradients in place and is returned; by default new arrays are made.
+    ``param_grads=False`` skips the parameter gradients and
+    ``input_grad=False`` the input gradient, returning None in their place;
+    what is computed is bitwise the same either way.  The cache must come
+    from forward on the same network; a structural mismatch raises
+    ValueError.
     """
     if len(cache) != len(mlp.layers):
         raise ValueError("cache does not match network depth")
@@ -143,7 +167,8 @@ def backward(
     batch = len(cache[0][0])
     if dy.shape != (batch, mlp.out_dim):
         raise ValueError(f"expected dy of shape ({batch}, {mlp.out_dim}), got {dy.shape}")
-    grads: list[np.ndarray] = [None] * (2 * len(mlp.layers))
+    if param_grads and out is None:
+        out = [np.empty_like(p) for p in mlp_params(mlp)]
     da = dy
     for i in range(len(mlp.layers) - 1, -1, -1):
         layer = mlp.layers[i]
@@ -151,10 +176,12 @@ def backward(
         if x.shape != (batch, layer.in_dim) or z.shape != (batch, layer.out_dim):
             raise ValueError("stale cache: layer shapes do not match")
         dz = _apply_grad(layer.activation, z, a, da)
-        grads[2 * i] = dz.T @ x
-        grads[2 * i + 1] = dz.sum(axis=0)
-        da = dz @ layer.weights
-    return grads, da
+        if param_grads:
+            np.matmul(dz.T, x, out=out[2 * i])
+            dz.sum(axis=0, out=out[2 * i + 1])
+        if i > 0 or input_grad:
+            da = dz @ layer.weights
+    return (out if param_grads else None), (da if input_grad else None)
 
 
 def bce_logits_loss(logit: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -178,12 +205,40 @@ def mlp_params(mlp: Mlp) -> list[np.ndarray]:
     return out
 
 
+def param_views(mlps: list[Mlp], flat: np.ndarray) -> list[list[np.ndarray]]:
+    """Cut ``flat`` into views shaped like each network's :func:`mlp_params`,
+    one list per network, tiling the vector in order with no gap."""
+    views, pos = [], 0
+    for mlp in mlps:
+        views.append([])
+        for param in mlp_params(mlp):
+            views[-1].append(flat[pos : pos + param.size].reshape(param.shape))
+            pos += param.size
+    if pos != flat.size:
+        raise ValueError(f"vector of {flat.size} values does not hold {pos} parameters")
+    return views
+
+
+def bind_params(mlps: list[Mlp]) -> np.ndarray:
+    """Copy the networks' parameters into one new contiguous float64 vector,
+    in :func:`mlp_params` order, and make each layer's ``weights`` and
+    ``bias`` a view of it; returns the vector."""
+    flat = np.empty(sum(p.size for mlp in mlps for p in mlp_params(mlp)))
+    for mlp, views in zip(mlps, param_views(mlps, flat)):
+        for layer, weights, bias in zip(mlp.layers, views[0::2], views[1::2]):
+            weights[...] = layer.weights
+            bias[...] = layer.bias
+            layer.weights, layer.bias = weights, bias
+    return flat
+
+
 @dataclass
 class AdamState:
-    """Per-parameter first/second moment accumulators and step counter."""
+    """First and second moment vectors of one flat parameter vector, and the
+    step counter."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     lr: float = 1e-3
     beta1: float = 0.9
@@ -191,32 +246,52 @@ class AdamState:
     eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: list[np.ndarray], lr: float = 1e-3) -> "AdamState":
-        return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-            lr=lr,
-        )
+    def for_params(cls, params: np.ndarray, lr: float = 1e-3) -> "AdamState":
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params), lr=lr)
 
 
 def adam_step(
-    params: list[np.ndarray], grads: list[np.ndarray], state: AdamState
-) -> tuple[list[np.ndarray], AdamState]:
-    """Standard Adam update with bias correction; mutates params and state in
-    place and returns them.  Non-finite gradients raise DivergenceError."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ValueError("params/grads/state length mismatch")
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError("divergence: non-finite gradient")
+    params: np.ndarray,
+    grads: np.ndarray,
+    state: AdamState,
+    scratch: np.ndarray | None = None,
+) -> tuple[np.ndarray, AdamState]:
+    """Standard Adam update with bias correction over a whole parameter
+    vector, in place; returns params and state.
+
+    ``grads`` is consumed: it is overwritten with the step taken.
+    ``scratch``, a float64 vector at least as long as ``params``, is the
+    only other work space (a new one when None), so optimizers that never
+    run at once can share one.  The arithmetic per element, and its order,
+    is that of the textbook per-tensor form, so the results are bitwise
+    equal to it.  A non-finite gradient raises DivergenceError before
+    anything changes.
+    """
+    if grads.shape != params.shape or state.m.shape != params.shape:
+        raise ValueError("params/grads/state shape mismatch")
+    if not np.isfinite(grads).all():
+        raise DivergenceError("divergence: non-finite gradient")
+    if scratch is None:
+        work = np.empty_like(params)
+    else:
+        work = scratch[: params.size].reshape(params.shape)
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1**state.step
     bc2 = 1.0 - b2**state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    m, v = state.m, state.v
+    m *= b1
+    np.multiply(grads, 1.0 - b1, out=work)
+    m += work
+    v *= b2
+    np.multiply(grads, 1.0 - b2, out=work)
+    work *= grads  # ((1 - b2) * g) * g
+    v += work
+    np.divide(m, bc1, out=grads)  # the numerator, in the consumed gradients
+    grads *= state.lr
+    np.divide(v, bc2, out=work)
+    np.sqrt(work, out=work)
+    work += state.eps
+    grads /= work
+    params -= grads
     return params, state

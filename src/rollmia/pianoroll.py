@@ -151,21 +151,31 @@ class StyleParams:
         return cls(**data)
 
 
-def _pitch_indices_for_class(shape: PianorollShape, pitch_class: int) -> np.ndarray:
-    """All pitch indices whose MIDI pitch falls in the given class."""
-    idx = np.arange(shape.pitches)
-    return idx[(shape.base_midi_pitch + idx) % 12 == pitch_class]
+def _pick_table(shape: PianorollShape) -> np.ndarray:
+    """(octave, pitch class) -> the lowest pitch index of that class at or
+    above 12 * octave, for every octave a roll can draw.
+
+    Class c's indices are r, r + 12, ... with r = (c - base_midi_pitch) mod
+    12, so the pick is 12 * octave + r, which lies in range for every
+    octave below pitches // 12 once pitches >= 12 (checked by the callers).
+    """
+    octaves = np.arange(max(1, shape.pitches // 12))
+    return 12 * octaves[:, None] + (np.arange(12) - shape.base_midi_pitch) % 12
 
 
-def _synth_roll(rng: np.random.Generator, shape: PianorollShape, style: StyleParams) -> np.ndarray:
+def _synth_roll(
+    rng: np.random.Generator, shape: PianorollShape, style: StyleParams, picks: np.ndarray
+) -> np.ndarray:
+    """One roll; ``picks`` is ``_pick_table(shape)``."""
     tracks, bars, steps, pitches = shape.dims()
     total_steps = bars * steps
     cells = np.zeros(shape.dims(), dtype=np.uint8)
 
     root = int(rng.integers(12))
-    # second chord a fourth or fifth above the root
-    shift = int(rng.choice([5, 7]))
-    thirds = [int(rng.choice([3, 4])), int(rng.choice([3, 4]))]
+    # second chord a fourth or fifth above the root; indexing a pair by
+    # integers(2) draws what choice() over the pair draws, at less cost
+    shift = (5, 7)[rng.integers(2)]
+    thirds = [(3, 4)[rng.integers(2)], (3, 4)[rng.integers(2)]]
     chords = [
         [root % 12, (root + thirds[0]) % 12, (root + 7) % 12],
         [(root + shift) % 12, (root + shift + thirds[1]) % 12, (root + shift + 7) % 12],
@@ -173,31 +183,21 @@ def _synth_roll(rng: np.random.Generator, shape: PianorollShape, style: StylePar
     octave = int(rng.integers(max(1, pitches // 12)))
 
     # track 0: chord tones held at every step, chord change at the halfway point
-    chord_track = np.zeros((bars, steps, pitches), dtype=np.uint8)
-    flat_steps = chord_track.reshape(total_steps, pitches)
+    chord_track = cells[0].reshape(total_steps, pitches)
     cut = max(total_steps // 2, 1)
-    for chord, held in ((chords[0], slice(None, cut)), (chords[1], slice(cut, None))):
-        for pc in chord:
-            candidates = _pitch_indices_for_class(shape, pc)
-            register = candidates[candidates >= 12 * octave]
-            pick = register[0] if register.size else candidates[0]
-            flat_steps[held, pick] = 1
-    cells[0] = chord_track
+    chord_track[:cut, picks[octave, chords[0]]] = 1
+    chord_track[cut:, picks[octave, chords[1]]] = 1
 
     if tracks >= 2:
         # track 1: periodic rhythm on the lowest pitch of the root class
         phase = int(rng.integers(style.rhythm_period))
-        rhythm = np.zeros((total_steps, pitches), dtype=np.uint8)
-        low = _pitch_indices_for_class(shape, root)[0]
-        rhythm[phase::style.rhythm_period, low] = 1
-        cells[1] = rhythm.reshape(bars, steps, pitches)
+        cells[1].reshape(total_steps, pitches)[phase::style.rhythm_period, picks[0, root]] = 1
 
     for t in range(2, tracks):
-        cells[t] = np.roll(chord_track, style.transpose, axis=-1)
+        cells[t] = np.roll(cells[0], style.transpose, axis=-1)
 
     if style.ornament_prob > 0.0:
-        ornaments = rng.random(cells.shape) < style.ornament_prob
-        cells = np.where(ornaments, np.uint8(1), cells)
+        cells |= rng.random(cells.shape) < style.ornament_prob
 
     return cells
 
@@ -220,10 +220,11 @@ def synth_generate(
     if shape.pitches < 12:
         raise ConfigError("pitch range too small for pitch classes")
     style = style or StyleParams()
+    picks = _pick_table(shape)
     rolls = np.empty((count, *shape.dims()), dtype=np.uint8)
     for i in range(count):
         rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
-        rolls[i] = _synth_roll(rng, shape, style)
+        rolls[i] = _synth_roll(rng, shape, style, picks)
     return Dataset(shape, rolls, np.arange(count))
 
 
@@ -233,9 +234,10 @@ def synth_sampler(shape: PianorollShape, style: StyleParams | None = None):
     if shape.pitches < 12:
         raise ConfigError("pitch range too small for pitch classes")
     style = style or StyleParams()
+    picks = _pick_table(shape)
 
     def sample(seed) -> np.ndarray:
-        return _synth_roll(np.random.default_rng(seed), shape, style)
+        return _synth_roll(np.random.default_rng(seed), shape, style, picks)
 
     return sample
 
@@ -267,20 +269,6 @@ def flatten(rolls: np.ndarray) -> np.ndarray:
     stack of them."""
     rolls = np.asarray(rolls)
     return rolls.reshape(*rolls.shape[:-4], -1).astype(np.float64)
-
-
-def pitch_class_profile(
-    shape: PianorollShape, roll: np.ndarray, track: int, bar: int, step: int
-) -> np.ndarray:
-    """Count active cells at (track, bar, step) per pitch class (12-vector).
-
-    Class of pitch index p is (base_midi_pitch + p) mod 12.
-    """
-    tracks, bars, steps, _ = shape.dims()
-    if not (0 <= track < tracks and 0 <= bar < bars and 0 <= step < steps):
-        raise IndexError(f"index ({track}, {bar}, {step}) out of range")
-    active = np.nonzero(roll[track, bar, step])[0]
-    return np.bincount((shape.base_midi_pitch + active) % 12, minlength=12).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------

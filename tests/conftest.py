@@ -19,3 +19,18 @@ def make_roll(shape: PianorollShape, on_cells=()):
     for idx in on_cells:
         cells[idx] = 1
     return cells
+
+
+def nan_gradients_from(monkeypatch, iteration: int) -> None:
+    """Make every gradient NaN from training iteration ``iteration`` on, by
+    patching ``nn.adam_step`` (one discriminator step per iteration)."""
+    from rollmia import nn
+
+    real_step = nn.adam_step
+
+    def step(params, grads, state, scratch=None):
+        if state.step + 1 >= iteration:
+            grads[...] = np.nan
+        return real_step(params, grads, state, scratch)
+
+    monkeypatch.setattr(nn, "adam_step", step)

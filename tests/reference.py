@@ -1,0 +1,76 @@
+"""Reference implementations that the array code is checked against.
+
+Each is the plain per-element or per-tensor form of something the package
+computes in bulk: one step's pitch-class profile and tonal centroid, the
+distance between two rolls, the pitch indices of one class, the masked
+logistic function and the per-tensor Adam update.
+"""
+
+import numpy as np
+
+from rollmia import DivergenceError, PianorollShape
+from rollmia.montecarlo import _TONAL_BASIS, features_distance, roll_features
+
+
+def pitch_class_profile(
+    shape: PianorollShape, roll: np.ndarray, track: int, bar: int, step: int
+) -> np.ndarray:
+    """Count active cells at (track, bar, step) per pitch class (12-vector).
+
+    Class of pitch index p is (base_midi_pitch + p) mod 12.
+    """
+    tracks, bars, steps, _ = shape.dims()
+    if not (0 <= track < tracks and 0 <= bar < bars and 0 <= step < steps):
+        raise IndexError(f"index ({track}, {bar}, {step}) out of range")
+    active = np.nonzero(roll[track, bar, step])[0]
+    return np.bincount((shape.base_midi_pitch + active) % 12, minlength=12).astype(np.float64)
+
+
+def step_centroid(profile: np.ndarray) -> np.ndarray:
+    """6-D tonal centroid of one pitch-class profile; empty profiles map to
+    the zero centroid."""
+    total = profile.sum()
+    if total == 0.0:
+        return np.zeros(6)
+    return _TONAL_BASIS @ (profile / total)
+
+
+def distance(metric: str, shape: PianorollShape, a: np.ndarray, b: np.ndarray) -> float:
+    """Distance between two rolls of the given shape under the chosen metric."""
+    return float(
+        features_distance(metric, roll_features(metric, shape, a), roll_features(metric, shape, b))
+    )
+
+
+def pitch_indices_for_class(shape: PianorollShape, pitch_class: int) -> np.ndarray:
+    """All pitch indices whose MIDI pitch falls in the given class."""
+    idx = np.arange(shape.pitches)
+    return idx[(shape.base_midi_pitch + idx) % 12 == pitch_class]
+
+
+def sigmoid_masked(z: np.ndarray) -> np.ndarray:
+    """Logistic function by boolean masks: 1/(1+exp(-z)) where z >= 0, else
+    exp(z)/(1+exp(z))."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def adam_step_per_tensor(params, grads, m, v, step, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Adam with bias correction over lists of tensors, one tensor at a time,
+    updating params, m and v in place; ``step`` is the new step count."""
+    for g in grads:
+        if not np.all(np.isfinite(g)):
+            raise DivergenceError("divergence: non-finite gradient")
+    bc1 = 1.0 - b1**step
+    bc2 = 1.0 - b2**step
+    for p, g, m_t, v_t in zip(params, grads, m, v):
+        m_t *= b1
+        m_t += (1.0 - b1) * g
+        v_t *= b2
+        v_t += (1.0 - b2) * g * g
+        p -= lr * (m_t / bc1) / (np.sqrt(v_t / bc2) + eps)

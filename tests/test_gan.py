@@ -23,8 +23,11 @@ from rollmia import (
     synth_sampler,
     train,
 )
+from rollmia import nn
 from rollmia.gan import NET_BLOCK
-from rollmia.pianoroll import flatten
+from rollmia.pianoroll import SplitSpec, flatten, split
+
+from conftest import nan_gradients_from
 
 SHAPE = PianorollShape(2, 1, 8, 12)
 
@@ -183,6 +186,76 @@ def test_train_divergence_carries_last_checkpoint(tiny_train_set):
         train(tiny_train_set, config)
     err = excinfo.value
     assert err.last_checkpoint is None or isinstance(err.last_checkpoint, Checkpoint)
+    assert "at iteration" in str(err)
+
+
+@pytest.mark.parametrize("nan_from, carried", [(25, 20), (5, None)])
+def test_gradient_divergence_carries_the_saved_checkpoint(
+    tiny_train_set, tmp_path, monkeypatch, nan_from, carried
+):
+    nan_gradients_from(monkeypatch, nan_from)
+    with pytest.raises(DivergenceError, match=f"non-finite gradient at iteration {nan_from}$") as excinfo:
+        train(
+            tiny_train_set,
+            train_config(iterations=40, every=10),
+            checkpoint_sink=lambda c: save_checkpoint(c, tmp_path / f"{c.iteration}.ganc"),
+        )
+    last = excinfo.value.last_checkpoint
+    if carried is None:
+        assert last is None
+        return
+    assert last.iteration == carried
+    # a snapshot that shared the live vectors would hold iteration 24's weights
+    saved = load_checkpoint(tmp_path / f"{carried}.ganc").gan.all_params()
+    for got, want in zip(last.gan.all_params(), saved):
+        assert np.array_equal(got.astype(np.float32), want)
+
+
+def test_model_layers_are_views_of_its_family_vectors(tmp_path):
+    gan = small_gan()
+    path = tmp_path / "c.ganc"
+    save_checkpoint(Checkpoint(1, gan), path)
+    for model in (gan, load_checkpoint(path).gan, gan.snapshot()):
+        families = ((model.generator_mlps(), model.g_params), ([model.discriminator], model.d_params))
+        for mlps, flat in families:
+            params = [p for mlp in mlps for p in nn.mlp_params(mlp)]
+            assert all(np.shares_memory(p, flat) for p in params)
+            assert flat.tobytes() == np.concatenate([p.ravel() for p in params]).tobytes()
+    copy = gan.snapshot()
+    before = copy.g_params.copy(), copy.d_params.copy()
+    gan.g_params += 1.0
+    gan.d_params += 1.0
+    assert copy.g_params.tobytes() == before[0].tobytes()
+    assert copy.d_params.tobytes() == before[1].tobytes()
+
+
+# SHA-256 of the checkpoints of a short desk-shape run, recorded before the
+# training kernel moved to flat parameter vectors; any change to the
+# arithmetic of a step shows here
+PINNED_CHECKPOINT_DIGESTS = {
+    "checkpoint_000020.ganc": "0bf17a0ba825a8c37ed992af8d5a2949bbea6efefec6fa434fb60df70217c832",
+    "checkpoint_000040.ganc": "bd697848d435d100291a3a0a185c8b3b68143c36ab183555e5812ad751a7b5da",
+    "checkpoint_000060.ganc": "e9fba3d7e02a4fab7229b8c881d725250df8626865efd3293bced5129a21da77",
+}
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path, desk_shape):
+    import hashlib
+
+    train_set, _ = split(synth_generate(11, 200, desk_shape), SplitSpec(0.5, 12))
+    config = TrainConfig(
+        iterations=60, batch_size=32, latent_dim=16, lr=1e-3, seed=13, checkpoint_every=20
+    )
+    train(
+        train_set,
+        config,
+        checkpoint_sink=lambda c: save_checkpoint(c, tmp_path / f"checkpoint_{c.iteration:06d}.ganc"),
+    )
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in PINNED_CHECKPOINT_DIGESTS
+    }
+    assert digests == PINNED_CHECKPOINT_DIGESTS
 
 
 def test_checkpoint_roundtrip(tiny_train_set, tmp_path):

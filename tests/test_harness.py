@@ -8,6 +8,7 @@ import pytest
 from rollmia import (
     Checkpoint,
     ConfigError,
+    DivergenceError,
     MetricsRow,
     PianorollShape,
     SplitSpec,
@@ -34,6 +35,8 @@ from rollmia.harness import (
     write_lines,
 )
 from rollmia.montecarlo import EpsilonHeuristic, McConfig
+
+from conftest import nan_gradients_from
 
 
 def tiny_config_dict(out_dir, count=80, iterations=40, every=20):
@@ -285,6 +288,24 @@ def test_failed_stage_manifest(tmp_path):
     assert manifest["failed_stage"] == "dataset"
     assert manifest["stages"]["dataset"] == "failed"
     assert "error" in manifest
+
+
+@pytest.mark.parametrize("nan_from, last_good", [(25, 20), (15, None)])
+def test_divergence_manifest_names_the_last_good_checkpoint(tmp_path, monkeypatch, nan_from, last_good):
+    nan_gradients_from(monkeypatch, nan_from)
+    config = parse_experiment_config(tiny_config_dict(tmp_path / "run"))
+    with pytest.raises(DivergenceError, match=f"iteration {nan_from}"):
+        run_experiment(config)
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["failed_stage"] == "train"
+    assert manifest["last_good_iteration"] == last_good
+    saved = sorted(p.name for p in (tmp_path / "run" / "checkpoints").iterdir())
+    assert saved == ([] if last_good is None else [f"checkpoint_{last_good:06d}.ganc"])
+
+
+def test_successful_manifest_has_no_divergence_key(finished_run):
+    _, _, manifest = finished_run
+    assert "last_good_iteration" not in manifest
 
 
 class HalfWriter:

@@ -14,13 +14,11 @@ from rollmia import (
     PianorollShape,
     TrainConfig,
     build_stash,
-    distance,
     epsilon_from_heuristic,
     flatten,
     g_sample,
     mc_score,
     oracle_generate,
-    pitch_class_profile,
     run_mc_trials,
     stash_seeds,
     synth_generate,
@@ -36,10 +34,10 @@ from rollmia.montecarlo import (
     features_distance,
     _squared_euclidean,
     roll_features,
-    step_centroid,
 )
 
 from conftest import make_roll
+from reference import distance, pitch_class_profile, step_centroid
 
 SHAPE = PianorollShape(2, 1, 8, 12)
 

@@ -14,7 +14,9 @@ from rollmia import (
     bce_logits_loss,
     forward,
 )
-from rollmia.nn import glorot_init, mlp_params, sigmoid
+from rollmia.nn import bind_params, glorot_init, mlp_params, param_views, sigmoid
+
+from reference import adam_step_per_tensor, sigmoid_masked
 
 
 def identity_layer(n, activation="linear"):
@@ -173,37 +175,105 @@ def test_bce_non_negative():
 
 
 def test_adam_zero_grad_fixed_point():
-    params = [np.array([1.0, -2.0]), np.array([[3.0]])]
-    before = [p.copy() for p in params]
+    params = np.array([1.0, -2.0, 3.0])
+    before = params.copy()
     state = AdamState.for_params(params, lr=0.5)
-    adam_step(params, [np.zeros_like(p) for p in params], state)
+    adam_step(params, np.zeros_like(params), state)
     assert state.step == 1
-    for p, b in zip(params, before):
-        assert np.array_equal(p, b)
+    assert np.array_equal(params, before)
 
 
 def test_adam_first_step_magnitude():
-    params = [np.array([0.0])]
+    params = np.array([0.0])
     state = AdamState.for_params(params, lr=0.1)
-    adam_step(params, [np.array([1.0])], state)
-    assert math.isclose(params[0][0], -0.1, rel_tol=1e-6)
+    adam_step(params, np.array([1.0]), state)
+    assert math.isclose(params[0], -0.1, rel_tol=1e-6)
 
 
 def test_adam_constant_grad_monotone():
-    params = [np.array([0.0])]
+    params = np.array([0.0])
     state = AdamState.for_params(params, lr=0.05)
     history = [0.0]
     for _ in range(20):
-        adam_step(params, [np.array([2.0])], state)
-        history.append(float(params[0][0]))
+        adam_step(params, np.array([2.0]), state)  # the gradients are consumed
+        history.append(float(params[0]))
     assert all(b < a for a, b in zip(history, history[1:]))
 
 
 def test_adam_divergence_error():
-    params = [np.array([0.0])]
+    params = np.array([0.5, 0.0])
     state = AdamState.for_params(params)
     with pytest.raises(DivergenceError, match="divergence"):
-        adam_step(params, [np.array([np.nan])], state)
+        adam_step(params, np.array([1.0, np.nan]), state)
+    # nothing moves before the check
+    assert state.step == 0 and not state.m.any() and not state.v.any()
+    assert params.tolist() == [0.5, 0.0]
+
+
+def test_flat_adam_matches_per_tensor_reference():
+    # discriminator-shaped parameters (768 -> 128 -> 1): one in-place update
+    # over the bound vector against the per-tensor form, bit for bit
+    rng = np.random.default_rng(21)
+    mlp = glorot_init([768, 128, 1], ["relu", "linear"], rng)
+    ref_params = [p.copy() for p in mlp_params(mlp)]
+    ref_m = [np.zeros_like(p) for p in ref_params]
+    ref_v = [np.zeros_like(p) for p in ref_params]
+    flat = bind_params([mlp])
+    state = AdamState.for_params(flat, lr=2e-3)
+    scratch = np.empty(flat.size + 7)  # longer than the vector, as when shared
+    for step in range(1, 51):
+        grads = [rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3) for p in ref_params]
+        adam_step(flat, np.concatenate([g.ravel() for g in grads]), state, scratch)
+        adam_step_per_tensor(ref_params, grads, ref_m, ref_v, step, lr=2e-3)
+    assert state.step == 50
+    for got, want in ((flat, ref_params), (state.m, ref_m), (state.v, ref_v)):
+        assert got.tobytes() == np.concatenate([w.ravel() for w in want]).tobytes()
+
+
+def test_backward_skips_give_the_same_consumed_arrays():
+    rng = np.random.default_rng(5)
+    mlp = glorot_init([6, 9, 7, 4], ["relu", "sigmoid", "tanh"], rng)
+    _, cache = forward(mlp, rng.standard_normal((5, 6)))
+    dy = rng.standard_normal((5, 4))
+    grads, dx = backward(mlp, cache, dy)
+
+    flat = np.full(sum(p.size for p in grads), np.nan)
+    (views,) = param_views([mlp], flat)
+    into, no_dx = backward(mlp, cache, dy, out=views, input_grad=False)
+    assert into is views and no_dx is None
+    assert flat.tobytes() == np.concatenate([g.ravel() for g in grads]).tobytes()
+
+    no_grads, only_dx = backward(mlp, cache, dy, param_grads=False)
+    assert no_grads is None
+    assert only_dx.tobytes() == dx.tobytes()
+
+
+def test_bound_views_tile_their_vector():
+    rng = np.random.default_rng(6)
+    mlps = [glorot_init([5, 7, 3], ["relu", "linear"], rng), glorot_init([3, 4], ["tanh"], rng)]
+    before = [p.copy() for mlp in mlps for p in mlp_params(mlp)]
+    flat = bind_params(mlps)
+    params = [p for mlp in mlps for p in mlp_params(mlp)]
+    assert flat.dtype == np.float64 and flat.flags.c_contiguous
+    assert flat.size == sum(p.size for p in before)
+    for p, b in zip(params, before):
+        assert np.shares_memory(p, flat) and np.array_equal(p, b)
+    # distinct values read back in order: every element is covered once
+    flat[:] = np.arange(flat.size)
+    assert np.array_equal(np.concatenate([p.ravel() for p in params]), np.arange(flat.size))
+    grads = np.empty_like(flat)
+    views = [v for per_mlp in param_views(mlps, grads) for v in per_mlp]
+    assert [v.shape for v in views] == [p.shape for p in params]
+    assert all(np.shares_memory(v, grads) for v in views)
+    with pytest.raises(ValueError, match="parameters"):
+        param_views(mlps, np.empty(flat.size + 1))
+
+
+def test_sigmoid_matches_masked_form():
+    z = np.array([0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan, 36.7, -36.7, 1e-300])
+    z = np.concatenate([z, np.random.default_rng(8).standard_normal(1000) * 40.0])
+    with np.errstate(invalid="ignore"):
+        assert sigmoid(z).tobytes() == sigmoid_masked(z).tobytes()
 
 
 def test_sigmoid_tails():

@@ -11,15 +11,16 @@ from rollmia import (
     SplitSpec,
     StyleParams,
     flatten,
-    pitch_class_profile,
     read_dataset,
     split,
     synth_generate,
     synth_sampler,
     write_dataset,
 )
+from rollmia.pianoroll import _pick_table
 
 from conftest import make_roll
+from reference import pitch_class_profile, pitch_indices_for_class
 
 
 def test_shape_validation():
@@ -65,6 +66,28 @@ def test_synth_pitch_range_too_small():
         synth_generate(1, 1, shape)
     with pytest.raises(ConfigError, match="pitch range too small"):
         synth_sampler(shape)
+
+
+def test_pick_table_matches_pitch_indices_for_class():
+    for base in range(12):
+        for pitches in range(12, 61):
+            shape = PianorollShape(1, 1, 1, pitches, base_midi_pitch=base)
+            table = _pick_table(shape)
+            assert table.shape == (max(1, pitches // 12), 12)
+            for pc in range(12):
+                candidates = pitch_indices_for_class(shape, pc)
+                for octave in range(len(table)):
+                    register = candidates[candidates >= 12 * octave]
+                    pick = register[0] if register.size else candidates[0]
+                    assert table[octave, pc] == pick
+                assert table[0, pc] == candidates[0]  # the rhythm track's pitch
+
+
+def test_pair_pick_draws_what_choice_draws():
+    for seed in range(2000):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert (5, 7)[a.integers(2)] == b.choice([5, 7])
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_synth_sampler_matches_distribution(desk_shape):
