@@ -139,13 +139,19 @@ def g_sample(gan: ComposerGan, z: np.ndarray) -> np.ndarray:
 def d_score(gan: ComposerGan, rolls: np.ndarray) -> np.ndarray:
     """Raw discriminator logits of a (k, tracks, bars, steps, pitches) stack
     as a (k,) float64 vector; larger means more training-set-like.  Rolls are
-    flattened and scored in blocks of NET_BLOCK."""
+    flattened and scored in blocks of NET_BLOCK, each cast into one float64
+    block buffer reused for the whole stack."""
     rolls = np.asarray(rolls)
     if rolls.shape[1:] != gan.shape.dims():
         raise ConfigError("rolls shape does not match the model")
+    flat = rolls.reshape(len(rolls), gan.shape.cells)
     out = np.empty(len(rolls))
+    buffer = np.empty((min(NET_BLOCK, len(rolls)), gan.shape.cells))
     for start in range(0, len(rolls), NET_BLOCK):
-        logits, _ = nn.forward(gan.discriminator, flatten(rolls[start : start + NET_BLOCK]))
+        block = flat[start : start + NET_BLOCK]
+        x = buffer[: len(block)]
+        np.copyto(x, block)
+        logits, _ = nn.forward(gan.discriminator, x)
         out[start : start + NET_BLOCK] = logits[:, 0]
     return out
 

@@ -62,6 +62,7 @@ from .pianoroll import (
     StyleParams,
     atomic_open,
     read_dataset,
+    seeded_generators,
     split,
     synth_generate,
     write_dataset,
@@ -394,13 +395,21 @@ def checkpoint_scorer(gan: ComposerGan):
 
 
 def checkpoint_sampler(gan: ComposerGan):
-    """Seed array -> binarized generator samples: the per-seed latent draws
-    ``default_rng(seed).standard_normal(latent_dim)``, stacked, then one
-    blocked generator pass."""
+    """uint64 seed array -> binarized generator samples: each seed's latent
+    row is the stream of ``default_rng(seed)``, drawn as
+    ``standard_normal(latent_dim)``, then one blocked generator pass.
+
+    A seed's entropy is its two little-endian uint32 halves; a seed below
+    2**32 is one word under ``default_rng``, and a zero high word hashes as
+    an absent one, so the streams agree.
+    """
 
     def sample(seeds: np.ndarray) -> np.ndarray:
-        draws = [np.random.default_rng(s).standard_normal(gan.latent_dim) for s in seeds.tolist()]
-        return g_sample(gan, np.stack(draws))
+        entropy = np.ascontiguousarray(seeds, dtype="<u8").view("<u4").reshape(len(seeds), 2)
+        z = np.empty((len(seeds), gan.latent_dim))
+        for row, rng in zip(z, seeded_generators(entropy)):
+            rng.standard_normal(out=row)
+        return g_sample(gan, z)
 
     return sample
 

@@ -16,6 +16,10 @@ stash draws, a (2M, n) array of distances, then epsilon, scores and the
 top-M selection on whole arrays.  Euclidean distances come from one
 candidate x stash Gram product per trial, exact in float32 because the cells
 are 0/1; tonal distances are measured per candidate on its drawn rows.
+
+Candidate i of a trial draws the stream that ``default_rng`` gives on the
+trial's i-th candidate SeedSequence child; one ``pianoroll.seeded_generators``
+pass derives the streams of all 2M candidates.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .pianoroll import Dataset, PianorollShape
+from .pianoroll import Dataset, PianorollShape, entropy_words, indexed_entropy, seeded_generators
 
 EUCLIDEAN = "euclidean_raw"
 TONAL = "tonal_centroid"
@@ -274,12 +278,21 @@ def _squared_euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _query_distances(metric: str, candidates: np.ndarray, stash: np.ndarray, n: int, seeds) -> np.ndarray:
-    """(k, n) distances from each of k candidate features to ``n`` stash rows
-    drawn without replacement by ``default_rng(seed)``, one seed per candidate."""
-    drawn = np.stack(
-        [np.random.default_rng(seed).choice(len(stash), size=n, replace=False) for seed in seeds]
-    )
+def _stash_draws(stash_size: int, n: int, entropy: np.ndarray) -> np.ndarray:
+    """(k, n) stash indices, row r drawn without replacement by the Generator
+    that ``default_rng`` gives on the assembled entropy words ``entropy[r]``."""
+    drawn = np.empty((len(entropy), n), dtype=np.int64)
+    for row, rng in zip(drawn, seeded_generators(entropy)):
+        row[:] = rng.choice(stash_size, size=n, replace=False)
+    return drawn
+
+
+def _query_distances(
+    metric: str, candidates: np.ndarray, stash: np.ndarray, n: int, entropy: np.ndarray
+) -> np.ndarray:
+    """(k, n) distances from each of k candidate features to its ``n`` stash
+    rows drawn by ``_stash_draws``."""
+    drawn = _stash_draws(len(stash), n, entropy)
     if metric == EUCLIDEAN:
         squared = np.take_along_axis(_squared_euclidean(candidates, stash), drawn, axis=1)
         return np.sqrt(squared, out=squared)
@@ -294,7 +307,8 @@ def mc_score(
     epsilon: float,
     seed,
 ) -> float:
-    """Fraction of n seeded stash draws within ``epsilon`` of the candidate."""
+    """Fraction of n stash draws within ``epsilon`` of the candidate, drawn
+    by ``default_rng(seed)``."""
     if epsilon < 0.0:
         raise ConfigError("epsilon must be >= 0")
     if config.n_per_query > len(stash):
@@ -304,7 +318,7 @@ def mc_score(
         roll_features(config.metric, shape, np.asarray(candidate)[None]),
         roll_features(config.metric, shape, stash),
         config.n_per_query,
-        [seed],
+        np.array([entropy_words(seed)]),
     )
     return float(np.mean(dists <= epsilon))
 
@@ -342,12 +356,13 @@ def run_mc_trials(
         train_idx = rng.choice(len(train_rolls), size=m, replace=False)
         test_idx = rng.choice(len(test_rolls), size=m, replace=False)
         ids = np.concatenate([train_rolls.ids[train_idx], test_rolls.ids[test_idx]])
+        # candidate i draws with candidate_root's i-th spawned child
         dists = _query_distances(
             config.metric,
             np.concatenate([train_feats[train_idx], test_feats[test_idx]]),
             stash_feats,
             config.n_per_query,
-            candidate_root.spawn(2 * m),
+            indexed_entropy(entropy_words(candidate_root.entropy, candidate_root.spawn_key), 2 * m),
         )
 
         means = dists.mean(axis=1)

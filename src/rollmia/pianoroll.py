@@ -6,6 +6,11 @@ of rolls is one C-contiguous uint8 array of shape
 stable ids; generation, splitting, flattening and file I/O all act on the
 whole array.  Everything here is a pure function of its seed, so identical
 calls reproduce identical bytes.
+
+Each item of a seeded batch (a synthetic roll here, an MC candidate's stash
+draw, a stash sample's latent row) draws the stream that
+``np.random.default_rng`` on its own entropy would give;
+``seeded_generators`` derives those streams for the whole batch at once.
 """
 
 from __future__ import annotations
@@ -151,6 +156,137 @@ class StyleParams:
         return cls(**data)
 
 
+# ---------------------------------------------------------------------------
+# Seeded batches.  The PCG64 seeds of a whole batch are hashed in one
+# vectorized pass that reproduces numpy's SeedSequence bit for bit (NEP 19
+# keeps that algorithm stable), so building an item's Generator costs only
+# PCG64's own seeding.
+# ---------------------------------------------------------------------------
+
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _int_words(entropy) -> list[int]:
+    """uint32 words of a non-negative int, least significant first, or of a
+    sequence of them, concatenated; raises what SeedSequence raises."""
+    if isinstance(entropy, (int, np.integer)):
+        value = int(entropy)
+        if value < 0:
+            raise ValueError("expected non-negative integer")
+        words = [value & _MASK32]
+        while value > _MASK32:
+            value >>= 32
+            words.append(value & _MASK32)
+        return words
+    if isinstance(entropy, (str, bytes, float, np.inexact)) or not hasattr(entropy, "__iter__"):
+        raise TypeError(f"seed must be integer, not {entropy!r}")
+    return [word for item in entropy for word in _int_words(item)]
+
+
+def entropy_words(entropy, spawn_key=()) -> list[int]:
+    """The uint32 words that ``SeedSequence(entropy, spawn_key=spawn_key)``
+    hashes: the run entropy, zero-padded to the pool size when a spawn key
+    follows, then the spawn key.  ``entropy`` is an int or a sequence of
+    ints, each non-negative."""
+    words = _int_words(entropy)
+    key = _int_words(spawn_key)
+    if key and len(words) < _POOL_SIZE:
+        words += [0] * (_POOL_SIZE - len(words))
+    return words + key
+
+
+def indexed_entropy(prefix: list[int], count: int) -> np.ndarray:
+    """(count, len(prefix) + 1) uint32 rows ``prefix + [i]``: the entropy of
+    items ``(..., i)`` for ``i < count``, one word each."""
+    rows = np.empty((count, len(prefix) + 1), dtype=np.uint32)
+    rows[:, :-1] = prefix
+    rows[:, -1] = np.arange(count)
+    return rows
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The SeedSequence hash constant and its next ``count`` values, as a
+    uint32 column; they evolve independently of the data, so every row of a
+    batch shares them."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix applied ``len(consts) - 1`` times in turn, the
+    j-th with constants j and j + 1: a (k,) vector is hashed once per step,
+    an (n, k) array row by row."""
+    out = values ^ consts[:-1]
+    out *= consts[1:]
+    out ^= out >> 16
+    return out
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * _MIX_MULT_L
+    out -= y * _MIX_MULT_R
+    out ^= out >> 16
+    return out
+
+
+def seed_states(entropy: np.ndarray) -> np.ndarray:
+    """(k, 4) uint64: row r is ``generate_state(4, np.uint64)`` of the
+    SeedSequence whose assembled entropy (``entropy_words``) is
+    ``entropy[r]``, for a (k, L) uint32 matrix of such words.
+
+    Up to the pool size, trailing zero words hash as absent ones, so rows of
+    at most 4 words may be zero-extended to a common length; beyond it every
+    word counts.
+    """
+    words = np.ascontiguousarray(np.asarray(entropy, dtype=np.uint32).T)
+    length, k = words.shape
+    extra = max(0, length - _POOL_SIZE)
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * extra)
+    pool = np.zeros((_POOL_SIZE, k), dtype=np.uint32)
+    pool[: min(length, _POOL_SIZE)] = words[:_POOL_SIZE]
+    pool = _hashmix(pool, consts[: _POOL_SIZE + 1])
+    used = _POOL_SIZE
+    # mix all bits together so late words affect earlier ones
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[used : used + _POOL_SIZE]))
+        used += _POOL_SIZE - 1
+    # words beyond the pool are mixed into every pool word
+    for src in range(_POOL_SIZE, length):
+        pool = _mix(pool, _hashmix(words[src], consts[used : used + _POOL_SIZE + 1]))
+        used += _POOL_SIZE
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_constants(_INIT_B, _MULT_B, 8))
+    low, high = state[0::2].astype(np.uint64), state[1::2].astype(np.uint64)
+    return np.ascontiguousarray((low | high << np.uint64(32)).T)
+
+
+class _SeedState(np.random.bit_generator.ISeedSequence):
+    """A precomputed ``generate_state(4, np.uint64)`` row, handed to PCG64,
+    whose own C seeding then runs unchanged."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a seed state row holds 4 uint64 words")
+        return self.state
+
+
+def seeded_generators(entropy: np.ndarray):
+    """One Generator per row of a (k, L) uint32 matrix of assembled entropy
+    words (``entropy_words``), each drawing what ``np.random.default_rng``
+    gives on that entropy, yielded one at a time."""
+    for state in seed_states(entropy):
+        yield np.random.Generator(np.random.PCG64(_SeedState(state)))
+
+
 def _pick_table(shape: PianorollShape) -> np.ndarray:
     """(octave, pitch class) -> the lowest pitch index of that class at or
     above 12 * octave, for every octave a roll can draw.
@@ -212,7 +348,8 @@ def synth_generate(
 
     Each roll draws a root pitch class, a two-chord progression on track 0 and
     a periodic rhythm on track 1; further tracks copy track 0 transposed.
-    Roll i depends only on (seed, i, shape, style), so prefixes agree across
+    Roll i draws the stream of ``default_rng(SeedSequence((seed, i)))``, so
+    it depends only on (seed, i, shape, style) and prefixes agree across
     different counts.
     """
     if count < 1:
@@ -222,8 +359,7 @@ def synth_generate(
     style = style or StyleParams()
     picks = _pick_table(shape)
     rolls = np.empty((count, *shape.dims()), dtype=np.uint8)
-    for i in range(count):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
+    for i, rng in enumerate(seeded_generators(indexed_entropy(entropy_words(seed), count))):
         rolls[i] = _synth_roll(rng, shape, style, picks)
     return Dataset(shape, rolls, np.arange(count))
 

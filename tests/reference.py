@@ -3,13 +3,16 @@
 Each is the plain per-element or per-tensor form of something the package
 computes in bulk: one step's pitch-class profile and tonal centroid, the
 distance between two rolls, the pitch indices of one class, the masked
-logistic function and the per-tensor Adam update.
+logistic function, the per-tensor Adam update, and the per-item Generators
+(one ``default_rng`` per synthetic roll, MC candidate or latent row) that
+the seeded batches reproduce.
 """
 
 import numpy as np
 
-from rollmia import DivergenceError, PianorollShape
+from rollmia import DivergenceError, PianorollShape, StyleParams
 from rollmia.montecarlo import _TONAL_BASIS, features_distance, roll_features
+from rollmia.pianoroll import _pick_table, _synth_roll
 
 
 def pitch_class_profile(
@@ -74,3 +77,32 @@ def adam_step_per_tensor(params, grads, m, v, step, lr, b1=0.9, b2=0.999, eps=1e
         v_t *= b2
         v_t += (1.0 - b2) * g * g
         p -= lr * (m_t / bc1) / (np.sqrt(v_t / bc2) + eps)
+
+
+def synth_rolls_per_roll(seed, count: int, shape: PianorollShape) -> np.ndarray:
+    """Synthetic rolls with the default style, roll i drawn by
+    ``default_rng(SeedSequence((seed, i)))``."""
+    picks = _pick_table(shape)
+    return np.stack([
+        _synth_roll(np.random.default_rng(np.random.SeedSequence((seed, i))), shape, StyleParams(), picks)
+        for i in range(count)
+    ])
+
+
+def candidate_draws(seed, trials: int, m: int, stash_size: int, n: int) -> list[np.ndarray]:
+    """Per trial, the (2m, n) stash draws of its candidates: candidate i
+    draws ``n`` of ``stash_size`` rows without replacement with
+    ``default_rng`` on the i-th of ``candidate_root.spawn(2 * m)``."""
+    draws = []
+    for trial_ss in np.random.SeedSequence(seed).spawn(trials):
+        _record_ss, candidate_root = trial_ss.spawn(2)
+        draws.append(np.stack([
+            np.random.default_rng(child).choice(stash_size, size=n, replace=False)
+            for child in candidate_root.spawn(2 * m)
+        ]))
+    return draws
+
+
+def latent_rows(seeds: np.ndarray, latent_dim: int) -> np.ndarray:
+    """One latent row per seed, ``default_rng(seed).standard_normal(latent_dim)``."""
+    return np.stack([np.random.default_rng(s).standard_normal(latent_dim) for s in seeds.tolist()])

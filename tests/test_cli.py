@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rollmia
 from rollmia import harness
 from rollmia.cli import main
 from rollmia.pianoroll import read_dataset
@@ -309,6 +314,32 @@ def test_exit_code_scorer_failure(cli_workspace, tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: scorer failed on members: overflow in d_score"]
     assert not out.exists()
+
+
+def test_negative_seeds_exit_2(cli_workspace, tmp_path, capsys):
+    root, _, train, test = cli_workspace
+    capsys.readouterr()
+    assert run(["dataset", "gen", "--out", tmp_path / "d.prd", "--count", 3, "--seed", -1]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: expected non-negative integer"]
+    assert not (tmp_path / "d.prd").exists()
+    code = run(
+        ["attack", "mc", "--oracle", "p=1,sigma=0", "--train", train, "--test", test,
+         "--stash", 20, "--n", 5, "--subset", 2, "--trials", 1, "--seed", -1,
+         "--out", tmp_path / "mc.csv"]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == ["error: expected non-negative integer"]
+    assert not (tmp_path / "mc.csv").exists()
+
+
+def test_python_m_rollmia_runs_the_cli():
+    src = Path(rollmia.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "rollmia", "--help"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: rollmia")
 
 
 def test_bad_oracle_specs(cli_workspace, tmp_path):

@@ -37,7 +37,7 @@ from rollmia.montecarlo import (
 )
 
 from conftest import make_roll
-from reference import distance, pitch_class_profile, step_centroid
+from reference import candidate_draws, distance, latent_rows, pitch_class_profile, step_centroid
 
 SHAPE = PianorollShape(2, 1, 8, 12)
 
@@ -282,6 +282,25 @@ def test_checkpoint_sampler_matches_per_seed_stash():
     assert np.array_equal(batched, per_seed)
 
 
+def test_checkpoint_sampler_latents_match_per_seed_reference(monkeypatch):
+    from rollmia import gan as gan_module, harness
+
+    gan = gan_module.build_gan(SHAPE, 5, seed=3)
+    latents = []
+
+    def recording_g_sample(model, z):
+        latents.append(z.copy())
+        return gan_module.g_sample(model, z)
+
+    monkeypatch.setattr(harness, "g_sample", recording_g_sample)
+    # a seed below 2**32 is one entropy word under default_rng, two halves here
+    edge = np.array([0, 2**32 - 1, 2**32, 2**64 - 1, 1, 2**63], dtype=np.uint64)
+    for seeds in (edge, stash_seeds(300, (9, 40))):
+        rolls = checkpoint_sampler(gan)(seeds)
+        assert np.array_equal(latents[-1], latent_rows(seeds, 5))
+        assert np.array_equal(rolls, gan_module.g_sample(gan, latent_rows(seeds, 5)))
+
+
 def test_stash_seeds_reject_empty_stash():
     with pytest.raises(ConfigError):
         stash_seeds(0, 1)
@@ -486,6 +505,38 @@ def test_run_mc_trials_deterministic(small_population):
     assert [t.epsilon for t in a.trials] == [t.epsilon for t in b.trials]
     assert a.single_mi_accuracy == np.mean([t.single_accuracy for t in a.trials])
     assert a.set_mi_correct_fraction == np.mean([t.set_correct for t in a.trials])
+
+
+@pytest.mark.parametrize("seed", [11, 2**32 + 5, 2**128 + 3])
+def test_run_mc_trials_draws_match_per_candidate_reference(small_population, monkeypatch, seed):
+    from rollmia import montecarlo
+
+    train, test = id_blocks(small_population, 30, 30)
+    stash = build_stash(synth_sampler(small_population.shape), 50, seed=3)
+    config = mc_config(stash_size=50, n_per_query=20, subset_size=12, trials=3, seed=seed)
+    draws = []
+    real_draws = montecarlo._stash_draws
+
+    def recording(stash_size, n, entropy):
+        draws.append(real_draws(stash_size, n, entropy))
+        return draws[-1]
+
+    monkeypatch.setattr(montecarlo, "_stash_draws", recording)
+    run_mc_trials(train, test, stash, config)
+    expected = candidate_draws(seed, trials=3, m=12, stash_size=50, n=20)
+    assert len(draws) == 3
+    for got, want in zip(draws, expected):
+        assert np.array_equal(got, want)
+
+
+def test_mc_rejects_negative_seed(small_population):
+    train, test = id_blocks(small_population, 10, 10)
+    stash = build_stash(synth_sampler(small_population.shape), 20, seed=0)
+    config = mc_config(stash_size=20, n_per_query=5, subset_size=2, trials=1, seed=-1)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        run_mc_trials(train, test, stash, config)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        mc_score(small_population.shape, train.rolls[0], stash, config, 1.0, seed=-4)
 
 
 def test_run_mc_trials_preconditions(small_population):

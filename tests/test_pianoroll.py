@@ -17,10 +17,18 @@ from rollmia import (
     synth_sampler,
     write_dataset,
 )
-from rollmia.pianoroll import _pick_table
+from rollmia.pianoroll import (
+    _pick_table,
+    entropy_words,
+    indexed_entropy,
+    seed_states,
+    seeded_generators,
+)
 
 from conftest import make_roll
-from reference import pitch_class_profile, pitch_indices_for_class
+from reference import pitch_class_profile, pitch_indices_for_class, synth_rolls_per_roll
+
+SEED_CASES = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**96 + 5)
 
 
 def test_shape_validation():
@@ -81,6 +89,68 @@ def test_pick_table_matches_pitch_indices_for_class():
                     pick = register[0] if register.size else candidates[0]
                     assert table[octave, pc] == pick
                 assert table[0, pc] == candidates[0]  # the rhythm track's pitch
+
+
+def _seedsequence_cases():
+    """(entropy, spawn_key) pairs: single ints, (seed, i) tuples, 1 to 9
+    words of entropy, and spawned children at depth 1 to 3 with spawn-key
+    entries at and above 2**32."""
+    cases = [(seed, ()) for seed in SEED_CASES]
+    cases += [((seed, i), ()) for seed in SEED_CASES for i in (0, 1, 2**32 - 1, 2**32 + 3)]
+    cases += [(list(range(1, words + 1)), ()) for words in range(1, 10)]
+    cases += [(2**(32 * (words - 1)) + 7, ()) for words in range(1, 10)]
+    for seed in SEED_CASES + ((3, 4, 5, 6, 7),):
+        for key in ((0,), (2**32,), (1, 2**40 + 9), (2**32 - 1, 5, 2**64 - 1)):
+            cases.append((seed, key))
+    return cases
+
+
+def test_seed_rows_match_seedsequence():
+    for entropy, key in _seedsequence_cases():
+        words = entropy_words(entropy, key)
+        expected = np.random.SeedSequence(entropy, spawn_key=key).generate_state(4, np.uint64)
+        assert np.array_equal(seed_states(np.array([words]))[0], expected), (entropy, key)
+        rng, = seeded_generators(np.array([words]))
+        ref = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=key))
+        assert rng.choice(1000, size=5, replace=False).tolist() == ref.choice(1000, size=5, replace=False).tolist()
+        assert rng.standard_normal() == ref.standard_normal()
+        assert rng.integers(2**63) == ref.integers(2**63)
+    # spawned children, by numpy's own spawn, at depth 1 to 3
+    for seed in (5, 2**64 - 1, 2**128 + 1):
+        node = np.random.SeedSequence(seed)
+        for _depth in range(3):
+            children = node.spawn(3)
+            rows = np.array([entropy_words(c.entropy, c.spawn_key) for c in children])
+            expected = [c.generate_state(4, np.uint64) for c in children]
+            assert np.array_equal(seed_states(rows), np.stack(expected))
+            node = children[-1]
+
+
+def test_indexed_entropy_rows_match_seedsequence():
+    for seed in SEED_CASES:
+        states = seed_states(indexed_entropy(entropy_words(seed), 40))
+        for i, state in enumerate(states):
+            assert np.array_equal(state, np.random.SeedSequence((seed, i)).generate_state(4, np.uint64))
+
+
+def test_entropy_words_reject_what_seedsequence_rejects():
+    for bad in (-1, np.int64(-3), (4, -1), [1, [2, -5]]):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            np.random.SeedSequence(bad)
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            entropy_words(bad)
+    with pytest.raises(ValueError):
+        entropy_words(3, spawn_key=(-2,))
+    for bad in (1.5, (1.5, 2), "7", None):
+        with pytest.raises(TypeError):
+            entropy_words(bad)
+
+
+def test_synth_generate_matches_per_roll_reference():
+    shape = PianorollShape(2, 1, 8, 24)
+    # a seed >= 2**96 fills the pool, so (seed, i) has words beyond it
+    for seed in SEED_CASES + (2**128 + 1,):
+        assert np.array_equal(synth_generate(seed, 12, shape).rolls, synth_rolls_per_roll(seed, 12, shape))
 
 
 def test_pair_pick_draws_what_choice_draws():
