@@ -51,7 +51,6 @@ from .montecarlo import (
 )
 from .harness import (
     ExperimentConfig,
-    ReportTable,
     SyntheticSpec,
     emit_reports,
     load_experiment_config,
@@ -73,6 +72,6 @@ __all__ = [
     "WbAttackResult", "rank_scores", "run_whitebox", "run_whitebox_sets",
     "EpsilonHeuristic", "McConfig", "McResult", "build_stash", "stash_seeds",
     "epsilon_from_heuristic", "mc_score", "run_mc_trials",
-    "SyntheticSpec", "ExperimentConfig", "ReportTable", "emit_reports",
+    "SyntheticSpec", "ExperimentConfig", "emit_reports",
     "load_experiment_config", "run_experiment",
 ]

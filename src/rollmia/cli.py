@@ -14,7 +14,6 @@ The Monte Carlo stash is seeded by ``(seed, checkpoint iteration)``, or
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -35,11 +34,13 @@ from .gan import (
 from .harness import (
     MC_HEADER,
     WB_HEADER,
+    checkpoint_name,
     checkpoint_sampler,
     checkpoint_scorer,
     load_experiment_config,
     mc_csv_line,
     mc_row,
+    read_config_file,
     report_from_dir,
     run_experiment,
     wb_csv_line,
@@ -104,12 +105,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_train(args) -> int:
-    try:
-        data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
-    if data.get("schema_version") != 1:
-        raise ConfigError("train config needs schema_version 1")
+    data = read_config_file(args.config)
     try:
         dataset = read_dataset(data["dataset"]["path"])
         config = TrainConfig.from_dict(data["train"])
@@ -119,7 +115,7 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def sink(ckpt: Checkpoint) -> None:
-        path = out_dir / f"checkpoint_{ckpt.iteration:06d}.ganc"
+        path = out_dir / checkpoint_name(ckpt.iteration)
         save_checkpoint(ckpt, path)
         print(f"checkpoint {ckpt.iteration} -> {path}")
 

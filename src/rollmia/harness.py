@@ -24,6 +24,14 @@ seeded per id or per seed, are wrapped into the same shapes by their caller.
 For such models ``whitebox.run_whitebox`` and ``montecarlo.build_stash``
 keep their per-row forms, as thin adapters onto the same ranking and the
 same stash seeds, so there is one ranking and one seed rule.
+
+Each kind of file a run reads or writes has one definition here, shared
+with ``cli``: ``read_config_file`` decodes a config for ``experiment run``
+and ``train``, ``checkpoint_name`` names a checkpoint file, and ``TABLES``
+lists each attack table as (file, section title, CSV header) in report
+order.  ``emit_reports`` writes every table that has rows and one
+report.md section for it; ``report_from_dir``, behind ``rollmia report``,
+renders the same sections from the files.  A new table is one entry there.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, FormatError
 from .gan import (
     CHECKPOINT_VERSION,
     Checkpoint,
@@ -119,18 +127,36 @@ def _shape_from_dict(d: dict) -> PianorollShape:
     )
 
 
+def _check_schema(data, source: str) -> None:
+    """Raise ConfigError unless ``data``, read from ``source``, is a JSON
+    object at ``CONFIG_SCHEMA_VERSION``."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{source} is not a JSON object")
+    if "schema_version" not in data:
+        raise ConfigError("config missing schema_version")
+    if data["schema_version"] != CONFIG_SCHEMA_VERSION:
+        raise ConfigError(f"unsupported config schema_version {data['schema_version']}")
+
+
+def read_config_file(path: str | Path) -> dict:
+    """Decode a JSON config file, for ``experiment run`` or ``train``, and
+    check that it is an object at ``CONFIG_SCHEMA_VERSION``."""
+    path = Path(path)
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    _check_schema(data, f"config {path}")
+    return data
+
+
 def parse_experiment_config(data: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from decoded JSON, with schema checking.
 
     A relative ``dataset.path`` or ``output_dir`` is kept as given, so it
     resolves against the working directory of the run.
     """
-    try:
-        version = data["schema_version"]
-    except KeyError as exc:
-        raise ConfigError("config missing schema_version") from exc
-    if version != CONFIG_SCHEMA_VERSION:
-        raise ConfigError(f"unsupported config schema_version {version}")
+    _check_schema(data, "config")
     try:
         dataset = data["dataset"]
         synthetic = None
@@ -169,12 +195,7 @@ def parse_experiment_config(data: dict) -> ExperimentConfig:
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return parse_experiment_config(data)
+    return parse_experiment_config(read_config_file(path))
 
 
 def config_echo(config: ExperimentConfig) -> dict:
@@ -223,6 +244,13 @@ def config_hash(config: ExperimentConfig) -> str:
 WB_HEADER = "iterations,success_rate,accuracy,precision,recall,fpr,f1"
 MC_HEADER = "epochs,single_mi_accuracy,set_mi_accuracy,heuristic,metric,trials"
 
+# (file, report.md section title, CSV header) of each attack table, in report
+# order.  ``emit_reports`` writes them and ``report_from_dir`` re-renders them.
+TABLES = (
+    ("wb_metrics.csv", "White-box discriminator attack", WB_HEADER),
+    ("mc_metrics.csv", "Monte Carlo attack", MC_HEADER),
+)
+
 
 @dataclass(frozen=True)
 class McRow:
@@ -232,17 +260,6 @@ class McRow:
     heuristic: str
     metric: str
     trials: int
-
-
-@dataclass
-class ReportTable:
-    kind: str  # "whitebox" | "montecarlo"
-    rows: list
-    provenance: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in ("whitebox", "montecarlo"):
-            raise ConfigError(f"unknown table kind {self.kind!r}")
 
 
 def wb_csv_line(row: MetricsRow) -> str:
@@ -266,106 +283,67 @@ def write_lines(path: str | Path, lines: list[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _md_table(header: str, lines: list[str]) -> list[str]:
+def _section(title: str, header: str, lines: list[str]) -> list[str]:
+    """A report section: the title, then the CSV lines as a Markdown table."""
     cols = header.split(",")
-    out = ["| " + " | ".join(cols) + " |", "|" + "---|" * len(cols)]
-    for line in lines:
-        out.append("| " + " | ".join(line.split(",")) + " |")
+    out = [f"## {title}", "", "| " + " | ".join(cols) + " |", "|" + "---|" * len(cols)]
+    out += ["| " + " | ".join(line.split(",")) + " |" for line in lines]
     return out
 
 
-def emit_reports(tables: list[ReportTable], output_dir: str | Path) -> list[Path]:
-    """Write wb_metrics.csv / mc_metrics.csv / success_vs_iteration.csv and
-    report.md for the given tables; returns the written paths."""
-    if not tables:
-        raise ConfigError("no tables to report")
-    output_dir = Path(output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    wb_tables = [t for t in tables if t.kind == "whitebox"]
-    mc_tables = [t for t in tables if t.kind == "montecarlo"]
-    for table in tables:
-        if not table.rows:
-            raise ConfigError("no rows")
+def emit_reports(
+    output_dir: str | Path, provenance: dict, wb_rows: list[MetricsRow], mc_rows: list[McRow]
+) -> list[Path]:
+    """Write each table of ``TABLES`` that has rows, success_vs_iteration.csv
+    and report.md, headed by ``provenance``; returns the written paths."""
+    if not (wb_rows or mc_rows):
+        raise ConfigError("no rows: no tables to report")
+    md = ["# Attack report", ""] + [f"- {key}: {provenance[key]}" for key in sorted(provenance)]
+    md += [""] if provenance else []
+    files: dict[str, list[str]] = {}
+    table_lines = ([wb_csv_line(r) for r in wb_rows], [mc_csv_line(r) for r in mc_rows])
+    for (name, title, header), lines in zip(TABLES, table_lines):
+        if lines:
+            files[name] = [header] + lines
+            md += _section(title, header, lines) + [""]
 
-    md: list[str] = ["# Attack report", ""]
-    provenance = tables[0].provenance
-    for key in sorted(provenance):
-        md.append(f"- {key}: {provenance[key]}")
-    if provenance:
-        md.append("")
-
-    wb_lines: list[str] = []
-    if wb_tables:
-        for table in wb_tables:
-            wb_lines.extend(wb_csv_line(r) for r in table.rows)
-        path = output_dir / "wb_metrics.csv"
-        write_lines(path, [WB_HEADER] + wb_lines)
-        written.append(path)
-        md += ["## White-box discriminator attack", ""]
-        md += _md_table(WB_HEADER, wb_lines)
-        degenerate = [r.iteration for t in wb_tables for r in t.rows if r.degenerate]
-        if degenerate:
-            md += ["", f"Degenerate (0/0) metrics reported as 0.0 at iterations: {degenerate}"]
-        md.append("")
-
-    mc_lines: list[str] = []
-    if mc_tables:
-        for table in mc_tables:
-            mc_lines.extend(mc_csv_line(r) for r in table.rows)
-        path = output_dir / "mc_metrics.csv"
-        write_lines(path, [MC_HEADER] + mc_lines)
-        written.append(path)
-        md += ["## Monte Carlo attack", ""]
-        md += _md_table(MC_HEADER, mc_lines)
-        md.append("")
-
-    # success-vs-iteration series (one row per checkpoint)
+    # one row per checkpoint, from each table's first row for it: of several
+    # MC configs, the first config's
     series_header = ["iterations"]
     series: dict[int, list[str]] = {}
-    if wb_tables:
-        series_header.append("whitebox_success_rate")
-        for row in wb_tables[0].rows:
-            series.setdefault(row.iteration, []).append(f"{row.success_rate:.3f}")
-    if mc_tables:
-        series_header.append("single_mi_accuracy")
-        first_mc = mc_tables[0].rows
-        # keep only the first MC config's series when several are configured
-        seen: set[int] = set()
-        for row in first_mc:
-            if row.iteration in seen:
-                continue
-            seen.add(row.iteration)
-            series.setdefault(row.iteration, []).append(f"{row.single_mi_accuracy:.3f}")
-    series_lines = [
+    for column, points in (
+        ("whitebox_success_rate", [(r.iteration, r.success_rate) for r in wb_rows]),
+        ("single_mi_accuracy", [(r.iteration, r.single_mi_accuracy) for r in mc_rows]),
+    ):
+        if points:
+            series_header.append(column)
+            for iteration, value in dict(reversed(points)).items():
+                series.setdefault(iteration, []).append(f"{value:.3f}")
+    files["success_vs_iteration.csv"] = [",".join(series_header)] + [
         ",".join([str(it)] + vals) for it, vals in sorted(series.items())
     ]
-    path = output_dir / "success_vs_iteration.csv"
-    write_lines(path, [",".join(series_header)] + series_lines)
-    written.append(path)
-
-    report_path = output_dir / "report.md"
-    write_lines(report_path, md)
-    written.append(report_path)
-    return written
+    files["report.md"] = md
+    output_dir = Path(output_dir)
+    output_dir.mkdir(parents=True, exist_ok=True)
+    for name, lines in files.items():
+        write_lines(output_dir / name, lines)
+    return [output_dir / name for name in files]
 
 
 def report_from_dir(in_dir: str | Path, fmt: str) -> str:
-    """Re-render the tables found in a finished run directory."""
+    """Re-render the tables of a finished run directory: as the CSV files,
+    or as the same sections report.md holds."""
     in_dir = Path(in_dir)
     if fmt not in ("csv", "md"):
         raise ConfigError("format must be csv or md")
     sections = []
-    for name, title in (("wb_metrics.csv", "White-box discriminator attack"),
-                        ("mc_metrics.csv", "Monte Carlo attack")):
+    for name, title, _header in TABLES:
         path = in_dir / name
-        if not path.exists():
-            continue
-        lines = path.read_text(encoding="utf-8").strip().splitlines()
-        if fmt == "csv":
-            sections.append("\n".join(lines))
-        else:
-            sections.append("\n".join([f"## {title}", ""] + _md_table(lines[0], lines[1:])))
+        if path.exists():
+            lines = path.read_text(encoding="utf-8").strip().splitlines()
+            if not lines:
+                raise FormatError(f"empty table {path}")
+            sections.append("\n".join(lines if fmt == "csv" else _section(title, lines[0], lines[1:])))
     if not sections:
         raise ConfigError(f"no report tables found in {in_dir}")
     return "\n\n".join(sections) + "\n"
@@ -386,6 +364,12 @@ def _platform_info() -> dict:
         "machine": platform.machine(),
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS")),
     }
+
+
+def checkpoint_name(iteration: int) -> str:
+    """File name of the checkpoint saved at ``iteration``, by
+    ``run_experiment`` and ``rollmia train``."""
+    return f"checkpoint_{iteration:06d}.ganc"
 
 
 def checkpoint_scorer(gan: ComposerGan):
@@ -530,7 +514,7 @@ def run_experiment(config: ExperimentConfig, force: bool = False) -> dict:
         ckpt_paths: list[Path] = []
 
         def sink(ckpt: Checkpoint) -> None:
-            ckpt_paths.append(ckpt_dir / f"checkpoint_{ckpt.iteration:06d}.ganc")
+            ckpt_paths.append(ckpt_dir / checkpoint_name(ckpt.iteration))
             save_checkpoint(ckpt, ckpt_paths[-1])
 
         train(train_set, config.train, checkpoint_sink=sink)
@@ -563,12 +547,7 @@ def run_experiment(config: ExperimentConfig, force: bool = False) -> dict:
             "split_seed": config.split.seed,
             "train_seed": config.train.seed,
         }
-        tables = []
-        if wb_rows:
-            tables.append(ReportTable("whitebox", wb_rows, provenance))
-        if mc_rows:
-            tables.append(ReportTable("montecarlo", mc_rows, provenance))
-        written = emit_reports(tables, out)
+        written = emit_reports(out, provenance, wb_rows, mc_rows)
         manifest["outputs"] += [p.name for p in written]
         finish_stage(stage)
     except Exception as exc:

@@ -21,6 +21,7 @@ import os
 import struct
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -149,10 +150,21 @@ class StyleParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "StyleParams":
-        known = {"rhythm_period", "ornament_prob", "transpose"}
-        unknown = set(data) - known
+        """Build from a config's "style" block.  Values are type-checked, not
+        coerced, so a parsed config echoes them as given; a bool is not a
+        number here."""
+        kinds = {
+            "rhythm_period": (Integral, "an integer"),
+            "ornament_prob": (Real, "a real number"),
+            "transpose": (Integral, "an integer"),
+        }
+        unknown = set(data) - set(kinds)
         if unknown:
             raise ConfigError(f"unknown style keys: {sorted(unknown)}")
+        for key, value in data.items():
+            kind, noun = kinds[key]
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"style {key} must be {noun}, got {value!r}")
         return cls(**data)
 
 

@@ -349,3 +349,34 @@ def test_bad_oracle_specs(cli_workspace, tmp_path):
             ["attack", "wb", "--oracle", spec, "--train", train, "--test", test,
              "--out", tmp_path / "o.csv"]
         ) == 2
+
+
+@pytest.mark.parametrize("top", [[1, 2], "config", 3.5], ids=["list", "string", "number"])
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, top):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(top))
+    capsys.readouterr()
+    for verb in (["experiment", "run"], ["train", "--out-dir", tmp_path / "ck"]):
+        assert run([*verb, "--config", config]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: config {config} is not a JSON object"]
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("key, value", [("rhythm_period", 2.5), ("transpose", 1.5)])
+def test_style_value_that_is_not_an_integer_exits_2_before_any_output(tmp_path, capsys, key, value):
+    data = json.loads((Path(__file__).resolve().parents[1] / "configs" / "default.json").read_text())
+    data["dataset"]["synthetic"]["style"][key] = value
+    data["output_dir"] = str(tmp_path / "run")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(["experiment", "run", "--config", config]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: style {key} must be an integer, got {value!r}"]
+    assert not (tmp_path / "run").exists()
+
+
+def test_report_on_an_empty_table_exits_3(tmp_path, capsys):
+    (tmp_path / "wb_metrics.csv").write_text("")
+    capsys.readouterr()
+    assert run(["report", "--in-dir", tmp_path]) == 3
+    assert capsys.readouterr().err.splitlines() == [f"error: empty table {tmp_path / 'wb_metrics.csv'}"]

@@ -3,11 +3,13 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rollmia import (
     Checkpoint,
     ConfigError,
+    Dataset,
     DivergenceError,
     MetricsRow,
     PianorollShape,
@@ -23,15 +25,16 @@ from rollmia import (
     write_dataset,
 )
 from rollmia import pianoroll
+from rollmia.cli import main as cli_main
 from rollmia.harness import (
     ExperimentConfig,
     McRow,
-    ReportTable,
     _write_manifest,
     config_echo,
     config_hash,
     parse_experiment_config,
     report_from_dir,
+    whitebox_row,
     write_lines,
 )
 from rollmia.montecarlo import EpsilonHeuristic, McConfig
@@ -132,9 +135,7 @@ def test_label_constraints(tmp_path):
 def test_emit_reports_exact_lines(tmp_path):
     row = MetricsRow(1000, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5)
     mc = McRow(20000, 0.501, 1.0, "median", "euclidean", 1)
-    paths = emit_reports(
-        [ReportTable("whitebox", [row]), ReportTable("montecarlo", [mc])], tmp_path
-    )
+    paths = emit_reports(tmp_path, {}, [row], [mc])
     wb = (tmp_path / "wb_metrics.csv").read_text().splitlines()
     assert wb[0] == "iterations,success_rate,accuracy,precision,recall,fpr,f1"
     assert wb[1] == "1000,0.500,0.500,0.500,0.500,0.500,0.500"
@@ -153,9 +154,9 @@ def test_emit_reports_exact_lines(tmp_path):
 
 def test_emit_reports_empty_table(tmp_path):
     with pytest.raises(ConfigError, match="no rows"):
-        emit_reports([ReportTable("whitebox", [])], tmp_path)
+        emit_reports(tmp_path, {}, [], [])
     with pytest.raises(ConfigError, match="no tables"):
-        emit_reports([], tmp_path)
+        emit_reports(tmp_path, {"label": "custom"}, [], [])
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +224,50 @@ def test_attack_tables_are_pinned(finished_run):
         name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PINNED_TABLE_DIGESTS
     }
     assert digests == PINNED_TABLE_DIGESTS
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# SHA-256 of the tiny run's report.md and of ``rollmia report`` on it,
+# recorded before ``emit_reports`` and ``report_from_dir`` came to share one
+# table spec.  The config hash in report.md covers the run's temporary output
+# path, so report.md is hashed with that hash replaced by "CONFIG_HASH".
+PINNED_REPORT_DIGESTS = {
+    "report.md": "ba4015602a45e6a46955f4c987c05e20ef1cb6ab82a4bdf4bf925641944afa13",
+    "report --format md": "c505ff637dbead6de2c2cdd9141ead11e4f559cc56260e46eb7e381b538a2a6e",
+    "report --format csv": "e808021b320d78501621e98e513b4fe9cc1d3f9b82c2c39604d91f3f30830e5e",
+}
+
+
+def test_report_bytes_are_pinned(finished_run, capsys):
+    out, config, _ = finished_run
+    report = (out / "report.md").read_text(encoding="utf-8")
+    assert f"- config_hash: {config_hash(config)}\n" in report
+    digests = {"report.md": _sha256(report.replace(config_hash(config), "CONFIG_HASH"))}
+    for fmt in ("md", "csv"):
+        capsys.readouterr()
+        assert cli_main(["report", "--in-dir", str(out), "--format", fmt]) == 0
+        digests[f"report --format {fmt}"] = _sha256(capsys.readouterr().out)
+    assert digests == PINNED_REPORT_DIGESTS
+
+
+# success_vs_iteration.csv of the tiny run with a second, tonal MC config,
+# whose single-MI accuracies differ from the first's at both checkpoints: the
+# series takes each checkpoint's row of the first MC config only.
+PINNED_TWO_MC_SERIES_DIGEST = "dd96ab58b444297faf56746dfef0817d097182c218559145da6d0aa18e5d30d2"
+
+
+def test_series_follows_the_first_mc_config(tmp_path):
+    data = tiny_config_dict(tmp_path / "run")
+    data["attacks"]["mc"].append(dict(data["attacks"]["mc"][0], metric="tonal", heuristic="p:0.1"))
+    run_experiment(parse_experiment_config(data))
+    series = (tmp_path / "run" / "success_vs_iteration.csv").read_text()
+    mc_rows = (tmp_path / "run" / "mc_metrics.csv").read_text().splitlines()[1:]
+    first = [r.split(",") for r in mc_rows if r.split(",")[4] == "euclidean"]
+    assert [line.split(",")[2] for line in series.splitlines()[1:]] == [r[1] for r in first]
+    assert _sha256(series) == PINNED_TWO_MC_SERIES_DIGEST
 
 
 @pytest.mark.parametrize(
@@ -424,3 +469,33 @@ def test_packaged_configs_parse():
         if config.label == "overfitted":
             assert config.split.train_fraction == 0.1
             assert config.train.iterations == 10 * 2000
+
+
+@pytest.mark.parametrize("n_members, n_nonmembers", [(1, 1), (1, 5), (5, 1)])
+@pytest.mark.parametrize("members_first", [True, False])
+def test_whitebox_row_is_never_degenerate(n_members, n_nonmembers, members_first):
+    """Top-N labels |members| candidates: tp+fp = tp+fn = |members| >= 1 and
+    fp+tn = |nonmembers| >= 1, as no Dataset is empty, so even constant
+    scores leave no 0/0 metric."""
+    pool = synth_generate(3, n_members + n_nonmembers, SHAPE_2X8)
+    ids = pool.ids
+    member_ids = ids[:n_members] if members_first else ids[n_nonmembers:]
+    is_member = np.isin(ids, member_ids)
+    members = Dataset(SHAPE_2X8, pool.rolls[is_member], ids[is_member])
+    nonmembers = Dataset(SHAPE_2X8, pool.rolls[~is_member], ids[~is_member])
+    row = whitebox_row(lambda set_ids, _rolls: np.zeros(len(set_ids)), 7, members, nonmembers)
+    assert not row.degenerate
+    assert row.success_rate == (1.0 if members_first else max(0, n_members - n_nonmembers) / n_members)
+
+
+def test_style_values_are_checked_not_coerced(tmp_path):
+    data = tiny_config_dict(tmp_path)
+    data["dataset"]["synthetic"]["style"] = {"rhythm_period": 3, "ornament_prob": 0, "transpose": -2}
+    style = config_echo(parse_experiment_config(data))["dataset"]["synthetic"]["style"]
+    assert style == {"rhythm_period": 3, "ornament_prob": 0, "transpose": -2}
+    assert type(style["ornament_prob"]) is int
+    for key, value in (("rhythm_period", 2.5), ("transpose", 1.5), ("transpose", False),
+                       ("ornament_prob", True), ("ornament_prob", None)):
+        data["dataset"]["synthetic"]["style"] = {key: value}
+        with pytest.raises(ConfigError, match=f"style {key} must be"):
+            parse_experiment_config(data)
