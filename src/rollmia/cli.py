@@ -165,7 +165,7 @@ def cmd_attack_mc(args) -> int:
     config = McConfig.from_dict(dict(
         stash_size=args.stash, n_per_query=args.n, heuristic=args.heuristic, metric=args.metric,
         subset_size=args.subset, trials=args.trials, seed=args.seed,
-    ))
+    ), "attack mc")
 
     def from_oracle(text, train_set):
         spec = _parse_oracle(text, ("p", "sigma"))

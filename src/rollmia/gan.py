@@ -38,7 +38,7 @@ import numpy as np
 
 from . import nn
 from .errors import ConfigError, DivergenceError, FormatError
-from .pianoroll import Dataset, PianorollShape, atomic_open, flatten
+from .pianoroll import Dataset, PianorollShape, atomic_open, check_config_block, flatten
 
 CHECKPOINT_MAGIC = b"GANC"
 CHECKPOINT_VERSION = 1
@@ -178,17 +178,16 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        """Build from a config's "train" block; a missing or mistyped key
-        raises KeyError, TypeError or ValueError for the caller to report."""
-        return cls(
-            iterations=int(data["iterations"]),
-            batch_size=int(data["batch_size"]),
-            latent_dim=int(data["latent_dim"]),
-            lr=float(data["lr"]),
-            seed=int(data["seed"]),
-            checkpoint_every=int(data["checkpoint_every"]),
-            d_steps_per_g_step=int(data.get("d_steps_per_g_step", 1)),
-        )
+        """Build from a config's "train" block.  An unknown or missing key, or
+        a value that is not an integer (for lr, a real number), raises
+        ConfigError; lr is then made a float."""
+        kinds = {
+            "iterations": int, "batch_size": int, "latent_dim": int, "lr": float,
+            "seed": int, "checkpoint_every": int, "d_steps_per_g_step": int,
+        }
+        # every key is required but the last, d_steps_per_g_step
+        check_config_block(data, "train", kinds, required=tuple(kinds)[:-1])
+        return cls(**{key: kinds[key](value) for key, value in data.items()})
 
 
 @dataclass

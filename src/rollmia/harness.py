@@ -69,6 +69,7 @@ from .pianoroll import (
     SplitSpec,
     StyleParams,
     atomic_open,
+    check_config_block,
     read_dataset,
     seeded_generators,
     split,
@@ -129,11 +130,16 @@ def _shape_from_dict(d: dict) -> PianorollShape:
 
 def _check_schema(data, source: str) -> None:
     """Raise ConfigError unless ``data``, read from ``source``, is a JSON
-    object at ``CONFIG_SCHEMA_VERSION``."""
+    object at ``CONFIG_SCHEMA_VERSION`` whose top-level keys are all known
+    and of their kinds."""
     if not isinstance(data, dict):
         raise ConfigError(f"{source} is not a JSON object")
     if "schema_version" not in data:
         raise ConfigError("config missing schema_version")
+    check_config_block(data, "config", {
+        "schema_version": int, "label": str, "dataset": dict, "split": dict, "train": dict,
+        "attacks": dict, "output_dir": str,
+    })
     if data["schema_version"] != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"unsupported config schema_version {data['schema_version']}")
 
@@ -159,10 +165,18 @@ def parse_experiment_config(data: dict) -> ExperimentConfig:
     _check_schema(data, "config")
     try:
         dataset = data["dataset"]
+        check_config_block(dataset, "dataset", {"synthetic": dict, "path": str})
         synthetic = None
         dataset_path = None
         if "synthetic" in dataset:
             s = dataset["synthetic"]
+            check_config_block(
+                s,
+                "dataset.synthetic",
+                {"count": int, "tracks": int, "bars": int, "steps_per_bar": int, "pitches": int,
+                 "base_midi_pitch": int, "seed": int, "style": dict},
+                required=("count", "tracks", "bars", "steps_per_bar", "pitches", "seed"),
+            )
             synthetic = SyntheticSpec(
                 count=int(s["count"]),
                 shape=_shape_from_dict(s),
@@ -173,13 +187,20 @@ def parse_experiment_config(data: dict) -> ExperimentConfig:
             dataset_path = Path(dataset["path"])
         else:
             raise ConfigError("dataset must give 'synthetic' params or a 'path'")
+        check_config_block(
+            data["split"], "split", {"train_fraction": float, "seed": int},
+            required=("train_fraction", "seed"),
+        )
         split_spec = SplitSpec(
             train_fraction=float(data["split"]["train_fraction"]),
             seed=int(data["split"]["seed"]),
         )
         train_config = TrainConfig.from_dict(data["train"])
         attacks = data.get("attacks", {})
-        mc_configs = [McConfig.from_dict(m) for m in attacks.get("mc", [])]
+        check_config_block(attacks, "attacks", {"whitebox": bool, "mc": list})
+        mc_configs = [
+            McConfig.from_dict(m, f"attacks.mc[{i}]") for i, m in enumerate(attacks.get("mc", []))
+        ]
         return ExperimentConfig(
             label=data.get("label", "custom"),
             split=split_spec,
@@ -187,7 +208,7 @@ def parse_experiment_config(data: dict) -> ExperimentConfig:
             output_dir=Path(data["output_dir"]),
             synthetic=synthetic,
             dataset_path=dataset_path,
-            whitebox=bool(attacks.get("whitebox", True)),
+            whitebox=attacks.get("whitebox", True),
             mc=mc_configs,
         )
     except (KeyError, TypeError, ValueError) as exc:

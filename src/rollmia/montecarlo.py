@@ -11,11 +11,19 @@ that set, and the set-level decision labels whichever side contributed more
 records.  Both are averaged over repeated trials so the
 set-level answer is a frequency rather than a one-shot 0/1 outcome.
 
-A trial is one array pipeline over its 2M candidates: a (2M, n) array of
-stash draws, a (2M, n) array of distances, then epsilon, scores and the
-top-M selection on whole arrays.  Euclidean distances come from one
-candidate x stash Gram product per trial, exact in float32 because the cells
-are 0/1; tonal distances are measured per candidate on its drawn rows.
+A trial is one array pipeline over its 2M candidates: their features, a
+(2M, n) array of stash draws, a (2M, n) array of distances, then epsilon,
+scores and the top-M selection on whole arrays.  Features are computed for
+the 2M drawn candidates only, not for every roll of either side.  Euclidean
+distances come from one candidate x stash Gram product per trial, exact in
+float32 because the cells are 0/1.  Tonal distances come from one kernel
+over the six centroid components, each a contiguous (stash size, steps)
+plane: per block of candidates it gathers a plane's drawn rows, subtracts
+the candidate's plane, squares, and adds the six terms in component order,
+then takes the root and the mean over steps.  That order is the order in
+which ``np.linalg.norm`` sums a length-6 last axis, so the distances equal
+the per-candidate norm of the stacked features bit for bit; a regrouped sum
+would not.
 
 Candidate i of a trial draws the stream that ``default_rng`` gives on the
 trial's i-th candidate SeedSequence child; one ``pianoroll.seeded_generators``
@@ -31,7 +39,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .pianoroll import Dataset, PianorollShape, entropy_words, indexed_entropy, seeded_generators
+from .pianoroll import (
+    Dataset,
+    PianorollShape,
+    check_config_block,
+    entropy_words,
+    indexed_entropy,
+    seeded_generators,
+)
 
 EUCLIDEAN = "euclidean_raw"
 TONAL = "tonal_centroid"
@@ -108,10 +123,18 @@ class McConfig:
             raise ConfigError("trials must be >= 1")
 
     @classmethod
-    def from_dict(cls, data: dict) -> "McConfig":
-        """Build from one entry of a config's "attacks.mc" list, with the
-        metric and heuristic given by their labels; a missing or mistyped key
-        raises KeyError, TypeError or ValueError for the caller to report."""
+    def from_dict(cls, data: dict, block: str) -> "McConfig":
+        """Build from the MC attack block at key path ``block``, such as one
+        entry of a config's "attacks.mc" list, with the metric and heuristic
+        given by their labels.  An unknown or missing key, or a mistyped
+        value, raises ConfigError naming ``block``."""
+        check_config_block(
+            data,
+            block,
+            {"stash_size": int, "n_per_query": int, "heuristic": str, "metric": str,
+             "subset_size": int, "trials": int, "seed": int},
+            required=("stash_size", "n_per_query", "subset_size", "trials", "seed"),
+        )
         metric_label = data.get("metric", "euclidean")
         if metric_label not in METRIC_FROM_LABEL:
             raise ConfigError(f"unknown mc metric {metric_label!r}")
@@ -223,18 +246,6 @@ def roll_features(metric: str, shape: PianorollShape, rolls: np.ndarray) -> np.n
     raise ConfigError(f"unknown metric {metric!r}")
 
 
-def features_distance(metric: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distance between one candidate feature and a stack of features.
-
-    ``b`` may be a single feature or a leading-axis stack; returns a scalar
-    array or a vector accordingly.
-    """
-    if metric == EUCLIDEAN:
-        return np.linalg.norm(b - a, axis=-1)
-    # tonal: mean over steps of per-step centroid distances
-    return np.linalg.norm(b - a, axis=-1).mean(axis=-1)
-
-
 def epsilon_from_heuristic(distances: Sequence[float], heuristic: EpsilonHeuristic) -> float:
     """Select the threshold from observed distances.
 
@@ -287,6 +298,44 @@ def _stash_draws(stash_size: int, n: int, entropy: np.ndarray) -> np.ndarray:
     return drawn
 
 
+# float64 elements in each of the tonal kernel's two block buffers (512 KB
+# each); a block holds as many candidates' (n, steps) terms as fit, at least one
+PLANE_BLOCK = 1 << 16
+
+
+def _tonal_distances(candidates: np.ndarray, stash: np.ndarray, drawn: np.ndarray) -> np.ndarray:
+    """(k, n) mean per-step centroid distances from each of k candidates'
+    (steps, 6) features to the stash rows ``drawn[i]``, over blocks of
+    candidates on the six component planes.
+
+    The six squared terms are summed in sequence, ((((t0+t1)+t2)+t3)+t4)+t5,
+    as ``np.linalg.norm`` sums them, so every distance is bit for bit
+    ``norm(stash[drawn[i]] - candidates[i], axis=-1).mean(axis=-1)``.
+    """
+    k, n = drawn.shape
+    steps = stash.shape[1]
+    planes = np.ascontiguousarray(np.moveaxis(stash, -1, 0))
+    candidate_planes = np.moveaxis(candidates, -1, 0)
+    block = max(1, PLANE_BLOCK // (n * steps))
+    total = np.empty((min(block, k), n, steps))
+    term = np.empty_like(total)
+    out = np.empty((k, n))
+    for start in range(0, k, block):
+        rows = drawn[start : start + block]
+        acc, part = total[: len(rows)], term[: len(rows)]
+        for c, (plane, candidate_plane) in enumerate(zip(planes, candidate_planes)):
+            dest = part if c else acc
+            # draws are in range; "clip" lets take write into dest unbuffered
+            np.take(plane, rows, axis=0, out=dest, mode="clip")
+            dest -= candidate_plane[start : start + len(rows), None, :]
+            np.multiply(dest, dest, out=dest)
+            if c:
+                acc += part
+        np.sqrt(acc, out=acc)
+        np.mean(acc, axis=-1, out=out[start : start + len(rows)])
+    return out
+
+
 def _query_distances(
     metric: str, candidates: np.ndarray, stash: np.ndarray, n: int, entropy: np.ndarray
 ) -> np.ndarray:
@@ -296,7 +345,7 @@ def _query_distances(
     if metric == EUCLIDEAN:
         squared = np.take_along_axis(_squared_euclidean(candidates, stash), drawn, axis=1)
         return np.sqrt(squared, out=squared)
-    return np.stack([features_distance(metric, c, stash[d]) for c, d in zip(candidates, drawn)])
+    return _tonal_distances(candidates, stash, drawn)
 
 
 def mc_score(
@@ -344,8 +393,6 @@ def run_mc_trials(
         raise ConfigError("train, test, and stash must share a shape")
 
     stash_feats = roll_features(config.metric, shape, stash)
-    train_feats = roll_features(config.metric, shape, train_rolls.rolls)
-    test_feats = roll_features(config.metric, shape, test_rolls.rolls)
     origin = np.repeat([0, 1], m)  # 0 = train, 1 = test
 
     trials: list[McTrial] = []
@@ -357,9 +404,10 @@ def run_mc_trials(
         test_idx = rng.choice(len(test_rolls), size=m, replace=False)
         ids = np.concatenate([train_rolls.ids[train_idx], test_rolls.ids[test_idx]])
         # candidate i draws with candidate_root's i-th spawned child
+        candidates = np.concatenate([train_rolls.rolls[train_idx], test_rolls.rolls[test_idx]])
         dists = _query_distances(
             config.metric,
-            np.concatenate([train_feats[train_idx], test_feats[test_idx]]),
+            roll_features(config.metric, shape, candidates),
             stash_feats,
             config.n_per_query,
             indexed_entropy(entropy_words(candidate_root.entropy, candidate_root.spawn_key), 2 * m),

@@ -125,6 +125,38 @@ class SplitSpec:
             raise ConfigError("train_fraction must be in (0, 1)")
 
 
+# kinds of config values and their names in errors: ``int`` is an integer,
+# ``float`` a real number, an integer included; a bool is neither
+_CONFIG_KINDS = {
+    int: (Integral, "an integer"),
+    float: (Real, "a real number"),
+    bool: (bool, "true or false"),
+    str: (str, "a string"),
+    dict: (dict, "an object"),
+    list: (list, "a list"),
+}
+
+
+def check_config_block(data, block: str, kinds: dict, required: tuple = ()) -> None:
+    """Raise ConfigError unless ``data``, the config block at key path
+    ``block``, is an object whose keys all appear in ``kinds``, holding every
+    key of ``required``, with each value of its kind (one of ``int``,
+    ``float``, ``bool``, ``str``, ``dict``, ``list``).  Values are checked,
+    not coerced; each error names the block and the key."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{block} must be an object, got {data!r}")
+    for key in data:
+        if key not in kinds:
+            raise ConfigError(f"unknown {block} key {key!r}")
+    for key in required:
+        if key not in data:
+            raise ConfigError(f"{block} is missing {key!r}")
+    for key, value in data.items():
+        kind, noun = _CONFIG_KINDS[kinds[key]]
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+            raise ConfigError(f"{block} {key} must be {noun}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class StyleParams:
     """Knobs for the synthetic generator.
@@ -151,20 +183,8 @@ class StyleParams:
     @classmethod
     def from_dict(cls, data: dict) -> "StyleParams":
         """Build from a config's "style" block.  Values are type-checked, not
-        coerced, so a parsed config echoes them as given; a bool is not a
-        number here."""
-        kinds = {
-            "rhythm_period": (Integral, "an integer"),
-            "ornament_prob": (Real, "a real number"),
-            "transpose": (Integral, "an integer"),
-        }
-        unknown = set(data) - set(kinds)
-        if unknown:
-            raise ConfigError(f"unknown style keys: {sorted(unknown)}")
-        for key, value in data.items():
-            kind, noun = kinds[key]
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ConfigError(f"style {key} must be {noun}, got {value!r}")
+        coerced, so a parsed config echoes them as given."""
+        check_config_block(data, "style", {"rhythm_period": int, "ornament_prob": float, "transpose": int})
         return cls(**data)
 
 

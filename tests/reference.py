@@ -2,16 +2,18 @@
 
 Each is the plain per-element or per-tensor form of something the package
 computes in bulk: one step's pitch-class profile and tonal centroid, the
-distance between two rolls, the pitch indices of one class, the masked
-logistic function, the per-tensor Adam update, and the per-item Generators
-(one ``default_rng`` per synthetic roll, MC candidate or latent row) that
-the seeded batches reproduce.
+distance from one candidate's features to a stack of features (which the
+Gram product and the tonal plane kernel reproduce bit for bit) and between
+two rolls, the pitch indices of one class, the masked logistic function,
+the per-tensor Adam update, and the per-item Generators (one ``default_rng``
+per synthetic roll, MC candidate or latent row) that the seeded batches
+reproduce.
 """
 
 import numpy as np
 
 from rollmia import DivergenceError, PianorollShape, StyleParams
-from rollmia.montecarlo import _TONAL_BASIS, features_distance, roll_features
+from rollmia.montecarlo import _TONAL_BASIS, EUCLIDEAN, roll_features
 from rollmia.pianoroll import _pick_table, _synth_roll
 
 
@@ -36,6 +38,18 @@ def step_centroid(profile: np.ndarray) -> np.ndarray:
     if total == 0.0:
         return np.zeros(6)
     return _TONAL_BASIS @ (profile / total)
+
+
+def features_distance(metric: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance between one candidate feature and a stack of features.
+
+    ``b`` may be a single feature or a leading-axis stack; returns a scalar
+    array or a vector accordingly.
+    """
+    if metric == EUCLIDEAN:
+        return np.linalg.norm(b - a, axis=-1)
+    # tonal: mean over steps of per-step centroid distances
+    return np.linalg.norm(b - a, axis=-1).mean(axis=-1)
 
 
 def distance(metric: str, shape: PianorollShape, a: np.ndarray, b: np.ndarray) -> float:

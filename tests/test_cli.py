@@ -375,6 +375,75 @@ def test_style_value_that_is_not_an_integer_exits_2_before_any_output(tmp_path, 
     assert not (tmp_path / "run").exists()
 
 
+def _default_config_error(tmp_path, capsys, key_path, value) -> list[str]:
+    """Run ``experiment run`` on the packaged default config with the value at
+    ``key_path`` set; check that it exits 2 before any output exists and
+    return its stderr lines."""
+    data = json.loads((Path(__file__).resolve().parents[1] / "configs" / "default.json").read_text())
+    data["output_dir"] = str(tmp_path / "run")
+    block = data
+    for key in key_path[:-1]:
+        block = block[key]
+    block[key_path[-1]] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(["experiment", "run", "--config", config]) == 2
+    assert not (tmp_path / "run").exists()
+    return capsys.readouterr().err.splitlines()
+
+
+@pytest.mark.parametrize(
+    "key_path, message",
+    [
+        (("attaks",), "unknown config key 'attaks'"),
+        (("dataset", "pth"), "unknown dataset key 'pth'"),
+        (("dataset", "synthetic", "cout"), "unknown dataset.synthetic key 'cout'"),
+        (("split", "sed"), "unknown split key 'sed'"),
+        (("train", "d_steps_per_g_stp"), "unknown train key 'd_steps_per_g_stp'"),
+        (("attacks", "whitebx"), "unknown attacks key 'whitebx'"),
+        (("attacks", "mc", 0, "n_per_qurey"), "unknown attacks.mc[0] key 'n_per_qurey'"),
+    ],
+)
+def test_unknown_config_key_exits_2_before_any_output(tmp_path, capsys, key_path, message):
+    assert _default_config_error(tmp_path, capsys, key_path, 5) == [f"error: {message}"]
+
+
+@pytest.mark.parametrize(
+    "key_path, value, message",
+    [
+        (("schema_version",), True, "config schema_version must be an integer, got True"),
+        (("schema_version",), 1.0, "config schema_version must be an integer, got 1.0"),
+        (("dataset", "synthetic", "count"), 2000.0, "dataset.synthetic count must be an integer, got 2000.0"),
+        (("split", "seed"), 1.5, "split seed must be an integer, got 1.5"),
+        (("split", "train_fraction"), True, "split train_fraction must be a real number, got True"),
+        (("train", "seed"), True, "train seed must be an integer, got True"),
+        (("train", "batch_size"), "32", "train batch_size must be an integer, got '32'"),
+        (("train", "lr"), False, "train lr must be a real number, got False"),
+        (("attacks", "whitebox"), 1, "attacks whitebox must be true or false, got 1"),
+        (("attacks", "mc", 0, "trials"), 2.5, "attacks.mc[0] trials must be an integer, got 2.5"),
+    ],
+)
+def test_mistyped_config_value_exits_2_before_any_output(tmp_path, capsys, key_path, value, message):
+    assert _default_config_error(tmp_path, capsys, key_path, value) == [f"error: {message}"]
+
+
+def test_train_verb_rejects_unknown_and_mistyped_train_keys(cli_workspace, tmp_path, capsys):
+    _, _, train, _ = cli_workspace
+    block = {"iterations": 20, "batch_size": 8, "latent_dim": 4, "lr": 0.001, "seed": 1,
+             "checkpoint_every": 10}
+    for edit, message in (({"d_steps_per_g_stp": 5}, "unknown train key 'd_steps_per_g_stp'"),
+                          ({"iterations": 20.0}, "train iterations must be an integer, got 20.0")):
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps(
+            {"schema_version": 1, "dataset": {"path": str(train)}, "train": {**block, **edit}}
+        ))
+        capsys.readouterr()
+        assert run(["train", "--config", config, "--out-dir", tmp_path / "ck"]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "ck").exists()
+
+
 def test_report_on_an_empty_table_exits_3(tmp_path, capsys):
     (tmp_path / "wb_metrics.csv").write_text("")
     capsys.readouterr()

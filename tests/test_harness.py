@@ -499,3 +499,10 @@ def test_style_values_are_checked_not_coerced(tmp_path):
         data["dataset"]["synthetic"]["style"] = {key: value}
         with pytest.raises(ConfigError, match=f"style {key} must be"):
             parse_experiment_config(data)
+
+
+def test_real_fields_accept_integers_and_echo_floats(tmp_path):
+    data = tiny_config_dict(tmp_path)
+    data["train"]["lr"] = 1
+    echo = config_echo(parse_experiment_config(data))
+    assert echo["train"]["lr"] == 1.0 and type(echo["train"]["lr"]) is float

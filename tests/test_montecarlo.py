@@ -31,13 +31,21 @@ from rollmia.montecarlo import (
     GRAM_BLOCK,
     TONAL,
     TONAL_BLOCK,
-    features_distance,
+    _query_distances,
     _squared_euclidean,
+    _stash_draws,
     roll_features,
 )
 
 from conftest import make_roll
-from reference import candidate_draws, distance, latent_rows, pitch_class_profile, step_centroid
+from reference import (
+    candidate_draws,
+    distance,
+    features_distance,
+    latent_rows,
+    pitch_class_profile,
+    step_centroid,
+)
 
 SHAPE = PianorollShape(2, 1, 8, 12)
 
@@ -241,6 +249,35 @@ def test_tonal_features_match_per_step_reference(small_population):
             for s in range(steps)
         ]
         assert np.allclose(feats[i], expected, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "shape, stash_size, n, k",
+    [
+        (PianorollShape(2, 1, 16, 24), 60, 60, 97),  # n == stash size; k not a multiple of the block
+        (PianorollShape(2, 1, 16, 24), 60, 25, 1),  # one candidate, as in mc_score
+        (PianorollShape(2, 1, 8, 12), 40, 37, 250),  # n * steps does not divide PLANE_BLOCK
+        (PianorollShape(4, 4, 16, 12), 300, 300, 3),  # n * steps > PLANE_BLOCK: one per block
+    ],
+)
+def test_tonal_plane_kernel_matches_per_candidate_reference(shape, stash_size, n, k):
+    # rolls of every density, with whole rolls and single steps left empty,
+    # so zero centroids occur on both sides
+    rng = np.random.default_rng(stash_size + n + k)
+    count = stash_size + k
+    density = rng.random((count, 1, 1, 1, 1))
+    rolls = (rng.random((count, *shape.dims())) < density).astype(np.uint8)
+    rolls *= (rng.random((count, shape.tracks, shape.bars, shape.steps_per_bar, 1)) < 0.7)
+    rolls[0] = rolls[-1] = 0
+    feats = roll_features(TONAL, shape, rolls)
+    stash, candidates = feats[:stash_size], feats[stash_size:]
+    entropy = rng.integers(0, 2**32, size=(k, 2), dtype=np.uint32)
+    got = _query_distances(TONAL, candidates, stash, n, entropy)
+    drawn = _stash_draws(stash_size, n, entropy)
+    want = np.stack([features_distance(TONAL, c, stash[d]) for c, d in zip(candidates, drawn)])
+    assert not stash.any(axis=-1).all() and not candidates.any(axis=-1).all()
+    assert got.shape == (k, n)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # --- stash and scores --------------------------------------------------------
@@ -478,14 +515,12 @@ def test_equal_scores_fall_back_to_mean_distance(small_population):
     trial = result.trials[0]
     assert trial.train_selected + trial.test_selected == 30
     # reproduce the expected selection: every candidate drew the whole stash
-    from rollmia.montecarlo import EUCLIDEAN as METRIC, roll_features, features_distance
-
     shape = small_population.shape
-    stash_feats = np.stack([roll_features(METRIC, shape, r) for r in stash])
+    stash_feats = np.stack([roll_features(EUCLIDEAN, shape, r) for r in stash])
     mean_dists = []
     for origin, ds in ((0, train), (1, test)):
         for rid, roll in zip(ds.ids, ds.rolls):
-            d = features_distance(METRIC, roll_features(METRIC, shape, roll), stash_feats)
+            d = features_distance(EUCLIDEAN, roll_features(EUCLIDEAN, shape, roll), stash_feats)
             mean_dists.append((float(np.mean(d)), rid, origin))
     expected_train = sum(1 for _, _, origin in sorted(mean_dists)[:30] if origin == 0)
     assert trial.train_selected == expected_train
