@@ -52,6 +52,7 @@ from .pianoroll import (
     PianorollShape,
     SplitSpec,
     StyleParams,
+    check_config_block,
     read_dataset,
     split,
     synth_generate,
@@ -71,6 +72,8 @@ def _parse_oracle(text: str, expected: tuple[str, ...]) -> dict[str, float]:
         key = key.strip()
         if key not in expected:
             raise ConfigError(f"oracle spec {text!r}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"oracle spec {text!r}: repeated key {key!r}")
         try:
             values[key] = float(raw)
         except ValueError as exc:
@@ -106,11 +109,12 @@ def cmd_split(args) -> int:
 
 def cmd_train(args) -> int:
     data = read_config_file(args.config)
-    try:
-        dataset = read_dataset(data["dataset"]["path"])
-        config = TrainConfig.from_dict(data["train"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad train config: {exc}") from exc
+    for block in ("dataset", "train"):
+        if block not in data:
+            raise ConfigError(f"config is missing {block!r}")
+    check_config_block(data["dataset"], "dataset", {"path": str}, required=("path",))
+    config = TrainConfig.from_dict(data["train"])
+    dataset = read_dataset(data["dataset"]["path"])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

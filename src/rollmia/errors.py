@@ -4,7 +4,8 @@ The CLI maps these onto process exit codes: configuration/validation
 problems exit 2, data/format problems exit 3, and runtime failures exit 4:
 training divergence, and a white-box scorer that raises, which
 ``run_whitebox_sets`` reports as a ``RuntimeError`` naming the side it was
-scoring (``run_whitebox``: naming the candidate).
+scoring; a per-candidate scorer given to ``run_whitebox`` also names the
+candidate, as in ``scorer failed on nonmembers: candidate 7: boom``.
 """
 
 

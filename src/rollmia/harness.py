@@ -22,8 +22,10 @@ cell (11 MB for 1,800 desk rolls), a block of 256 rolls 1.5 MB.  Models that
 score or sample one record at a time, such as the oracles, whose noise is
 seeded per id or per seed, are wrapped into the same shapes by their caller.
 For such models ``whitebox.run_whitebox`` and ``montecarlo.build_stash``
-keep their per-row forms, as thin adapters onto the same ranking and the
-same stash seeds, so there is one ranking and one seed rule.
+keep their per-row forms, which perfbench's oracle-audit workload calls:
+``run_whitebox`` wraps a per-candidate scorer into a set scorer for
+``run_whitebox_sets``, and ``build_stash`` draws from the same stash seeds,
+so there is one attack path and one seed rule.
 
 Each kind of file a run reads or writes has one definition here, shared
 with ``cli``: ``read_config_file`` decodes a config for ``experiment run``
@@ -167,7 +169,6 @@ def parse_experiment_config(data: dict) -> ExperimentConfig:
         dataset = data["dataset"]
         check_config_block(dataset, "dataset", {"synthetic": dict, "path": str})
         synthetic = None
-        dataset_path = None
         if "synthetic" in dataset:
             s = dataset["synthetic"]
             check_config_block(
@@ -183,10 +184,7 @@ def parse_experiment_config(data: dict) -> ExperimentConfig:
                 seed=int(s["seed"]),
                 style=StyleParams.from_dict(s.get("style", {})),
             )
-        elif "path" in dataset:
-            dataset_path = Path(dataset["path"])
-        else:
-            raise ConfigError("dataset must give 'synthetic' params or a 'path'")
+        dataset_path = Path(dataset["path"]) if "path" in dataset else None
         check_config_block(
             data["split"], "split", {"train_fraction": float, "seed": int},
             required=("train_fraction", "seed"),

@@ -1,8 +1,8 @@
 """Confusion-count algebra and the six attack evaluation metrics.
 
 Success rate is correct member predictions over true member count, which
-equals recall under the top-N decision rule.  Degenerate 0/0 ratios are
-reported as 0.0 and flagged on the row rather than emitted as NaN.
+equals recall under the top-N decision rule.  A 0/0 ratio is reported as
+0.0 rather than emitted as NaN.
 """
 
 from __future__ import annotations
@@ -38,26 +38,23 @@ class MetricsRow:
     recall: float
     fpr: float
     f1: float
-    degenerate: bool = False
 
 
-def _ratio(num: int, den: int) -> tuple[float, bool]:
-    if den == 0:
-        return 0.0, True
-    return num / den, False
+def _ratio(num: int, den: int) -> float:
+    return num / den if den else 0.0
 
 
 def compute_metrics(c: ConfusionCounts, iteration: int) -> MetricsRow:
     """Derive the six metrics from raw counts; all-zero counts are an error."""
     if c.total == 0:
         raise ConfigError("cannot compute metrics from all-zero counts")
-    recall, d1 = _ratio(c.tp, c.tp + c.fn)
-    precision, d2 = _ratio(c.tp, c.tp + c.fp)
-    fpr, d3 = _ratio(c.fp, c.fp + c.tn)
+    recall = _ratio(c.tp, c.tp + c.fn)
+    precision = _ratio(c.tp, c.tp + c.fp)
+    fpr = _ratio(c.fp, c.fp + c.tn)
     accuracy = (c.tp + c.tn) / c.total
     # count form of 2pr/(p+r); exact integer operands keep the fp == fn case
     # bitwise equal to precision and recall
-    f1, d4 = _ratio(2 * c.tp, 2 * c.tp + c.fp + c.fn)
+    f1 = _ratio(2 * c.tp, 2 * c.tp + c.fp + c.fn)
     return MetricsRow(
         iteration=iteration,
         success_rate=recall,
@@ -66,7 +63,6 @@ def compute_metrics(c: ConfusionCounts, iteration: int) -> MetricsRow:
         recall=recall,
         fpr=fpr,
         f1=f1,
-        degenerate=d1 or d2 or d3 or d4,
     )
 
 

@@ -8,10 +8,10 @@ pooled vectors.  A trained discriminator scores a set in a few blocked
 network passes (``gan.d_score``) instead of one pass per roll, whose Python
 overhead outweighed the one-row product.
 
-``run_whitebox`` keeps the per-candidate ``(id, roll) -> float`` scorer for
-models that score one record at a time, such as the oracle discriminator
-whose noise is seeded per id; it only adapts that scorer onto the same
-checks and the same ranking.
+``run_whitebox_sets`` is the one attack path.  ``run_whitebox`` takes a
+per-candidate ``(id, roll) -> float`` scorer, for models that score one
+record at a time such as the oracle discriminator whose noise is seeded per
+id, and only wraps it into a set scorer for ``run_whitebox_sets``.
 
 The ranking never reads ground-truth labels; the member ids are passed only
 so the confusion counts can be computed afterwards.
@@ -56,19 +56,6 @@ def rank_scores(ids, scores, member_ids) -> WbAttackResult:
     return WbAttackResult(predicted, confusion)
 
 
-def _attack(members: Dataset, nonmembers: Dataset, score_side) -> WbAttackResult:
-    """Check the two sides, score each with ``score_side(name, dataset)`` and
-    rank the pooled scores."""
-    if members.shape != nonmembers.shape:
-        raise ConfigError("member and nonmember datasets must share a shape")
-    if set(members.ids.tolist()) & set(nonmembers.ids.tolist()):
-        raise ConfigError("member and nonmember ids must be disjoint")
-    scores = np.concatenate(
-        [score_side("members", members), score_side("nonmembers", nonmembers)]
-    )
-    return rank_scores(np.concatenate([members.ids, nonmembers.ids]), scores, members.ids)
-
-
 def run_whitebox_sets(
     set_scorer: Callable[[np.ndarray, np.ndarray], np.ndarray],
     members: Dataset,
@@ -76,9 +63,14 @@ def run_whitebox_sets(
 ) -> WbAttackResult:
     """Score the members and the nonmembers with one ``(ids, rolls)`` call
     each and label the top |members|.  A scorer failure aborts with the name
-    of the side it was scoring."""
-
-    def score_side(name: str, dataset: Dataset) -> np.ndarray:
+    of the side it was scoring.  The result does not depend on candidate
+    order."""
+    if members.shape != nonmembers.shape:
+        raise ConfigError("member and nonmember datasets must share a shape")
+    if set(members.ids.tolist()) & set(nonmembers.ids.tolist()):
+        raise ConfigError("member and nonmember ids must be disjoint")
+    sides = []
+    for name, dataset in (("members", members), ("nonmembers", nonmembers)):
         try:
             scores = set_scorer(dataset.ids, dataset.rolls)
         except Exception as exc:
@@ -86,9 +78,9 @@ def run_whitebox_sets(
         scores = np.asarray(scores, dtype=np.float64)
         if scores.shape != (len(dataset),):
             raise ConfigError(f"scorer gave {scores.shape} scores for {len(dataset)} {name}")
-        return scores
-
-    return _attack(members, nonmembers, score_side)
+        sides.append(scores)
+    ids = np.concatenate([members.ids, nonmembers.ids])
+    return rank_scores(ids, np.concatenate(sides), members.ids)
 
 
 def run_whitebox(
@@ -96,20 +88,17 @@ def run_whitebox(
     members: Dataset,
     nonmembers: Dataset,
 ) -> WbAttackResult:
-    """Score all member and nonmember rolls and label the top |members|.
+    """``run_whitebox_sets`` for a scorer called once per candidate with
+    (id, roll); a failure names the side and the candidate id, as in
+    ``scorer failed on nonmembers: candidate 7: boom``."""
 
-    The scorer is called once per candidate with (id, roll); a scorer failure
-    aborts with the offending candidate id.  The result does not depend on
-    candidate order.
-    """
-
-    def score_side(_name: str, dataset: Dataset) -> np.ndarray:
-        scores = np.empty(len(dataset))
-        for i, (rid, roll) in enumerate(zip(dataset.ids.tolist(), dataset.rolls)):
+    def set_scorer(ids: np.ndarray, rolls: np.ndarray) -> list[float]:
+        scores = []
+        for rid, roll in zip(ids.tolist(), rolls):
             try:
-                scores[i] = scorer(rid, roll)
+                scores.append(scorer(rid, roll))
             except Exception as exc:
-                raise RuntimeError(f"scorer failed on candidate {rid}: {exc}") from exc
+                raise RuntimeError(f"candidate {rid}: {exc}") from exc
         return scores
 
-    return _attack(members, nonmembers, score_side)
+    return run_whitebox_sets(set_scorer, members, nonmembers)

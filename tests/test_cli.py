@@ -344,7 +344,7 @@ def test_python_m_rollmia_runs_the_cli():
 
 def test_bad_oracle_specs(cli_workspace, tmp_path):
     root, _, train, test = cli_workspace
-    for spec in ("margin=x,tau=0", "bogus=1", "margin=1,tau=1,extra=2"):
+    for spec in ("margin=x,tau=0", "bogus=1", "margin=1,tau=1,extra=2", "margin=1,margin=0,tau=0"):
         assert run(
             ["attack", "wb", "--oracle", spec, "--train", train, "--test", test,
              "--out", tmp_path / "o.csv"]
@@ -393,6 +393,11 @@ def _default_config_error(tmp_path, capsys, key_path, value) -> list[str]:
     return capsys.readouterr().err.splitlines()
 
 
+def test_config_with_both_dataset_sources_exits_2_before_any_output(tmp_path, capsys):
+    lines = _default_config_error(tmp_path, capsys, ("dataset", "path"), str(tmp_path / "data.prd"))
+    assert lines == ["error: config needs exactly one of synthetic params or a dataset path"]
+
+
 @pytest.mark.parametrize(
     "key_path, message",
     [
@@ -432,12 +437,19 @@ def test_train_verb_rejects_unknown_and_mistyped_train_keys(cli_workspace, tmp_p
     _, _, train, _ = cli_workspace
     block = {"iterations": 20, "batch_size": 8, "latent_dim": 4, "lr": 0.001, "seed": 1,
              "checkpoint_every": 10}
-    for edit, message in (({"d_steps_per_g_stp": 5}, "unknown train key 'd_steps_per_g_stp'"),
-                          ({"iterations": 20.0}, "train iterations must be an integer, got 20.0")):
+    for key, edit, message in (
+        ("train", {"d_steps_per_g_stp": 5}, "unknown train key 'd_steps_per_g_stp'"),
+        ("train", {"iterations": 20.0}, "train iterations must be an integer, got 20.0"),
+        ("dataset", {"bogus": 1}, "unknown dataset key 'bogus'"),
+        ("train", None, "config is missing 'train'"),
+    ):
+        data = {"schema_version": 1, "dataset": {"path": str(train)}, "train": dict(block)}
+        if edit is None:
+            del data[key]
+        else:
+            data[key].update(edit)
         config = tmp_path / "train.json"
-        config.write_text(json.dumps(
-            {"schema_version": 1, "dataset": {"path": str(train)}, "train": {**block, **edit}}
-        ))
+        config.write_text(json.dumps(data))
         capsys.readouterr()
         assert run(["train", "--config", config, "--out-dir", tmp_path / "ck"]) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]

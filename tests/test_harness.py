@@ -484,7 +484,8 @@ def test_whitebox_row_is_never_degenerate(n_members, n_nonmembers, members_first
     members = Dataset(SHAPE_2X8, pool.rolls[is_member], ids[is_member])
     nonmembers = Dataset(SHAPE_2X8, pool.rolls[~is_member], ids[~is_member])
     row = whitebox_row(lambda set_ids, _rolls: np.zeros(len(set_ids)), 7, members, nonmembers)
-    assert not row.degenerate
+    # top-N labels |members| candidates: tp+fp = tp+fn, so these four agree
+    assert row.precision == row.recall == row.f1 == row.success_rate
     assert row.success_rate == (1.0 if members_first else max(0, n_members - n_nonmembers) / n_members)
 
 

@@ -15,7 +15,6 @@ def test_symmetric_counts_all_half():
     row = compute_metrics(ConfusionCounts(50, 50, 50, 50), iteration=1)
     for name in ("success_rate", "accuracy", "precision", "recall", "fpr", "f1"):
         assert getattr(row, name) == 0.5
-    assert not row.degenerate
 
 
 def test_overfitted_row_reconstruction():
@@ -50,18 +49,16 @@ def test_negative_counts_rejected():
         ConfusionCounts(-1, 0, 0, 0)
 
 
-def test_degenerate_ratios_are_zero_and_flagged():
+def test_zero_over_zero_ratios_are_zero():
     # no actual positives: recall 0/0 -> 0.0
     row = compute_metrics(ConfusionCounts(0, 2, 3, 0), iteration=0)
     assert row.recall == 0.0 and row.success_rate == 0.0
-    assert row.degenerate
     # no predicted positives: precision 0/0 -> 0.0
     row = compute_metrics(ConfusionCounts(0, 0, 3, 2), iteration=0)
     assert row.precision == 0.0 and row.f1 == 0.0
-    assert row.degenerate
     # nothing positive at all: f1 0/0 -> 0.0
     row = compute_metrics(ConfusionCounts(0, 0, 3, 0), iteration=0)
-    assert row.f1 == 0.0 and row.degenerate
+    assert row.f1 == 0.0
 
 
 def test_confusion_from_predictions_cases():

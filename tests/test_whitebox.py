@@ -185,7 +185,7 @@ def test_run_whitebox_scorer_failure_names_candidate():
             raise RuntimeError("boom")
         return 0.0
 
-    with pytest.raises(RuntimeError, match="candidate 7"):
+    with pytest.raises(RuntimeError, match="^scorer failed on nonmembers: candidate 7: boom$"):
         run_whitebox(scorer, members, nonmembers)
 
 
