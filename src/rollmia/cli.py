@@ -34,6 +34,7 @@ from .gan import (
 from .harness import (
     MC_HEADER,
     WB_HEADER,
+    check_config,
     checkpoint_name,
     checkpoint_sampler,
     checkpoint_scorer,
@@ -109,9 +110,7 @@ def cmd_split(args) -> int:
 
 def cmd_train(args) -> int:
     data = read_config_file(args.config)
-    for block in ("dataset", "train"):
-        if block not in data:
-            raise ConfigError(f"config is missing {block!r}")
+    check_config(data, f"config {Path(args.config)}", ("schema_version", "dataset", "train"))
     check_config_block(data["dataset"], "dataset", {"path": str}, required=("path",))
     config = TrainConfig.from_dict(data["train"])
     dataset = read_dataset(data["dataset"]["path"])

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -187,7 +187,7 @@ class TrainConfig:
         }
         # every key is required but the last, d_steps_per_g_step
         check_config_block(data, "train", kinds, required=tuple(kinds)[:-1])
-        return cls(**{key: kinds[key](value) for key, value in data.items()})
+        return cls(**{**data, "lr": float(data["lr"])})
 
 
 @dataclass
@@ -369,13 +369,7 @@ def oracle_d_score(oracle: OracleDiscriminator, record_id: int, seed) -> float:
 def _descriptor(gan: ComposerGan) -> dict:
     return {
         "latent_dim": gan.latent_dim,
-        "shape": {
-            "tracks": gan.shape.tracks,
-            "bars": gan.shape.bars,
-            "steps_per_bar": gan.shape.steps_per_bar,
-            "pitches": gan.shape.pitches,
-            "base_midi_pitch": gan.shape.base_midi_pitch,
-        },
+        "shape": asdict(gan.shape),
         "trunk": gan.trunk.dims(),
         "heads": [head.dims() for head in gan.heads],
         "discriminator": gan.discriminator.dims(),

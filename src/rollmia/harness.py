@@ -28,8 +28,11 @@ keep their per-row forms, which perfbench's oracle-audit workload calls:
 so there is one attack path and one seed rule.
 
 Each kind of file a run reads or writes has one definition here, shared
-with ``cli``: ``read_config_file`` decodes a config for ``experiment run``
-and ``train``, ``checkpoint_name`` names a checkpoint file, and ``TABLES``
+with ``cli``.  ``read_config_file`` only decodes a config's JSON; each verb
+then checks it once, with ``check_config`` for the top level and
+``check_config_block`` for each block, and builds its dataclasses straight
+from the checked blocks (``parse_experiment_config`` for ``experiment
+run``).  ``checkpoint_name`` names a checkpoint file, and ``TABLES``
 lists each attack table as (file, section title, CSV header) in report
 order.  ``emit_reports`` writes every table that has rows and one
 report.md section for it; ``report_from_dir``, behind ``rollmia report``,
@@ -42,8 +45,9 @@ import hashlib
 import json
 import os
 import platform
+import re
 import shutil
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -89,7 +93,7 @@ class SyntheticSpec:
     count: int
     shape: PianorollShape
     seed: int
-    style: StyleParams = StyleParams()
+    style: StyleParams
 
     def __post_init__(self):
         if self.count < 2:
@@ -102,10 +106,10 @@ class ExperimentConfig:
     split: SplitSpec
     train: TrainConfig
     output_dir: Path
-    synthetic: SyntheticSpec | None = None
-    dataset_path: Path | None = None
-    whitebox: bool = True
-    mc: list[McConfig] = field(default_factory=list)
+    synthetic: SyntheticSpec | None
+    dataset_path: Path | None
+    whitebox: bool
+    mc: list[McConfig]
 
     def __post_init__(self):
         if self.label not in LABELS:
@@ -120,101 +124,75 @@ class ExperimentConfig:
             raise ConfigError("at least one attack must be enabled")
 
 
-def _shape_from_dict(d: dict) -> PianorollShape:
-    return PianorollShape(
-        tracks=int(d["tracks"]),
-        bars=int(d["bars"]),
-        steps_per_bar=int(d["steps_per_bar"]),
-        pitches=int(d["pitches"]),
-        base_midi_pitch=int(d.get("base_midi_pitch", 24)),
-    )
-
-
-def _check_schema(data, source: str) -> None:
+def check_config(data, source: str, required: tuple) -> None:
     """Raise ConfigError unless ``data``, read from ``source``, is a JSON
-    object at ``CONFIG_SCHEMA_VERSION`` whose top-level keys are all known
-    and of their kinds."""
+    object at ``CONFIG_SCHEMA_VERSION`` whose top-level keys are all known,
+    of their kinds, and include every key of ``required``."""
     if not isinstance(data, dict):
         raise ConfigError(f"{source} is not a JSON object")
-    if "schema_version" not in data:
-        raise ConfigError("config missing schema_version")
     check_config_block(data, "config", {
         "schema_version": int, "label": str, "dataset": dict, "split": dict, "train": dict,
         "attacks": dict, "output_dir": str,
-    })
+    }, required)
     if data["schema_version"] != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"unsupported config schema_version {data['schema_version']}")
 
 
 def read_config_file(path: str | Path) -> dict:
-    """Decode a JSON config file, for ``experiment run`` or ``train``, and
-    check that it is an object at ``CONFIG_SCHEMA_VERSION``."""
+    """Decode a JSON config file; its caller checks what it holds."""
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    _check_schema(data, f"config {path}")
-    return data
 
 
-def parse_experiment_config(data: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from decoded JSON, with schema checking.
+def parse_experiment_config(data, source: str = "config") -> ExperimentConfig:
+    """Build an ExperimentConfig from decoded JSON, read from ``source``,
+    checking each block once.
 
     A relative ``dataset.path`` or ``output_dir`` is kept as given, so it
     resolves against the working directory of the run.
     """
-    _check_schema(data, "config")
-    try:
-        dataset = data["dataset"]
-        check_config_block(dataset, "dataset", {"synthetic": dict, "path": str})
-        synthetic = None
-        if "synthetic" in dataset:
-            s = dataset["synthetic"]
-            check_config_block(
-                s,
-                "dataset.synthetic",
-                {"count": int, "tracks": int, "bars": int, "steps_per_bar": int, "pitches": int,
-                 "base_midi_pitch": int, "seed": int, "style": dict},
-                required=("count", "tracks", "bars", "steps_per_bar", "pitches", "seed"),
-            )
-            synthetic = SyntheticSpec(
-                count=int(s["count"]),
-                shape=_shape_from_dict(s),
-                seed=int(s["seed"]),
-                style=StyleParams.from_dict(s.get("style", {})),
-            )
-        dataset_path = Path(dataset["path"]) if "path" in dataset else None
-        check_config_block(
-            data["split"], "split", {"train_fraction": float, "seed": int},
-            required=("train_fraction", "seed"),
+    check_config(data, source, ("schema_version", "dataset", "split", "train", "output_dir"))
+    dataset = data["dataset"]
+    check_config_block(dataset, "dataset", {"synthetic": dict, "path": str})
+    synthetic = None
+    if "synthetic" in dataset:
+        s = dict(dataset["synthetic"])
+        kinds = {"count": int, "seed": int, "tracks": int, "bars": int, "steps_per_bar": int,
+                 "pitches": int, "base_midi_pitch": int, "style": dict}
+        # every key is required but the last two
+        check_config_block(s, "dataset.synthetic", kinds, required=tuple(kinds)[:-2])
+        # what is left after the other keys are taken out is the shape
+        synthetic = SyntheticSpec(
+            count=s.pop("count"),
+            seed=s.pop("seed"),
+            style=StyleParams.from_dict(s.pop("style", {}), "dataset.synthetic.style"),
+            shape=PianorollShape(**s),
         )
-        split_spec = SplitSpec(
-            train_fraction=float(data["split"]["train_fraction"]),
-            seed=int(data["split"]["seed"]),
-        )
-        train_config = TrainConfig.from_dict(data["train"])
-        attacks = data.get("attacks", {})
-        check_config_block(attacks, "attacks", {"whitebox": bool, "mc": list})
-        mc_configs = [
-            McConfig.from_dict(m, f"attacks.mc[{i}]") for i, m in enumerate(attacks.get("mc", []))
-        ]
-        return ExperimentConfig(
-            label=data.get("label", "custom"),
-            split=split_spec,
-            train=train_config,
-            output_dir=Path(data["output_dir"]),
-            synthetic=synthetic,
-            dataset_path=dataset_path,
-            whitebox=attacks.get("whitebox", True),
-            mc=mc_configs,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad experiment config: {exc}") from exc
+    check_config_block(
+        data["split"], "split", {"train_fraction": float, "seed": int},
+        required=("train_fraction", "seed"),
+    )
+    split_spec = SplitSpec(**data["split"])
+    train_config = TrainConfig.from_dict(data["train"])
+    attacks = data.get("attacks", {})
+    check_config_block(attacks, "attacks", {"whitebox": bool, "mc": list})
+    return ExperimentConfig(
+        label=data.get("label", "custom"),
+        split=split_spec,
+        train=train_config,
+        output_dir=Path(data["output_dir"]),
+        synthetic=synthetic,
+        dataset_path=Path(dataset["path"]) if "path" in dataset else None,
+        whitebox=attacks.get("whitebox", True),
+        mc=[McConfig.from_dict(m, f"attacks.mc[{i}]") for i, m in enumerate(attacks.get("mc", []))],
+    )
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
-    return parse_experiment_config(read_config_file(path))
+    return parse_experiment_config(read_config_file(path), f"config {Path(path)}")
 
 
 def config_echo(config: ExperimentConfig) -> dict:
@@ -391,6 +369,34 @@ def checkpoint_name(iteration: int) -> str:
     return f"checkpoint_{iteration:06d}.ganc"
 
 
+# files ``run_experiment`` writes at the top of a run directory, beside its
+# ``checkpoints/`` folder of ``checkpoint_name`` files
+_RUN_FILES = frozenset(
+    ["manifest.json", "success_vs_iteration.csv", "report.md", *(name for name, _, _ in TABLES)]
+    + [f"{stem}.prd{ext}" for stem in ("dataset", "train", "test") for ext in ("", ".meta.json")]
+)
+
+
+def _foreign_entry(out: Path) -> Path | None:
+    """The first entry of run directory ``out`` that ``run_experiment`` does
+    not write, or None.  An ``atomic_open`` temp file, ".<name>.<pid>.tmp",
+    counts as the file it replaces."""
+    ckpts = out / "checkpoints"
+    for entry in sorted(out.iterdir()) + (sorted(ckpts.iterdir()) if ckpts.is_dir() else []):
+        temp = re.fullmatch(r"\.(.+)\.\d+\.tmp", entry.name)
+        name = temp[1] if temp else entry.name
+        if entry == ckpts:
+            ours = entry.is_dir()
+        elif entry.parent == ckpts:
+            stem = name.removeprefix("checkpoint_").removesuffix(".ganc")
+            ours = entry.is_file() and stem.isdecimal() and checkpoint_name(int(stem)) == name
+        else:
+            ours = entry.is_file() and name in _RUN_FILES
+        if not ours:
+            return entry
+    return None
+
+
 def checkpoint_scorer(gan: ComposerGan):
     """White-box set scorer of a trained model: the discriminator logits of
     the rolls, in blocked passes; the ids are unused."""
@@ -461,7 +467,8 @@ def run_experiment(config: ExperimentConfig, force: bool = False) -> dict:
     when a stage raises; the exception propagates to the caller.  When
     training diverges, the manifest's ``last_good_iteration`` names the last
     checkpoint written before it (null if there was none).  ``force``
-    replaces only an earlier run's directory, one that holds a manifest.json.
+    replaces only an earlier run's directory: one that holds a manifest.json
+    and nothing that a run does not write.
     """
     out = config.output_dir
     if out.exists() and any(out.iterdir()):
@@ -473,6 +480,12 @@ def run_experiment(config: ExperimentConfig, force: bool = False) -> dict:
             raise ConfigError(
                 f"output directory {out} holds no manifest.json, so it is not a rollmia run; "
                 "refusing to overwrite it"
+            )
+        foreign = _foreign_entry(out)
+        if foreign is not None:
+            raise ConfigError(
+                f"output directory {out} holds {foreign.relative_to(out)}, which rollmia does not "
+                "write; refusing to overwrite it"
             )
         shutil.rmtree(out)
     out.mkdir(parents=True, exist_ok=True)

@@ -138,15 +138,8 @@ class McConfig:
         metric_label = data.get("metric", "euclidean")
         if metric_label not in METRIC_FROM_LABEL:
             raise ConfigError(f"unknown mc metric {metric_label!r}")
-        return cls(
-            stash_size=int(data["stash_size"]),
-            n_per_query=int(data["n_per_query"]),
-            heuristic=EpsilonHeuristic.parse(data.get("heuristic", "median")),
-            metric=METRIC_FROM_LABEL[metric_label],
-            subset_size=int(data["subset_size"]),
-            trials=int(data["trials"]),
-            seed=int(data["seed"]),
-        )
+        heuristic = EpsilonHeuristic.parse(data.get("heuristic", "median"))
+        return cls(**{**data, "heuristic": heuristic, "metric": METRIC_FROM_LABEL[metric_label]})
 
 
 @dataclass

@@ -181,10 +181,10 @@ class StyleParams:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "StyleParams":
-        """Build from a config's "style" block.  Values are type-checked, not
-        coerced, so a parsed config echoes them as given."""
-        check_config_block(data, "style", {"rhythm_period": int, "ornament_prob": float, "transpose": int})
+    def from_dict(cls, data: dict, block: str = "style") -> "StyleParams":
+        """Build from the style block at key path ``block``.  Values are
+        type-checked, not coerced, so a parsed config echoes them as given."""
+        check_config_block(data, block, {"rhythm_period": int, "ornament_prob": float, "transpose": int})
         return cls(**data)
 
 

@@ -371,7 +371,9 @@ def test_style_value_that_is_not_an_integer_exits_2_before_any_output(tmp_path, 
     config.write_text(json.dumps(data))
     capsys.readouterr()
     assert run(["experiment", "run", "--config", config]) == 2
-    assert capsys.readouterr().err.splitlines() == [f"error: style {key} must be an integer, got {value!r}"]
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: dataset.synthetic.style {key} must be an integer, got {value!r}"
+    ]
     assert not (tmp_path / "run").exists()
 
 
@@ -391,6 +393,19 @@ def _default_config_error(tmp_path, capsys, key_path, value) -> list[str]:
     assert run(["experiment", "run", "--config", config]) == 2
     assert not (tmp_path / "run").exists()
     return capsys.readouterr().err.splitlines()
+
+
+@pytest.mark.parametrize("key", ["schema_version", "dataset", "split", "train", "output_dir"])
+def test_config_without_a_required_key_exits_2_before_any_output(tmp_path, capsys, key):
+    data = json.loads((Path(__file__).resolve().parents[1] / "configs" / "default.json").read_text())
+    data["output_dir"] = str(tmp_path / "run")
+    del data[key]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(["experiment", "run", "--config", config]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: config is missing {key!r}"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_config_with_both_dataset_sources_exits_2_before_any_output(tmp_path, capsys):
@@ -442,6 +457,7 @@ def test_train_verb_rejects_unknown_and_mistyped_train_keys(cli_workspace, tmp_p
         ("train", {"iterations": 20.0}, "train iterations must be an integer, got 20.0"),
         ("dataset", {"bogus": 1}, "unknown dataset key 'bogus'"),
         ("train", None, "config is missing 'train'"),
+        ("dataset", None, "config is missing 'dataset'"),
     ):
         data = {"schema_version": 1, "dataset": {"path": str(train)}, "train": dict(block)}
         if edit is None:

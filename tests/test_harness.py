@@ -323,6 +323,31 @@ def test_force_refuses_a_directory_without_manifest(tmp_path):
     assert (out / "notes.txt").read_text() == "keep me"
 
 
+def test_force_refuses_a_run_directory_holding_other_files(finished_run):
+    out, config, _ = finished_run
+    before = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    for extra in (out / "my_notes.txt", out / "checkpoints" / "notes.ganc", out / "mc_metrics.csv.bak"):
+        extra.write_text("keep me")
+        with pytest.raises(ConfigError) as info:
+            run_experiment(config, force=True)
+        assert str(info.value) == (
+            f"output directory {out} holds {extra.relative_to(out)}, which rollmia does not "
+            "write; refusing to overwrite it"
+        )
+        assert extra.read_text() == "keep me"
+        extra.unlink()
+    after = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    assert after == before
+
+
+def test_force_replaces_a_run_with_its_temp_files(finished_run):
+    out, config, _ = finished_run
+    for temp in (out / ".report.md.123.tmp", out / "checkpoints" / ".checkpoint_000020.ganc.7.tmp"):
+        temp.write_text("partial")
+    run_experiment(config, force=True)
+    assert not list(out.rglob("*.tmp"))
+
+
 def test_failed_stage_manifest(tmp_path):
     data = tiny_config_dict(tmp_path / "fail")
     data["dataset"] = {"path": str(tmp_path / "missing.prd")}
