@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 data/format error,
-4 training divergence.
+4 training divergence or a white-box scorer that raises.
 
 ``attack wb`` and ``attack mc`` compute their row with the experiment's own
 row functions, so a checkpoint gives the same row from either entry point.
@@ -148,6 +148,8 @@ def _attack_model(args, from_gan, from_oracle):
 def cmd_attack_wb(args) -> int:
     def from_oracle(text, train_set):
         spec = _parse_oracle(text, ("margin", "tau"))
+        # a bad seed is a usage error, found before any scoring
+        np.random.SeedSequence(args.seed)
         oracle = OracleDiscriminator(
             margin=spec["margin"],
             score_noise=spec["tau"],

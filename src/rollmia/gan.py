@@ -10,17 +10,17 @@ latent rows to a (k, ...) uint8 stack.  Both run the network over blocks of
 NET_BLOCK rows, so one float64 block of flattened rolls or logits exists at
 a time, however large the set; a single roll is passed as ``roll[None]``.
 
-Each network family lives in one contiguous float64 vector: ``g_params``
-holds the trunk then the heads in track order, ``d_params`` the
-discriminator, each in ``nn.mlp_params`` order, and every layer's weights
-and bias are views of it (``nn.bind_params``).  Training cuts one gradient
-vector into the same views for each family in turn, and a step computes
-only what it consumes: the discriminator step has no input gradient, and the
-generator step takes no discriminator parameter gradients and no trunk input
-gradient.  Each step's Adam update consumes its gradients before the other
-step writes, so that vector and one scratch vector serve both families.  A
-checkpoint's model is a snapshot over its own vectors, so training on does
-not move it.
+The model is its two contiguous float64 parameter vectors, laid out as
+``_architecture`` states: ``g_params`` holds the trunk then the heads in
+track order, ``d_params`` the discriminator, each layer's weights then bias.
+Building, snapshotting and loading a model all make the two vectors and cut
+every layer from them as views, and training cuts its gradient vector the
+same way.  A step computes only what it consumes: the discriminator step has
+no input gradient, and the generator step takes no discriminator parameter
+gradients and no trunk input gradient.  Each step's Adam update consumes its
+gradients before the other step writes, so one gradient vector and one
+scratch vector serve both families.  A checkpoint's model is a snapshot over
+copies of the vectors, so training on does not move it.
 
 Also hosts the oracle models used to validate attack power: a generator with
 a memorization dial and a discriminator with a controllable member margin.
@@ -29,6 +29,7 @@ a memorization dial and a discriminator with a controllable member margin.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -50,68 +51,89 @@ DISC_WIDTH = 128
 NET_BLOCK = 256
 
 
-@dataclass
+def _architecture(shape: PianorollShape, latent_dim: int) -> dict:
+    """The model's architecture, which is also its checkpoint descriptor:
+    the layer widths of each network, input first."""
+    return {
+        "latent_dim": latent_dim,
+        "shape": asdict(shape),
+        "trunk": [latent_dim, TRUNK_WIDTH],
+        "heads": [[TRUNK_WIDTH, shape.cells_per_track] for _ in range(shape.tracks)],
+        "discriminator": [shape.cells, DISC_WIDTH, 1],
+    }
+
+
+# each network's activation per layer, beside its widths above
+_ACTIVATIONS = {"trunk": ["relu"], "heads": ["linear"], "discriminator": ["relu", "linear"]}
+
+
+def _families(arch: dict) -> tuple[list, list]:
+    """The (widths, activations) of each network held in ``g_params``, then
+    of each held in ``d_params``, in vector order."""
+    heads = [(widths, _ACTIVATIONS["heads"]) for widths in arch["heads"]]
+    return (
+        [(arch["trunk"], _ACTIVATIONS["trunk"]), *heads],
+        [(arch["discriminator"], _ACTIVATIONS["discriminator"])],
+    )
+
+
+def _tensor_shapes(family: list) -> list[tuple[int, ...]]:
+    """The shape of each layer's weights, then bias, in vector order."""
+    return [s for widths, _ in family for i, o in zip(widths, widths[1:]) for s in ((o, i), (o,))]
+
+
+def _cut(flat: np.ndarray, family: list) -> list[nn.Mlp]:
+    """The family's networks over views tiling ``flat`` in vector order; a
+    vector of another length raises ValueError."""
+    shapes = _tensor_shapes(family)
+    ends = np.cumsum([math.prod(s) for s in shapes])
+    if flat.shape != (ends[-1],):
+        raise ValueError(f"parameter vector of shape {flat.shape}; the architecture has {ends[-1]} values")
+    tensors = iter(part.reshape(s) for part, s in zip(np.split(flat, ends[:-1]), shapes))
+    # each layer takes the next two views: its weights, then its bias
+    return [nn.Mlp([nn.DenseLayer(next(tensors), next(tensors), a) for a in acts]) for _, acts in family]
+
+
+@dataclass(eq=False)
 class ComposerGan:
     """Shared latent -> trunk feature -> one logit head per track, plus a
-    discriminator over flattened rolls."""
+    discriminator over flattened rolls.  The model is its two parameter
+    vectors; the networks are views cut from them, and a vector whose length
+    is not the architecture's raises ValueError."""
 
     latent_dim: int
     shape: PianorollShape
-    trunk: nn.Mlp
-    heads: list[nn.Mlp]
-    discriminator: nn.Mlp
-    g_params: np.ndarray = field(init=False, repr=False, compare=False)
-    d_params: np.ndarray = field(init=False, repr=False, compare=False)
+    g_params: np.ndarray = field(repr=False)
+    d_params: np.ndarray = field(repr=False)
+    trunk: nn.Mlp = field(init=False, repr=False)
+    heads: list[nn.Mlp] = field(init=False, repr=False)
+    discriminator: nn.Mlp = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.heads) != self.shape.tracks:
-            raise ConfigError("need one head per track")
-        if self.trunk.in_dim != self.latent_dim:
-            raise ConfigError("trunk input must match latent_dim")
-        for head in self.heads:
-            if head.in_dim != self.trunk.out_dim:
-                raise ConfigError("head input must match trunk output")
-            if head.out_dim != self.shape.cells_per_track:
-                raise ConfigError("head output must match cells per track")
-        if self.discriminator.in_dim != self.shape.cells:
-            raise ConfigError("discriminator input must match cell count")
-        if self.discriminator.out_dim != 1:
-            raise ConfigError("discriminator must output a single logit")
-        self.g_params = nn.bind_params(self.generator_mlps())
-        self.d_params = nn.bind_params([self.discriminator])
-
-    def generator_mlps(self) -> list[nn.Mlp]:
-        return [self.trunk, *self.heads]
+        g_family, d_family = _families(_architecture(self.shape, self.latent_dim))
+        self.trunk, *self.heads = _cut(self.g_params, g_family)
+        (self.discriminator,) = _cut(self.d_params, d_family)
 
     def all_params(self) -> list[np.ndarray]:
         """Every parameter tensor: generator, then discriminator."""
-        return [p for mlp in self.generator_mlps() + [self.discriminator] for p in nn.mlp_params(mlp)]
+        return [p for mlp in (self.trunk, *self.heads, self.discriminator) for p in nn.mlp_params(mlp)]
 
     def snapshot(self) -> "ComposerGan":
         """A copy over new parameter vectors, independent of this model."""
-
-        def layers(mlp: nn.Mlp) -> nn.Mlp:
-            return nn.Mlp([nn.DenseLayer(x.weights, x.bias, x.activation) for x in mlp.layers])
-
-        return ComposerGan(
-            self.latent_dim, self.shape, layers(self.trunk),
-            [layers(head) for head in self.heads], layers(self.discriminator),
-        )
+        return ComposerGan(self.latent_dim, self.shape, self.g_params.copy(), self.d_params.copy())
 
 
 def build_gan(shape: PianorollShape, latent_dim: int, seed) -> ComposerGan:
-    """Seeded construction; init order is trunk, heads in track order, then
-    discriminator, so identical seeds give identical weights."""
+    """Seeded construction; Glorot init order is trunk, heads in track order,
+    then discriminator, so identical seeds give identical weights."""
     if latent_dim < 1:
         raise ConfigError("latent_dim must be >= 1")
     rng = np.random.default_rng(seed)
-    trunk = nn.glorot_init([latent_dim, TRUNK_WIDTH], ["relu"], rng)
-    heads = [
-        nn.glorot_init([TRUNK_WIDTH, shape.cells_per_track], ["linear"], rng)
-        for _ in range(shape.tracks)
-    ]
-    disc = nn.glorot_init([shape.cells, DISC_WIDTH, 1], ["relu", "linear"], rng)
-    return ComposerGan(latent_dim, shape, trunk, heads, disc)
+    g_params, d_params = (
+        np.concatenate([p.ravel() for net in family for p in nn.mlp_params(nn.glorot_init(*net, rng))])
+        for family in _families(_architecture(shape, latent_dim))
+    )
+    return ComposerGan(latent_dim, shape, g_params, d_params)
 
 
 def _generator_logits(gan: ComposerGan, z: np.ndarray) -> tuple[np.ndarray, list]:
@@ -196,22 +218,25 @@ class Checkpoint:
     gan: ComposerGan
 
 
-def _disc_step(gan: ComposerGan, real: np.ndarray, fake: np.ndarray, grads: list) -> float:
+def _disc_step(gan: ComposerGan, real: np.ndarray, fake: np.ndarray, grads: ComposerGan) -> float:
     """Discriminator loss on real rows (target 1) stacked over fake rows
     (target 0); its parameter gradients, each row's scaled by 1/len(real),
-    are written into ``grads``."""
+    are written into ``grads.discriminator``."""
     x = np.concatenate([real, fake])
     targets = np.concatenate([np.ones(len(real)), np.zeros(len(fake))])[:, None]
     logits, cache = nn.forward(gan.discriminator, x)
     loss, dlogits = nn.bce_logits_loss(logits, targets)
-    nn.backward(gan.discriminator, cache, dlogits * (1.0 / len(real)), out=grads, input_grad=False)
+    nn.backward(
+        gan.discriminator, cache, dlogits * (1.0 / len(real)),
+        out=nn.mlp_params(grads.discriminator), input_grad=False,
+    )
     return float(loss.sum())
 
 
-def _gen_step(gan: ComposerGan, z: np.ndarray, grads: list[list]) -> float:
+def _gen_step(gan: ComposerGan, z: np.ndarray, grads: ComposerGan) -> float:
     """Non-saturating generator loss through sigmoid head outputs; the
-    gradients, each row's scaled by 1/len(z), are written into ``grads``
-    (the trunk's views, then each head's).
+    gradients, each row's scaled by 1/len(z), are written into the trunk and
+    heads of ``grads``.
 
     The discriminator sees the continuous sigmoid roll here so gradients can
     flow back into the generator; its own parameters are left untouched.
@@ -227,10 +252,11 @@ def _gen_step(gan: ComposerGan, z: np.ndarray, grads: list[list]) -> float:
     trunk_out_grad = np.zeros((len(z), gan.trunk.out_dim))
     for t, head in enumerate(gan.heads):
         _, dh = nn.backward(
-            head, head_caches[t], dlogits[:, t * cpt : (t + 1) * cpt], out=grads[1 + t]
+            head, head_caches[t], dlogits[:, t * cpt : (t + 1) * cpt],
+            out=nn.mlp_params(grads.heads[t]),
         )
         trunk_out_grad += dh
-    nn.backward(gan.trunk, trunk_cache, trunk_out_grad, out=grads[0], input_grad=False)
+    nn.backward(gan.trunk, trunk_cache, trunk_out_grad, out=nn.mlp_params(grads.trunk), input_grad=False)
     return float(loss.sum())
 
 
@@ -260,12 +286,10 @@ def train(
     n = len(train_set)
     # the two steps take turns, and each step's Adam update consumes its
     # gradients before the other step writes, so both families share one
-    # gradient vector and one scratch vector
+    # gradient vector, cut into the model's layer views, and one scratch vector
     size = max(gan.g_params.size, gan.d_params.size)
     grad, scratch = np.empty(size), np.empty(size)
-    g_grad, d_grad = grad[: gan.g_params.size], grad[: gan.d_params.size]
-    g_views = nn.param_views(gan.generator_mlps(), g_grad)
-    (d_views,) = nn.param_views([gan.discriminator], d_grad)
+    grads = ComposerGan(gan.latent_dim, gan.shape, grad[: gan.g_params.size], grad[: gan.d_params.size])
     g_state = nn.AdamState.for_params(gan.g_params, lr=config.lr)
     d_state = nn.AdamState.for_params(gan.d_params, lr=config.lr)
     last_good: Checkpoint | None = None
@@ -276,12 +300,12 @@ def train(
                 real_idx = rng.choice(n, size=config.batch_size, replace=False)
                 z_batch = rng.standard_normal((config.batch_size, config.latent_dim))
                 fake = (_generator_logits(gan, z_batch)[0] > 0.0).astype(np.float64)
-                d_loss = _disc_step(gan, X[real_idx], fake, d_views)
-                nn.adam_step(gan.d_params, d_grad, d_state, scratch)
+                d_loss = _disc_step(gan, X[real_idx], fake, grads)
+                nn.adam_step(gan.d_params, grads.d_params, d_state, scratch)
 
             z_batch = rng.standard_normal((config.batch_size, config.latent_dim))
-            g_loss = _gen_step(gan, z_batch, g_views)
-            nn.adam_step(gan.g_params, g_grad, g_state, scratch)
+            g_loss = _gen_step(gan, z_batch, grads)
+            nn.adam_step(gan.g_params, grads.g_params, g_state, scratch)
         except DivergenceError as exc:
             raise DivergenceError(f"{exc} at iteration {it}", last_checkpoint=last_good) from exc
 
@@ -366,37 +390,10 @@ def oracle_d_score(oracle: OracleDiscriminator, record_id: int, seed) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _descriptor(gan: ComposerGan) -> dict:
-    return {
-        "latent_dim": gan.latent_dim,
-        "shape": asdict(gan.shape),
-        "trunk": gan.trunk.dims(),
-        "heads": [head.dims() for head in gan.heads],
-        "discriminator": gan.discriminator.dims(),
-    }
-
-
-def _mlp_from_dims(dims: list[int], tensors: list[np.ndarray], family: str) -> nn.Mlp:
-    """Rebuild an Mlp from a dims chain; activations follow the fixed family
-    convention (hidden layers relu, trunk output relu, logit outputs linear)."""
-    n_layers = len(dims) - 1
-    layers = []
-    for i in range(n_layers):
-        weights = tensors[2 * i]
-        bias = tensors[2 * i + 1]
-        if weights.shape != (dims[i + 1], dims[i]) or bias.shape != (dims[i + 1],):
-            raise FormatError("architecture mismatch: tensor dims disagree with descriptor")
-        if family == "trunk":
-            act = "relu"
-        else:
-            act = "relu" if i < n_layers - 1 else "linear"
-        layers.append(nn.DenseLayer(weights, bias, act))
-    return nn.Mlp(layers)
-
-
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     """Write a checkpoint file, replacing any file at ``path`` atomically."""
-    desc = json.dumps(_descriptor(ckpt.gan), sort_keys=True, separators=(",", ":")).encode("utf-8")
+    arch = _architecture(ckpt.gan.shape, ckpt.gan.latent_dim)
+    desc = json.dumps(arch, sort_keys=True, separators=(",", ":")).encode("utf-8")
     tensors = ckpt.gan.all_params()
     with atomic_open(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -444,7 +441,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     """Load a checkpoint, rebuilding the model from its descriptor.
 
     Distinct FormatErrors cover bad magic, unsupported version, truncation,
-    trailing bytes, and descriptor/tensor architecture mismatches.
+    trailing bytes, and an architecture mismatch: a descriptor other than
+    ``_architecture`` of its own shape and latent_dim (an int >= 1), or
+    tensors other than that architecture's.
     """
     path = Path(path)
     r = _Reader(path.read_bytes(), path)
@@ -461,48 +460,28 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise FormatError(f"bad checkpoint descriptor in {path}: {exc}") from exc
     try:
         shape = PianorollShape(**desc["shape"])
-        latent_dim = int(desc["latent_dim"])
-        trunk_dims = [int(d) for d in desc["trunk"]]
-        head_dims = [[int(d) for d in h] for h in desc["heads"]]
-        disc_dims = [int(d) for d in desc["discriminator"]]
+        latent_dim = desc["latent_dim"]
     except (KeyError, TypeError, ConfigError) as exc:
         raise FormatError(f"bad checkpoint descriptor in {path}: {exc}") from exc
+    ints = all(type(n) is int for n in [latent_dim, *asdict(shape).values()]) and latent_dim >= 1
+    arch = _architecture(shape, latent_dim) if ints else None
+    if desc != arch:
+        raise FormatError(f"architecture mismatch: descriptor in {path} is not the model's architecture")
 
-    expected_tensors = 2 * (
-        (len(trunk_dims) - 1)
-        + sum(len(h) - 1 for h in head_dims)
-        + (len(disc_dims) - 1)
-    )
-    count = r.u32()
-    if count != expected_tensors:
-        raise FormatError(
-            f"architecture mismatch: descriptor implies {expected_tensors} tensors, file has {count}"
-        )
-    tensors = []
-    for _ in range(count):
-        rank = r.u32()
-        dims = struct.unpack(f"<{rank}I", r.take(4 * rank))
-        size = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        # float32 views of the file; the model converts each family once,
-        # into its own float64 vector
-        tensors.append(r.f32(size).reshape(dims))
+    families = [_tensor_shapes(family) for family in _families(arch)]
+    expected, count = sum(map(len, families)), r.u32()
+    if count != expected:
+        raise FormatError(f"architecture mismatch: architecture has {expected} tensors, file has {count}")
+    vectors = []
+    for shapes in families:
+        tensors = []
+        for dims in shapes:
+            rank = r.u32()
+            if struct.unpack(f"<{rank}I", r.take(4 * rank)) != dims:
+                raise FormatError("architecture mismatch: tensor dims disagree with descriptor")
+            tensors.append(r.f32(math.prod(dims)))
+        # each family's float32 tensors, joined into its own float64 vector
+        vectors.append(np.concatenate(tensors, dtype=np.float64))
     if r.off != len(r.blob):
         raise FormatError(f"trailing data in checkpoint {path}")
-
-    pos = 0
-
-    def take_mlp(dims: list[int], family: str) -> nn.Mlp:
-        nonlocal pos
-        n = 2 * (len(dims) - 1)
-        mlp = _mlp_from_dims(dims, tensors[pos : pos + n], family)
-        pos += n
-        return mlp
-
-    trunk = take_mlp(trunk_dims, "trunk")
-    heads = [take_mlp(h, "head") for h in head_dims]
-    disc = take_mlp(disc_dims, "disc")
-    try:
-        gan = ComposerGan(latent_dim, shape, trunk, heads, disc)
-    except ConfigError as exc:
-        raise FormatError(f"architecture mismatch: {exc}") from exc
-    return Checkpoint(iteration, gan)
+    return Checkpoint(iteration, ComposerGan(latent_dim, shape, *vectors))

@@ -124,16 +124,18 @@ class ExperimentConfig:
             raise ConfigError("at least one attack must be enabled")
 
 
-def check_config(data, source: str, required: tuple) -> None:
+def check_config(data, source: str, required: tuple, optional: tuple = ()) -> None:
     """Raise ConfigError unless ``data``, read from ``source``, is a JSON
-    object at ``CONFIG_SCHEMA_VERSION`` whose top-level keys are all known,
-    of their kinds, and include every key of ``required``."""
+    object at ``CONFIG_SCHEMA_VERSION`` whose top-level keys, each of its
+    kind, are all in ``required`` or ``optional`` and include all of
+    ``required``."""
     if not isinstance(data, dict):
         raise ConfigError(f"{source} is not a JSON object")
-    check_config_block(data, "config", {
+    kinds = {
         "schema_version": int, "label": str, "dataset": dict, "split": dict, "train": dict,
         "attacks": dict, "output_dir": str,
-    }, required)
+    }
+    check_config_block(data, "config", {key: kinds[key] for key in required + optional}, required)
     if data["schema_version"] != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"unsupported config schema_version {data['schema_version']}")
 
@@ -154,7 +156,9 @@ def parse_experiment_config(data, source: str = "config") -> ExperimentConfig:
     A relative ``dataset.path`` or ``output_dir`` is kept as given, so it
     resolves against the working directory of the run.
     """
-    check_config(data, source, ("schema_version", "dataset", "split", "train", "output_dir"))
+    check_config(
+        data, source, ("schema_version", "dataset", "split", "train", "output_dir"), ("label", "attacks")
+    )
     dataset = data["dataset"]
     check_config_block(dataset, "dataset", {"synthetic": dict, "path": str})
     synthetic = None

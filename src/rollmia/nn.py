@@ -7,17 +7,16 @@ exact reverse-mode derivatives of the forward map and are checked against
 finite differences in the test suite.  Results are bitwise reproducible for
 a fixed BLAS build and thread count.
 
-Training works on flat vectors.  ``bind_params`` copies a family of networks'
-parameters into one contiguous float64 vector and makes every layer's
-``weights`` and ``bias`` a reshaped view of it, in ``mlp_params`` order;
-``param_views`` cuts a matching gradient vector into views of the same
-shapes, which ``backward`` fills in place through ``out``.  A step asks
-backward only for what it consumes (``param_grads`` and ``input_grad``), and
-``adam_step`` updates a whole vector with a handful of in-place ufunc calls,
-using the consumed gradient vector and one scratch vector, which several
-optimizers may share, as its only work space.  Assigning a new array to a
-layer's ``weights`` or ``bias`` detaches it from the vector; write through
-the view (``layer.weights[:] = ...``) instead.
+Training works on flat vectors.  A layer's ``weights`` and ``bias`` may be
+reshaped views of one contiguous float64 vector that holds a family of
+networks, and ``backward`` fills gradient views of the same shapes in place
+through ``out``; the model that owns the vectors cuts both sets of views.  A
+step asks backward only for what it consumes (``param_grads`` and
+``input_grad``), and ``adam_step`` updates a whole vector with a handful of
+in-place ufunc calls, using the consumed gradient vector and one scratch
+vector, which several optimizers may share, as its only work space.
+Assigning a new array to a layer's ``weights`` or ``bias`` detaches it from
+the vector; write through the view (``layer.weights[:] = ...``) instead.
 """
 
 from __future__ import annotations
@@ -30,6 +29,11 @@ import numpy as np
 from .errors import DivergenceError
 
 ACTIVATIONS = ("linear", "relu", "tanh", "sigmoid")
+
+# Adam's moment decay rates and denominator offset
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -75,9 +79,6 @@ class Mlp:
     @property
     def out_dim(self) -> int:
         return self.layers[-1].out_dim
-
-    def dims(self) -> list[int]:
-        return [self.in_dim] + [layer.out_dim for layer in self.layers]
 
 
 def glorot_init(dims: list[int], activations: list[str], rng: np.random.Generator) -> Mlp:
@@ -152,8 +153,8 @@ def backward(
 
     Returns ([dW0, db0, dW1, ...], dx): parameter gradients summed over the
     batch, in :func:`mlp_params` order, and the per-row input gradient.
-    ``out``, arrays of those shapes in that order (such as one network's
-    :func:`param_views` of a flat gradient vector), receives the parameter
+    ``out``, arrays of those shapes in that order (such as views of a flat
+    gradient vector), receives the parameter
     gradients in place and is returned; by default new arrays are made.
     ``param_grads=False`` skips the parameter gradients and
     ``input_grad=False`` the input gradient, returning None in their place;
@@ -205,33 +206,6 @@ def mlp_params(mlp: Mlp) -> list[np.ndarray]:
     return out
 
 
-def param_views(mlps: list[Mlp], flat: np.ndarray) -> list[list[np.ndarray]]:
-    """Cut ``flat`` into views shaped like each network's :func:`mlp_params`,
-    one list per network, tiling the vector in order with no gap."""
-    views, pos = [], 0
-    for mlp in mlps:
-        views.append([])
-        for param in mlp_params(mlp):
-            views[-1].append(flat[pos : pos + param.size].reshape(param.shape))
-            pos += param.size
-    if pos != flat.size:
-        raise ValueError(f"vector of {flat.size} values does not hold {pos} parameters")
-    return views
-
-
-def bind_params(mlps: list[Mlp]) -> np.ndarray:
-    """Copy the networks' parameters into one new contiguous float64 vector,
-    in :func:`mlp_params` order, and make each layer's ``weights`` and
-    ``bias`` a view of it; returns the vector."""
-    flat = np.empty(sum(p.size for mlp in mlps for p in mlp_params(mlp)))
-    for mlp, views in zip(mlps, param_views(mlps, flat)):
-        for layer, weights, bias in zip(mlp.layers, views[0::2], views[1::2]):
-            weights[...] = layer.weights
-            bias[...] = layer.bias
-            layer.weights, layer.bias = weights, bias
-    return flat
-
-
 @dataclass
 class AdamState:
     """First and second moment vectors of one flat parameter vector, and the
@@ -241,9 +215,6 @@ class AdamState:
     v: np.ndarray
     step: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: np.ndarray, lr: float = 1e-3) -> "AdamState":
@@ -276,7 +247,7 @@ def adam_step(
     else:
         work = scratch[: params.size].reshape(params.shape)
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**state.step
     bc2 = 1.0 - b2**state.step
     m, v = state.m, state.v
@@ -291,7 +262,7 @@ def adam_step(
     grads *= state.lr
     np.divide(v, bc2, out=work)
     np.sqrt(work, out=work)
-    work += state.eps
+    work += ADAM_EPS
     grads /= work
     params -= grads
     return params, state

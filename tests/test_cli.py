@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import rollmia
-from rollmia import harness
+from rollmia import gan, harness
 from rollmia.cli import main
 from rollmia.pianoroll import read_dataset
 
@@ -330,6 +330,13 @@ def test_negative_seeds_exit_2(cli_workspace, tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err.splitlines() == ["error: expected non-negative integer"]
     assert not (tmp_path / "mc.csv").exists()
+    code = run(
+        ["attack", "wb", "--oracle", "margin=1,tau=0.1", "--train", train, "--test", test,
+         "--seed", -1, "--out", tmp_path / "wb.csv"]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == ["error: expected non-negative integer"]
+    assert not (tmp_path / "wb.csv").exists()
 
 
 def test_python_m_rollmia_runs_the_cli():
@@ -458,9 +465,16 @@ def test_train_verb_rejects_unknown_and_mistyped_train_keys(cli_workspace, tmp_p
         ("dataset", {"bogus": 1}, "unknown dataset key 'bogus'"),
         ("train", None, "config is missing 'train'"),
         ("dataset", None, "config is missing 'dataset'"),
+        # the verb reads only schema_version, dataset and train
+        (None, {"split": {"bogus": 1}}, "unknown config key 'split'"),
+        (None, {"attacks": {"mc": "nonsense"}}, "unknown config key 'attacks'"),
+        (None, {"label": "whatever"}, "unknown config key 'label'"),
+        (None, {"output_dir": str(tmp_path / "out")}, "unknown config key 'output_dir'"),
     ):
         data = {"schema_version": 1, "dataset": {"path": str(train)}, "train": dict(block)}
-        if edit is None:
+        if key is None:
+            data.update(edit)
+        elif edit is None:
             del data[key]
         else:
             data[key].update(edit)
@@ -470,6 +484,23 @@ def test_train_verb_rejects_unknown_and_mistyped_train_keys(cli_workspace, tmp_p
         assert run(["train", "--config", config, "--out-dir", tmp_path / "ck"]) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not (tmp_path / "ck").exists()
+    assert not (tmp_path / "out").exists()
+
+
+def test_attack_on_a_checkpoint_of_another_architecture_exits_3(
+    cli_workspace, tmp_path, capsys, monkeypatch
+):
+    _, _, train, test = cli_workspace
+    # a trunk 64 wide, with a descriptor and tensors that agree with it
+    monkeypatch.setattr(gan, "TRUNK_WIDTH", 64)
+    path = tmp_path / "narrow.ganc"
+    gan.save_checkpoint(gan.Checkpoint(10, gan.build_gan(read_dataset(train).shape, 4, 0)), path)
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert run(["attack", "wb", "--checkpoint", path, "--train", train, "--test", test,
+                "--out", tmp_path / "wb.csv"]) == 3
+    assert capsys.readouterr().err.startswith("error: architecture mismatch")
+    assert not (tmp_path / "wb.csv").exists()
 
 
 def test_report_on_an_empty_table_exits_3(tmp_path, capsys):

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from rollmia import (
     Checkpoint,
+    ComposerGan,
     ConfigError,
     Dataset,
     DivergenceError,
@@ -216,17 +219,33 @@ def test_model_layers_are_views_of_its_family_vectors(tmp_path):
     path = tmp_path / "c.ganc"
     save_checkpoint(Checkpoint(1, gan), path)
     for model in (gan, load_checkpoint(path).gan, gan.snapshot()):
-        families = ((model.generator_mlps(), model.g_params), ([model.discriminator], model.d_params))
+        families = (([model.trunk, *model.heads], model.g_params), ([model.discriminator], model.d_params))
         for mlps, flat in families:
             params = [p for mlp in mlps for p in nn.mlp_params(mlp)]
+            assert flat.dtype == np.float64 and flat.flags.c_contiguous
             assert all(np.shares_memory(p, flat) for p in params)
             assert flat.tobytes() == np.concatenate([p.ravel() for p in params]).tobytes()
+            # distinct values read back in order: every element is covered once
+            flat[:] = np.arange(flat.size)
+            assert np.array_equal(np.concatenate([p.ravel() for p in params]), np.arange(flat.size))
+    gan = small_gan()
     copy = gan.snapshot()
     before = copy.g_params.copy(), copy.d_params.copy()
     gan.g_params += 1.0
     gan.d_params += 1.0
     assert copy.g_params.tobytes() == before[0].tobytes()
     assert copy.d_params.tobytes() == before[1].tobytes()
+
+
+def test_model_refuses_a_vector_of_the_wrong_length():
+    gan = small_gan()
+    for g_params, d_params in (
+        (gan.g_params[:-1], gan.d_params),
+        (gan.g_params, np.append(gan.d_params, 0.0)),
+        (gan.g_params, gan.d_params[None]),
+    ):
+        with pytest.raises(ValueError, match="parameter vector"):
+            ComposerGan(gan.latent_dim, gan.shape, g_params, d_params)
 
 
 # SHA-256 of the checkpoints of a short desk-shape run, recorded before the
@@ -310,6 +329,25 @@ def test_checkpoint_architecture_mismatch(tmp_path):
     count_off = 20 + desc_len
     blob[count_off:count_off + 4] = (3).to_bytes(4, "little")
     path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="architecture mismatch"):
+        load_checkpoint(path)
+
+
+def rewrite_descriptor(path, edit):
+    """Replace the JSON descriptor of the checkpoint at ``path`` by
+    ``edit(descriptor)``, keeping the tensors."""
+    blob = path.read_bytes()
+    end = 20 + int.from_bytes(blob[16:20], "little")
+    desc = json.dumps(edit(json.loads(blob[20:end]))).encode()
+    path.write_bytes(blob[:16] + len(desc).to_bytes(4, "little") + desc + blob[end:])
+
+
+@pytest.mark.parametrize("latent_dim", [True, 0, "16"])
+def test_checkpoint_latent_dim_must_be_a_positive_int(tmp_path, latent_dim):
+    # True == 1 in Python, so the file holds a latent_dim 1 model to compare with
+    path = tmp_path / "x.ganc"
+    save_checkpoint(Checkpoint(10, build_gan(SHAPE, latent_dim=1, seed=0)), path)
+    rewrite_descriptor(path, lambda desc: {**desc, "latent_dim": latent_dim, "trunk": [latent_dim, 128]})
     with pytest.raises(FormatError, match="architecture mismatch"):
         load_checkpoint(path)
 

@@ -14,7 +14,7 @@ from rollmia import (
     bce_logits_loss,
     forward,
 )
-from rollmia.nn import bind_params, glorot_init, mlp_params, param_views, sigmoid
+from rollmia.nn import glorot_init, mlp_params, sigmoid
 
 from reference import adam_step_per_tensor, sigmoid_masked
 
@@ -212,13 +212,12 @@ def test_adam_divergence_error():
 
 def test_flat_adam_matches_per_tensor_reference():
     # discriminator-shaped parameters (768 -> 128 -> 1): one in-place update
-    # over the bound vector against the per-tensor form, bit for bit
+    # over the flat vector against the per-tensor form, bit for bit
     rng = np.random.default_rng(21)
-    mlp = glorot_init([768, 128, 1], ["relu", "linear"], rng)
-    ref_params = [p.copy() for p in mlp_params(mlp)]
+    ref_params = mlp_params(glorot_init([768, 128, 1], ["relu", "linear"], rng))
     ref_m = [np.zeros_like(p) for p in ref_params]
     ref_v = [np.zeros_like(p) for p in ref_params]
-    flat = bind_params([mlp])
+    flat = np.concatenate([p.ravel() for p in ref_params])
     state = AdamState.for_params(flat, lr=2e-3)
     scratch = np.empty(flat.size + 7)  # longer than the vector, as when shared
     for step in range(1, 51):
@@ -238,7 +237,8 @@ def test_backward_skips_give_the_same_consumed_arrays():
     grads, dx = backward(mlp, cache, dy)
 
     flat = np.full(sum(p.size for p in grads), np.nan)
-    (views,) = param_views([mlp], flat)
+    parts = np.split(flat, np.cumsum([g.size for g in grads])[:-1])
+    views = [part.reshape(g.shape) for part, g in zip(parts, grads)]
     into, no_dx = backward(mlp, cache, dy, out=views, input_grad=False)
     assert into is views and no_dx is None
     assert flat.tobytes() == np.concatenate([g.ravel() for g in grads]).tobytes()
@@ -246,27 +246,6 @@ def test_backward_skips_give_the_same_consumed_arrays():
     no_grads, only_dx = backward(mlp, cache, dy, param_grads=False)
     assert no_grads is None
     assert only_dx.tobytes() == dx.tobytes()
-
-
-def test_bound_views_tile_their_vector():
-    rng = np.random.default_rng(6)
-    mlps = [glorot_init([5, 7, 3], ["relu", "linear"], rng), glorot_init([3, 4], ["tanh"], rng)]
-    before = [p.copy() for mlp in mlps for p in mlp_params(mlp)]
-    flat = bind_params(mlps)
-    params = [p for mlp in mlps for p in mlp_params(mlp)]
-    assert flat.dtype == np.float64 and flat.flags.c_contiguous
-    assert flat.size == sum(p.size for p in before)
-    for p, b in zip(params, before):
-        assert np.shares_memory(p, flat) and np.array_equal(p, b)
-    # distinct values read back in order: every element is covered once
-    flat[:] = np.arange(flat.size)
-    assert np.array_equal(np.concatenate([p.ravel() for p in params]), np.arange(flat.size))
-    grads = np.empty_like(flat)
-    views = [v for per_mlp in param_views(mlps, grads) for v in per_mlp]
-    assert [v.shape for v in views] == [p.shape for p in params]
-    assert all(np.shares_memory(v, grads) for v in views)
-    with pytest.raises(ValueError, match="parameters"):
-        param_views(mlps, np.empty(flat.size + 1))
 
 
 def test_sigmoid_matches_masked_form():

@@ -77,3 +77,44 @@ def test_every_rollmia_name_the_benchmark_reaches_resolves():
         except TypeError as exc:
             unbound.append(f"line {lineno}: {'.'.join(chain)}: {exc}")
     assert unbound == []
+
+
+def test_every_probe_the_benchmark_installs_names_a_rollmia_function():
+    """perfbench/worker.py probes rollmia functions by "module.function"
+    name (``ATTACK_CALLS``, ``STAGE_PROBES`` and the keys of ``HOOKS``), and
+    each hook reads the probed call's arguments as ``_arg(args, kwargs, i,
+    name)``; every name must resolve, and ``name`` must be the function's
+    parameter ``i``, or the benchmark only shows the fault as failed ops."""
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    assigned = {
+        target.id: node.value
+        for node in tree.body if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def resolve(probe):
+        module, _, name = probe.partition(".")
+        return getattr(importlib.import_module(f"rollmia.{module}"), name, None)
+
+    probes = {
+        node.value
+        for name in ("ATTACK_CALLS", "STAGE_PROBES") for node in ast.walk(assigned[name])
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    hooks = {key.value: value.id for key, value in zip(assigned["HOOKS"].keys, assigned["HOOKS"].values)}
+    assert {"gan.train", "nn.forward"} <= probes | set(hooks)
+    assert sorted(p for p in probes | set(hooks) if not inspect.isfunction(resolve(p))) == []
+
+    wrong = []
+    for probe, hook in hooks.items():
+        params = list(inspect.signature(resolve(probe)).parameters)
+        reads = [
+            [arg.value for arg in call.args[2:]]
+            for call in ast.walk(functions[hook])
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "_arg"
+        ]
+        assert reads, f"hook {hook} reads no argument of {probe}"
+        wrong += [f"{probe} parameter {i} is not {name!r}" for i, name in reads if params[i:i + 1] != [name]]
+    assert wrong == []
