@@ -9,8 +9,18 @@ calls reproduce identical bytes.
 
 Each item of a seeded batch (a synthetic roll here, an MC candidate's stash
 draw, a stash sample's latent row) draws the stream that
-``np.random.default_rng`` on its own entropy would give;
-``seeded_generators`` derives those streams for the whole batch at once.
+``np.random.default_rng`` on its own entropy would give; ``seed_states``
+hashes the seeds of the whole batch at once, and ``seeded_generators``
+builds each item's Generator from them.
+
+``synth_generate`` writes its rolls in blocks straight from each roll's raw
+PCG64 words, laid out as numpy's own draws would take them: a bounded draw
+(``Generator.integers``) takes a uint32 half, low half first, and a uniform
+(``Generator.random``) a whole word; a roll with a draw that numpy would
+reject and draw again is redrawn by its own Generator.  ``synth_sampler``
+draws one roll per seed and stays per roll, through ``_synth_roll``, which
+is also the reference the blocks are tested against: a one-roll block costs
+more than the per-roll draw.
 """
 
 from __future__ import annotations
@@ -141,8 +151,9 @@ def check_config_block(data, block: str, kinds: dict, required: tuple = ()) -> N
     """Raise ConfigError unless ``data``, the config block at key path
     ``block``, is an object whose keys all appear in ``kinds``, holding every
     key of ``required``, with each value of its kind (one of ``int``,
-    ``float``, ``bool``, ``str``, ``dict``, ``list``).  Values are checked,
-    not coerced; each error names the block and the key."""
+    ``float``, ``bool``, ``str``, ``dict``, ``list``), and a ``seed`` not
+    negative.  Values are checked, not coerced; each error names the block
+    and the key."""
     if not isinstance(data, dict):
         raise ConfigError(f"{block} must be an object, got {data!r}")
     for key in data:
@@ -155,6 +166,8 @@ def check_config_block(data, block: str, kinds: dict, required: tuple = ()) -> N
         kind, noun = _CONFIG_KINDS[kinds[key]]
         if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
             raise ConfigError(f"{block} {key} must be {noun}, got {value!r}")
+        if key == "seed" and value < 0:  # SeedSequence takes no negative entropy
+            raise ConfigError(f"{block} seed must be a non-negative integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -370,6 +383,82 @@ def _synth_roll(
     return cells
 
 
+# raw PCG64 words a synthesis block draws (128 KB, small enough that a run's
+# peak memory does not rise); a block holds as many rolls as fit, at least one
+SYNTH_BLOCK = 1 << 14
+
+
+def _bounded_draws(halves: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``Generator.integers(h)`` on uint32 halves, by numpy's (Lemire's) rule
+    for a bound h in [2, 2**32]: the scaled half m = half * h draws m >> 32,
+    and numpy rejects the half, drawing another, when m mod 2**32 is below
+    (2**32 - h) mod h.  ``halves`` is (..., k) and ``bounds`` (k,), both
+    uint64; returns the (..., k) values and the (..., k) rejected mask."""
+    m = halves * bounds
+    return m >> 32, (m & _MASK32) < (2**32 - bounds) % bounds
+
+
+def _synth_rolls(states: np.ndarray, shape: PianorollShape, style: StyleParams) -> np.ndarray:
+    """The rolls that ``_synth_roll`` draws with a PCG64 on each of the
+    ``seed_states`` rows ``states``, written for blocks of rows at once from
+    each row's raw words (the layout is in ``synth_generate``)."""
+    tracks, bars, steps, pitches = shape.dims()
+    total_steps = bars * steps
+    picks = _pick_table(shape)
+    # root, second chord, the two thirds, octave, rhythm phase; a bound of 1
+    # draws nothing, and a bound above 2**32 draws whole words, so every row
+    # is redrawn (its clipped bound only keeps the arithmetic in range)
+    bounds = [12, 2, 2, 2, max(1, pitches // 12), style.rhythm_period if tracks >= 2 else 1]
+    whole = max(bounds) > 2**32
+    bounds = [min(b, 2**32) for b in bounds]
+    drawn = [i for i, b in enumerate(bounds) if b > 1]
+    drawn_bounds = np.array([bounds[i] for i in drawn], dtype=np.uint64)
+    head = (len(drawn) + 1) // 2
+    row_words = head + (shape.cells if style.ornament_prob > 0.0 else 0)
+
+    rolls = np.zeros((len(states), *shape.dims()), dtype=np.uint8)
+    block = max(1, SYNTH_BLOCK // row_words)
+    words = np.empty((min(block, len(states)), row_words), dtype=np.uint64)
+    for start in range(0, len(states), block):
+        rows = states[start : start + block]
+        n = len(rows)
+        out, raw = rolls[start : start + n], words[:n]
+        for word_row, state in zip(raw, rows):
+            word_row[:] = np.random.PCG64(_SeedState(state)).random_raw(row_words)
+        # each word splits low half first, as PCG64's next_uint32 hands them out
+        halves = raw[:, :head].astype("<u8").view("<u4")[:, : len(drawn)].astype(np.uint64)
+        values = np.zeros((n, len(bounds)), dtype=np.int64)
+        values[:, drawn], rejected = _bounded_draws(halves, drawn_bounds)
+        root, shift, third0, third1, octave, phase = values.T
+
+        # track 0: the two chords' pitch rows, each held over its half
+        fifth = 5 + 2 * shift
+        chords = np.stack([
+            root, root + 3 + third0, root + 7,
+            root + fifth, root + fifth + 3 + third1, root + fifth + 7,
+        ], axis=1) % 12
+        tones = np.zeros((n, 2, pitches), dtype=np.uint8)
+        tones[np.arange(n)[:, None], [0, 0, 0, 1, 1, 1], picks[octave[:, None], chords]] = 1
+        grid = out.reshape(n, tracks, total_steps, pitches)
+        cut = max(total_steps // 2, 1)
+        grid[:, 0, :cut] = tones[:, :1]
+        grid[:, 0, cut:] = tones[:, 1:]
+        if tracks >= 2:
+            hit_row, hit_step = np.nonzero(np.arange(total_steps) % bounds[5] == phase[:, None])
+            grid[hit_row, 1, hit_step, picks[0, root[hit_row]]] = 1
+        if tracks > 2:
+            out[:, 2:] = np.roll(out[:, 0], style.transpose, axis=-1)[:, None]
+        if style.ornament_prob > 0.0:
+            # (w >> 11) * 2**-53 < p exactly when w < ceil(p * 2**53) * 2**11
+            flat = out.reshape(n, -1)
+            flat |= raw[:, head:] <= np.uint64(math.ceil(style.ornament_prob * 2**53) * 2**11 - 1)
+
+        for i in np.flatnonzero(rejected.any(axis=1) | whole):
+            rng = np.random.Generator(np.random.PCG64(_SeedState(rows[i])))
+            out[i] = _synth_roll(rng, shape, style, picks)
+    return rolls
+
+
 def synth_generate(
     seed: int,
     count: int,
@@ -383,22 +472,30 @@ def synth_generate(
     Roll i draws the stream of ``default_rng(SeedSequence((seed, i)))``, so
     it depends only on (seed, i, shape, style) and prefixes agree across
     different counts.
+
+    The rolls are ``_synth_roll``'s, written in blocks of ``SYNTH_BLOCK``
+    raw PCG64 words from the layout of numpy's draws: the bounded draws
+    (root, second chord, two thirds, octave, phase; those of bound 1 draw
+    nothing) take the uint32 halves of the first words in turn, low half
+    first, by ``_bounded_draws``; each ornament cell then takes one whole
+    word of those that follow, on when (w >> 11) * 2**-53 < ornament_prob.
+    A row with a draw that numpy would reject (odds at most 4 in 2**32 a
+    draw) is redrawn by its own Generator.  A numpy change to
+    ``Generator.integers`` or ``random`` therefore fails the per-roll
+    reference test rather than changing dataset bytes.
     """
     if count < 1:
         raise ConfigError("count must be >= 1")
     if shape.pitches < 12:
         raise ConfigError("pitch range too small for pitch classes")
-    style = style or StyleParams()
-    picks = _pick_table(shape)
-    rolls = np.empty((count, *shape.dims()), dtype=np.uint8)
-    for i, rng in enumerate(seeded_generators(indexed_entropy(entropy_words(seed), count))):
-        rolls[i] = _synth_roll(rng, shape, style, picks)
-    return Dataset(shape, rolls, np.arange(count))
+    states = seed_states(indexed_entropy(entropy_words(seed), count))
+    return Dataset(shape, _synth_rolls(states, shape, style or StyleParams()), np.arange(count))
 
 
 def synth_sampler(shape: PianorollShape, style: StyleParams | None = None):
     """Seeded single-roll sampler over the synthetic population; used as the
-    population source for oracle generators and one-off draws."""
+    population source for oracle generators and one-off draws.  It calls
+    ``_synth_roll`` per seed, which costs less than a one-roll block."""
     if shape.pitches < 12:
         raise ConfigError("pitch range too small for pitch classes")
     style = style or StyleParams()
@@ -494,7 +591,8 @@ def write_dataset(dataset: Dataset, path: str | Path, style: StyleParams | None 
     if style is not None:
         meta["style"] = style.to_dict()
     with atomic_open(_sidecar_path(path), "w") as fh:
-        json.dump(meta, fh, sort_keys=True)
+        # json.dumps takes the C encoder, json.dump the pure-Python one
+        fh.write(json.dumps(meta, sort_keys=True))
         fh.write("\n")
 
 

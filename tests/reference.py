@@ -93,12 +93,15 @@ def adam_step_per_tensor(params, grads, m, v, step, lr, b1=0.9, b2=0.999, eps=1e
         p -= lr * (m_t / bc1) / (np.sqrt(v_t / bc2) + eps)
 
 
-def synth_rolls_per_roll(seed, count: int, shape: PianorollShape) -> np.ndarray:
-    """Synthetic rolls with the default style, roll i drawn by
-    ``default_rng(SeedSequence((seed, i)))``."""
+def synth_rolls_per_roll(
+    seed, count: int, shape: PianorollShape, style: StyleParams | None = None
+) -> np.ndarray:
+    """Synthetic rolls in ``style`` (by default the default style), roll i
+    drawn by ``_synth_roll`` on ``default_rng(SeedSequence((seed, i)))``."""
+    style = style or StyleParams()
     picks = _pick_table(shape)
     return np.stack([
-        _synth_roll(np.random.default_rng(np.random.SeedSequence((seed, i))), shape, StyleParams(), picks)
+        _synth_roll(np.random.default_rng(np.random.SeedSequence((seed, i))), shape, style, picks)
         for i in range(count)
     ])
 

@@ -328,7 +328,10 @@ def test_negative_seeds_exit_2(cli_workspace, tmp_path, capsys):
          "--out", tmp_path / "mc.csv"]
     )
     assert code == 2
-    assert capsys.readouterr().err.splitlines() == ["error: expected non-negative integer"]
+    # the flags are checked as an MC config block, whose seed is not negative
+    assert capsys.readouterr().err.splitlines() == [
+        "error: attack mc seed must be a non-negative integer, got -1"
+    ]
     assert not (tmp_path / "mc.csv").exists()
     code = run(
         ["attack", "wb", "--oracle", "margin=1,tau=0.1", "--train", train, "--test", test,
@@ -449,6 +452,11 @@ def test_unknown_config_key_exits_2_before_any_output(tmp_path, capsys, key_path
         (("train", "lr"), False, "train lr must be a real number, got False"),
         (("attacks", "whitebox"), 1, "attacks whitebox must be true or false, got 1"),
         (("attacks", "mc", 0, "trials"), 2.5, "attacks.mc[0] trials must be an integer, got 2.5"),
+        # negative seeds, which SeedSequence would reject only mid-run
+        (("dataset", "synthetic", "seed"), -3, "dataset.synthetic seed must be a non-negative integer, got -3"),
+        (("split", "seed"), -1, "split seed must be a non-negative integer, got -1"),
+        (("train", "seed"), -2, "train seed must be a non-negative integer, got -2"),
+        (("attacks", "mc", 0, "seed"), -4, "attacks.mc[0] seed must be a non-negative integer, got -4"),
     ],
 )
 def test_mistyped_config_value_exits_2_before_any_output(tmp_path, capsys, key_path, value, message):
@@ -462,6 +470,7 @@ def test_train_verb_rejects_unknown_and_mistyped_train_keys(cli_workspace, tmp_p
     for key, edit, message in (
         ("train", {"d_steps_per_g_stp": 5}, "unknown train key 'd_steps_per_g_stp'"),
         ("train", {"iterations": 20.0}, "train iterations must be an integer, got 20.0"),
+        ("train", {"seed": -2}, "train seed must be a non-negative integer, got -2"),
         ("dataset", {"bogus": 1}, "unknown dataset key 'bogus'"),
         ("train", None, "config is missing 'train'"),
         ("dataset", None, "config is missing 'dataset'"),

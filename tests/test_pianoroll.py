@@ -1,3 +1,7 @@
+import hashlib
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +21,10 @@ from rollmia import (
     synth_sampler,
     write_dataset,
 )
+from rollmia import pianoroll
+from rollmia.harness import load_experiment_config
 from rollmia.pianoroll import (
+    _bounded_draws,
     _pick_table,
     entropy_words,
     indexed_entropy,
@@ -146,11 +153,93 @@ def test_entropy_words_reject_what_seedsequence_rejects():
             entropy_words(bad)
 
 
-def test_synth_generate_matches_per_roll_reference():
-    shape = PianorollShape(2, 1, 8, 24)
-    # a seed >= 2**96 fills the pool, so (seed, i) has words beyond it
-    for seed in SEED_CASES + (2**128 + 1,):
-        assert np.array_equal(synth_generate(seed, 12, shape).rolls, synth_rolls_per_roll(seed, 12, shape))
+SYNTH_SHAPES = (
+    PianorollShape(1, 1, 8, 12),  # one track and one octave: no phase or octave draw
+    PianorollShape(2, 1, 16, 24),
+    PianorollShape(3, 2, 8, 36, 30),
+    PianorollShape(2, 1, 3, 13),  # one octave: five halves, so one is left over
+)
+SYNTH_STYLES = (
+    StyleParams(rhythm_period=1),  # no phase draw
+    StyleParams(ornament_prob=0.0),  # no ornament words
+    StyleParams(ornament_prob=0.3),
+    StyleParams(ornament_prob=1.0),
+    # a phase bound of 2**32 still draws from one half; above it numpy draws
+    # a whole word, so every row is redrawn
+    StyleParams(rhythm_period=2**32),
+    StyleParams(rhythm_period=2**32 + 1),
+)
+
+
+def _synth_layout(shape, style) -> tuple[int, int]:
+    """(bounded draws, raw words) of one roll: the draws of bound above 1
+    take a uint32 half each, two to a word, and each ornament cell a word."""
+    bounds = (12, 2, 2, 2, shape.pitches // 12, style.rhythm_period if shape.tracks >= 2 else 1)
+    halves = sum(bound > 1 for bound in bounds)
+    return halves, (halves + 1) // 2 + (shape.cells if style.ornament_prob > 0 else 0)
+
+
+def test_synth_generate_matches_per_roll_reference(monkeypatch):
+    blocks = []
+    real_draws = pianoroll._bounded_draws
+
+    def recorded_draws(block_halves, bounds):
+        blocks.append(block_halves.shape)
+        return real_draws(block_halves, bounds)
+
+    monkeypatch.setattr(pianoroll, "_bounded_draws", recorded_draws)
+    for shape in SYNTH_SHAPES:
+        for style in SYNTH_STYLES:
+            halves, row_words = _synth_layout(shape, style)
+            # blocks of three rows, so four rolls run one row past a block boundary
+            monkeypatch.setattr(pianoroll, "SYNTH_BLOCK", 3 * row_words)
+            # a seed >= 2**96 fills the pool, so (seed, i) has words beyond it
+            for seed in SEED_CASES + (2**128 + 1,):
+                for count, block_rows in ((1, [1]), (4, [3, 1])):
+                    blocks.clear()
+                    rolls = synth_generate(seed, count, shape, style).rolls
+                    assert np.array_equal(rolls, synth_rolls_per_roll(seed, count, shape, style))
+                    assert blocks == [(rows, halves) for rows in block_rows]
+
+
+def test_bounded_draws_flag_the_halves_numpy_rejects():
+    halves = np.array([[0], [1], [2**30], [2**31 + 1], [2**32 - 1]], dtype=np.uint64)
+    values, rejected = _bounded_draws(halves, np.array([12], dtype=np.uint64))
+    assert values[:, 0].tolist() == [0, 0, 3, 6, 11]
+    # 12 * half mod 2**32 falls below (2**32 - 12) % 12 == 4 only for the
+    # multiples of 2**30, a zero half among them
+    assert rejected[:, 0].tolist() == [True, False, True, False, False]
+    # (2**32 - 2) % 2 == 0: numpy never rejects a half for bound 2
+    _, rejected = _bounded_draws(halves, np.array([2], dtype=np.uint64))
+    assert not rejected.any()
+
+
+def test_rejected_rows_are_redrawn_by_their_own_generator(monkeypatch):
+    real_draws = pianoroll._bounded_draws
+
+    def reject_all(halves, bounds):
+        values, rejected = real_draws(halves, bounds)
+        # zeroed values give wrong rolls unless every row is redrawn
+        return np.zeros_like(values), np.ones_like(rejected)
+
+    monkeypatch.setattr(pianoroll, "_bounded_draws", reject_all)
+    style = StyleParams(ornament_prob=0.3)
+    for shape in SYNTH_SHAPES:
+        assert np.array_equal(
+            synth_generate(5, 7, shape, style).rolls, synth_rolls_per_roll(5, 7, shape, style)
+        )
+
+
+def test_synth_generate_memory_is_bounded_by_the_block(desk_shape):
+    synth_generate(101, 2, desk_shape)  # first-call set-up outside the trace
+    tracemalloc.start()
+    try:
+        rolls = synth_generate(101, 2000, desk_shape).rolls
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one block of raw words is 128 KB; all 2000 rows' words would be 12 MB
+    assert peak < rolls.nbytes + 2 * 2**20
 
 
 def test_pair_pick_draws_what_choice_draws():
@@ -400,8 +489,6 @@ PINNED_DIGESTS = {
 
 
 def test_dataset_bytes_are_pinned(tmp_path, desk_shape):
-    import hashlib
-
     ds = synth_generate(11, 200, desk_shape)
     write_dataset(ds, tmp_path / "dataset.prd", style=StyleParams())
     train, test = split(ds, SplitSpec(0.5, 12))
@@ -411,3 +498,19 @@ def test_dataset_bytes_are_pinned(tmp_path, desk_shape):
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in PINNED_DIGESTS
     }
     assert digests == PINNED_DIGESTS
+
+
+def test_packaged_corpus_bytes_are_pinned(tmp_path):
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    spec = load_experiment_config(configs / "default.json").synthetic
+    assert load_experiment_config(configs / "overfitted.json").synthetic == spec
+    dataset = synth_generate(spec.seed, spec.count, spec.shape, spec.style)
+    write_dataset(dataset, tmp_path / "dataset.prd", style=spec.style)
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("dataset.prd", "dataset.prd.meta.json")
+    }
+    assert digests == {
+        "dataset.prd": "dfe970140ef236c3825236d968a1c1cdeaa287798ced268a74f12ee30f9c495a",
+        "dataset.prd.meta.json": "e11ebd356e924fa515a0da3f3442d38ad89f0c38a5899adec2e2a51dc38f2271",
+    }
