@@ -22,6 +22,12 @@ gradients before the other step writes, so one gradient vector and one
 scratch vector serve both families.  A checkpoint's model is a snapshot over
 copies of the vectors, so training on does not move it.
 
+Training's working set is therefore both parameter vectors, their Adam
+moments, that gradient and scratch vector, and one (2 * batch_size, cells)
+float64 batch buffer that every discriminator step refills; the training
+rolls stay uint8 and are never copied whole, so it does not grow with the
+training set.
+
 Also hosts the oracle models used to validate attack power: a generator with
 a memorization dial and a discriminator with a controllable member margin.
 """
@@ -39,7 +45,7 @@ import numpy as np
 
 from . import nn
 from .errors import ConfigError, DivergenceError, FormatError
-from .pianoroll import Dataset, PianorollShape, atomic_open, check_config_block, flatten
+from .pianoroll import Dataset, PianorollShape, atomic_open, check_config_block
 
 CHECKPOINT_MAGIC = b"GANC"
 CHECKPOINT_VERSION = 1
@@ -218,16 +224,15 @@ class Checkpoint:
     gan: ComposerGan
 
 
-def _disc_step(gan: ComposerGan, real: np.ndarray, fake: np.ndarray, grads: ComposerGan) -> float:
-    """Discriminator loss on real rows (target 1) stacked over fake rows
-    (target 0); its parameter gradients, each row's scaled by 1/len(real),
-    are written into ``grads.discriminator``."""
-    x = np.concatenate([real, fake])
-    targets = np.concatenate([np.ones(len(real)), np.zeros(len(fake))])[:, None]
+def _disc_step(gan: ComposerGan, x: np.ndarray, targets: np.ndarray, grads: ComposerGan) -> float:
+    """Discriminator loss on ``x``, real rows (target 1) stacked over as many
+    fake rows (target 0), against the ``(len(x), 1)`` column ``targets``; its
+    parameter gradients, each row's scaled by 1/batch_size, are written into
+    ``grads.discriminator``."""
     logits, cache = nn.forward(gan.discriminator, x)
     loss, dlogits = nn.bce_logits_loss(logits, targets)
     nn.backward(
-        gan.discriminator, cache, dlogits * (1.0 / len(real)),
+        gan.discriminator, cache, dlogits * (1.0 / (len(x) // 2)),
         out=nn.mlp_params(grads.discriminator), input_grad=False,
     )
     return float(loss.sum())
@@ -272,6 +277,10 @@ def train(
     Each step is one batched pass: the discriminator trains on real rolls
     (target 1) stacked over binarized generator samples (target 0), and the
     gradients are batch sums of per-row gradients scaled by 1/batch_size.
+    The working set is the parameter vectors, the Adam moments, one gradient
+    and one scratch vector, and one (2 * batch_size, cells) float64 buffer
+    into which each discriminator step casts its gathered uint8 real rows
+    and writes its fakes; the training rolls themselves stay uint8.
     Only the latest checkpoint is kept in memory; the sink sees each one.
     A non-finite gradient or loss raises DivergenceError naming the
     iteration and carrying the last good checkpoint (None before the first).
@@ -282,8 +291,10 @@ def train(
     gan = build_gan(train_set.shape, config.latent_dim, init_ss)
     rng = np.random.default_rng(loop_ss)
 
-    X = flatten(train_set.rolls)
-    n = len(train_set)
+    n, batch = len(train_set), config.batch_size
+    rolls = train_set.rolls.reshape(n, gan.shape.cells)
+    x = np.empty((2 * batch, gan.shape.cells))
+    targets = np.concatenate([np.ones(batch), np.zeros(batch)])[:, None]
     # the two steps take turns, and each step's Adam update consumes its
     # gradients before the other step writes, so both families share one
     # gradient vector, cut into the model's layer views, and one scratch vector
@@ -297,13 +308,14 @@ def train(
     for it in range(1, config.iterations + 1):
         try:
             for _ in range(config.d_steps_per_g_step):
-                real_idx = rng.choice(n, size=config.batch_size, replace=False)
-                z_batch = rng.standard_normal((config.batch_size, config.latent_dim))
-                fake = (_generator_logits(gan, z_batch)[0] > 0.0).astype(np.float64)
-                d_loss = _disc_step(gan, X[real_idx], fake, grads)
+                real_idx = rng.choice(n, size=batch, replace=False)
+                z_batch = rng.standard_normal((batch, config.latent_dim))
+                np.copyto(x[:batch], rolls[real_idx])
+                np.greater(_generator_logits(gan, z_batch)[0], 0.0, out=x[batch:])
+                d_loss = _disc_step(gan, x, targets, grads)
                 nn.adam_step(gan.d_params, grads.d_params, d_state, scratch)
 
-            z_batch = rng.standard_normal((config.batch_size, config.latent_dim))
+            z_batch = rng.standard_normal((batch, config.latent_dim))
             g_loss = _gen_step(gan, z_batch, grads)
             nn.adam_step(gan.g_params, grads.g_params, g_state, scratch)
         except DivergenceError as exc:

@@ -542,6 +542,7 @@ def run_experiment(config: ExperimentConfig, force: bool = False) -> dict:
         write_dataset(train_set, out / "train.prd")
         write_dataset(test_set, out / "test.prd")
         manifest["outputs"] += ["train.prd", "test.prd"]
+        del dataset  # the splits are copies and nothing after reads the full set
         finish_stage(stage)
 
         stage = "train"

@@ -29,6 +29,7 @@ import json
 import math
 import os
 import struct
+import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from numbers import Integral, Real
@@ -151,9 +152,9 @@ def check_config_block(data, block: str, kinds: dict, required: tuple = ()) -> N
     """Raise ConfigError unless ``data``, the config block at key path
     ``block``, is an object whose keys all appear in ``kinds``, holding every
     key of ``required``, with each value of its kind (one of ``int``,
-    ``float``, ``bool``, ``str``, ``dict``, ``list``), and a ``seed`` not
-    negative.  Values are checked, not coerced; each error names the block
-    and the key."""
+    ``float``, ``bool``, ``str``, ``dict``, ``list``), each real finite, and
+    a ``seed`` not negative.  Values are checked, not coerced; each error
+    names the block and the key."""
     if not isinstance(data, dict):
         raise ConfigError(f"{block} must be an object, got {data!r}")
     for key in data:
@@ -166,6 +167,10 @@ def check_config_block(data, block: str, kinds: dict, required: tuple = ()) -> N
         kind, noun = _CONFIG_KINDS[kinds[key]]
         if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
             raise ConfigError(f"{block} {key} must be {noun}, got {value!r}")
+        # json reads NaN, Infinity and integers past float range; the
+        # comparison is exact for integers and false for NaN
+        if kind is Real and not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{block} {key} must be a finite real number, got {value!r}")
         if key == "seed" and value < 0:  # SeedSequence takes no negative entropy
             raise ConfigError(f"{block} seed must be a non-negative integer, got {value!r}")
 

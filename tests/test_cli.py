@@ -457,6 +457,12 @@ def test_unknown_config_key_exits_2_before_any_output(tmp_path, capsys, key_path
         (("split", "seed"), -1, "split seed must be a non-negative integer, got -1"),
         (("train", "seed"), -2, "train seed must be a non-negative integer, got -2"),
         (("attacks", "mc", 0, "seed"), -4, "attacks.mc[0] seed must be a non-negative integer, got -4"),
+        # json reads NaN and Infinity, which would otherwise fail only mid-run
+        (("train", "lr"), float("nan"), "train lr must be a finite real number, got nan"),
+        (("train", "lr"), float("inf"), "train lr must be a finite real number, got inf"),
+        (("split", "train_fraction"), float("nan"), "split train_fraction must be a finite real number, got nan"),
+        (("dataset", "synthetic", "style", "ornament_prob"), -float("inf"),
+         "dataset.synthetic.style ornament_prob must be a finite real number, got -inf"),
     ],
 )
 def test_mistyped_config_value_exits_2_before_any_output(tmp_path, capsys, key_path, value, message):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -275,6 +276,53 @@ def test_checkpoint_bytes_are_pinned(tmp_path, desk_shape):
         for name in PINNED_CHECKPOINT_DIGESTS
     }
     assert digests == PINNED_CHECKPOINT_DIGESTS
+
+
+# SHA-256 of the checkpoints of a desk-shape run with two discriminator steps
+# per generator step, recorded while training still held a float64 copy of
+# the training set; every discriminator step rewrites the batch buffer
+PINNED_TWO_D_STEP_DIGESTS = {
+    "checkpoint_000020.ganc": "c363beaf7bc4e6cf328d4132b6677d383aa67125d220440a7d6875d059763f9f",
+    "checkpoint_000040.ganc": "a0b5cff4ff18d4172bab4fd75b539a604c136f51e2e40ce12ccdf3efd62f06b7",
+}
+
+
+def test_two_d_step_checkpoint_bytes_are_pinned(tmp_path, desk_shape):
+    import hashlib
+
+    train_set, _ = split(synth_generate(11, 200, desk_shape), SplitSpec(0.5, 12))
+    config = TrainConfig(
+        iterations=40, batch_size=32, latent_dim=16, lr=1e-3, seed=14, checkpoint_every=20,
+        d_steps_per_g_step=2,
+    )
+    train(
+        train_set,
+        config,
+        checkpoint_sink=lambda c: save_checkpoint(c, tmp_path / f"checkpoint_{c.iteration:06d}.ganc"),
+    )
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in PINNED_TWO_D_STEP_DIGESTS
+    }
+    assert digests == PINNED_TWO_D_STEP_DIGESTS
+
+
+def test_training_memory_does_not_grow_with_the_training_set(desk_shape):
+    config = TrainConfig(
+        iterations=4, batch_size=32, latent_dim=16, lr=1e-3, seed=13, checkpoint_every=2
+    )
+    peaks = []
+    for count in (200, 2000):
+        train_set = synth_generate(15, count, desk_shape)
+        train(train_set, config)  # first-call set-up outside the trace
+        tracemalloc.start()
+        try:
+            train(train_set, config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # a float64 copy of the set would add (2000 - 200) * 768 * 8 B, 10.5 MiB
+    assert abs(peaks[1] - peaks[0]) < 2**20
 
 
 def test_checkpoint_roundtrip(tiny_train_set, tmp_path):

@@ -26,6 +26,7 @@ from rollmia.harness import load_experiment_config
 from rollmia.pianoroll import (
     _bounded_draws,
     _pick_table,
+    check_config_block,
     entropy_words,
     indexed_entropy,
     seed_states,
@@ -473,6 +474,18 @@ def test_style_params_roundtrip():
     assert StyleParams.from_dict(style.to_dict()) == style
     with pytest.raises(ConfigError, match="unknown style"):
         StyleParams.from_dict({"bogus": 1})
+
+
+def test_config_reals_must_be_finite():
+    # json reads NaN, Infinity and 1e400 as non-finite floats, and an integer
+    # literal past float range as an int that float() cannot convert
+    for value in (float("nan"), float("inf"), -float("inf"), 10**400, -(10**400)):
+        with pytest.raises(ConfigError) as info:
+            check_config_block({"lr": value}, "train", {"lr": float})
+        assert str(info.value) == f"train lr must be a finite real number, got {value!r}"
+    # the largest finite values pass, whether float or integer
+    check_config_block({"lr": np.finfo(np.float64).max, "x": int(np.finfo(np.float64).max)},
+                       "train", {"lr": float, "x": float})
 
 
 # SHA-256 of the files a 200-roll desk-shape set and its 0.5 split write.
