@@ -37,7 +37,7 @@ from .gan import (
     save_checkpoint,
     train,
 )
-from .metrics import ConfusionCounts, MetricsRow, compute_metrics, confusion_from_predictions
+from .metrics import ConfusionCounts, MetricsRow, compute_metrics
 from .whitebox import WbAttackResult, rank_scores, run_whitebox, run_whitebox_sets
 from .montecarlo import (
     EpsilonHeuristic,
@@ -45,7 +45,6 @@ from .montecarlo import (
     McResult,
     build_stash,
     epsilon_from_heuristic,
-    mc_score,
     run_mc_trials,
     stash_seeds,
 )
@@ -68,10 +67,10 @@ __all__ = [
     "ComposerGan", "TrainConfig", "Checkpoint", "build_gan", "g_sample",
     "d_score", "train", "save_checkpoint", "load_checkpoint",
     "OracleGenerator", "OracleDiscriminator", "oracle_generate", "oracle_d_score",
-    "ConfusionCounts", "MetricsRow", "compute_metrics", "confusion_from_predictions",
+    "ConfusionCounts", "MetricsRow", "compute_metrics",
     "WbAttackResult", "rank_scores", "run_whitebox", "run_whitebox_sets",
     "EpsilonHeuristic", "McConfig", "McResult", "build_stash", "stash_seeds",
-    "epsilon_from_heuristic", "mc_score", "run_mc_trials",
+    "epsilon_from_heuristic", "run_mc_trials",
     "SyntheticSpec", "ExperimentConfig", "emit_reports",
     "load_experiment_config", "run_experiment",
 ]

@@ -33,10 +33,13 @@ then checks it once, with ``check_config`` for the top level and
 ``check_config_block`` for each block, and builds its dataclasses straight
 from the checked blocks (``parse_experiment_config`` for ``experiment
 run``).  ``checkpoint_name`` names a checkpoint file, and ``TABLES``
-lists each attack table as (file, section title, CSV header) in report
-order.  ``emit_reports`` writes every table that has rows and one
-report.md section for it; ``report_from_dir``, behind ``rollmia report``,
-renders the same sections from the files.  A new table is one entry there.
+lists each attack table as (file, section title, CSV header,
+success_vs_iteration.csv column) in report order.  ``emit_reports(output_dir,
+provenance, tables)`` takes each table's CSV data lines keyed by file name,
+writes every table that has lines and one report.md section for it, and
+builds the series from the first two fields of those lines;
+``report_from_dir``, behind ``rollmia report``, renders the same sections
+from the files.  A new table is one ``TABLES`` entry plus its lines.
 """
 
 from __future__ import annotations
@@ -245,11 +248,13 @@ def config_hash(config: ExperimentConfig) -> str:
 WB_HEADER = "iterations,success_rate,accuracy,precision,recall,fpr,f1"
 MC_HEADER = "epochs,single_mi_accuracy,set_mi_accuracy,heuristic,metric,trials"
 
-# (file, report.md section title, CSV header) of each attack table, in report
-# order.  ``emit_reports`` writes them and ``report_from_dir`` re-renders them.
+# (file, report.md section title, CSV header, success_vs_iteration.csv column)
+# of each attack table, in report order.  ``emit_reports`` writes them and
+# ``report_from_dir`` re-renders them.  A table's lines start with the
+# iteration and the value its series column takes.
 TABLES = (
-    ("wb_metrics.csv", "White-box discriminator attack", WB_HEADER),
-    ("mc_metrics.csv", "Monte Carlo attack", MC_HEADER),
+    ("wb_metrics.csv", "White-box discriminator attack", WB_HEADER, "whitebox_success_rate"),
+    ("mc_metrics.csv", "Monte Carlo attack", MC_HEADER, "single_mi_accuracy"),
 )
 
 
@@ -292,34 +297,28 @@ def _section(title: str, header: str, lines: list[str]) -> list[str]:
     return out
 
 
-def emit_reports(
-    output_dir: str | Path, provenance: dict, wb_rows: list[MetricsRow], mc_rows: list[McRow]
-) -> list[Path]:
-    """Write each table of ``TABLES`` that has rows, success_vs_iteration.csv
-    and report.md, headed by ``provenance``; returns the written paths."""
-    if not (wb_rows or mc_rows):
+def emit_reports(output_dir: str | Path, provenance: dict, tables: dict[str, list[str]]) -> list[Path]:
+    """Write each table of ``TABLES`` that has CSV data lines in ``tables``,
+    keyed by file name, then success_vs_iteration.csv and report.md, headed
+    by ``provenance``; returns the written paths."""
+    if not any(tables.values()):
         raise ConfigError("no rows: no tables to report")
     md = ["# Attack report", ""] + [f"- {key}: {provenance[key]}" for key in sorted(provenance)]
     md += [""] if provenance else []
     files: dict[str, list[str]] = {}
-    table_lines = ([wb_csv_line(r) for r in wb_rows], [mc_csv_line(r) for r in mc_rows])
-    for (name, title, header), lines in zip(TABLES, table_lines):
+    # one series row per iteration, from each table's first line for it: of
+    # several MC configs, the first config's
+    series_header = ["iterations"]
+    series: dict[int, list[str]] = {}
+    for name, title, header, column in TABLES:
+        lines = tables.get(name)
         if lines:
             files[name] = [header] + lines
             md += _section(title, header, lines) + [""]
-
-    # one row per checkpoint, from each table's first row for it: of several
-    # MC configs, the first config's
-    series_header = ["iterations"]
-    series: dict[int, list[str]] = {}
-    for column, points in (
-        ("whitebox_success_rate", [(r.iteration, r.success_rate) for r in wb_rows]),
-        ("single_mi_accuracy", [(r.iteration, r.single_mi_accuracy) for r in mc_rows]),
-    ):
-        if points:
             series_header.append(column)
+            points = [line.split(",", 2)[:2] for line in lines]
             for iteration, value in dict(reversed(points)).items():
-                series.setdefault(iteration, []).append(f"{value:.3f}")
+                series.setdefault(int(iteration), []).append(value)
     files["success_vs_iteration.csv"] = [",".join(series_header)] + [
         ",".join([str(it)] + vals) for it, vals in sorted(series.items())
     ]
@@ -338,7 +337,7 @@ def report_from_dir(in_dir: str | Path, fmt: str) -> str:
     if fmt not in ("csv", "md"):
         raise ConfigError("format must be csv or md")
     sections = []
-    for name, title, _header in TABLES:
+    for name, title, *_ in TABLES:
         path = in_dir / name
         if path.exists():
             lines = path.read_text(encoding="utf-8").strip().splitlines()
@@ -376,7 +375,7 @@ def checkpoint_name(iteration: int) -> str:
 # files ``run_experiment`` writes at the top of a run directory, beside its
 # ``checkpoints/`` folder of ``checkpoint_name`` files
 _RUN_FILES = frozenset(
-    ["manifest.json", "success_vs_iteration.csv", "report.md", *(name for name, _, _ in TABLES)]
+    ["manifest.json", "success_vs_iteration.csv", "report.md", *(name for name, *_ in TABLES)]
     + [f"{stem}.prd{ext}" for stem in ("dataset", "train", "test") for ext in ("", ".meta.json")]
 )
 
@@ -475,6 +474,9 @@ def run_experiment(config: ExperimentConfig, force: bool = False) -> dict:
     and nothing that a run does not write.
     """
     out = config.output_dir
+    taken = next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None)
+    if taken is not None:
+        raise ConfigError(f"output directory {out}: {taken} is an existing file, not a directory")
     if out.exists() and any(out.iterdir()):
         if not force:
             raise ConfigError(
@@ -539,6 +541,14 @@ def run_experiment(config: ExperimentConfig, force: bool = False) -> dict:
 
         stage = "split"
         train_set, test_set = split(dataset, config.split)
+        # an MC config that cannot draw its subsets fails here, not after training
+        for i, mc_config in enumerate(config.mc):
+            if min(len(train_set), len(test_set)) < mc_config.subset_size:
+                raise ConfigError(
+                    f"attacks.mc[{i}] subset_size {mc_config.subset_size} needs at least that many "
+                    f"records on each side; the split has {len(train_set)} train and "
+                    f"{len(test_set)} test records"
+                )
         write_dataset(train_set, out / "train.prd")
         write_dataset(test_set, out / "test.prd")
         manifest["outputs"] += ["train.prd", "test.prd"]
@@ -559,19 +569,20 @@ def run_experiment(config: ExperimentConfig, force: bool = False) -> dict:
         finish_stage(stage)
 
         stage = "attacks"
-        wb_rows: list[MetricsRow] = []
-        mc_rows: list[McRow] = []
+        wb_lines: list[str] = []
+        mc_lines: list[str] = []
         # each model is read back from its file, so the experiment attacks
         # the same float32 weights as ``rollmia attack --checkpoint``
         for path in ckpt_paths:
             ckpt = load_checkpoint(path)
             if config.whitebox:
-                wb_rows.append(
-                    whitebox_row(checkpoint_scorer(ckpt.gan), ckpt.iteration, train_set, test_set)
-                )
+                row = whitebox_row(checkpoint_scorer(ckpt.gan), ckpt.iteration, train_set, test_set)
+                wb_lines.append(wb_csv_line(row))
             sampler = checkpoint_sampler(ckpt.gan)
             for mc_config in config.mc:
-                mc_rows.append(mc_row(sampler, ckpt.iteration, train_set, test_set, mc_config))
+                mc_lines.append(
+                    mc_csv_line(mc_row(sampler, ckpt.iteration, train_set, test_set, mc_config))
+                )
         finish_stage(stage)
 
         stage = "reports"
@@ -584,7 +595,9 @@ def run_experiment(config: ExperimentConfig, force: bool = False) -> dict:
             "split_seed": config.split.seed,
             "train_seed": config.train.seed,
         }
-        written = emit_reports(out, provenance, wb_rows, mc_rows)
+        written = emit_reports(
+            out, provenance, {"wb_metrics.csv": wb_lines, "mc_metrics.csv": mc_lines}
+        )
         manifest["outputs"] += [p.name for p in written]
         finish_stage(stage)
     except Exception as exc:

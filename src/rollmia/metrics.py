@@ -1,5 +1,7 @@
-"""Confusion-count algebra and the six attack evaluation metrics.
+"""Confusion counts and the six attack evaluation metrics.
 
+The white-box attack counts its confusion cells from a member mask
+(``whitebox.rank_scores``); this module derives the metrics from them.
 Success rate is correct member predictions over true member count, which
 equals recall under the top-N decision rule.  A 0/0 ratio is reported as
 0.0 rather than emitted as NaN.
@@ -8,7 +10,6 @@ equals recall under the top-N decision rule.  A 0/0 ratio is reported as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection
 
 from .errors import ConfigError
 
@@ -64,22 +65,3 @@ def compute_metrics(c: ConfusionCounts, iteration: int) -> MetricsRow:
         fpr=fpr,
         f1=f1,
     )
-
-
-def confusion_from_predictions(
-    predicted_member_ids: Collection[int],
-    true_member_ids: Collection[int],
-    all_ids: Collection[int],
-) -> ConfusionCounts:
-    predicted = set(predicted_member_ids)
-    true = set(true_member_ids)
-    universe = set(all_ids)
-    if not predicted <= universe:
-        raise ConfigError("predicted ids outside the candidate universe")
-    if not true <= universe:
-        raise ConfigError("true member ids outside the candidate universe")
-    tp = len(predicted & true)
-    fp = len(predicted - true)
-    fn = len(true - predicted)
-    tn = len(universe) - tp - fp - fn
-    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)

@@ -13,17 +13,20 @@ set-level answer is a frequency rather than a one-shot 0/1 outcome.
 
 A trial is one array pipeline over its 2M candidates: their features, a
 (2M, n) array of stash draws, a (2M, n) array of distances, then epsilon,
-scores and the top-M selection on whole arrays.  Features are computed for
-the 2M drawn candidates only, not for every roll of either side.  Euclidean
-distances come from one candidate x stash Gram product per trial, exact in
-float32 because the cells are 0/1.  Tonal distances come from one kernel
-over the six centroid components, each a contiguous (stash size, steps)
-plane: per block of candidates it gathers a plane's drawn rows, subtracts
-the candidate's plane, squares, and adds the six terms in component order,
-then takes the root and the mean over steps.  That order is the order in
-which ``np.linalg.norm`` sums a length-6 last axis, so the distances equal
-the per-candidate norm of the stacked features bit for bit; a regrouped sum
-would not.
+scores and the top-M selection on whole arrays.  ``run_mc_trials`` is the
+only scoring path: a candidate is scored within its trial, never alone.
+Epsilon has one rank rule, the value at ascending rank max(1, ceil(q*K)) of
+the trial's K pooled distances, with q = 1/2 for the (lower) median.
+Features are computed for the 2M drawn candidates only, not for every roll
+of either side.  Euclidean distances come from one candidate x stash Gram
+product per trial, exact in float32 because the cells are 0/1.  Tonal
+distances come from one kernel over the six centroid components, each a
+contiguous (stash size, steps) plane: per block of candidates it gathers a
+plane's drawn rows, subtracts the candidate's plane, squares, and adds the
+six terms in component order, then takes the root and the mean over steps.
+That order is the order in which ``np.linalg.norm`` sums a length-6 last
+axis, so the distances equal the per-candidate norm of the stacked features
+bit for bit; a regrouped sum would not.
 
 Candidate i of a trial draws the stream that ``default_rng`` gives on the
 trial's i-th candidate SeedSequence child; one ``pianoroll.seeded_generators``
@@ -59,8 +62,8 @@ METRIC_FROM_LABEL = {v: k for k, v in METRIC_LABELS.items()}
 
 @dataclass(frozen=True)
 class EpsilonHeuristic:
-    """Threshold rule: lower median, or the value at ascending rank
-    ceil(q * K) for percentile(q)."""
+    """Threshold rule: the value at ascending rank max(1, ceil(q * K)) of K
+    distances, for percentile(q) or, with q = 1/2, the lower median."""
 
     kind: str
     q: float | None = None
@@ -240,20 +243,16 @@ def roll_features(metric: str, shape: PianorollShape, rolls: np.ndarray) -> np.n
 
 
 def epsilon_from_heuristic(distances: Sequence[float], heuristic: EpsilonHeuristic) -> float:
-    """Select the threshold from observed distances.
-
-    median: lower median (rank (K+1)//2).  percentile(q): ascending rank
-    max(1, ceil(q*K)).  The result is always a member of the input multiset.
+    """Select the threshold from observed distances: the value at ascending
+    rank max(1, ceil(q*K)) of the K distances, with q = 1/2 for the median,
+    so the median is the lower one, rank (K+1)//2.  The result is always a
+    member of the input multiset.
     """
     values = np.sort(np.asarray(distances, dtype=np.float64))
-    k = values.size
-    if k == 0:
+    if values.size == 0:
         raise ConfigError("cannot pick epsilon from an empty distance set")
-    if heuristic.kind == "median":
-        rank = (k + 1) // 2
-    else:
-        rank = max(1, math.ceil(heuristic.q * k))
-    return float(values[rank - 1])
+    q = 0.5 if heuristic.kind == "median" else heuristic.q
+    return float(values[max(1, math.ceil(q * values.size)) - 1])
 
 
 # stash rows per block of the Euclidean Gram product, which bounds its float32 copies
@@ -339,30 +338,6 @@ def _query_distances(
         squared = np.take_along_axis(_squared_euclidean(candidates, stash), drawn, axis=1)
         return np.sqrt(squared, out=squared)
     return _tonal_distances(candidates, stash, drawn)
-
-
-def mc_score(
-    shape: PianorollShape,
-    candidate: np.ndarray,
-    stash: np.ndarray,
-    config: McConfig,
-    epsilon: float,
-    seed,
-) -> float:
-    """Fraction of n stash draws within ``epsilon`` of the candidate, drawn
-    by ``default_rng(seed)``."""
-    if epsilon < 0.0:
-        raise ConfigError("epsilon must be >= 0")
-    if config.n_per_query > len(stash):
-        raise ConfigError("n_per_query exceeds stash size")
-    dists = _query_distances(
-        config.metric,
-        roll_features(config.metric, shape, np.asarray(candidate)[None]),
-        roll_features(config.metric, shape, stash),
-        config.n_per_query,
-        np.array([entropy_words(seed)]),
-    )
-    return float(np.mean(dists <= epsilon))
 
 
 def run_mc_trials(

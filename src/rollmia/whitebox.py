@@ -14,7 +14,8 @@ record at a time such as the oracle discriminator whose noise is seeded per
 id, and only wraps it into a set scorer for ``run_whitebox_sets``.
 
 The ranking never reads ground-truth labels; the member ids are passed only
-so the confusion counts can be computed afterwards.
+so the confusion counts can be computed afterwards, in one array pass from
+the member mask of the ranked candidates.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .metrics import ConfusionCounts, confusion_from_predictions
+from .metrics import ConfusionCounts
 from .pianoroll import Dataset
 
 
@@ -37,10 +38,16 @@ class WbAttackResult:
 
 def rank_scores(ids, scores, member_ids) -> WbAttackResult:
     """Sort candidates by (score desc, id asc) and predict the first
-    ``len(member_ids)`` as members.  The id tiebreak makes the ordering total;
-    scores that compare equal, +0.0 and -0.0 included, order by id."""
+    N = ``len(member_ids)`` as members.  The id tiebreak makes the ordering
+    total; scores that compare equal, +0.0 and -0.0 included, order by id.
+
+    The counts come from the member mask of the ranked candidates: tp is
+    the number of members among the first N, so fp = fn = N - tp and
+    tn = C - 2N + tp for C candidates.  The member ids must be distinct
+    candidate ids."""
     ids = np.asarray(ids, dtype=np.int64)
     scores = np.asarray(scores, dtype=np.float64)
+    member_ids = np.asarray(member_ids, dtype=np.int64)
     if scores.shape != ids.shape:
         raise ConfigError(f"need one score per candidate: {scores.shape} scores for {ids.shape} ids")
     n_members = len(member_ids)
@@ -51,9 +58,17 @@ def rank_scores(ids, scores, member_ids) -> WbAttackResult:
     bad = ~np.isfinite(scores)
     if bad.any():
         raise ConfigError(f"non-finite score for candidate {ids[bad][0]}")
-    predicted = tuple(ids[np.lexsort((ids, -scores))[:n_members]].tolist())
-    confusion = confusion_from_predictions(predicted, member_ids, ids.tolist())
-    return WbAttackResult(predicted, confusion)
+    is_member = np.isin(ids, member_ids)
+    # with unique candidate ids the mask counts each distinct member once
+    if np.count_nonzero(is_member) != n_members:
+        if len(np.unique(member_ids)) != n_members:
+            raise ConfigError("member ids must be unique")
+        raise ConfigError("member ids must all be candidate ids")
+    top = np.lexsort((ids, -scores))[:n_members]
+    tp = int(np.count_nonzero(is_member[top]))
+    fp = n_members - tp
+    confusion = ConfusionCounts(tp=tp, fp=fp, tn=len(ids) - n_members - fp, fn=fp)
+    return WbAttackResult(tuple(ids[top].tolist()), confusion)
 
 
 def run_whitebox_sets(
@@ -67,7 +82,7 @@ def run_whitebox_sets(
     order."""
     if members.shape != nonmembers.shape:
         raise ConfigError("member and nonmember datasets must share a shape")
-    if set(members.ids.tolist()) & set(nonmembers.ids.tolist()):
+    if np.intersect1d(members.ids, nonmembers.ids).size:
         raise ConfigError("member and nonmember ids must be disjoint")
     sides = []
     for name, dataset in (("members", members), ("nonmembers", nonmembers)):

@@ -4,17 +4,18 @@ Each is the plain per-element or per-tensor form of something the package
 computes in bulk: one step's pitch-class profile and tonal centroid, the
 distance from one candidate's features to a stack of features (which the
 Gram product and the tonal plane kernel reproduce bit for bit) and between
-two rolls, the pitch indices of one class, the masked logistic function,
-the per-tensor Adam update, and the per-item Generators (one ``default_rng``
-per synthetic roll, MC candidate or latent row) that the seeded batches
-reproduce.
+two rolls, one candidate's Monte Carlo score, the white-box ranking as a
+sort of tuples and its confusion counts as id-set algebra, the pitch indices
+of one class, the masked logistic function, the per-tensor Adam update, and
+the per-item Generators (one ``default_rng`` per synthetic roll, MC
+candidate or latent row) that the seeded batches reproduce.
 """
 
 import numpy as np
 
-from rollmia import DivergenceError, PianorollShape, StyleParams
-from rollmia.montecarlo import _TONAL_BASIS, EUCLIDEAN, roll_features
-from rollmia.pianoroll import _pick_table, _synth_roll
+from rollmia import ConfigError, ConfusionCounts, DivergenceError, McConfig, PianorollShape, StyleParams
+from rollmia.montecarlo import _TONAL_BASIS, EUCLIDEAN, _query_distances, roll_features
+from rollmia.pianoroll import _pick_table, _synth_roll, entropy_words
 
 
 def pitch_class_profile(
@@ -57,6 +58,55 @@ def distance(metric: str, shape: PianorollShape, a: np.ndarray, b: np.ndarray) -
     return float(
         features_distance(metric, roll_features(metric, shape, a), roll_features(metric, shape, b))
     )
+
+
+def mc_score(
+    shape: PianorollShape,
+    candidate: np.ndarray,
+    stash: np.ndarray,
+    config: McConfig,
+    epsilon: float,
+    seed,
+) -> float:
+    """Fraction of n stash draws within ``epsilon`` of the candidate, drawn
+    by ``default_rng(seed)``: one candidate's score, as ``run_mc_trials``
+    scores each of its 2M candidates."""
+    if epsilon < 0.0:
+        raise ConfigError("epsilon must be >= 0")
+    if config.n_per_query > len(stash):
+        raise ConfigError("n_per_query exceeds stash size")
+    dists = _query_distances(
+        config.metric,
+        roll_features(config.metric, shape, np.asarray(candidate)[None]),
+        roll_features(config.metric, shape, stash),
+        config.n_per_query,
+        np.array([entropy_words(seed)]),
+    )
+    return float(np.mean(dists <= epsilon))
+
+
+def top_n_by_sort(ids: np.ndarray, scores: np.ndarray, n: int) -> tuple[int, ...]:
+    """The white-box ranking as a sort of Python tuples by (-score, id): the
+    ids of the first ``n``."""
+    ranked = sorted(zip(scores.tolist(), ids.tolist()), key=lambda c: (-c[0], c[1]))
+    return tuple(rid for _, rid in ranked[:n])
+
+
+def confusion_from_predictions(predicted_member_ids, true_member_ids, all_ids) -> ConfusionCounts:
+    """Confusion counts by set algebra over the predicted, true member and
+    candidate ids."""
+    predicted = set(predicted_member_ids)
+    true = set(true_member_ids)
+    universe = set(all_ids)
+    if not predicted <= universe:
+        raise ConfigError("predicted ids outside the candidate universe")
+    if not true <= universe:
+        raise ConfigError("true member ids outside the candidate universe")
+    tp = len(predicted & true)
+    fp = len(predicted - true)
+    fn = len(true - predicted)
+    tn = len(universe) - tp - fp - fn
+    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
 
 
 def pitch_indices_for_class(shape: PianorollShape, pitch_class: int) -> np.ndarray:

@@ -28,7 +28,6 @@ from rollmia import (
     d_score,
     g_sample,
     load_checkpoint,
-    mc_score,
     oracle_d_score,
     oracle_generate,
     read_dataset,
@@ -45,6 +44,8 @@ from rollmia import (
 from rollmia.harness import parse_experiment_config
 from rollmia.montecarlo import EUCLIDEAN, epsilon_from_heuristic
 from rollmia.nn import backward, forward, glorot_init, mlp_params
+
+from reference import mc_score
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 DESK_SHAPE = PianorollShape(2, 1, 16, 24)

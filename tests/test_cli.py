@@ -246,7 +246,7 @@ def test_exit_code_bad_sidecar(tmp_path, cli_workspace, make_sidecar):
     assert code == 3
 
 
-def test_exit_code_config_error(tmp_path, cli_workspace):
+def test_exit_code_config_error(tmp_path, cli_workspace, capsys):
     root, data, train, test = cli_workspace
     code = run(
         ["split", "--in", data, "--fraction", 0.001, "--seed", 1,
@@ -258,6 +258,42 @@ def test_exit_code_config_error(tmp_path, cli_workspace):
          "--out", tmp_path / "o.csv"]
     )
     assert code == 2  # missing tau
+    # an output_dir that is, or is below, an existing file
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    config = json.loads((Path(__file__).resolve().parents[1] / "configs" / "default.json").read_text())
+    for out_dir in (taken, taken / "run"):
+        config["output_dir"] = str(out_dir)
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        capsys.readouterr()
+        assert run(["experiment", "run", "--config", tmp_path / "config.json"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: output directory {out_dir}: {taken} is an existing file, not a directory"
+        ]
+    assert taken.read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
+
+
+def test_mc_subset_larger_than_a_split_side_exits_2_before_training(tmp_path, capsys):
+    data = json.loads((Path(__file__).resolve().parents[1] / "configs" / "default.json").read_text())
+    data["dataset"]["synthetic"]["count"] = 100
+    data["train"].update(iterations=40, checkpoint_every=20)
+    data["attacks"]["mc"][0]["subset_size"] = 20
+    data["attacks"]["mc"].append(dict(data["attacks"]["mc"][0], subset_size=80))
+    out = tmp_path / "run"
+    data["output_dir"] = str(out)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(["experiment", "run", "--config", config]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: attacks.mc[1] subset_size 80 needs at least that many records on each side; "
+        "the split has 50 train and 50 test records"
+    ]
+    assert not (out / "checkpoints").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failed_stage"] == "split"
+    assert manifest["stages"] == {"dataset": "ok", "split": "failed"}
 
 
 def test_exit_code_divergence(cli_workspace, tmp_path):

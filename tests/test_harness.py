@@ -32,8 +32,10 @@ from rollmia.harness import (
     _write_manifest,
     config_echo,
     config_hash,
+    mc_csv_line,
     parse_experiment_config,
     report_from_dir,
+    wb_csv_line,
     whitebox_row,
     write_lines,
 )
@@ -135,7 +137,9 @@ def test_label_constraints(tmp_path):
 def test_emit_reports_exact_lines(tmp_path):
     row = MetricsRow(1000, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5)
     mc = McRow(20000, 0.501, 1.0, "median", "euclidean", 1)
-    paths = emit_reports(tmp_path, {}, [row], [mc])
+    paths = emit_reports(
+        tmp_path, {}, {"wb_metrics.csv": [wb_csv_line(row)], "mc_metrics.csv": [mc_csv_line(mc)]}
+    )
     wb = (tmp_path / "wb_metrics.csv").read_text().splitlines()
     assert wb[0] == "iterations,success_rate,accuracy,precision,recall,fpr,f1"
     assert wb[1] == "1000,0.500,0.500,0.500,0.500,0.500,0.500"
@@ -154,9 +158,9 @@ def test_emit_reports_exact_lines(tmp_path):
 
 def test_emit_reports_empty_table(tmp_path):
     with pytest.raises(ConfigError, match="no rows"):
-        emit_reports(tmp_path, {}, [], [])
+        emit_reports(tmp_path, {}, {})
     with pytest.raises(ConfigError, match="no tables"):
-        emit_reports(tmp_path, {"label": "custom"}, [], [])
+        emit_reports(tmp_path, {"label": "custom"}, {"wb_metrics.csv": [], "mc_metrics.csv": []})
 
 
 @pytest.fixture(scope="module")

@@ -7,8 +7,9 @@ from rollmia import (
     ConfigError,
     ConfusionCounts,
     compute_metrics,
-    confusion_from_predictions,
 )
+
+from reference import confusion_from_predictions
 
 
 def test_symmetric_counts_all_half():
@@ -61,6 +62,7 @@ def test_zero_over_zero_ratios_are_zero():
     assert row.f1 == 0.0
 
 
+# the id-set algebra that ``rank_scores``'s mask counts are checked against
 def test_confusion_from_predictions_cases():
     assert confusion_from_predictions({1, 2}, {1, 2}, {1, 2, 3, 4}) == ConfusionCounts(2, 0, 2, 0)
     assert confusion_from_predictions({1, 2}, {3, 4}, {1, 2, 3, 4}) == ConfusionCounts(0, 2, 0, 2)

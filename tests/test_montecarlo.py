@@ -17,7 +17,6 @@ from rollmia import (
     epsilon_from_heuristic,
     flatten,
     g_sample,
-    mc_score,
     oracle_generate,
     run_mc_trials,
     stash_seeds,
@@ -43,6 +42,7 @@ from reference import (
     distance,
     features_distance,
     latent_rows,
+    mc_score,
     pitch_class_profile,
     step_centroid,
 )
@@ -59,6 +59,13 @@ def test_median_odd():
 
 def test_median_even_is_lower():
     assert epsilon_from_heuristic([1, 2, 3, 4], EpsilonHeuristic.median()) == 2.0
+    # the median's rank ceil(K/2) is the sort oracle's (K+1)//2 for every K
+    rng = np.random.default_rng(3)
+    for k in range(1, 1001):
+        values = rng.permutation(k).tolist()
+        assert epsilon_from_heuristic(values, EpsilonHeuristic.median()) == sort_oracle(
+            values, EpsilonHeuristic.median()
+        )
 
 
 def test_percentile_rank():

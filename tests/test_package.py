@@ -13,6 +13,22 @@ def test_every_export_resolves_once():
     assert missing == []
 
 
+def test_no_test_reference_is_exported():
+    """tests/reference.py holds the plain forms the package is checked
+    against; none of them may come back into the library's exports."""
+    source = Path(__file__).with_name("reference.py")
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    defined = {
+        node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    } | {
+        target.id
+        for node in tree.body if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+    assert {"mc_score", "confusion_from_predictions"} <= defined
+    assert sorted(defined & set(rollmia.__all__)) == []
+
+
 def _chain(node, modules) -> list[str] | None:
     """The dotted names of ``node`` if it is an attribute chain on one of
     ``modules``, such as ["pianoroll", "StyleParams", "from_dict"]."""

@@ -14,6 +14,8 @@ from rollmia import (
     synth_generate,
 )
 
+from reference import confusion_from_predictions, top_n_by_sort
+
 SHAPE = PianorollShape(1, 1, 4, 12)
 
 
@@ -21,12 +23,6 @@ def candidates(scores, members=()):
     """(ids, scores, member_ids) for candidates 0..len(scores)-1."""
     members = np.array(sorted(members), dtype=np.int64)
     return np.arange(len(scores)), np.array(scores, dtype=np.float64), members
-
-
-def reference_ranking(ids, scores, n_members):
-    """The ranking as a sort of Python tuples by (-score, id)."""
-    ranked = sorted(zip(scores.tolist(), ids.tolist()), key=lambda c: (-c[0], c[1]))
-    return tuple(rid for _, rid in ranked[:n_members])
 
 
 def test_rank_top_scores():
@@ -46,14 +42,16 @@ def test_rank_signed_zeros_and_ties_order_by_id():
     ids = np.array([9, 4, 7, 2, 5, 1, 8])
     scores = np.array([0.0, -0.0, 1.5, -0.0, 0.0, 1.5, -1.0])
     assert rank_scores(ids, scores, ids[:5]).predicted_member_ids == (1, 7, 2, 4, 5)
+    # the order and the mask counts against the tuple sort and the id-set algebra
     rng = np.random.default_rng(12)
-    for _ in range(200):
+    for _ in range(300):
         n = int(rng.integers(2, 40))
         ids = rng.permutation(1000)[:n]
         scores = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], size=n)
-        n_members = int(rng.integers(1, n + 1))
-        result = rank_scores(ids, scores, ids[:n_members])
-        assert result.predicted_member_ids == reference_ranking(ids, scores, n_members)
+        members = rng.choice(ids, size=int(rng.integers(1, n + 1)), replace=False)
+        result = rank_scores(ids, scores, members)
+        assert result.predicted_member_ids == top_n_by_sort(ids, scores, len(members))
+        assert result.confusion == confusion_from_predictions(result.predicted_member_ids, members, ids)
 
 
 def test_rank_confusion():
@@ -78,8 +76,13 @@ def test_rank_n_out_of_range():
 
 
 def test_rank_duplicate_ids():
-    with pytest.raises(ConfigError, match="unique"):
+    with pytest.raises(ConfigError, match="candidate ids must be unique"):
         rank_scores([1, 1], [0.0, 1.0], [1])
+    ids, scores, _ = candidates([3.0, 1.0, 2.0, 0.0])
+    with pytest.raises(ConfigError, match="member ids must be unique"):
+        rank_scores(ids, scores, [2, 0, 2])
+    with pytest.raises(ConfigError, match="member ids must all be candidate ids"):
+        rank_scores(ids, scores, [0, 9])
 
 
 def test_rank_non_finite_score():
