@@ -9,6 +9,8 @@ An ``--oracle`` model scores or samples one record at a time, and is wrapped
 into the row functions' whole-set scorer and seed-array sampler.
 The Monte Carlo stash is seeded by ``(seed, checkpoint iteration)``, or
 ``(seed, 0)`` for an oracle, as in the experiment.
+The parser is built once per process, on the first ``main`` call, and each
+verb is looked up in this module by name when it is called.
 """
 
 from __future__ import annotations
@@ -222,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--pitches", type=int, default=24)
     p_gen.add_argument("--base-pitch", type=int, default=24)
     p_gen.add_argument("--seed", type=int, required=True)
-    p_gen.set_defaults(func=cmd_dataset_gen)
+    p_gen.set_defaults(verb="cmd_dataset_gen")
 
     p_split = sub.add_parser("split", help="split a dataset into train/test")
     p_split.add_argument("--in", dest="input", required=True)
@@ -230,12 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_split.add_argument("--seed", type=int, required=True)
     p_split.add_argument("--train", required=True)
     p_split.add_argument("--test", required=True)
-    p_split.set_defaults(func=cmd_split)
+    p_split.set_defaults(verb="cmd_split")
 
     p_train = sub.add_parser("train", help="train a GAN on a dataset")
     p_train.add_argument("--config", required=True)
     p_train.add_argument("--out-dir", required=True)
-    p_train.set_defaults(func=cmd_train)
+    p_train.set_defaults(verb="cmd_train")
 
     p_attack = sub.add_parser("attack", help="run a membership-inference attack")
     attack_sub = p_attack.add_subparsers(dest="attack_command", required=True)
@@ -248,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_wb.add_argument("--test", required=True)
     p_wb.add_argument("--seed", type=int, default=0, help="seed for oracle score noise")
     p_wb.add_argument("--out", required=True)
-    p_wb.set_defaults(func=cmd_attack_wb)
+    p_wb.set_defaults(verb="cmd_attack_wb")
 
     p_mc = attack_sub.add_parser("mc", help="Monte Carlo distance attack")
     mc_model = p_mc.add_mutually_exclusive_group(required=True)
@@ -270,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         "or (seed, 0) for an oracle, as in the experiment",
     )
     p_mc.add_argument("--out", required=True)
-    p_mc.set_defaults(func=cmd_attack_mc)
+    p_mc.set_defaults(verb="cmd_attack_mc")
 
     p_exp = sub.add_parser("experiment", help="full experiment pipeline")
     exp_sub = p_exp.add_subparsers(dest="experiment_command", required=True)
@@ -279,21 +281,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--force", action="store_true", help="overwrite an earlier run's output dir (one with a manifest.json)"
     )
-    p_run.set_defaults(func=cmd_experiment_run)
+    p_run.set_defaults(verb="cmd_experiment_run")
 
     p_report = sub.add_parser("report", help="re-render report tables from a run dir")
     p_report.add_argument("--in-dir", required=True)
     p_report.add_argument("--format", choices=("csv", "md"), default="md")
-    p_report.set_defaults(func=cmd_report)
+    p_report.set_defaults(verb="cmd_report")
 
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.verb](args)
     except (DivergenceError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -306,10 +306,11 @@ def emit_reports(output_dir: str | Path, provenance: dict, tables: dict[str, lis
     md = ["# Attack report", ""] + [f"- {key}: {provenance[key]}" for key in sorted(provenance)]
     md += [""] if provenance else []
     files: dict[str, list[str]] = {}
-    # one series row per iteration, from each table's first line for it: of
-    # several MC configs, the first config's
+    # one series row per iteration and one cell per table, from the table's
+    # first line for it (of several MC configs, the first config's), empty
+    # where the table has no line for it
     series_header = ["iterations"]
-    series: dict[int, list[str]] = {}
+    columns: list[dict[int, str]] = []
     for name, title, header, column in TABLES:
         lines = tables.get(name)
         if lines:
@@ -317,10 +318,10 @@ def emit_reports(output_dir: str | Path, provenance: dict, tables: dict[str, lis
             md += _section(title, header, lines) + [""]
             series_header.append(column)
             points = [line.split(",", 2)[:2] for line in lines]
-            for iteration, value in dict(reversed(points)).items():
-                series.setdefault(int(iteration), []).append(value)
+            columns.append({int(iteration): value for iteration, value in reversed(points)})
     files["success_vs_iteration.csv"] = [",".join(series_header)] + [
-        ",".join([str(it)] + vals) for it, vals in sorted(series.items())
+        ",".join([str(it)] + [cells.get(it, "") for cells in columns])
+        for it in sorted(set().union(*columns))
     ]
     files["report.md"] = md
     output_dir = Path(output_dir)
@@ -449,8 +450,10 @@ def mc_row(
     seed array to a roll stack.
 
     The stash seeds come from ``(mc_config.seed, iteration)``, so each
-    checkpoint of a run draws its own stash; oracles use iteration 0.
+    checkpoint of a run draws its own stash; oracles use iteration 0.  A
+    subset larger than either side is refused before the stash is sampled.
     """
+    mc_config.check_sides(len(train_set), len(test_set))
     stash = sampler(stash_seeds(mc_config.stash_size, (mc_config.seed, iteration)))
     result = run_mc_trials(train_set, test_set, stash, mc_config)
     return McRow(

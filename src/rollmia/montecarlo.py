@@ -144,6 +144,15 @@ class McConfig:
         heuristic = EpsilonHeuristic.parse(data.get("heuristic", "median"))
         return cls(**{**data, "heuristic": heuristic, "metric": METRIC_FROM_LABEL[metric_label]})
 
+    def check_sides(self, n_train: int, n_test: int) -> None:
+        """Refuse train and test sides too small to draw ``subset_size``
+        records from each."""
+        if min(n_train, n_test) < self.subset_size:
+            raise ConfigError(
+                f"subset_size {self.subset_size} needs at least that many records on each "
+                f"side; got {n_train} train and {n_test} test records"
+            )
+
 
 @dataclass
 class McTrial:
@@ -353,8 +362,7 @@ def run_mc_trials(
     """
     shape = train_rolls.shape
     m = config.subset_size
-    if len(train_rolls) < m or len(test_rolls) < m:
-        raise ConfigError("need at least subset_size records on each side")
+    config.check_sides(len(train_rolls), len(test_rolls))
     if config.n_per_query > len(stash):
         raise ConfigError("n_per_query exceeds stash size")
     if test_rolls.shape != shape or stash.shape[1:] != shape.dims():

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import rollmia
-from rollmia import gan, harness
+from rollmia import cli, gan, harness
 from rollmia.cli import main
 from rollmia.pianoroll import read_dataset
 
@@ -559,3 +560,66 @@ def test_report_on_an_empty_table_exits_3(tmp_path, capsys):
     capsys.readouterr()
     assert run(["report", "--in-dir", tmp_path]) == 3
     assert capsys.readouterr().err.splitlines() == [f"error: empty table {tmp_path / 'wb_metrics.csv'}"]
+
+
+def test_mc_subset_larger_than_a_side_exits_2_before_sampling(tmp_path, capsys, monkeypatch):
+    data, train, test = tmp_path / "d.prd", tmp_path / "train.prd", tmp_path / "test.prd"
+    assert run(["dataset", "gen", "--out", data, "--count", 400, "--tracks", 1, "--bars", 1,
+                "--steps", 8, "--pitches", 12, "--seed", 3]) == 0
+    assert run(["split", "--in", data, "--fraction", 0.1, "--seed", 4,
+                "--train", train, "--test", test]) == 0
+    calls = []
+    monkeypatch.setattr(cli, "oracle_generate", lambda *a: calls.append(a))
+    capsys.readouterr()
+    out = tmp_path / "mc.csv"
+    assert run(["attack", "mc", "--oracle", "p=1,sigma=0", "--train", train, "--test", test,
+                "--stash", 20000, "--n", 10, "--subset", 100, "--trials", 1, "--seed", 1,
+                "--out", out]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: subset_size 100 needs at least that many records on each side; "
+        "got 40 train and 360 test records"
+    ]
+    assert calls == []
+    assert not out.exists()
+
+
+def test_second_main_call_builds_no_parser(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(cli, "_parser", None)
+    assert run(["report", "--in-dir", tmp_path]) == 2
+    assert len(built) == 11
+    built.clear()
+    assert run(["report", "--in-dir", tmp_path]) == 2
+    assert built == []
+
+
+def test_verbs_are_looked_up_when_called(tmp_path, monkeypatch):
+    run(["report", "--in-dir", tmp_path])
+    seen = []
+    monkeypatch.setattr(cli, "cmd_report", lambda args: seen.append(args.in_dir) or 7)
+    assert run(["report", "--in-dir", tmp_path]) == 7
+    assert seen == [str(tmp_path)]
+
+
+def test_usage_error_leaves_the_next_call_unchanged(tmp_path, capsys):
+    (tmp_path / "wb_metrics.csv").write_text("iterations,success_rate\n10,0.500\n")
+    argv = ["report", "--in-dir", tmp_path, "--format", "csv"]
+    capsys.readouterr()
+    assert run(argv) == 0
+    before = capsys.readouterr()
+    for bad in (["report", "--format", "xml"],
+                ["attack", "wb", "--checkpoint", "c", "--oracle", "margin=1,tau=0"],
+                ["nonsense"]):
+        with pytest.raises(SystemExit) as exc:
+            run(bad)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: rollmia")
+        assert run(argv) == 0
+        assert capsys.readouterr() == before

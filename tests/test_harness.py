@@ -147,7 +147,11 @@ def test_emit_reports_exact_lines(tmp_path):
     assert mc_lines[0] == "epochs,single_mi_accuracy,set_mi_accuracy,heuristic,metric,trials"
     assert mc_lines[1] == "20000,0.501,1.000,median,euclidean,1"
     series = (tmp_path / "success_vs_iteration.csv").read_text().splitlines()
-    assert series[0] == "iterations,whitebox_success_rate,single_mi_accuracy"
+    assert series == [
+        "iterations,whitebox_success_rate,single_mi_accuracy",
+        "1000,0.500,",
+        "20000,,0.501",
+    ]
     assert {p.name for p in paths} == {
         "wb_metrics.csv",
         "mc_metrics.csv",
