@@ -3,8 +3,9 @@
 Exit codes: 0 success, 2 configuration/validation error, 3 data/format error,
 4 training divergence or a white-box scorer that raises.
 
-``attack wb`` and ``attack mc`` compute their row with the experiment's own
-row functions, so a checkpoint gives the same row from either entry point.
+``attack wb`` and ``attack mc`` compute their CSV line with the experiment's
+own row functions, so a checkpoint gives the same line from either entry
+point, and print values read from that line's fields.
 An ``--oracle`` model scores or samples one record at a time, and is wrapped
 into the row functions' whole-set scorer and seed-array sampler.
 The Monte Carlo stash is seeded by ``(seed, checkpoint iteration)``, or
@@ -41,12 +42,10 @@ from .harness import (
     checkpoint_sampler,
     checkpoint_scorer,
     load_experiment_config,
-    mc_csv_line,
     mc_row,
     read_config_file,
     report_from_dir,
     run_experiment,
-    wb_csv_line,
     whitebox_row,
     write_lines,
 )
@@ -162,9 +161,9 @@ def cmd_attack_wb(args) -> int:
         )
 
     scorer, iteration, train_set, test_set = _attack_model(args, checkpoint_scorer, from_oracle)
-    row = whitebox_row(scorer, iteration, train_set, test_set)
-    write_lines(args.out, [WB_HEADER, wb_csv_line(row)])
-    print(f"white-box success rate {row.success_rate:.3f} -> {args.out}")
+    line = whitebox_row(scorer, iteration, train_set, test_set)
+    write_lines(args.out, [WB_HEADER, line])
+    print(f"white-box success rate {line.split(',')[1]} -> {args.out}")
     return 0
 
 
@@ -185,11 +184,10 @@ def cmd_attack_mc(args) -> int:
         return lambda seeds: np.stack([oracle_generate(oracle, s) for s in seeds.tolist()])
 
     sample_fn, iteration, train_set, test_set = _attack_model(args, checkpoint_sampler, from_oracle)
-    row = mc_row(sample_fn, iteration, train_set, test_set, config)
-    write_lines(args.out, [MC_HEADER, mc_csv_line(row)])
-    print(
-        f"mc single {row.single_mi_accuracy:.3f} / set {row.set_mi_accuracy:.3f} -> {args.out}"
-    )
+    line = mc_row(sample_fn, iteration, train_set, test_set, config)
+    write_lines(args.out, [MC_HEADER, line])
+    single, set_level = line.split(",")[1:3]
+    print(f"mc single {single} / set {set_level} -> {args.out}")
     return 0
 
 

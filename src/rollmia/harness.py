@@ -7,8 +7,8 @@ count, which the manifest records.  Every file is written to a temp file and
 moved into place, so a crash leaves the earlier file or the whole new one.
 
 ``whitebox_row`` and ``mc_row`` are the only code that turns a model into a
-table row; the experiment and ``rollmia attack`` both call them.  A model is
-given to them as whole-set functions:
+table row, which they return as its CSV line; the experiment and ``rollmia
+attack`` both call them.  A model is given to them as whole-set functions:
 
 - a white-box set scorer maps (k,) ids and a (k, tracks, bars, steps,
   pitches) roll stack to a (k,) float64 score vector;
@@ -69,7 +69,7 @@ from .gan import (
     save_checkpoint,
     train,
 )
-from .metrics import MetricsRow, compute_metrics
+from .metrics import compute_metrics
 from .montecarlo import METRIC_LABELS, McConfig, run_mc_trials, stash_seeds
 from .pianoroll import (
     DATASET_VERSION,
@@ -258,30 +258,6 @@ TABLES = (
 )
 
 
-@dataclass(frozen=True)
-class McRow:
-    iteration: int
-    single_mi_accuracy: float
-    set_mi_accuracy: float
-    heuristic: str
-    metric: str
-    trials: int
-
-
-def wb_csv_line(row: MetricsRow) -> str:
-    return (
-        f"{row.iteration},{row.success_rate:.3f},{row.accuracy:.3f},"
-        f"{row.precision:.3f},{row.recall:.3f},{row.fpr:.3f},{row.f1:.3f}"
-    )
-
-
-def mc_csv_line(row: McRow) -> str:
-    return (
-        f"{row.iteration},{row.single_mi_accuracy:.3f},{row.set_mi_accuracy:.3f},"
-        f"{row.heuristic},{row.metric},{row.trials}"
-    )
-
-
 def write_lines(path: str | Path, lines: list[str]) -> None:
     """Write ``lines`` as a newline-terminated UTF-8 text file, replacing any
     file at ``path`` atomically."""
@@ -432,11 +408,15 @@ def whitebox_row(
     iteration: int,
     train_set: Dataset,
     test_set: Dataset,
-) -> MetricsRow:
-    """The white-box table row for one model, given as an (ids, rolls) set
-    scorer."""
+) -> str:
+    """The white-box table's CSV line for one model, given as an (ids, rolls)
+    set scorer."""
     result = run_whitebox_sets(set_scorer, train_set, test_set)
-    return compute_metrics(result.confusion, iteration)
+    row = compute_metrics(result.confusion, iteration)
+    return (
+        f"{iteration},{row.success_rate:.3f},{row.accuracy:.3f},"
+        f"{row.precision:.3f},{row.recall:.3f},{row.fpr:.3f},{row.f1:.3f}"
+    )
 
 
 def mc_row(
@@ -445,9 +425,9 @@ def mc_row(
     train_set: Dataset,
     test_set: Dataset,
     mc_config: McConfig,
-) -> McRow:
-    """The Monte Carlo table row for one model, given as a sampler from a
-    seed array to a roll stack.
+) -> str:
+    """The Monte Carlo table's CSV line for one model, given as a sampler
+    from a seed array to a roll stack.
 
     The stash seeds come from ``(mc_config.seed, iteration)``, so each
     checkpoint of a run draws its own stash; oracles use iteration 0.  A
@@ -456,13 +436,9 @@ def mc_row(
     mc_config.check_sides(len(train_set), len(test_set))
     stash = sampler(stash_seeds(mc_config.stash_size, (mc_config.seed, iteration)))
     result = run_mc_trials(train_set, test_set, stash, mc_config)
-    return McRow(
-        iteration=iteration,
-        single_mi_accuracy=result.single_mi_accuracy,
-        set_mi_accuracy=result.set_mi_correct_fraction,
-        heuristic=mc_config.heuristic.label(),
-        metric=METRIC_LABELS[mc_config.metric],
-        trials=mc_config.trials,
+    return (
+        f"{iteration},{result.single_mi_accuracy:.3f},{result.set_mi_correct_fraction:.3f},"
+        f"{mc_config.heuristic.label()},{METRIC_LABELS[mc_config.metric]},{mc_config.trials}"
     )
 
 
@@ -546,12 +522,10 @@ def run_experiment(config: ExperimentConfig, force: bool = False) -> dict:
         train_set, test_set = split(dataset, config.split)
         # an MC config that cannot draw its subsets fails here, not after training
         for i, mc_config in enumerate(config.mc):
-            if min(len(train_set), len(test_set)) < mc_config.subset_size:
-                raise ConfigError(
-                    f"attacks.mc[{i}] subset_size {mc_config.subset_size} needs at least that many "
-                    f"records on each side; the split has {len(train_set)} train and "
-                    f"{len(test_set)} test records"
-                )
+            try:
+                mc_config.check_sides(len(train_set), len(test_set))
+            except ConfigError as exc:
+                raise ConfigError(f"attacks.mc[{i}] {exc}") from exc
         write_dataset(train_set, out / "train.prd")
         write_dataset(test_set, out / "test.prd")
         manifest["outputs"] += ["train.prd", "test.prd"]
@@ -579,13 +553,12 @@ def run_experiment(config: ExperimentConfig, force: bool = False) -> dict:
         for path in ckpt_paths:
             ckpt = load_checkpoint(path)
             if config.whitebox:
-                row = whitebox_row(checkpoint_scorer(ckpt.gan), ckpt.iteration, train_set, test_set)
-                wb_lines.append(wb_csv_line(row))
+                wb_lines.append(
+                    whitebox_row(checkpoint_scorer(ckpt.gan), ckpt.iteration, train_set, test_set)
+                )
             sampler = checkpoint_sampler(ckpt.gan)
             for mc_config in config.mc:
-                mc_lines.append(
-                    mc_csv_line(mc_row(sampler, ckpt.iteration, train_set, test_set, mc_config))
-                )
+                mc_lines.append(mc_row(sampler, ckpt.iteration, train_set, test_set, mc_config))
         finish_stage(stage)
 
         stage = "reports"

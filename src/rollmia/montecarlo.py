@@ -10,6 +10,8 @@ compete for the top-M set; single-record accuracy is the train fraction of
 that set, and the set-level decision labels whichever side contributed more
 records.  Both are averaged over repeated trials so the
 set-level answer is a frequency rather than a one-shot 0/1 outcome.
+``McResult`` holds each trial's epsilon and train-selected count as two
+(trials,) arrays; the test side contributed the other M minus that count.
 
 A trial is one array pipeline over its 2M candidates: their features, a
 (2M, n) array of stash draws, a (2M, n) array of distances, then epsilon,
@@ -36,7 +38,7 @@ pass derives the streams of all 2M candidates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -155,19 +157,14 @@ class McConfig:
 
 
 @dataclass
-class McTrial:
-    epsilon: float
-    train_selected: int
-    test_selected: int
-    single_accuracy: float
-    set_correct: bool
-
-
-@dataclass
 class McResult:
+    """Both accuracies, and per trial the epsilon and the number of train
+    records among the top M, as (trials,) float64 and int64 arrays."""
+
     single_mi_accuracy: float
     set_mi_correct_fraction: float
-    trials: list[McTrial] = field(default_factory=list)
+    epsilon: np.ndarray
+    train_selected: np.ndarray
 
 
 def stash_seeds(size: int, seed) -> np.ndarray:
@@ -371,9 +368,10 @@ def run_mc_trials(
     stash_feats = roll_features(config.metric, shape, stash)
     origin = np.repeat([0, 1], m)  # 0 = train, 1 = test
 
-    trials: list[McTrial] = []
+    epsilon = np.empty(config.trials)
+    train_selected = np.empty(config.trials, dtype=np.int64)
     trial_seeds = np.random.SeedSequence(config.seed).spawn(config.trials)
-    for trial_ss in trial_seeds:
+    for t, trial_ss in enumerate(trial_seeds):
         record_ss, candidate_root = trial_ss.spawn(2)
         rng = np.random.default_rng(record_ss)
         train_idx = rng.choice(len(train_rolls), size=m, replace=False)
@@ -390,22 +388,12 @@ def run_mc_trials(
         )
 
         means = dists.mean(axis=1)
-        epsilon = epsilon_from_heuristic(dists.ravel(), config.heuristic)
-        scores = (dists <= epsilon).mean(axis=1)
+        epsilon[t] = epsilon_from_heuristic(dists.ravel(), config.heuristic)
+        scores = (dists <= epsilon[t]).mean(axis=1)
         # top M by (score desc, mean distance asc, id asc, origin asc)
         selected = np.lexsort((origin, ids, means, -scores))[:m]
-        train_sel = int(np.count_nonzero(origin[selected] == 0))
-        test_sel = m - train_sel
-        trials.append(
-            McTrial(
-                epsilon=epsilon,
-                train_selected=train_sel,
-                test_selected=test_sel,
-                single_accuracy=train_sel / m,
-                set_correct=train_sel > test_sel,
-            )
-        )
+        train_selected[t] = np.count_nonzero(origin[selected] == 0)
 
-    single = float(np.mean([t.single_accuracy for t in trials]))
-    set_fraction = float(np.mean([1.0 if t.set_correct else 0.0 for t in trials]))
-    return McResult(single, set_fraction, trials)
+    single = float(np.mean(train_selected / m))
+    set_fraction = float(np.mean(train_selected > m - train_selected))
+    return McResult(single, set_fraction, epsilon, train_selected)

@@ -5,8 +5,7 @@ The attack path scores a whole side at once: a set scorer maps the (k,) ids
 and (k, tracks, bars, steps, pitches) rolls of the members, then of the
 nonmembers, to a (k,) float64 score vector, and ``rank_scores`` ranks the
 pooled vectors.  A trained discriminator scores a set in a few blocked
-network passes (``gan.d_score``) instead of one pass per roll, whose Python
-overhead outweighed the one-row product.
+network passes (``gan.d_score``).
 
 ``run_whitebox_sets`` is the one attack path.  ``run_whitebox`` takes a
 per-candidate ``(id, roll) -> float`` scorer, for models that score one
@@ -15,7 +14,8 @@ id, and only wraps it into a set scorer for ``run_whitebox_sets``.
 
 The ranking never reads ground-truth labels; the member ids are passed only
 so the confusion counts can be computed afterwards, in one array pass from
-the member mask of the ranked candidates.
+the member mask of the ranked candidates.  The predicted member ids are the
+int64 array of the top N ids in rank order.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .pianoroll import Dataset
 
 @dataclass
 class WbAttackResult:
-    predicted_member_ids: tuple[int, ...]
+    predicted_member_ids: np.ndarray
     confusion: ConfusionCounts
 
 
@@ -68,7 +68,7 @@ def rank_scores(ids, scores, member_ids) -> WbAttackResult:
     tp = int(np.count_nonzero(is_member[top]))
     fp = n_members - tp
     confusion = ConfusionCounts(tp=tp, fp=fp, tn=len(ids) - n_members - fp, fn=fp)
-    return WbAttackResult(tuple(ids[top].tolist()), confusion)
+    return WbAttackResult(ids[top], confusion)
 
 
 def run_whitebox_sets(

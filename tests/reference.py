@@ -4,7 +4,8 @@ Each is the plain per-element or per-tensor form of something the package
 computes in bulk: one step's pitch-class profile and tonal centroid, the
 distance from one candidate's features to a stack of features (which the
 Gram product and the tonal plane kernel reproduce bit for bit) and between
-two rolls, one candidate's Monte Carlo score, the white-box ranking as a
+two rolls, one candidate's Monte Carlo score, the two Monte Carlo
+accuracies as means of per-trial floats, the white-box ranking as a
 sort of tuples and its confusion counts as id-set algebra, the pitch indices
 of one class, the masked logistic function, the per-tensor Adam update, and
 the per-item Generators (one ``default_rng`` per synthetic roll, MC
@@ -83,6 +84,16 @@ def mc_score(
         np.array([entropy_words(seed)]),
     )
     return float(np.mean(dists <= epsilon))
+
+
+def mc_accuracies(train_selected, m: int) -> tuple[float, float]:
+    """Single-record and set-level Monte Carlo accuracy as the means of
+    per-trial Python floats: ``t / m`` for t train records among a trial's
+    top m, and 1.0 where t > m - t, else 0.0."""
+    per_trial = [int(t) for t in train_selected]
+    single = float(np.mean([t / m for t in per_trial]))
+    set_level = float(np.mean([1.0 if t > m - t else 0.0 for t in per_trial]))
+    return single, set_level
 
 
 def top_n_by_sort(ids: np.ndarray, scores: np.ndarray, n: int) -> tuple[int, ...]:

@@ -45,6 +45,7 @@ def test_dataset_gen_and_split(cli_workspace):
 def test_attack_wb_oracle(cli_workspace, capsys):
     root, _, train, test = cli_workspace
     out = root / "wb.csv"
+    capsys.readouterr()
     assert run(
         ["attack", "wb", "--oracle", "margin=1,tau=0", "--train", train,
          "--test", test, "--out", out]
@@ -52,11 +53,13 @@ def test_attack_wb_oracle(cli_workspace, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "iterations,success_rate,accuracy,precision,recall,fpr,f1"
     assert lines[1] == "0,1.000,1.000,1.000,1.000,0.000,1.000"
+    assert capsys.readouterr().out == f"white-box success rate 1.000 -> {out}\n"
 
 
-def test_attack_mc_oracle(cli_workspace):
+def test_attack_mc_oracle(cli_workspace, capsys):
     root, _, train, test = cli_workspace
     out = root / "mc.csv"
+    capsys.readouterr()
     assert run(
         ["attack", "mc", "--oracle", "p=1,sigma=0", "--train", train, "--test", test,
          "--heuristic", "p:0.0001", "--metric", "euclidean", "--stash", 200,
@@ -70,6 +73,7 @@ def test_attack_mc_oracle(cli_workspace):
     assert fields[2] == "1.000"
     assert fields[3] == "p:0.0001"
     assert fields[4] == "euclidean"
+    assert capsys.readouterr().out == f"mc single 0.940 / set 1.000 -> {out}\n"
 
 
 def test_train_and_checkpoint_attacks(cli_workspace):
@@ -289,7 +293,7 @@ def test_mc_subset_larger_than_a_split_side_exits_2_before_training(tmp_path, ca
     assert run(["experiment", "run", "--config", config]) == 2
     assert capsys.readouterr().err.splitlines() == [
         "error: attacks.mc[1] subset_size 80 needs at least that many records on each side; "
-        "the split has 50 train and 50 test records"
+        "got 50 train and 50 test records"
     ]
     assert not (out / "checkpoints").exists()
     manifest = json.loads((out / "manifest.json").read_text())

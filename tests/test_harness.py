@@ -11,7 +11,6 @@ from rollmia import (
     ConfigError,
     Dataset,
     DivergenceError,
-    MetricsRow,
     PianorollShape,
     SplitSpec,
     StyleParams,
@@ -28,14 +27,11 @@ from rollmia import pianoroll
 from rollmia.cli import main as cli_main
 from rollmia.harness import (
     ExperimentConfig,
-    McRow,
     _write_manifest,
     config_echo,
     config_hash,
-    mc_csv_line,
     parse_experiment_config,
     report_from_dir,
-    wb_csv_line,
     whitebox_row,
     write_lines,
 )
@@ -135,10 +131,13 @@ def test_label_constraints(tmp_path):
 
 
 def test_emit_reports_exact_lines(tmp_path):
-    row = MetricsRow(1000, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5)
-    mc = McRow(20000, 0.501, 1.0, "median", "euclidean", 1)
     paths = emit_reports(
-        tmp_path, {}, {"wb_metrics.csv": [wb_csv_line(row)], "mc_metrics.csv": [mc_csv_line(mc)]}
+        tmp_path,
+        {},
+        {
+            "wb_metrics.csv": ["1000,0.500,0.500,0.500,0.500,0.500,0.500"],
+            "mc_metrics.csv": ["20000,0.501,1.000,median,euclidean,1"],
+        },
     )
     wb = (tmp_path / "wb_metrics.csv").read_text().splitlines()
     assert wb[0] == "iterations,success_rate,accuracy,precision,recall,fpr,f1"
@@ -516,10 +515,13 @@ def test_whitebox_row_is_never_degenerate(n_members, n_nonmembers, members_first
     is_member = np.isin(ids, member_ids)
     members = Dataset(SHAPE_2X8, pool.rolls[is_member], ids[is_member])
     nonmembers = Dataset(SHAPE_2X8, pool.rolls[~is_member], ids[~is_member])
-    row = whitebox_row(lambda set_ids, _rolls: np.zeros(len(set_ids)), 7, members, nonmembers)
+    line = whitebox_row(lambda set_ids, _rolls: np.zeros(len(set_ids)), 7, members, nonmembers)
+    iteration, success_rate, _accuracy, precision, recall, _fpr, f1 = line.split(",")
+    assert iteration == "7"
     # top-N labels |members| candidates: tp+fp = tp+fn, so these four agree
-    assert row.precision == row.recall == row.f1 == row.success_rate
-    assert row.success_rate == (1.0 if members_first else max(0, n_members - n_nonmembers) / n_members)
+    assert precision == recall == f1 == success_rate
+    expected = 1.0 if members_first else max(0, n_members - n_nonmembers) / n_members
+    assert success_rate == f"{expected:.3f}"
 
 
 def test_style_values_are_checked_not_coerced(tmp_path):

@@ -42,6 +42,7 @@ from reference import (
     distance,
     features_distance,
     latent_rows,
+    mc_accuracies,
     mc_score,
     pitch_class_profile,
     step_centroid,
@@ -475,11 +476,9 @@ def test_set_mi_majority_rule_three_train_one_test():
         trials=2,
     )
     result = run_mc_trials(train, test, stash, config)
-    for trial in result.trials:
-        assert trial.epsilon == 0.0
-        assert (trial.train_selected, trial.test_selected) == (3, 1)
-        assert trial.set_correct
-        assert trial.single_accuracy == 0.75
+    assert result.epsilon.tolist() == [0.0, 0.0]
+    assert result.train_selected.tolist() == [3, 3]
+    assert result.single_mi_accuracy == 0.75
     assert result.set_mi_correct_fraction == 1.0
 
 
@@ -499,9 +498,7 @@ def test_set_mi_tie_counts_incorrect():
         trials=2,
     )
     result = run_mc_trials(train, test, stash, config)
-    for trial in result.trials:
-        assert (trial.train_selected, trial.test_selected) == (2, 2)
-        assert not trial.set_correct
+    assert result.train_selected.tolist() == [2, 2]
     assert result.set_mi_correct_fraction == 0.0
 
 
@@ -519,8 +516,6 @@ def test_equal_scores_fall_back_to_mean_distance(small_population):
         seed=13,
     )
     result = run_mc_trials(train, test, stash, config)
-    trial = result.trials[0]
-    assert trial.train_selected + trial.test_selected == 30
     # reproduce the expected selection: every candidate drew the whole stash
     shape = small_population.shape
     stash_feats = np.stack([roll_features(EUCLIDEAN, shape, r) for r in stash])
@@ -530,7 +525,7 @@ def test_equal_scores_fall_back_to_mean_distance(small_population):
             d = features_distance(EUCLIDEAN, roll_features(EUCLIDEAN, shape, roll), stash_feats)
             mean_dists.append((float(np.mean(d)), rid, origin))
     expected_train = sum(1 for _, _, origin in sorted(mean_dists)[:30] if origin == 0)
-    assert trial.train_selected == expected_train
+    assert result.train_selected.tolist() == [expected_train]
 
 
 def test_run_mc_trials_deterministic(small_population):
@@ -544,9 +539,9 @@ def test_run_mc_trials_deterministic(small_population):
     b = run_mc_trials(train, test, stash, config)
     assert a.single_mi_accuracy == b.single_mi_accuracy
     assert a.set_mi_correct_fraction == b.set_mi_correct_fraction
-    assert [t.epsilon for t in a.trials] == [t.epsilon for t in b.trials]
-    assert a.single_mi_accuracy == np.mean([t.single_accuracy for t in a.trials])
-    assert a.set_mi_correct_fraction == np.mean([t.set_correct for t in a.trials])
+    assert np.array_equal(a.epsilon, b.epsilon)
+    assert np.array_equal(a.train_selected, b.train_selected)
+    assert (a.single_mi_accuracy, a.set_mi_correct_fraction) == mc_accuracies(a.train_selected, 20)
 
 
 @pytest.mark.parametrize("seed", [11, 2**32 + 5, 2**128 + 3])
@@ -704,8 +699,15 @@ def test_mc_results_are_pinned(pinned_setup, metric, heuristic):
     config = McConfig(120, 50, EpsilonHeuristic.parse(heuristic), metric, 12, 4, 17)
     trials, scores = MC_PINS[metric, heuristic]
     result = run_mc_trials(train, test, stash, config)
-    assert [(repr(t.epsilon), t.train_selected, t.set_correct) for t in result.trials] == trials
-    epsilon = result.trials[0].epsilon
+    assert result.epsilon.shape == result.train_selected.shape == (4,)
+    assert (result.epsilon.dtype, result.train_selected.dtype) == (np.float64, np.int64)
+    per_trial = zip(result.epsilon.tolist(), result.train_selected.tolist())
+    assert [(repr(e), t, t > 12 - t) for e, t in per_trial] == trials
+    # both accuracies bit for bit the means of per-trial Python floats
+    assert (result.single_mi_accuracy, result.set_mi_correct_fraction) == mc_accuracies(
+        result.train_selected, 12
+    )
+    epsilon = float(result.epsilon[0])
     candidates = ((train.rolls[0], 0), (train.rolls[5], 1), (test.rolls[0], 2))
     assert [mc_score(train.shape, roll, stash, config, epsilon, seed) for roll, seed in candidates] == scores
     # memorized copies sit at distance exactly 0
