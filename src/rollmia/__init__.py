@@ -14,7 +14,6 @@ from .pianoroll import (
     PianorollShape,
     SplitSpec,
     StyleParams,
-    flatten,
     read_dataset,
     split,
     synth_generate,
@@ -60,7 +59,7 @@ __all__ = [
     "__version__",
     "ToolkitError", "ConfigError", "FormatError", "DivergenceError",
     "PianorollShape", "Dataset", "SplitSpec", "StyleParams",
-    "synth_generate", "synth_sampler", "split", "flatten",
+    "synth_generate", "synth_sampler", "split",
     "write_dataset", "read_dataset",
     "DenseLayer", "Mlp", "AdamState", "forward", "backward",
     "bce_logits_loss", "adam_step",

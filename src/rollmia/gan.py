@@ -120,10 +120,6 @@ class ComposerGan:
         self.trunk, *self.heads = _cut(self.g_params, g_family)
         (self.discriminator,) = _cut(self.d_params, d_family)
 
-    def all_params(self) -> list[np.ndarray]:
-        """Every parameter tensor: generator, then discriminator."""
-        return [p for mlp in (self.trunk, *self.heads, self.discriminator) for p in nn.mlp_params(mlp)]
-
     def snapshot(self) -> "ComposerGan":
         """A copy over new parameter vectors, independent of this model."""
         return ComposerGan(self.latent_dim, self.shape, self.g_params.copy(), self.d_params.copy())
@@ -404,9 +400,10 @@ def oracle_d_score(oracle: OracleDiscriminator, record_id: int, seed) -> float:
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     """Write a checkpoint file, replacing any file at ``path`` atomically."""
-    arch = _architecture(ckpt.gan.shape, ckpt.gan.latent_dim)
+    gan = ckpt.gan
+    arch = _architecture(gan.shape, gan.latent_dim)
     desc = json.dumps(arch, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    tensors = ckpt.gan.all_params()
+    tensors = [p for mlp in (gan.trunk, *gan.heads, gan.discriminator) for p in nn.mlp_params(mlp)]
     with atomic_open(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))

@@ -431,9 +431,10 @@ def mc_row(
 
     The stash seeds come from ``(mc_config.seed, iteration)``, so each
     checkpoint of a run draws its own stash; oracles use iteration 0.  A
-    subset larger than either side is refused before the stash is sampled.
+    subset larger than either side, or sides that share ids, are refused
+    before the stash is sampled.
     """
-    mc_config.check_sides(len(train_set), len(test_set))
+    mc_config.check_sides(train_set, test_set)
     stash = sampler(stash_seeds(mc_config.stash_size, (mc_config.seed, iteration)))
     result = run_mc_trials(train_set, test_set, stash, mc_config)
     return (
@@ -523,7 +524,7 @@ def run_experiment(config: ExperimentConfig, force: bool = False) -> dict:
         # an MC config that cannot draw its subsets fails here, not after training
         for i, mc_config in enumerate(config.mc):
             try:
-                mc_config.check_sides(len(train_set), len(test_set))
+                mc_config.check_sides(train_set, test_set)
             except ConfigError as exc:
                 raise ConfigError(f"attacks.mc[{i}] {exc}") from exc
         write_dataset(train_set, out / "train.prd")

@@ -80,21 +80,13 @@ class EpsilonHeuristic:
             raise ConfigError("median heuristic takes no q")
 
     @classmethod
-    def median(cls) -> "EpsilonHeuristic":
-        return cls("median")
-
-    @classmethod
-    def percentile(cls, q: float) -> "EpsilonHeuristic":
-        return cls("percentile", q)
-
-    @classmethod
     def parse(cls, text: str) -> "EpsilonHeuristic":
         """Parse "median" or "p:Q" (e.g. "p:0.001")."""
         if text == "median":
-            return cls.median()
+            return cls("median")
         if text.startswith("p:"):
             try:
-                return cls.percentile(float(text[2:]))
+                return cls("percentile", float(text[2:]))
             except ValueError as exc:
                 raise ConfigError(f"bad percentile in {text!r}") from exc
         raise ConfigError(f"unknown heuristic {text!r}")
@@ -146,14 +138,16 @@ class McConfig:
         heuristic = EpsilonHeuristic.parse(data.get("heuristic", "median"))
         return cls(**{**data, "heuristic": heuristic, "metric": METRIC_FROM_LABEL[metric_label]})
 
-    def check_sides(self, n_train: int, n_test: int) -> None:
+    def check_sides(self, train: Dataset, test: Dataset) -> None:
         """Refuse train and test sides too small to draw ``subset_size``
-        records from each."""
-        if min(n_train, n_test) < self.subset_size:
+        records from each, or that share ids."""
+        if min(len(train), len(test)) < self.subset_size:
             raise ConfigError(
                 f"subset_size {self.subset_size} needs at least that many records on each "
-                f"side; got {n_train} train and {n_test} test records"
+                f"side; got {len(train)} train and {len(test)} test records"
             )
+        if np.intersect1d(train.ids, test.ids).size:
+            raise ConfigError("train and test ids must be disjoint")
 
 
 @dataclass
@@ -359,7 +353,7 @@ def run_mc_trials(
     """
     shape = train_rolls.shape
     m = config.subset_size
-    config.check_sides(len(train_rolls), len(test_rolls))
+    config.check_sides(train_rolls, test_rolls)
     if config.n_per_query > len(stash):
         raise ConfigError("n_per_query exceeds stash size")
     if test_rolls.shape != shape or stash.shape[1:] != shape.dims():

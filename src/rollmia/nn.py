@@ -221,31 +221,22 @@ class AdamState:
         return cls(m=np.zeros_like(params), v=np.zeros_like(params), lr=lr)
 
 
-def adam_step(
-    params: np.ndarray,
-    grads: np.ndarray,
-    state: AdamState,
-    scratch: np.ndarray | None = None,
-) -> tuple[np.ndarray, AdamState]:
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, scratch: np.ndarray) -> None:
     """Standard Adam update with bias correction over a whole parameter
-    vector, in place; returns params and state.
+    vector, in place.
 
     ``grads`` is consumed: it is overwritten with the step taken.
     ``scratch``, a float64 vector at least as long as ``params``, is the
-    only other work space (a new one when None), so optimizers that never
-    run at once can share one.  The arithmetic per element, and its order,
-    is that of the textbook per-tensor form, so the results are bitwise
-    equal to it.  A non-finite gradient raises DivergenceError before
-    anything changes.
+    only other work space, so optimizers that never run at once can share
+    one.  The arithmetic per element, and its order, is that of the
+    textbook per-tensor form, so the results are bitwise equal to it.  A
+    non-finite gradient raises DivergenceError before anything changes.
     """
     if grads.shape != params.shape or state.m.shape != params.shape:
         raise ValueError("params/grads/state shape mismatch")
     if not np.isfinite(grads).all():
         raise DivergenceError("divergence: non-finite gradient")
-    if scratch is None:
-        work = np.empty_like(params)
-    else:
-        work = scratch[: params.size].reshape(params.shape)
+    work = scratch[: params.size].reshape(params.shape)
     state.step += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**state.step
@@ -265,4 +256,3 @@ def adam_step(
     work += ADAM_EPS
     grads /= work
     params -= grads
-    return params, state

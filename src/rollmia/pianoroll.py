@@ -3,9 +3,9 @@
 A pianoroll is a binary uint8 array indexed (track, bar, step, pitch).  A set
 of rolls is one C-contiguous uint8 array of shape
 (n, tracks, bars, steps_per_bar, pitches) plus an int64 array of n unique,
-stable ids; generation, splitting, flattening and file I/O all act on the
-whole array.  Everything here is a pure function of its seed, so identical
-calls reproduce identical bytes.
+stable ids; generation, splitting and file I/O all act on the whole array.
+Everything here is a pure function of its seed, so identical calls
+reproduce identical bytes.
 
 Each item of a seeded batch (a synthetic roll here, an MC candidate's stash
 draw, a stash sample's latent row) draws the stream that
@@ -98,9 +98,14 @@ class Dataset:
             raise ConfigError("empty dataset")
         if rolls.shape[1:] != self.shape.dims():
             raise ConfigError("all rolls must share the dataset shape")
-        self.rolls = np.ascontiguousarray(rolls, dtype=np.uint8)
-        if int(self.rolls.max()) > 1:
+        # other dtypes are checked before the cast, which would wrap or truncate
+        if rolls.dtype == np.uint8:
+            binary = int(rolls.max()) <= 1
+        else:
+            binary = rolls.dtype == np.bool_ or bool(((rolls == 0) | (rolls == 1)).all())
+        if not binary:
             raise ConfigError("pianoroll cells must be binary")
+        self.rolls = np.ascontiguousarray(rolls, dtype=np.uint8)
         ids = np.asarray(self.ids)
         if ids.dtype.kind not in "iu" or not np.can_cast(ids.dtype, np.int64):
             raise ConfigError("dataset ids must be int64 integers")
@@ -194,9 +199,6 @@ class StyleParams:
             raise ConfigError("rhythm_period must be >= 1")
         if not 0.0 <= self.ornament_prob <= 1.0:
             raise ConfigError("ornament_prob must be in [0, 1]")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict, block: str = "style") -> "StyleParams":
@@ -497,13 +499,13 @@ def synth_generate(
     return Dataset(shape, _synth_rolls(states, shape, style or StyleParams()), np.arange(count))
 
 
-def synth_sampler(shape: PianorollShape, style: StyleParams | None = None):
+def synth_sampler(shape: PianorollShape):
     """Seeded single-roll sampler over the synthetic population; used as the
     population source for oracle generators and one-off draws.  It calls
     ``_synth_roll`` per seed, which costs less than a one-roll block."""
     if shape.pitches < 12:
         raise ConfigError("pitch range too small for pitch classes")
-    style = style or StyleParams()
+    style = StyleParams()
     picks = _pick_table(shape)
 
     def sample(seed) -> np.ndarray:
@@ -531,14 +533,6 @@ def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
         return Dataset(dataset.shape, dataset.rolls[indices], dataset.ids[indices])
 
     return take(np.sort(perm[:train_size])), take(np.sort(perm[train_size:]))
-
-
-def flatten(rolls: np.ndarray) -> np.ndarray:
-    """Row-major (track, bar, step, pitch) vectorization as float64 of 0.0/1.0:
-    (..., tracks, bars, steps, pitches) -> (..., cells), for one roll or a
-    stack of them."""
-    rolls = np.asarray(rolls)
-    return rolls.reshape(*rolls.shape[:-4], -1).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +588,7 @@ def write_dataset(dataset: Dataset, path: str | Path, style: StyleParams | None 
         fh.write(np.packbits(rows, axis=1, bitorder="big").tobytes())
     meta: dict = {"ids": dataset.ids.tolist()}
     if style is not None:
-        meta["style"] = style.to_dict()
+        meta["style"] = asdict(style)
     with atomic_open(_sidecar_path(path), "w") as fh:
         # json.dumps takes the C encoder, json.dump the pure-Python one
         fh.write(json.dumps(meta, sort_keys=True))

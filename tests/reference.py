@@ -1,10 +1,11 @@
 """Reference implementations that the array code is checked against.
 
 Each is the plain per-element or per-tensor form of something the package
-computes in bulk: one step's pitch-class profile and tonal centroid, the
-distance from one candidate's features to a stack of features (which the
-Gram product and the tonal plane kernel reproduce bit for bit) and between
-two rolls, one candidate's Monte Carlo score, the two Monte Carlo
+computes in bulk: rolls as float64 cell vectors (the Euclidean features
+reproduce their distances bit for bit), one step's pitch-class profile and
+tonal centroid, the distance from one candidate's features to a stack of
+features (which the Gram product and the tonal plane kernel reproduce bit
+for bit) and between two rolls, one candidate's Monte Carlo score, the two Monte Carlo
 accuracies as means of per-trial floats, the white-box ranking as a
 sort of tuples and its confusion counts as id-set algebra, the pitch indices
 of one class, the masked logistic function, the per-tensor Adam update, and
@@ -17,6 +18,14 @@ import numpy as np
 from rollmia import ConfigError, ConfusionCounts, DivergenceError, McConfig, PianorollShape, StyleParams
 from rollmia.montecarlo import _TONAL_BASIS, EUCLIDEAN, _query_distances, roll_features
 from rollmia.pianoroll import _pick_table, _synth_roll, entropy_words
+
+
+def flatten(rolls: np.ndarray) -> np.ndarray:
+    """Row-major (track, bar, step, pitch) vectorization as float64 of 0.0/1.0:
+    (..., tracks, bars, steps, pitches) -> (..., cells), for one roll or a
+    stack of them."""
+    rolls = np.asarray(rolls)
+    return rolls.reshape(*rolls.shape[:-4], -1).astype(np.float64)
 
 
 def pitch_class_profile(

@@ -122,7 +122,7 @@ def test_criterion_3_attack_positive_controls(balanced_population):
     config = McConfig(
         stash_size=1000,
         n_per_query=500,
-        heuristic=EpsilonHeuristic.percentile(0.0001),
+        heuristic=EpsilonHeuristic("percentile", 0.0001),
         metric=EUCLIDEAN,
         subset_size=100,
         trials=20,
@@ -163,7 +163,7 @@ def test_criterion_4_attack_negative_controls(balanced_population):
         config = McConfig(
             stash_size=1000,
             n_per_query=500,
-            heuristic=EpsilonHeuristic.median(),
+            heuristic=EpsilonHeuristic("median"),
             metric=EUCLIDEAN,
             subset_size=100,
             trials=5,
@@ -263,7 +263,7 @@ def test_criterion_7_mc_score_properties():
     config = McConfig(
         stash_size=40,
         n_per_query=16,
-        heuristic=EpsilonHeuristic.median(),
+        heuristic=EpsilonHeuristic("median"),
         metric=EUCLIDEAN,
         subset_size=1,
         trials=1,
@@ -285,10 +285,10 @@ def test_criterion_7_mc_score_properties():
         values = rng.uniform(0.0, 100.0, size=int(rng.integers(1, 400))).tolist()
         ordered = sorted(values)
         k = len(ordered)
-        got = epsilon_from_heuristic(values, EpsilonHeuristic.median())
+        got = epsilon_from_heuristic(values, EpsilonHeuristic("median"))
         heuristics_ok &= got == ordered[(k + 1) // 2 - 1]
         for q in (0.01, 0.001, 0.0001, float(rng.uniform(0.0001, 0.9999))):
-            got = epsilon_from_heuristic(values, EpsilonHeuristic.percentile(q))
+            got = epsilon_from_heuristic(values, EpsilonHeuristic("percentile", q))
             heuristics_ok &= got == ordered[max(1, math.ceil(q * k)) - 1]
 
     ok = monotone_ok and lattice_ok and heuristics_ok

@@ -10,7 +10,7 @@ import pytest
 import rollmia
 from rollmia import cli, gan, harness
 from rollmia.cli import main
-from rollmia.pianoroll import read_dataset
+from rollmia.pianoroll import PianorollShape, read_dataset
 
 
 def run(argv):
@@ -383,23 +383,49 @@ def test_negative_seeds_exit_2(cli_workspace, tmp_path, capsys):
     assert not (tmp_path / "wb.csv").exists()
 
 
-def test_python_m_rollmia_runs_the_cli():
+def test_python_m_rollmia_runs_the_cli(cli_workspace, tmp_path, capsys):
+    _, _, train, test = cli_workspace
+    assert run(["attack", "wb", "--oracle", "margin=2,tau=0.1", "--train", train, "--test", test,
+                "--out", tmp_path / "wb_metrics.csv"]) == 0
+    capsys.readouterr()
+    assert run(["report", "--in-dir", tmp_path]) == 0
+    report = capsys.readouterr().out
+    empty = tmp_path / "empty"
+    empty.mkdir()
     src = Path(rollmia.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-m", "rollmia", "--help"], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("usage: rollmia")
+    for argv, code, stdout, stderr in (
+        (["--help"], 0, cli.build_parser().format_help(), ""),
+        (["report", "--in-dir", tmp_path], 0, report, ""),
+        (["report", "--in-dir", empty], 2, "", f"error: no report tables found in {empty}\n"),
+    ):
+        done = subprocess.run(
+            [sys.executable, "-m", "rollmia", *map(str, argv)], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (code, stdout, stderr)
 
 
-def test_bad_oracle_specs(cli_workspace, tmp_path):
+def test_bad_oracle_specs(cli_workspace, tmp_path, capsys):
     root, _, train, test = cli_workspace
-    for spec in ("margin=x,tau=0", "bogus=1", "margin=1,tau=1,extra=2", "margin=1,margin=0,tau=0"):
+    for spec in ("margin=x,tau=0", "bogus=1", "margin=1,tau=1,extra=2", "margin=1,margin=0,tau=0", "margin1"):
         assert run(
             ["attack", "wb", "--oracle", spec, "--train", train, "--test", test,
              "--out", tmp_path / "o.csv"]
         ) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "error: bad oracle spec 'margin1'"
+
+
+def test_config_that_is_not_json_exits_2(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text("{not json")
+    capsys.readouterr()
+    for verb in (["experiment", "run"], ["train", "--out-dir", tmp_path / "ck"]):
+        assert run([*verb, "--config", config]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config {config} is not valid JSON: "
+            "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+        ]
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 @pytest.mark.parametrize("top", [[1, 2], "config", 3.5], ids=["list", "string", "number"])
@@ -504,6 +530,10 @@ def test_unknown_config_key_exits_2_before_any_output(tmp_path, capsys, key_path
         (("split", "train_fraction"), float("nan"), "split train_fraction must be a finite real number, got nan"),
         (("dataset", "synthetic", "style", "ornament_prob"), -float("inf"),
          "dataset.synthetic.style ornament_prob must be a finite real number, got -inf"),
+        # values of the right type that the run could not use
+        (("label",), "mine", "label must be one of ('default', 'overfitted', 'custom')"),
+        (("dataset", "synthetic", "count"), 1, "synthetic count must be >= 2 to allow a split"),
+        (("attacks", "mc", 0, "metric"), "cosine", "unknown mc metric 'cosine'"),
     ],
 )
 def test_mistyped_config_value_exits_2_before_any_output(tmp_path, capsys, key_path, value, message):
@@ -556,7 +586,73 @@ def test_attack_on_a_checkpoint_of_another_architecture_exits_3(
     assert run(["attack", "wb", "--checkpoint", path, "--train", train, "--test", test,
                 "--out", tmp_path / "wb.csv"]) == 3
     assert capsys.readouterr().err.startswith("error: architecture mismatch")
+    # a checkpoint of the desk shape, whose file agrees with itself
+    desk = tmp_path / "desk.ganc"
+    gan.save_checkpoint(gan.Checkpoint(10, gan.build_gan(PianorollShape(2, 1, 16, 24), 4, 0)), desk)
+    assert run(["attack", "wb", "--checkpoint", desk, "--train", train, "--test", test,
+                "--out", tmp_path / "wb.csv"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: architecture mismatch: checkpoint shape differs from dataset"
+    ]
     assert not (tmp_path / "wb.csv").exists()
+
+
+def _first_tensor_offset(blob: bytes) -> int:
+    """Offset of the first tensor's rank: after the magic, version, iteration,
+    descriptor length, descriptor and tensor count."""
+    return 20 + int.from_bytes(blob[16:20], "little") + 4
+
+
+def _bump_first_dim(blob: bytes) -> bytes:
+    dim = _first_tensor_offset(blob) + 4
+    return blob[:dim] + (int.from_bytes(blob[dim:dim + 4], "little") + 1).to_bytes(4, "little") + blob[dim + 4:]
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda blob: blob[:20] + b"X" + blob[21:], "bad checkpoint descriptor in {path}: "
+         "Expecting value: line 1 column 1 (char 0)"),
+        (_bump_first_dim, "architecture mismatch: tensor dims disagree with descriptor"),
+        # cut 6 bytes into the first tensor's (rank 2) float32 data
+        (lambda blob: blob[:_first_tensor_offset(blob) + 12 + 6], "truncated checkpoint {path}"),
+    ],
+    ids=["descriptor-not-json", "tensor-dims", "cut-in-tensor-data"],
+)
+def test_attack_on_a_corrupt_checkpoint_exits_3(cli_workspace, tmp_path, capsys, corrupt, message):
+    _, _, train, test = cli_workspace
+    path = tmp_path / "bad.ganc"
+    gan.save_checkpoint(gan.Checkpoint(10, gan.build_gan(read_dataset(train).shape, 4, 0)), path)
+    path.write_bytes(corrupt(path.read_bytes()))
+    capsys.readouterr()
+    assert run(["attack", "wb", "--checkpoint", path, "--train", train, "--test", test,
+                "--out", tmp_path / "wb.csv"]) == 3
+    assert capsys.readouterr().err.splitlines() == ["error: " + message.format(path=path)]
+    assert not (tmp_path / "wb.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda blob, sidecar: (blob[:10], sidecar), "truncated dataset header in {path}"),
+        (lambda blob, sidecar: (blob[:24] + bytes(4) + blob[28:], sidecar),
+         "bad dataset header in {path}: pitches must be >= 1"),
+        (lambda blob, sidecar: (blob, "{oops"), "bad sidecar json for {path}: "
+         "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ],
+    ids=["cut-in-header", "zero-pitches", "sidecar-not-json"],
+)
+def test_split_of_a_corrupt_dataset_exits_3(cli_workspace, tmp_path, capsys, corrupt, message):
+    _, data, _, _ = cli_workspace
+    path = tmp_path / "bad.prd"
+    blob, sidecar = corrupt(data.read_bytes(), (data.parent / "data.prd.meta.json").read_text())
+    path.write_bytes(blob)
+    (tmp_path / "bad.prd.meta.json").write_text(sidecar)
+    capsys.readouterr()
+    assert run(["split", "--in", path, "--fraction", 0.5, "--seed", 1,
+                "--train", tmp_path / "a.prd", "--test", tmp_path / "b.prd"]) == 3
+    assert capsys.readouterr().err.splitlines() == ["error: " + message.format(path=path)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.prd", "bad.prd.meta.json"]
 
 
 def test_report_on_an_empty_table_exits_3(tmp_path, capsys):
@@ -583,6 +679,20 @@ def test_mc_subset_larger_than_a_side_exits_2_before_sampling(tmp_path, capsys, 
         "error: subset_size 100 needs at least that many records on each side; "
         "got 40 train and 360 test records"
     ]
+    assert calls == []
+    assert not out.exists()
+
+
+def test_mc_on_sides_that_share_ids_exits_2_before_sampling(cli_workspace, tmp_path, capsys, monkeypatch):
+    _, _, train, _ = cli_workspace
+    calls = []
+    monkeypatch.setattr(cli, "oracle_generate", lambda *a: calls.append(a))
+    capsys.readouterr()
+    out = tmp_path / "mc.csv"
+    assert run(["attack", "mc", "--oracle", "p=1,sigma=0", "--train", train, "--test", train,
+                "--stash", 50, "--n", 5, "--subset", 5, "--trials", 1, "--seed", 1,
+                "--out", out]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: train and test ids must be disjoint"]
     assert calls == []
     assert not out.exists()
 

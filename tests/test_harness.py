@@ -87,7 +87,7 @@ def test_parse_config_roundtrip(tmp_path):
     config = parse_experiment_config(data)
     assert config.label == "custom"
     assert config.synthetic.count == 80
-    assert config.mc[0].heuristic == EpsilonHeuristic.median()
+    assert config.mc[0].heuristic == EpsilonHeuristic("median")
     # the echo is the normalized form: parsing it again is a fixed point
     echo = config_echo(config)
     assert parse_experiment_config(echo) == config

@@ -15,7 +15,6 @@ from rollmia import (
     TrainConfig,
     build_stash,
     epsilon_from_heuristic,
-    flatten,
     g_sample,
     oracle_generate,
     run_mc_trials,
@@ -41,6 +40,7 @@ from reference import (
     candidate_draws,
     distance,
     features_distance,
+    flatten,
     latent_rows,
     mc_accuracies,
     mc_score,
@@ -55,34 +55,34 @@ SHAPE = PianorollShape(2, 1, 8, 12)
 
 
 def test_median_odd():
-    assert epsilon_from_heuristic([1, 2, 3, 4, 5], EpsilonHeuristic.median()) == 3.0
+    assert epsilon_from_heuristic([1, 2, 3, 4, 5], EpsilonHeuristic("median")) == 3.0
 
 
 def test_median_even_is_lower():
-    assert epsilon_from_heuristic([1, 2, 3, 4], EpsilonHeuristic.median()) == 2.0
+    assert epsilon_from_heuristic([1, 2, 3, 4], EpsilonHeuristic("median")) == 2.0
     # the median's rank ceil(K/2) is the sort oracle's (K+1)//2 for every K
     rng = np.random.default_rng(3)
     for k in range(1, 1001):
         values = rng.permutation(k).tolist()
-        assert epsilon_from_heuristic(values, EpsilonHeuristic.median()) == sort_oracle(
-            values, EpsilonHeuristic.median()
+        assert epsilon_from_heuristic(values, EpsilonHeuristic("median")) == sort_oracle(
+            values, EpsilonHeuristic("median")
         )
 
 
 def test_percentile_rank():
     values = list(range(1, 1001))
-    assert epsilon_from_heuristic(values, EpsilonHeuristic.percentile(0.01)) == 10.0
-    assert epsilon_from_heuristic(values, EpsilonHeuristic.percentile(0.001)) == 1.0
-    assert epsilon_from_heuristic(values, EpsilonHeuristic.percentile(0.999)) == 999.0
+    assert epsilon_from_heuristic(values, EpsilonHeuristic("percentile", 0.01)) == 10.0
+    assert epsilon_from_heuristic(values, EpsilonHeuristic("percentile", 0.001)) == 1.0
+    assert epsilon_from_heuristic(values, EpsilonHeuristic("percentile", 0.999)) == 999.0
 
 
 def test_percentile_rank_at_least_one():
-    assert epsilon_from_heuristic([5.0, 7.0], EpsilonHeuristic.percentile(0.0001)) == 5.0
+    assert epsilon_from_heuristic([5.0, 7.0], EpsilonHeuristic("percentile", 0.0001)) == 5.0
 
 
 def test_epsilon_empty_error():
     with pytest.raises(ConfigError):
-        epsilon_from_heuristic([], EpsilonHeuristic.median())
+        epsilon_from_heuristic([], EpsilonHeuristic("median"))
 
 
 def sort_oracle(values, heuristic):
@@ -101,17 +101,17 @@ def sort_oracle(values, heuristic):
     q=st.one_of(st.none(), st.floats(min_value=1e-4, max_value=0.9999)),
 )
 def test_heuristics_match_sort_oracle(values, q):
-    heuristic = EpsilonHeuristic.median() if q is None else EpsilonHeuristic.percentile(q)
+    heuristic = EpsilonHeuristic("median") if q is None else EpsilonHeuristic("percentile", q)
     result = epsilon_from_heuristic(values, heuristic)
     assert result == sort_oracle(values, heuristic)
     assert result in values
 
 
 def test_heuristic_parse_and_label():
-    assert EpsilonHeuristic.parse("median") == EpsilonHeuristic.median()
-    assert EpsilonHeuristic.parse("p:0.001") == EpsilonHeuristic.percentile(0.001)
-    assert EpsilonHeuristic.percentile(0.01).label() == "p:0.01"
-    assert EpsilonHeuristic.median().label() == "median"
+    assert EpsilonHeuristic.parse("median") == EpsilonHeuristic("median")
+    assert EpsilonHeuristic.parse("p:0.001") == EpsilonHeuristic("percentile", 0.001)
+    assert EpsilonHeuristic("percentile", 0.01).label() == "p:0.01"
+    assert EpsilonHeuristic("median").label() == "median"
     with pytest.raises(ConfigError):
         EpsilonHeuristic.parse("p:2.0")
     with pytest.raises(ConfigError):
@@ -370,7 +370,7 @@ def mc_config(**kw):
     defaults = dict(
         stash_size=4,
         n_per_query=4,
-        heuristic=EpsilonHeuristic.median(),
+        heuristic=EpsilonHeuristic("median"),
         metric=EUCLIDEAN,
         subset_size=1,
         trials=1,
@@ -471,7 +471,7 @@ def test_set_mi_majority_rule_three_train_one_test():
     config = mc_config(
         stash_size=200,
         n_per_query=200,
-        heuristic=EpsilonHeuristic.percentile(0.0001),
+        heuristic=EpsilonHeuristic("percentile", 0.0001),
         subset_size=4,
         trials=2,
     )
@@ -493,7 +493,7 @@ def test_set_mi_tie_counts_incorrect():
     config = mc_config(
         stash_size=200,
         n_per_query=200,
-        heuristic=EpsilonHeuristic.percentile(0.0001),
+        heuristic=EpsilonHeuristic("percentile", 0.0001),
         subset_size=4,
         trials=2,
     )
@@ -510,7 +510,7 @@ def test_equal_scores_fall_back_to_mean_distance(small_population):
     config = mc_config(
         stash_size=40,
         n_per_query=40,
-        heuristic=EpsilonHeuristic.percentile(0.99999),
+        heuristic=EpsilonHeuristic("percentile", 0.99999),
         subset_size=30,
         trials=1,
         seed=13,
@@ -581,9 +581,11 @@ def test_run_mc_trials_preconditions(small_population):
     stash = build_stash(synth_sampler(small_population.shape), 20, seed=0)
     with pytest.raises(ConfigError, match="subset_size"):
         run_mc_trials(train, test, stash, mc_config(stash_size=20, n_per_query=5, subset_size=11, trials=1))
-    other = synth_generate(0, 12, SHAPE)
+    with pytest.raises(ConfigError, match="disjoint"):
+        run_mc_trials(train, train, stash, mc_config(stash_size=20, n_per_query=5, subset_size=2, trials=1))
+    other, other_test = id_blocks(synth_generate(0, 12, SHAPE), 6, 6)
     with pytest.raises(ConfigError, match="shape"):
-        run_mc_trials(other, other, stash, mc_config(stash_size=20, n_per_query=5, subset_size=2, trials=1))
+        run_mc_trials(other, other_test, stash, mc_config(stash_size=20, n_per_query=5, subset_size=2, trials=1))
 
 
 def test_mc_config_validation():
@@ -594,7 +596,7 @@ def test_mc_config_validation():
     with pytest.raises(ConfigError):
         mc_config(trials=0)
     with pytest.raises(ConfigError):
-        McConfig(4, 4, EpsilonHeuristic.median(), "cosine", 1, 1, 0)
+        McConfig(4, 4, EpsilonHeuristic("median"), "cosine", 1, 1, 0)
 
 
 def test_memorizing_oracle_controls(small_population):
@@ -605,7 +607,7 @@ def test_memorizing_oracle_controls(small_population):
     config = McConfig(
         stash_size=600,
         n_per_query=300,
-        heuristic=EpsilonHeuristic.percentile(0.0001),
+        heuristic=EpsilonHeuristic("percentile", 0.0001),
         metric=EUCLIDEAN,
         subset_size=40,
         trials=10,
@@ -630,7 +632,7 @@ def null_config(seed, trials):
     return McConfig(
         stash_size=400,
         n_per_query=200,
-        heuristic=EpsilonHeuristic.median(),
+        heuristic=EpsilonHeuristic("median"),
         metric=EUCLIDEAN,
         subset_size=51,
         trials=trials,

@@ -178,7 +178,7 @@ def test_adam_zero_grad_fixed_point():
     params = np.array([1.0, -2.0, 3.0])
     before = params.copy()
     state = AdamState.for_params(params, lr=0.5)
-    adam_step(params, np.zeros_like(params), state)
+    adam_step(params, np.zeros_like(params), state, np.empty_like(params))
     assert state.step == 1
     assert np.array_equal(params, before)
 
@@ -186,7 +186,7 @@ def test_adam_zero_grad_fixed_point():
 def test_adam_first_step_magnitude():
     params = np.array([0.0])
     state = AdamState.for_params(params, lr=0.1)
-    adam_step(params, np.array([1.0]), state)
+    adam_step(params, np.array([1.0]), state, np.empty_like(params))
     assert math.isclose(params[0], -0.1, rel_tol=1e-6)
 
 
@@ -195,7 +195,7 @@ def test_adam_constant_grad_monotone():
     state = AdamState.for_params(params, lr=0.05)
     history = [0.0]
     for _ in range(20):
-        adam_step(params, np.array([2.0]), state)  # the gradients are consumed
+        adam_step(params, np.array([2.0]), state, np.empty_like(params))  # the gradients are consumed
         history.append(float(params[0]))
     assert all(b < a for a, b in zip(history, history[1:]))
 
@@ -204,7 +204,7 @@ def test_adam_divergence_error():
     params = np.array([0.5, 0.0])
     state = AdamState.for_params(params)
     with pytest.raises(DivergenceError, match="divergence"):
-        adam_step(params, np.array([1.0, np.nan]), state)
+        adam_step(params, np.array([1.0, np.nan]), state, np.empty_like(params))
     # nothing moves before the check
     assert state.step == 0 and not state.m.any() and not state.v.any()
     assert params.tolist() == [0.5, 0.0]

@@ -25,7 +25,7 @@ def test_no_test_reference_is_exported():
         for node in tree.body if isinstance(node, ast.Assign)
         for target in node.targets if isinstance(target, ast.Name)
     }
-    assert {"mc_score", "confusion_from_predictions"} <= defined
+    assert {"mc_score", "confusion_from_predictions", "flatten"} <= defined
     assert sorted(defined & set(rollmia.__all__)) == []
 
 

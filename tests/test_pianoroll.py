@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,6 @@ from rollmia import (
     PianorollShape,
     SplitSpec,
     StyleParams,
-    flatten,
     read_dataset,
     split,
     synth_generate,
@@ -34,7 +34,7 @@ from rollmia.pianoroll import (
 )
 
 from conftest import make_roll
-from reference import pitch_class_profile, pitch_indices_for_class, synth_rolls_per_roll
+from reference import flatten, pitch_class_profile, pitch_indices_for_class, synth_rolls_per_roll
 
 SEED_CASES = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**96 + 5)
 
@@ -469,9 +469,26 @@ def test_pianoroll_must_be_binary(desk_shape):
         Dataset(desk_shape, [cells], [0])
 
 
+@pytest.mark.parametrize("value", [0.7, 1.9, 256, float("nan"), -1])
+def test_non_binary_cells_are_refused_before_the_cast(desk_shape, value):
+    # a uint8 cast would read 0.7, 256 and NaN as 0 and 1.9 as 1
+    cells = np.zeros((2, *desk_shape.dims()), dtype=np.asarray(value).dtype)
+    cells[1, 0, 0, 0, 0] = value
+    with pytest.raises(ConfigError, match="binary"):
+        Dataset(desk_shape, cells, [0, 1])
+
+
+def test_bool_and_exact_float_cells_are_accepted(desk_shape):
+    cells = np.zeros((2, *desk_shape.dims()), dtype=bool)
+    cells[1, 0, 0, 0, 0] = True
+    for rolls in (cells, cells.astype(np.float64)):
+        ds = Dataset(desk_shape, rolls, [0, 1])
+        assert ds.rolls.dtype == np.uint8 and np.array_equal(ds.rolls, cells)
+
+
 def test_style_params_roundtrip():
     style = StyleParams(rhythm_period=2, ornament_prob=0.1, transpose=7)
-    assert StyleParams.from_dict(style.to_dict()) == style
+    assert StyleParams.from_dict(asdict(style)) == style
     with pytest.raises(ConfigError, match="unknown style"):
         StyleParams.from_dict({"bogus": 1})
 
