@@ -87,13 +87,7 @@ def _parse_oracle(text: str, expected: tuple[str, ...]) -> dict[str, float]:
 
 
 def cmd_dataset_gen(args) -> int:
-    shape = PianorollShape(
-        tracks=args.tracks,
-        bars=args.bars,
-        steps_per_bar=args.steps,
-        pitches=args.pitches,
-        base_midi_pitch=args.base_pitch,
-    )
+    shape = PianorollShape(args.tracks, args.bars, args.steps, args.pitches, args.base_pitch)
     dataset = synth_generate(args.seed, args.count, shape)
     write_dataset(dataset, args.out, style=StyleParams())
     print(f"wrote {len(dataset)} rolls to {args.out}")

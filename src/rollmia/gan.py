@@ -45,7 +45,7 @@ import numpy as np
 
 from . import nn
 from .errors import ConfigError, DivergenceError, FormatError
-from .pianoroll import Dataset, PianorollShape, atomic_open, check_config_block
+from .pianoroll import Dataset, PianorollShape, atomic_open, check_config_block, naming_block
 
 CHECKPOINT_MAGIC = b"GANC"
 CHECKPOINT_VERSION = 1
@@ -211,7 +211,8 @@ class TrainConfig:
         }
         # every key is required but the last, d_steps_per_g_step
         check_config_block(data, "train", kinds, required=tuple(kinds)[:-1])
-        return cls(**{**data, "lr": float(data["lr"])})
+        with naming_block("train"):
+            return cls(**{**data, "lr": float(data["lr"])})
 
 
 @dataclass
@@ -394,7 +395,9 @@ def oracle_d_score(oracle: OracleDiscriminator, record_id: int, seed) -> float:
 # ---------------------------------------------------------------------------
 # Checkpoint file format: magic "GANC", u32 version, u64 iteration, then a
 # u32-length-prefixed UTF-8 JSON architecture descriptor, u32 tensor count,
-# and per tensor u32 rank, u32 dims[], f32 little-endian data.
+# and per tensor u32 rank, u32 dims[], f32 little-endian data.  The reader
+# unpacks each field at a running offset, so a field that runs past the end
+# is a truncation, and views each tensor's data in the file's bytes.
 # ---------------------------------------------------------------------------
 
 
@@ -417,35 +420,6 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
             fh.write(tensor.astype("<f4").tobytes())
 
 
-class _Reader:
-    def __init__(self, blob: bytes, path: Path):
-        self.blob = blob
-        self.off = 0
-        self.path = path
-
-    def take(self, count: int) -> bytes:
-        if self.off + count > len(self.blob):
-            raise FormatError(f"truncated checkpoint {self.path}")
-        out = self.blob[self.off : self.off + count]
-        self.off += count
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def f32(self, count: int) -> np.ndarray:
-        """The next ``count`` little-endian float32 values, as a read-only
-        view of the blob."""
-        if self.off + 4 * count > len(self.blob):
-            raise FormatError(f"truncated checkpoint {self.path}")
-        out = np.frombuffer(self.blob, dtype="<f4", count=count, offset=self.off)
-        self.off += 4 * count
-        return out
-
-
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Load a checkpoint, rebuilding the model from its descriptor.
 
@@ -455,22 +429,30 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     tensors other than that architecture's.
     """
     path = Path(path)
-    r = _Reader(path.read_bytes(), path)
-    if r.take(4) != CHECKPOINT_MAGIC:
+    blob = path.read_bytes()
+    off = 0
+
+    def take(fmt: str) -> tuple:
+        """The little-endian fields ``fmt`` at the offset, which moves past them."""
+        nonlocal off
+        try:
+            fields = struct.unpack_from("<" + fmt, blob, off)
+        except struct.error:
+            raise FormatError(f"truncated checkpoint {path}") from None
+        off += struct.calcsize("<" + fmt)
+        return fields
+
+    if take("4s") != (CHECKPOINT_MAGIC,):
         raise FormatError(f"bad checkpoint magic in {path}")
-    version = r.u32()
+    (version,) = take("I")
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version} in {path}")
-    iteration = r.u64()
-    desc_len = r.u32()
+    iteration, desc_len = take("QI")
     try:
-        desc = json.loads(r.take(desc_len).decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise FormatError(f"bad checkpoint descriptor in {path}: {exc}") from exc
-    try:
+        desc = json.loads(take(f"{desc_len}s")[0].decode("utf-8"))
         shape = PianorollShape(**desc["shape"])
         latent_dim = desc["latent_dim"]
-    except (KeyError, TypeError, ConfigError) as exc:
+    except (ValueError, KeyError, TypeError, ConfigError) as exc:
         raise FormatError(f"bad checkpoint descriptor in {path}: {exc}") from exc
     ints = all(type(n) is int for n in [latent_dim, *asdict(shape).values()]) and latent_dim >= 1
     arch = _architecture(shape, latent_dim) if ints else None
@@ -478,19 +460,21 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise FormatError(f"architecture mismatch: descriptor in {path} is not the model's architecture")
 
     families = [_tensor_shapes(family) for family in _families(arch)]
-    expected, count = sum(map(len, families)), r.u32()
+    expected, (count,) = sum(map(len, families)), take("I")
     if count != expected:
         raise FormatError(f"architecture mismatch: architecture has {expected} tensors, file has {count}")
     vectors = []
     for shapes in families:
         tensors = []
         for dims in shapes:
-            rank = r.u32()
-            if struct.unpack(f"<{rank}I", r.take(4 * rank)) != dims:
+            (rank,) = take("I")
+            if take(f"{rank}I") != dims:
                 raise FormatError("architecture mismatch: tensor dims disagree with descriptor")
-            tensors.append(r.f32(math.prod(dims)))
+            size = math.prod(dims)
+            take(f"{4 * size}x")
+            tensors.append(np.frombuffer(blob, dtype="<f4", count=size, offset=off - 4 * size))
         # each family's float32 tensors, joined into its own float64 vector
         vectors.append(np.concatenate(tensors, dtype=np.float64))
-    if r.off != len(r.blob):
+    if off != len(blob):
         raise FormatError(f"trailing data in checkpoint {path}")
     return Checkpoint(iteration, ComposerGan(latent_dim, shape, *vectors))

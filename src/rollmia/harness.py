@@ -79,6 +79,7 @@ from .pianoroll import (
     StyleParams,
     atomic_open,
     check_config_block,
+    naming_block,
     read_dataset,
     seeded_generators,
     split,
@@ -99,8 +100,8 @@ class SyntheticSpec:
     style: StyleParams
 
     def __post_init__(self):
-        if self.count < 2:
-            raise ConfigError("synthetic count must be >= 2 to allow a split")
+        if self.shape.pitches < 12:
+            raise ConfigError("pitches must be >= 12 to hold every pitch class")
 
 
 @dataclass
@@ -116,7 +117,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.label not in LABELS:
-            raise ConfigError(f"label must be one of {LABELS}")
+            raise ConfigError(f"config label must be one of {LABELS}, got {self.label!r}")
         if (self.synthetic is None) == (self.dataset_path is None):
             raise ConfigError("config needs exactly one of synthetic params or a dataset path")
         if self.label == "default" and self.split.train_fraction != 0.5:
@@ -171,18 +172,24 @@ def parse_experiment_config(data, source: str = "config") -> ExperimentConfig:
                  "pitches": int, "base_midi_pitch": int, "style": dict}
         # every key is required but the last two
         check_config_block(s, "dataset.synthetic", kinds, required=tuple(kinds)[:-2])
+        style = StyleParams.from_dict(s.pop("style", {}), "dataset.synthetic.style")
         # what is left after the other keys are taken out is the shape
-        synthetic = SyntheticSpec(
-            count=s.pop("count"),
-            seed=s.pop("seed"),
-            style=StyleParams.from_dict(s.pop("style", {}), "dataset.synthetic.style"),
-            shape=PianorollShape(**s),
-        )
+        with naming_block("dataset.synthetic"):
+            synthetic = SyntheticSpec(
+                count=s.pop("count"), seed=s.pop("seed"), style=style, shape=PianorollShape(**s)
+            )
     check_config_block(
         data["split"], "split", {"train_fraction": float, "seed": int},
         required=("train_fraction", "seed"),
     )
-    split_spec = SplitSpec(**data["split"])
+    with naming_block("split"):
+        split_spec = SplitSpec(**data["split"])
+    # the split's own rule, so a synthetic set that cannot be split fails before any output
+    if synthetic is not None and not 0 < split_spec.train_size(synthetic.count) < synthetic.count:
+        raise ConfigError(
+            f"split train_fraction {split_spec.train_fraction} leaves a side of "
+            f"dataset.synthetic count {synthetic.count} empty"
+        )
     train_config = TrainConfig.from_dict(data["train"])
     attacks = data.get("attacks", {})
     check_config_block(attacks, "attacks", {"whitebox": bool, "mc": list})
@@ -506,14 +513,10 @@ def run_experiment(config: ExperimentConfig, force: bool = False) -> dict:
 
     try:
         stage = "dataset"
-        if config.synthetic is not None:
-            dataset = synth_generate(
-                config.synthetic.seed,
-                config.synthetic.count,
-                config.synthetic.shape,
-                config.synthetic.style,
-            )
-            write_dataset(dataset, out / "dataset.prd", style=config.synthetic.style)
+        synthetic = config.synthetic
+        if synthetic is not None:
+            dataset = synth_generate(synthetic.seed, synthetic.count, synthetic.shape, synthetic.style)
+            write_dataset(dataset, out / "dataset.prd", style=synthetic.style)
             manifest["outputs"].append("dataset.prd")
         else:
             dataset = read_dataset(config.dataset_path)
@@ -521,12 +524,14 @@ def run_experiment(config: ExperimentConfig, force: bool = False) -> dict:
 
         stage = "split"
         train_set, test_set = split(dataset, config.split)
-        # an MC config that cannot draw its subsets fails here, not after training
+        # a batch or an MC subset larger than its side fails here, not in or after training
+        if len(train_set) < config.train.batch_size:
+            raise ConfigError(
+                f"train batch_size {config.train.batch_size} exceeds the {len(train_set)} training records"
+            )
         for i, mc_config in enumerate(config.mc):
-            try:
+            with naming_block(f"attacks.mc[{i}]"):
                 mc_config.check_sides(train_set, test_set)
-            except ConfigError as exc:
-                raise ConfigError(f"attacks.mc[{i}] {exc}") from exc
         write_dataset(train_set, out / "train.prd")
         write_dataset(test_set, out / "test.prd")
         manifest["outputs"] += ["train.prd", "test.prd"]
@@ -566,9 +571,7 @@ def run_experiment(config: ExperimentConfig, force: bool = False) -> dict:
         provenance = {
             "label": config.label,
             "config_hash": config_hash(config),
-            "dataset_seed": (
-                config.synthetic.seed if config.synthetic is not None else str(config.dataset_path)
-            ),
+            "dataset_seed": synthetic.seed if synthetic is not None else str(config.dataset_path),
             "split_seed": config.split.seed,
             "train_seed": config.train.seed,
         }

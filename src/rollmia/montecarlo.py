@@ -50,6 +50,7 @@ from .pianoroll import (
     check_config_block,
     entropy_words,
     indexed_entropy,
+    naming_block,
     seeded_generators,
 )
 
@@ -110,14 +111,11 @@ class McConfig:
     def __post_init__(self):
         if self.metric not in METRICS:
             raise ConfigError(f"unknown metric {self.metric!r}")
-        if self.stash_size < 1 or self.n_per_query < 1:
-            raise ConfigError("stash_size and n_per_query must be >= 1")
+        for name in ("stash_size", "n_per_query", "subset_size", "trials"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if self.n_per_query > self.stash_size:
             raise ConfigError("n_per_query cannot exceed stash_size")
-        if self.subset_size < 1:
-            raise ConfigError("subset_size must be >= 1")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
 
     @classmethod
     def from_dict(cls, data: dict, block: str) -> "McConfig":
@@ -133,10 +131,11 @@ class McConfig:
             required=("stash_size", "n_per_query", "subset_size", "trials", "seed"),
         )
         metric_label = data.get("metric", "euclidean")
-        if metric_label not in METRIC_FROM_LABEL:
-            raise ConfigError(f"unknown mc metric {metric_label!r}")
-        heuristic = EpsilonHeuristic.parse(data.get("heuristic", "median"))
-        return cls(**{**data, "heuristic": heuristic, "metric": METRIC_FROM_LABEL[metric_label]})
+        with naming_block(block):
+            if metric_label not in METRIC_FROM_LABEL:
+                raise ConfigError(f"metric must be one of {tuple(METRIC_FROM_LABEL)}, got {metric_label!r}")
+            heuristic = EpsilonHeuristic.parse(data.get("heuristic", "median"))
+            return cls(**{**data, "heuristic": heuristic, "metric": METRIC_FROM_LABEL[metric_label]})
 
     def check_sides(self, train: Dataset, test: Dataset) -> None:
         """Refuse train and test sides too small to draw ``subset_size``

@@ -140,6 +140,9 @@ class SplitSpec:
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction must be in (0, 1)")
 
+    def train_size(self, n: int) -> int:
+        return math.floor(self.train_fraction * n)
+
 
 # kinds of config values and their names in errors: ``int`` is an integer,
 # ``float`` a real number, an integer included; a bool is neither
@@ -180,6 +183,15 @@ def check_config_block(data, block: str, kinds: dict, required: tuple = ()) -> N
             raise ConfigError(f"{block} seed must be a non-negative integer, got {value!r}")
 
 
+@contextmanager
+def naming_block(block: str):
+    """Prefix a ConfigError raised inside with the config block's key path."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{block} {exc}") from exc
+
+
 @dataclass(frozen=True)
 class StyleParams:
     """Knobs for the synthetic generator.
@@ -205,7 +217,8 @@ class StyleParams:
         """Build from the style block at key path ``block``.  Values are
         type-checked, not coerced, so a parsed config echoes them as given."""
         check_config_block(data, block, {"rhythm_period": int, "ornament_prob": float, "transpose": int})
-        return cls(**data)
+        with naming_block(block):
+            return cls(**data)
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +536,8 @@ def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     n = len(dataset)
     if n < 2:
         raise ConfigError("dataset must have at least 2 rolls to split")
-    train_size = math.floor(spec.train_fraction * n)
-    if train_size < 1 or n - train_size < 1:
+    train_size = spec.train_size(n)
+    if not 0 < train_size < n:
         raise ConfigError("degenerate split")
     rng = np.random.default_rng(spec.seed)
     perm = rng.permutation(n)

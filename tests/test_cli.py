@@ -454,16 +454,18 @@ def test_style_value_that_is_not_an_integer_exits_2_before_any_output(tmp_path, 
     assert not (tmp_path / "run").exists()
 
 
-def _default_config_error(tmp_path, capsys, key_path, value) -> list[str]:
+def _default_config_error(tmp_path, capsys, key_path, value, *more) -> list[str]:
     """Run ``experiment run`` on the packaged default config with the value at
-    ``key_path`` set; check that it exits 2 before any output exists and
-    return its stderr lines."""
+    ``key_path`` set, and each further (key_path, value) pair of ``more``;
+    check that it exits 2 before any output exists and return its stderr
+    lines."""
     data = json.loads((Path(__file__).resolve().parents[1] / "configs" / "default.json").read_text())
     data["output_dir"] = str(tmp_path / "run")
-    block = data
-    for key in key_path[:-1]:
-        block = block[key]
-    block[key_path[-1]] = value
+    for key_path, value in ((key_path, value), *more):
+        block = data
+        for key in key_path[:-1]:
+            block = block[key]
+        block[key_path[-1]] = value
     config = tmp_path / "config.json"
     config.write_text(json.dumps(data))
     capsys.readouterr()
@@ -531,13 +533,66 @@ def test_unknown_config_key_exits_2_before_any_output(tmp_path, capsys, key_path
         (("dataset", "synthetic", "style", "ornament_prob"), -float("inf"),
          "dataset.synthetic.style ornament_prob must be a finite real number, got -inf"),
         # values of the right type that the run could not use
-        (("label",), "mine", "label must be one of ('default', 'overfitted', 'custom')"),
-        (("dataset", "synthetic", "count"), 1, "synthetic count must be >= 2 to allow a split"),
-        (("attacks", "mc", 0, "metric"), "cosine", "unknown mc metric 'cosine'"),
+        (("label",), "mine", "config label must be one of ('default', 'overfitted', 'custom'), got 'mine'"),
+        (("dataset", "synthetic", "count"), 1,
+         "split train_fraction 0.5 leaves a side of dataset.synthetic count 1 empty"),
+        (("attacks", "mc", 0, "metric"), "cosine",
+         "attacks.mc[0] metric must be one of ('euclidean', 'tonal'), got 'cosine'"),
+        (("train", "iterations"), 0, "train iterations must be >= 1"),
+        (("train", "lr"), 0, "train lr must be positive"),
+        (("train", "checkpoint_every"), 7, "train checkpoint_every must divide iterations"),
+        (("split", "train_fraction"), 1.5, "split train_fraction must be in (0, 1)"),
+        (("dataset", "synthetic", "tracks"), 0, "dataset.synthetic tracks must be >= 1"),
+        (("dataset", "synthetic", "pitches"), 8,
+         "dataset.synthetic pitches must be >= 12 to hold every pitch class"),
+        (("dataset", "synthetic", "style", "rhythm_period"), 0,
+         "dataset.synthetic.style rhythm_period must be >= 1"),
+        (("attacks", "mc", 0, "n_per_query"), 999, "attacks.mc[0] n_per_query cannot exceed stash_size"),
+        (("attacks", "mc", 0, "heuristic"), "p:2", "attacks.mc[0] percentile heuristic needs q in (0, 1)"),
     ],
 )
 def test_mistyped_config_value_exits_2_before_any_output(tmp_path, capsys, key_path, value, message):
     assert _default_config_error(tmp_path, capsys, key_path, value) == [f"error: {message}"]
+
+
+def test_synthetic_set_that_split_leaves_a_side_empty_exits_2_before_any_output(tmp_path, capsys):
+    # floor(0.3 * 3) = 0 train records, the rule ``split`` itself applies
+    lines = _default_config_error(
+        tmp_path, capsys, ("dataset", "synthetic", "count"), 3, (("split", "train_fraction"), 0.3),
+        (("label",), "custom"),
+    )
+    assert lines == ["error: split train_fraction 0.3 leaves a side of dataset.synthetic count 3 empty"]
+
+
+def test_batch_larger_than_the_train_side_exits_2_before_training(tmp_path, capsys):
+    data = json.loads((Path(__file__).resolve().parents[1] / "configs" / "default.json").read_text())
+    data["dataset"]["synthetic"]["count"] = 50
+    data["attacks"]["mc"][0]["subset_size"] = 10
+    out = tmp_path / "run"
+    data["output_dir"] = str(out)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(["experiment", "run", "--config", config]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: train batch_size 32 exceeds the 25 training records"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failed_stage"] == "split"
+    assert manifest["stages"] == {"dataset": "ok", "split": "failed"}
+    assert sorted(p.name for p in out.iterdir()) == ["dataset.prd", "dataset.prd.meta.json", "manifest.json"]
+
+
+def test_attack_mc_flag_out_of_range_exits_2(cli_workspace, tmp_path, capsys):
+    _, _, train, test = cli_workspace
+    for flag, value, message in (
+        ("--trials", 0, "attack mc trials must be >= 1"),
+        ("--heuristic", "p:2", "attack mc percentile heuristic needs q in (0, 1)"),
+    ):
+        flags = {"--stash": 20, "--n": 5, "--subset": 2, "--trials": 1, "--seed": 1, flag: value}
+        capsys.readouterr()
+        assert run(["attack", "mc", "--oracle", "p=1,sigma=0", "--train", train, "--test", test,
+                    *(a for item in flags.items() for a in item), "--out", tmp_path / "mc.csv"]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "mc.csv").exists()
 
 
 def test_train_verb_rejects_unknown_and_mistyped_train_keys(cli_workspace, tmp_path, capsys):
@@ -548,6 +603,7 @@ def test_train_verb_rejects_unknown_and_mistyped_train_keys(cli_workspace, tmp_p
         ("train", {"d_steps_per_g_stp": 5}, "unknown train key 'd_steps_per_g_stp'"),
         ("train", {"iterations": 20.0}, "train iterations must be an integer, got 20.0"),
         ("train", {"seed": -2}, "train seed must be a non-negative integer, got -2"),
+        ("train", {"iterations": 0}, "train iterations must be >= 1"),
         ("dataset", {"bogus": 1}, "unknown dataset key 'bogus'"),
         ("train", None, "config is missing 'train'"),
         ("dataset", None, "config is missing 'dataset'"),
@@ -603,9 +659,13 @@ def _first_tensor_offset(blob: bytes) -> int:
     return 20 + int.from_bytes(blob[16:20], "little") + 4
 
 
+def _set_u32(blob: bytes, at: int, value: int) -> bytes:
+    return blob[:at] + value.to_bytes(4, "little") + blob[at + 4:]
+
+
 def _bump_first_dim(blob: bytes) -> bytes:
     dim = _first_tensor_offset(blob) + 4
-    return blob[:dim] + (int.from_bytes(blob[dim:dim + 4], "little") + 1).to_bytes(4, "little") + blob[dim + 4:]
+    return _set_u32(blob, dim, int.from_bytes(blob[dim:dim + 4], "little") + 1)
 
 
 @pytest.mark.parametrize(
@@ -616,8 +676,18 @@ def _bump_first_dim(blob: bytes) -> bytes:
         (_bump_first_dim, "architecture mismatch: tensor dims disagree with descriptor"),
         # cut 6 bytes into the first tensor's (rank 2) float32 data
         (lambda blob: blob[:_first_tensor_offset(blob) + 12 + 6], "truncated checkpoint {path}"),
+        # cut inside the magic, and inside the version
+        (lambda blob: blob[:3], "truncated checkpoint {path}"),
+        (lambda blob: blob[:7], "truncated checkpoint {path}"),
+        (lambda blob: _set_u32(blob, 16, len(blob)), "truncated checkpoint {path}"),
+        (lambda blob: _set_u32(blob, _first_tensor_offset(blob), 10**6), "truncated checkpoint {path}"),
+        (lambda blob: blob[:20] + b"\xff" + blob[21:], "bad checkpoint descriptor in {path}: "
+         "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (lambda blob: _set_u32(blob, 16, 0), "bad checkpoint descriptor in {path}: "
+         "Expecting value: line 1 column 1 (char 0)"),
     ],
-    ids=["descriptor-not-json", "tensor-dims", "cut-in-tensor-data"],
+    ids=["descriptor-not-json", "tensor-dims", "cut-in-tensor-data", "3-bytes", "7-bytes",
+         "descriptor-length-past-end", "first-rank-1e6", "descriptor-byte-0xff", "descriptor-length-0"],
 )
 def test_attack_on_a_corrupt_checkpoint_exits_3(cli_workspace, tmp_path, capsys, corrupt, message):
     _, _, train, test = cli_workspace
