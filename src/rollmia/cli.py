@@ -37,6 +37,7 @@ from .gan import (
 from .harness import (
     MC_HEADER,
     WB_HEADER,
+    SyntheticSpec,
     check_config,
     checkpoint_name,
     checkpoint_sampler,
@@ -49,12 +50,12 @@ from .harness import (
     whitebox_row,
     write_lines,
 )
-from .montecarlo import METRIC_FROM_LABEL, McConfig
+from .montecarlo import EUCLIDEAN, METRICS, McConfig
 from .pianoroll import (
-    PianorollShape,
     SplitSpec,
-    StyleParams,
     check_config_block,
+    config_block,
+    naming_block,
     read_dataset,
     split,
     synth_generate,
@@ -63,40 +64,43 @@ from .pianoroll import (
 )
 
 
-def _parse_oracle(text: str, expected: tuple[str, ...]) -> dict[str, float]:
+def _parse_oracle(text: str, block: str, expected: tuple[str, ...]) -> dict[str, float]:
     """Parse "k=v,k=v" oracle descriptors, e.g. "p=1,sigma=0" or
-    "margin=1,tau=0.1"."""
+    "margin=1,tau=0.1", given by the flag at key path ``block``, which must
+    hold the keys ``expected``, each a finite real number."""
     values: dict[str, float] = {}
     for part in text.split(","):
         if "=" not in part:
             raise ConfigError(f"bad oracle spec {text!r}")
         key, _, raw = part.partition("=")
         key = key.strip()
-        if key not in expected:
-            raise ConfigError(f"oracle spec {text!r}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"oracle spec {text!r}: repeated key {key!r}")
         try:
             values[key] = float(raw)
         except ValueError as exc:
             raise ConfigError(f"oracle spec {text!r}: bad value for {key!r}") from exc
-    missing = set(expected) - set(values)
-    if missing:
-        raise ConfigError(f"oracle spec {text!r}: missing {sorted(missing)}")
+    check_config_block(values, block, dict.fromkeys(expected, float), expected)
     return values
 
 
 def cmd_dataset_gen(args) -> int:
-    shape = PianorollShape(args.tracks, args.bars, args.steps, args.pitches, args.base_pitch)
-    dataset = synth_generate(args.seed, args.count, shape)
-    write_dataset(dataset, args.out, style=StyleParams())
+    spec = config_block(SyntheticSpec, dict(
+        count=args.count, seed=args.seed, tracks=args.tracks, bars=args.bars, steps_per_bar=args.steps,
+        pitches=args.pitches, base_midi_pitch=args.base_pitch,
+    ), "dataset gen")
+    # the spec leaves count to the config's split rule; synth_generate refuses one below 1
+    with naming_block("dataset gen"):
+        dataset = synth_generate(spec.seed, spec.count, spec.shape)
+    write_dataset(dataset, args.out, style=spec.style)
     print(f"wrote {len(dataset)} rolls to {args.out}")
     return 0
 
 
 def cmd_split(args) -> int:
+    spec = config_block(SplitSpec, {"train_fraction": args.fraction, "seed": args.seed}, "split")
     dataset = read_dataset(args.input)
-    train_set, test_set = split(dataset, SplitSpec(args.fraction, args.seed))
+    train_set, test_set = split(dataset, spec)
     write_dataset(train_set, args.train)
     write_dataset(test_set, args.test)
     print(f"split {len(dataset)} -> train {len(train_set)} / test {len(test_set)}")
@@ -107,7 +111,7 @@ def cmd_train(args) -> int:
     data = read_config_file(args.config)
     check_config(data, f"config {Path(args.config)}", ("schema_version", "dataset", "train"))
     check_config_block(data["dataset"], "dataset", {"path": str}, required=("path",))
-    config = TrainConfig.from_dict(data["train"])
+    config = config_block(TrainConfig, data["train"], "train")
     dataset = read_dataset(data["dataset"]["path"])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -142,9 +146,9 @@ def _attack_model(args, from_gan, from_oracle):
 
 def cmd_attack_wb(args) -> int:
     def from_oracle(text, train_set):
-        spec = _parse_oracle(text, ("margin", "tau"))
+        spec = _parse_oracle(text, "attack wb --oracle", ("margin", "tau"))
         # a bad seed is a usage error, found before any scoring
-        np.random.SeedSequence(args.seed)
+        check_config_block({"seed": args.seed}, "attack wb", {"seed": int})
         oracle = OracleDiscriminator(
             margin=spec["margin"],
             score_noise=spec["tau"],
@@ -162,13 +166,13 @@ def cmd_attack_wb(args) -> int:
 
 
 def cmd_attack_mc(args) -> int:
-    config = McConfig.from_dict(dict(
+    config = config_block(McConfig, dict(
         stash_size=args.stash, n_per_query=args.n, heuristic=args.heuristic, metric=args.metric,
         subset_size=args.subset, trials=args.trials, seed=args.seed,
     ), "attack mc")
 
     def from_oracle(text, train_set):
-        spec = _parse_oracle(text, ("p", "sigma"))
+        spec = _parse_oracle(text, "attack mc --oracle", ("p", "sigma"))
         oracle = OracleGenerator(
             memorization_rate=spec["p"],
             flip_noise=spec["sigma"],
@@ -251,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--train", required=True)
     p_mc.add_argument("--test", required=True)
     p_mc.add_argument("--heuristic", default="median", help="median or p:Q")
-    p_mc.add_argument("--metric", choices=sorted(METRIC_FROM_LABEL), default="euclidean")
+    p_mc.add_argument("--metric", choices=sorted(METRICS), default=EUCLIDEAN)
     p_mc.add_argument("--stash", type=int, required=True)
     p_mc.add_argument("--n", type=int, required=True)
     p_mc.add_argument("--subset", type=int, required=True)

@@ -45,7 +45,7 @@ import numpy as np
 
 from . import nn
 from .errors import ConfigError, DivergenceError, FormatError
-from .pianoroll import Dataset, PianorollShape, atomic_open, check_config_block, naming_block
+from .pianoroll import Dataset, PianorollShape, atomic_open
 
 CHECKPOINT_MAGIC = b"GANC"
 CHECKPOINT_VERSION = 1
@@ -191,6 +191,7 @@ class TrainConfig:
     d_steps_per_g_step: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "lr", float(self.lr))  # so an integer lr echoes as a float
         for name in ("iterations", "batch_size", "latent_dim", "checkpoint_every",
                      "d_steps_per_g_step"):
             if getattr(self, name) < 1:
@@ -199,20 +200,6 @@ class TrainConfig:
             raise ConfigError("lr must be positive")
         if self.iterations % self.checkpoint_every != 0:
             raise ConfigError("checkpoint_every must divide iterations")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainConfig":
-        """Build from a config's "train" block.  An unknown or missing key, or
-        a value that is not an integer (for lr, a real number), raises
-        ConfigError; lr is then made a float."""
-        kinds = {
-            "iterations": int, "batch_size": int, "latent_dim": int, "lr": float,
-            "seed": int, "checkpoint_every": int, "d_steps_per_g_step": int,
-        }
-        # every key is required but the last, d_steps_per_g_step
-        check_config_block(data, "train", kinds, required=tuple(kinds)[:-1])
-        with naming_block("train"):
-            return cls(**{**data, "lr": float(data["lr"])})
 
 
 @dataclass
@@ -279,8 +266,9 @@ def train(
     into which each discriminator step casts its gathered uint8 real rows
     and writes its fakes; the training rolls themselves stay uint8.
     Only the latest checkpoint is kept in memory; the sink sees each one.
-    A non-finite gradient or loss raises DivergenceError naming the
-    iteration and carrying the last good checkpoint (None before the first).
+    A non-finite gradient or loss, or non-finite weights at a checkpoint,
+    raises DivergenceError naming the iteration and carrying the last good
+    checkpoint (None before the first), so no sink sees such a model.
     """
     if len(train_set) < config.batch_size:
         raise ConfigError("training set smaller than batch size")
@@ -324,6 +312,11 @@ def train(
             )
 
         if it % config.checkpoint_every == 0:
+            # an update can overflow after its loss was taken
+            if not (np.isfinite(gan.g_params).all() and np.isfinite(gan.d_params).all()):
+                raise DivergenceError(
+                    f"divergence: non-finite weights at iteration {it}", last_checkpoint=last_good
+                )
             last_good = Checkpoint(it, gan.snapshot())
             if checkpoint_sink is not None:
                 checkpoint_sink(last_good)
@@ -424,9 +417,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     """Load a checkpoint, rebuilding the model from its descriptor.
 
     Distinct FormatErrors cover bad magic, unsupported version, truncation,
-    trailing bytes, and an architecture mismatch: a descriptor other than
-    ``_architecture`` of its own shape and latent_dim (an int >= 1), or
-    tensors other than that architecture's.
+    trailing bytes, an architecture mismatch (a descriptor other than
+    ``_architecture`` of its own shape and latent_dim, an int >= 1, or
+    tensors other than that architecture's) and, once the file's structure
+    is sound, weights that are not finite.
     """
     path = Path(path)
     blob = path.read_bytes()
@@ -463,18 +457,21 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     expected, (count,) = sum(map(len, families)), take("I")
     if count != expected:
         raise FormatError(f"architecture mismatch: architecture has {expected} tensors, file has {count}")
-    vectors = []
+    tensors = []  # float32 views, one list per family
     for shapes in families:
-        tensors = []
+        tensors.append([])
         for dims in shapes:
             (rank,) = take("I")
             if take(f"{rank}I") != dims:
                 raise FormatError("architecture mismatch: tensor dims disagree with descriptor")
             size = math.prod(dims)
             take(f"{4 * size}x")
-            tensors.append(np.frombuffer(blob, dtype="<f4", count=size, offset=off - 4 * size))
-        # each family's float32 tensors, joined into its own float64 vector
-        vectors.append(np.concatenate(tensors, dtype=np.float64))
+            tensors[-1].append(np.frombuffer(blob, dtype="<f4", count=size, offset=off - 4 * size))
     if off != len(blob):
         raise FormatError(f"trailing data in checkpoint {path}")
+    # tested on the float32 views: casting a signalling NaN to float64 warns
+    if not all(np.isfinite(t).all() for family in tensors for t in family):
+        raise FormatError(f"non-finite weights in checkpoint {path}")
+    # each family's float32 tensors, joined into its own float64 vector
+    vectors = [np.concatenate(family, dtype=np.float64) for family in tensors]
     return Checkpoint(iteration, ComposerGan(latent_dim, shape, *vectors))

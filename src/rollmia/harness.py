@@ -29,10 +29,12 @@ so there is one attack path and one seed rule.
 
 Each kind of file a run reads or writes has one definition here, shared
 with ``cli``.  ``read_config_file`` only decodes a config's JSON; each verb
-then checks it once, with ``check_config`` for the top level and
-``check_config_block`` for each block, and builds its dataclasses straight
-from the checked blocks (``parse_experiment_config`` for ``experiment
-run``).  ``checkpoint_name`` names a checkpoint file, and ``TABLES``
+then checks it once (``parse_experiment_config`` for ``experiment run``):
+``check_config`` the top level, ``check_config_block`` the ``dataset`` and
+``attacks`` blocks, which have no dataclass, and ``pianoroll.config_block``
+every other block, read straight from the dataclass it builds, so a key is
+stated once, as a field, and ``config_echo`` is ``asdict`` of those.
+``checkpoint_name`` names a checkpoint file, and ``TABLES``
 lists each attack table as (file, section title, CSV header,
 success_vs_iteration.csv column) in report order.  ``emit_reports(output_dir,
 provenance, tables)`` takes each table's CSV data lines keyed by file name,
@@ -70,7 +72,7 @@ from .gan import (
     train,
 )
 from .metrics import compute_metrics
-from .montecarlo import METRIC_LABELS, McConfig, run_mc_trials, stash_seeds
+from .montecarlo import McConfig, run_mc_trials, stash_seeds
 from .pianoroll import (
     DATASET_VERSION,
     Dataset,
@@ -79,6 +81,7 @@ from .pianoroll import (
     StyleParams,
     atomic_open,
     check_config_block,
+    config_block,
     naming_block,
     read_dataset,
     seeded_generators,
@@ -94,14 +97,24 @@ LABELS = ("default", "overfitted", "custom")
 
 @dataclass(frozen=True)
 class SyntheticSpec:
+    """A synthetic dataset; also the "dataset.synthetic" config block."""
+
     count: int
-    shape: PianorollShape
     seed: int
-    style: StyleParams
+    tracks: int
+    bars: int
+    steps_per_bar: int
+    pitches: int
+    base_midi_pitch: int = 24
+    style: StyleParams = StyleParams()
 
     def __post_init__(self):
-        if self.shape.pitches < 12:
+        if self.shape.pitches < 12:  # the shape checks its own fields first
             raise ConfigError("pitches must be >= 12 to hold every pitch class")
+
+    @property
+    def shape(self) -> PianorollShape:
+        return PianorollShape(self.tracks, self.bars, self.steps_per_bar, self.pitches, self.base_midi_pitch)
 
 
 @dataclass
@@ -167,30 +180,15 @@ def parse_experiment_config(data, source: str = "config") -> ExperimentConfig:
     check_config_block(dataset, "dataset", {"synthetic": dict, "path": str})
     synthetic = None
     if "synthetic" in dataset:
-        s = dict(dataset["synthetic"])
-        kinds = {"count": int, "seed": int, "tracks": int, "bars": int, "steps_per_bar": int,
-                 "pitches": int, "base_midi_pitch": int, "style": dict}
-        # every key is required but the last two
-        check_config_block(s, "dataset.synthetic", kinds, required=tuple(kinds)[:-2])
-        style = StyleParams.from_dict(s.pop("style", {}), "dataset.synthetic.style")
-        # what is left after the other keys are taken out is the shape
-        with naming_block("dataset.synthetic"):
-            synthetic = SyntheticSpec(
-                count=s.pop("count"), seed=s.pop("seed"), style=style, shape=PianorollShape(**s)
-            )
-    check_config_block(
-        data["split"], "split", {"train_fraction": float, "seed": int},
-        required=("train_fraction", "seed"),
-    )
-    with naming_block("split"):
-        split_spec = SplitSpec(**data["split"])
+        synthetic = config_block(SyntheticSpec, dataset["synthetic"], "dataset.synthetic")
+    split_spec = config_block(SplitSpec, data["split"], "split")
     # the split's own rule, so a synthetic set that cannot be split fails before any output
     if synthetic is not None and not 0 < split_spec.train_size(synthetic.count) < synthetic.count:
         raise ConfigError(
             f"split train_fraction {split_spec.train_fraction} leaves a side of "
             f"dataset.synthetic count {synthetic.count} empty"
         )
-    train_config = TrainConfig.from_dict(data["train"])
+    train_config = config_block(TrainConfig, data["train"], "train")
     attacks = data.get("attacks", {})
     check_config_block(attacks, "attacks", {"whitebox": bool, "mc": list})
     return ExperimentConfig(
@@ -201,7 +199,7 @@ def parse_experiment_config(data, source: str = "config") -> ExperimentConfig:
         synthetic=synthetic,
         dataset_path=Path(dataset["path"]) if "path" in dataset else None,
         whitebox=attacks.get("whitebox", True),
-        mc=[McConfig.from_dict(m, f"attacks.mc[{i}]") for i, m in enumerate(attacks.get("mc", []))],
+        mc=[config_block(McConfig, m, f"attacks.mc[{i}]") for i, m in enumerate(attacks.get("mc", []))],
     )
 
 
@@ -211,16 +209,8 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
 
 def config_echo(config: ExperimentConfig) -> dict:
     """Normalized JSON form of a config; hashed into the manifest."""
-    synthetic = config.synthetic
-    if synthetic is not None:
-        dataset = {
-            "synthetic": {
-                "count": synthetic.count,
-                **asdict(synthetic.shape),
-                "seed": synthetic.seed,
-                "style": asdict(synthetic.style),
-            }
-        }
+    if config.synthetic is not None:
+        dataset = {"synthetic": asdict(config.synthetic)}
     else:
         dataset = {"path": str(config.dataset_path)}
     return {
@@ -231,10 +221,7 @@ def config_echo(config: ExperimentConfig) -> dict:
         "train": asdict(config.train),
         "attacks": {
             "whitebox": config.whitebox,
-            "mc": [
-                {**asdict(m), "heuristic": m.heuristic.label(), "metric": METRIC_LABELS[m.metric]}
-                for m in config.mc
-            ],
+            "mc": [{**asdict(m), "heuristic": m.heuristic.label()} for m in config.mc],
         },
         "output_dir": str(config.output_dir),
     }
@@ -446,7 +433,7 @@ def mc_row(
     result = run_mc_trials(train_set, test_set, stash, mc_config)
     return (
         f"{iteration},{result.single_mi_accuracy:.3f},{result.set_mi_correct_fraction:.3f},"
-        f"{mc_config.heuristic.label()},{METRIC_LABELS[mc_config.metric]},{mc_config.trials}"
+        f"{mc_config.heuristic.label()},{mc_config.metric},{mc_config.trials}"
     )
 
 

@@ -30,6 +30,9 @@ That order is the order in which ``np.linalg.norm`` sums a length-6 last
 axis, so the distances equal the per-candidate norm of the stacked features
 bit for bit; a regrouped sum would not.
 
+A distance metric's name, "euclidean" or "tonal", is also its label in
+configs, ``attack mc --metric`` and the MC table.
+
 Candidate i of a trial draws the stream that ``default_rng`` gives on the
 trial's i-th candidate SeedSequence child; one ``pianoroll.seeded_generators``
 pass derives the streams of all 2M candidates.
@@ -47,20 +50,16 @@ from .errors import ConfigError
 from .pianoroll import (
     Dataset,
     PianorollShape,
-    check_config_block,
     entropy_words,
     indexed_entropy,
-    naming_block,
     seeded_generators,
 )
 
-EUCLIDEAN = "euclidean_raw"
-TONAL = "tonal_centroid"
+EUCLIDEAN = "euclidean"
+TONAL = "tonal"
 METRICS = (EUCLIDEAN, TONAL)
-
-# CSV/CLI short names for the distance metrics
-METRIC_LABELS = {EUCLIDEAN: "euclidean", TONAL: "tonal"}
-METRIC_FROM_LABEL = {v: k for k, v in METRIC_LABELS.items()}
+# label -> metric, now the identity; read by perfbench's oracle-audit workload
+METRIC_FROM_LABEL = {metric: metric for metric in METRICS}
 
 
 @dataclass(frozen=True)
@@ -100,42 +99,25 @@ class EpsilonHeuristic:
 
 @dataclass(frozen=True)
 class McConfig:
+    """One MC attack; also an "attacks.mc" config entry, read by
+    ``pianoroll.config_block`` with the heuristic given by its label."""
+
     stash_size: int
     n_per_query: int
-    heuristic: EpsilonHeuristic
-    metric: str
     subset_size: int
     trials: int
     seed: int
+    metric: str = EUCLIDEAN
+    heuristic: EpsilonHeuristic = EpsilonHeuristic("median")
 
     def __post_init__(self):
         if self.metric not in METRICS:
-            raise ConfigError(f"unknown metric {self.metric!r}")
+            raise ConfigError(f"metric must be one of {METRICS}, got {self.metric!r}")
         for name in ("stash_size", "n_per_query", "subset_size", "trials"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.n_per_query > self.stash_size:
             raise ConfigError("n_per_query cannot exceed stash_size")
-
-    @classmethod
-    def from_dict(cls, data: dict, block: str) -> "McConfig":
-        """Build from the MC attack block at key path ``block``, such as one
-        entry of a config's "attacks.mc" list, with the metric and heuristic
-        given by their labels.  An unknown or missing key, or a mistyped
-        value, raises ConfigError naming ``block``."""
-        check_config_block(
-            data,
-            block,
-            {"stash_size": int, "n_per_query": int, "heuristic": str, "metric": str,
-             "subset_size": int, "trials": int, "seed": int},
-            required=("stash_size", "n_per_query", "subset_size", "trials", "seed"),
-        )
-        metric_label = data.get("metric", "euclidean")
-        with naming_block(block):
-            if metric_label not in METRIC_FROM_LABEL:
-                raise ConfigError(f"metric must be one of {tuple(METRIC_FROM_LABEL)}, got {metric_label!r}")
-            heuristic = EpsilonHeuristic.parse(data.get("heuristic", "median"))
-            return cls(**{**data, "heuristic": heuristic, "metric": METRIC_FROM_LABEL[metric_label]})
 
     def check_sides(self, train: Dataset, test: Dataset) -> None:
         """Refuse train and test sides too small to draw ``subset_size``

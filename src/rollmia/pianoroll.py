@@ -31,9 +31,10 @@ import os
 import struct
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from numbers import Integral, Real
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -192,6 +193,27 @@ def naming_block(block: str):
         raise ConfigError(f"{block} {exc}") from exc
 
 
+def config_block(cls, data, block: str):
+    """Build the frozen dataclass ``cls`` from ``data``, the config block at
+    key path ``block``, whose keys are the fields of ``cls``: a field without
+    a default is required, one typed as a dataclass is the nested block
+    ``<block>.<key>``, and one whose type has a ``parse`` classmethod
+    (``EpsilonHeuristic``) takes its text.  The kinds ``check_config_block``
+    checks come from the field types, so each key is stated once, and the
+    build runs under ``naming_block``."""
+    types = get_type_hints(cls)
+    parsed = {key for key, kind in types.items() if hasattr(kind, "parse")}
+    kinds = {key: str if key in parsed else dict if is_dataclass(t) else t for key, t in types.items()}
+    check_config_block(data, block, kinds, tuple(f.name for f in fields(cls) if f.default is MISSING))
+    # a nested block names its own errors, so it is built outside naming_block
+    values = {
+        key: config_block(types[key], value, f"{block}.{key}") if kinds[key] is dict else value
+        for key, value in data.items()
+    }
+    with naming_block(block):
+        return cls(**{key: types[key].parse(v) if key in parsed else v for key, v in values.items()})
+
+
 @dataclass(frozen=True)
 class StyleParams:
     """Knobs for the synthetic generator.
@@ -214,11 +236,8 @@ class StyleParams:
 
     @classmethod
     def from_dict(cls, data: dict, block: str = "style") -> "StyleParams":
-        """Build from the style block at key path ``block``.  Values are
-        type-checked, not coerced, so a parsed config echoes them as given."""
-        check_config_block(data, block, {"rhythm_period": int, "ornament_prob": float, "transpose": int})
-        with naming_block(block):
-            return cls(**data)
+        """``config_block`` of the style block at key path ``block``."""
+        return config_block(cls, data, block)
 
 
 # ---------------------------------------------------------------------------

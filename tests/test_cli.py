@@ -361,7 +361,9 @@ def test_negative_seeds_exit_2(cli_workspace, tmp_path, capsys):
     root, _, train, test = cli_workspace
     capsys.readouterr()
     assert run(["dataset", "gen", "--out", tmp_path / "d.prd", "--count", 3, "--seed", -1]) == 2
-    assert capsys.readouterr().err.splitlines() == ["error: expected non-negative integer"]
+    assert capsys.readouterr().err.splitlines() == [
+        "error: dataset gen seed must be a non-negative integer, got -1"
+    ]
     assert not (tmp_path / "d.prd").exists()
     code = run(
         ["attack", "mc", "--oracle", "p=1,sigma=0", "--train", train, "--test", test,
@@ -379,7 +381,9 @@ def test_negative_seeds_exit_2(cli_workspace, tmp_path, capsys):
          "--seed", -1, "--out", tmp_path / "wb.csv"]
     )
     assert code == 2
-    assert capsys.readouterr().err.splitlines() == ["error: expected non-negative integer"]
+    assert capsys.readouterr().err.splitlines() == [
+        "error: attack wb seed must be a non-negative integer, got -1"
+    ]
     assert not (tmp_path / "wb.csv").exists()
 
 
@@ -699,6 +703,78 @@ def test_attack_on_a_corrupt_checkpoint_exits_3(cli_workspace, tmp_path, capsys,
                 "--out", tmp_path / "wb.csv"]) == 3
     assert capsys.readouterr().err.splitlines() == ["error: " + message.format(path=path)]
     assert not (tmp_path / "wb.csv").exists()
+
+
+@pytest.mark.parametrize("verb", ["wb", "mc"])
+def test_attack_on_a_checkpoint_with_non_finite_weights_exits_3(cli_workspace, tmp_path, capsys, verb):
+    _, _, train, test = cli_workspace
+    path = tmp_path / "nan.ganc"
+    gan.save_checkpoint(gan.Checkpoint(10, gan.build_gan(read_dataset(train).shape, 4, 0)), path)
+    # a quiet NaN in the last tensor, the discriminator's output bias
+    path.write_bytes(path.read_bytes()[:-4] + (0x7FC00000).to_bytes(4, "little"))
+    flags = [] if verb == "wb" else ["--stash", 20, "--n", 5, "--subset", 2, "--trials", 1, "--seed", 1]
+    out = tmp_path / f"{verb}.csv"
+    capsys.readouterr()
+    assert run(["attack", verb, "--checkpoint", path, "--train", train, "--test", test, *flags,
+                "--out", out]) == 3
+    assert capsys.readouterr().err.splitlines() == [f"error: non-finite weights in checkpoint {path}"]
+    assert not out.exists()
+
+
+def _flag_argv(verb, flag, value, data, train, test, out):
+    """argv of ``verb`` with ``flag`` set to ``value`` and the other flags valid."""
+    if verb == "split":
+        flags = {"--in": data, "--fraction": 0.5, "--seed": 1, "--train": out, "--test": out.with_suffix(".b")}
+    elif verb == "dataset gen":
+        flags = {"--out": out, "--count": 10, "--seed": 1}
+    else:
+        flags = {"--oracle": "margin=1,tau=0.1", "--train": train, "--test": test, "--seed": 1, "--out": out}
+    flags[flag] = value
+    return [*verb.split(), *(a for item in flags.items() for a in item)]
+
+
+@pytest.mark.parametrize(
+    "verb, flag, value, message",
+    [
+        ("split", "--fraction", 1.5, "split train_fraction must be in (0, 1)"),
+        ("split", "--seed", -2, "split seed must be a non-negative integer, got -2"),
+        ("dataset gen", "--pitches", 8, "dataset gen pitches must be >= 12 to hold every pitch class"),
+        ("dataset gen", "--tracks", 0, "dataset gen tracks must be >= 1"),
+        ("dataset gen", "--seed", -1, "dataset gen seed must be a non-negative integer, got -1"),
+        ("dataset gen", "--count", 0, "dataset gen count must be >= 1"),
+        ("attack wb", "--seed", -1, "attack wb seed must be a non-negative integer, got -1"),
+    ],
+)
+def test_flag_refusal_names_its_verb(cli_workspace, tmp_path, capsys, verb, flag, value, message):
+    _, data, train, test = cli_workspace
+    out = tmp_path / "out" / "o.prd"
+    out.parent.mkdir()
+    capsys.readouterr()
+    assert run(_flag_argv(verb, flag, value, data, train, test, out)) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert list(out.parent.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "verb, spec, message",
+    [
+        ("wb", "margin=nan,tau=0.1", "attack wb --oracle margin must be a finite real number, got nan"),
+        ("wb", "margin=1,tau=inf", "attack wb --oracle tau must be a finite real number, got inf"),
+        ("wb", "margin=1,tau=0,extra=2", "unknown attack wb --oracle key 'extra'"),
+        ("wb", "margin=1", "attack wb --oracle is missing 'tau'"),
+        ("mc", "p=nan,sigma=0", "attack mc --oracle p must be a finite real number, got nan"),
+        ("mc", "sigma=0", "attack mc --oracle is missing 'p'"),
+    ],
+)
+def test_oracle_spec_is_checked_as_a_block(cli_workspace, tmp_path, capsys, verb, spec, message):
+    _, _, train, test = cli_workspace
+    flags = [] if verb == "wb" else ["--stash", 20, "--n", 5, "--subset", 2, "--trials", 1, "--seed", 1]
+    out = tmp_path / f"{verb}.csv"
+    capsys.readouterr()
+    assert run(["attack", verb, "--oracle", spec, "--train", train, "--test", test, *flags,
+                "--out", out]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -337,6 +337,60 @@ def test_checkpoint_roundtrip(tiny_train_set, tmp_path):
     assert np.isclose(d_score(back.gan, roll)[0], d_score(ckpt.gan, roll)[0], atol=1e-4)
 
 
+@pytest.mark.parametrize("inf_from, carried", [(25, 20), (5, None)])
+def test_loss_divergence_carries_the_last_checkpoint(tiny_train_set, monkeypatch, inf_from, carried):
+    real_loss = nn.bce_logits_loss
+    calls = []
+
+    def loss(logit, target):
+        # two calls an iteration: the discriminator's step, then the generator's
+        calls.append(None)
+        value, grad = real_loss(logit, target)
+        if (len(calls) + 1) // 2 >= inf_from:
+            value = np.full_like(value, np.inf)
+        return value, grad
+
+    monkeypatch.setattr(nn, "bce_logits_loss", loss)
+    sunk = []
+    with pytest.raises(DivergenceError, match=f"^divergence: non-finite loss at iteration {inf_from}$") as excinfo:
+        train(tiny_train_set, train_config(iterations=40, every=10), checkpoint_sink=sunk.append)
+    last = excinfo.value.last_checkpoint
+    assert [c.iteration for c in sunk] == ([] if carried is None else list(range(10, carried + 1, 10)))
+    assert (last and last.iteration) == carried
+
+
+def test_weights_that_overflow_after_the_loss_never_reach_the_sink(tiny_train_set):
+    # at this lr the first generator update overflows after both losses were taken
+    config = TrainConfig(iterations=20, batch_size=8, latent_dim=4, lr=1e110, seed=1, checkpoint_every=1)
+    sunk = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError, match="^divergence: non-finite weights at iteration 1$") as excinfo:
+            train(tiny_train_set, config, checkpoint_sink=sunk.append)
+    assert sunk == [] and excinfo.value.last_checkpoint is None
+
+
+@pytest.mark.parametrize("inf_at, carried", [(30, 20), (10, None)])
+def test_non_finite_weights_at_a_checkpoint_carry_the_last_one(tiny_train_set, monkeypatch, inf_at, carried):
+    real_step = nn.adam_step
+    calls = []
+
+    def step(params, grads, state, scratch):
+        # two calls an iteration: the discriminator's update, then the generator's
+        calls.append(None)
+        real_step(params, grads, state, scratch)
+        if len(calls) == 2 * inf_at:
+            params[0] = np.inf
+
+    monkeypatch.setattr(nn, "adam_step", step)
+    sunk = []
+    with pytest.raises(DivergenceError, match=f"^divergence: non-finite weights at iteration {inf_at}$") as excinfo:
+        train(tiny_train_set, train_config(iterations=40, every=10), checkpoint_sink=sunk.append)
+    last = excinfo.value.last_checkpoint
+    assert [c.iteration for c in sunk] == ([] if carried is None else list(range(10, carried + 1, 10)))
+    assert (last and last.iteration) == carried
+    assert all(np.isfinite(c.gan.g_params).all() for c in sunk)
+
+
 def make_saved_checkpoint(tmp_path):
     gan = small_gan()
     path = tmp_path / "x.ganc"
@@ -404,6 +458,28 @@ def test_checkpoint_trailing_data(tmp_path):
     path = make_saved_checkpoint(tmp_path)
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(FormatError, match="trailing"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("nan_bits", [0x7FC00000, 0x7FA00000], ids=["quiet", "signalling"])
+@pytest.mark.parametrize("tensor", ["first", "last"])
+def test_checkpoint_with_non_finite_weights(tmp_path, nan_bits, tensor):
+    # the first tensor is the trunk's weights, the last the discriminator's output bias
+    path = make_saved_checkpoint(tmp_path)
+    blob = bytearray(path.read_bytes())
+    at = len(blob) - 4 if tensor == "last" else 20 + int.from_bytes(blob[16:20], "little") + 4 + 12
+    blob[at:at + 4] = nan_bits.to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match=f"^non-finite weights in checkpoint {path}$"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_structure_is_checked_before_its_weights(tmp_path):
+    path = make_saved_checkpoint(tmp_path)
+    blob = bytearray(path.read_bytes())
+    blob[-4:] = (0x7F800000).to_bytes(4, "little")  # +inf
+    path.write_bytes(bytes(blob) + b"\x00")
+    with pytest.raises(FormatError, match="^trailing data"):
         load_checkpoint(path)
 
 

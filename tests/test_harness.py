@@ -503,6 +503,66 @@ def test_packaged_configs_parse():
             assert config.train.iterations == 10 * 2000
 
 
+def test_config_block_reads_each_field_of_its_dataclass():
+    block = {"count": 4, "seed": 1, "tracks": 1, "bars": 1, "steps_per_bar": 4, "pitches": 12}
+    spec = pianoroll.config_block(SyntheticSpec, {**block, "style": {"transpose": 5}}, "b")
+    assert spec == SyntheticSpec(**block, style=StyleParams(transpose=5))
+    assert spec.shape == PianorollShape(1, 1, 4, 12)
+    mc = {"stash_size": 8, "n_per_query": 4, "subset_size": 1, "trials": 1, "seed": 0}
+    assert pianoroll.config_block(McConfig, {**mc, "heuristic": "p:0.5"}, "m").heuristic == (
+        EpsilonHeuristic("percentile", 0.5)
+    )
+    for cls, data, message in (
+        (SyntheticSpec, {k: v for k, v in block.items() if k != "pitches"}, "b is missing 'pitches'"),
+        (SyntheticSpec, {**block, "style": {"rhythm_period": 0}}, "b.style rhythm_period must be >= 1"),
+        (SyntheticSpec, {**block, "style": []}, "b style must be an object, got []"),
+        (SyntheticSpec, {**block, "tracks": 0}, "b tracks must be >= 1"),
+        (McConfig, {**mc, "heuristic": 0.5}, "m heuristic must be a string, got 0.5"),
+        (McConfig, {**mc, "heuristic": "x"}, "m unknown heuristic 'x'"),
+        (McConfig, {**mc, "metric": "x"}, "m metric must be one of ('euclidean', 'tonal'), got 'x'"),
+    ):
+        with pytest.raises(ConfigError) as info:
+            pianoroll.config_block(cls, data, message[0])
+        assert str(info.value) == message
+
+
+def _minimal_config_dict():
+    """A config without any optional key: no label, style, base_midi_pitch,
+    d_steps_per_g_step, heuristic or metric."""
+    return {
+        "schema_version": 1,
+        "dataset": {"synthetic": {"count": 40, "seed": 3, "tracks": 2, "bars": 1, "steps_per_bar": 8,
+                                  "pitches": 12}},
+        "split": {"train_fraction": 0.5, "seed": 4},
+        "train": {"iterations": 20, "batch_size": 8, "latent_dim": 4, "lr": 0.001, "seed": 5,
+                  "checkpoint_every": 10},
+        "attacks": {"mc": [{"stash_size": 32, "n_per_query": 16, "subset_size": 10, "trials": 2, "seed": 6}]},
+        "output_dir": "run",
+    }
+
+
+def test_config_hash_of_a_config_without_optional_keys_is_pinned():
+    config = parse_experiment_config(_minimal_config_dict())
+    assert config_hash(config) == "3edadeed3cfc4f8d19a29fead6da1c80f33a1f119ac32e83b08e761c87c21383"
+    echo = config_echo(config)
+    assert echo["label"] == "custom" and echo["train"]["d_steps_per_g_step"] == 1
+    assert echo["dataset"]["synthetic"]["base_midi_pitch"] == 24
+    assert echo["dataset"]["synthetic"]["style"] == {"rhythm_period": 4, "ornament_prob": 0.02, "transpose": 12}
+    assert echo["attacks"]["mc"][0]["heuristic"] == "median" and echo["attacks"]["mc"][0]["metric"] == "euclidean"
+
+
+def test_config_hash_with_an_integer_lr_and_a_tonal_mc_entry_is_pinned():
+    data = _minimal_config_dict()
+    data["train"]["lr"] = 1
+    data["attacks"]["mc"].append({"stash_size": 32, "n_per_query": 16, "heuristic": "p:0.010",
+                                  "metric": "tonal", "subset_size": 10, "trials": 2, "seed": 7})
+    config = parse_experiment_config(data)
+    assert config_hash(config) == "055c0aa0bcf2082b948c18cf9dd75f5af0430a26b5531a1820aa1a36bb00da17"
+    echo = config_echo(config)
+    assert type(echo["train"]["lr"]) is float
+    assert (echo["attacks"]["mc"][1]["heuristic"], echo["attacks"]["mc"][1]["metric"]) == ("p:0.01", "tonal")
+
+
 @pytest.mark.parametrize("n_members, n_nonmembers", [(1, 1), (1, 5), (5, 1)])
 @pytest.mark.parametrize("members_first", [True, False])
 def test_whitebox_row_is_never_degenerate(n_members, n_nonmembers, members_first):

@@ -596,7 +596,7 @@ def test_mc_config_validation():
     with pytest.raises(ConfigError):
         mc_config(trials=0)
     with pytest.raises(ConfigError):
-        McConfig(4, 4, EpsilonHeuristic("median"), "cosine", 1, 1, 0)
+        McConfig(4, 4, 1, 1, 0, "cosine", EpsilonHeuristic("median"))
 
 
 def test_memorizing_oracle_controls(small_population):
@@ -698,7 +698,7 @@ def pinned_setup(small_population):
 @pytest.mark.parametrize("metric, heuristic", sorted(MC_PINS))
 def test_mc_results_are_pinned(pinned_setup, metric, heuristic):
     train, test, stash = pinned_setup
-    config = McConfig(120, 50, EpsilonHeuristic.parse(heuristic), metric, 12, 4, 17)
+    config = McConfig(120, 50, 12, 4, 17, metric, EpsilonHeuristic.parse(heuristic))
     trials, scores = MC_PINS[metric, heuristic]
     result = run_mc_trials(train, test, stash, config)
     assert result.epsilon.shape == result.train_selected.shape == (4,)
