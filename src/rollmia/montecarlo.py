@@ -131,7 +131,7 @@ class McConfig:
             raise ConfigError("train and test ids must be disjoint")
 
 
-@dataclass
+@dataclass(eq=False)
 class McResult:
     """Both accuracies, and per trial the epsilon and the number of train
     records among the top M, as (trials,) float64 and int64 arrays."""
@@ -198,10 +198,9 @@ def _tonal_features(shape: PianorollShape, rolls: np.ndarray) -> np.ndarray:
     out = np.empty((*steps.shape[:2], 6))
     for start in range(0, len(steps), TONAL_BLOCK):
         counts = steps[start : start + TONAL_BLOCK] @ onehot
-        totals = counts.sum(axis=-1, keepdims=True)
-        safe = np.where(totals > 0.0, totals, 1.0)
-        normalized = np.where(totals > 0.0, counts / safe, 0.0)
-        out[start : start + TONAL_BLOCK] = normalized @ _TONAL_BASIS.T
+        # an empty step's counts are all +0.0, and stay so over a total of 1
+        counts /= np.maximum(counts.sum(axis=-1, keepdims=True), 1.0)
+        out[start : start + TONAL_BLOCK] = counts @ _TONAL_BASIS.T
     return out.reshape(*lead, *out.shape[1:])
 
 

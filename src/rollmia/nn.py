@@ -14,7 +14,9 @@ through ``out``; the model that owns the vectors cuts both sets of views.  A
 step asks backward only for what it consumes (``param_grads`` and
 ``input_grad``), and ``adam_step`` updates a whole vector with a handful of
 in-place ufunc calls, using the consumed gradient vector and one scratch
-vector, which several optimizers may share, as its only work space.
+vector, which several optimizers may share, as its only work space.  It
+makes those calls one block of ``ADAM_BLOCK`` elements at a time, so a
+block's slices of the five vectors stay in a core's L2 cache between calls.
 Assigning a new array to a layer's ``weights`` or ``bias`` detaches it from
 the vector; write through the view (``layer.weights[:] = ...``) instead.
 """
@@ -34,6 +36,8 @@ ACTIVATIONS = ("linear", "relu", "tanh", "sigmoid")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# elements per block of adam_step: five 256 KB float64 slices fit in a 2 MB L2
+ADAM_BLOCK = 1 << 15
 
 
 @dataclass
@@ -96,12 +100,15 @@ def glorot_init(dims: list[int], activations: list[str], rng: np.random.Generato
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Elementwise logistic function, stable on both tails."""
     z = np.asarray(z, dtype=np.float64)
-    # e is exp(-z) where z >= 0 and exp(z) elsewhere, so both branches are
-    # the masked textbook forms bit for bit (NaN included, which -|z| would
-    # turn negative), and neither overflows
+    # e is exp(-|z|), the exp of each masked textbook branch, so neither
+    # overflows: min(z, -z) is -z where z >= 0 and z elsewhere (either zero
+    # gives exp 1), and a NaN z comes back unchanged, sign and all, since
+    # minimum returns its first argument when both are NaN (-|z| would make
+    # every NaN negative).  The numerator max(e, pos) is 1 where z >= 0,
+    # since e <= 1 there, and e elsewhere, NaN again included
     pos = z >= 0
-    e = np.exp(np.where(pos, -z, z))
-    return np.where(pos, 1.0, e) / (1.0 + e)
+    e = np.exp(np.minimum(z, -z))
+    return np.maximum(e, pos) / (1.0 + e)
 
 
 def _apply(activation: str, z: np.ndarray) -> np.ndarray:
@@ -133,7 +140,8 @@ def forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[tuple]]:
     cache = []
     a = x
     for layer in mlp.layers:
-        z = a @ layer.weights.T + layer.bias
+        z = a @ layer.weights.T
+        z += layer.bias
         out = _apply(layer.activation, z)
         cache.append((a, z, out))
         a = out
@@ -222,37 +230,42 @@ class AdamState:
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, scratch: np.ndarray) -> None:
-    """Standard Adam update with bias correction over a whole parameter
+    """Standard Adam update with bias correction over a whole flat parameter
     vector, in place.
 
     ``grads`` is consumed: it is overwritten with the step taken.
     ``scratch``, a float64 vector at least as long as ``params``, is the
     only other work space, so optimizers that never run at once can share
-    one.  The arithmetic per element, and its order, is that of the
-    textbook per-tensor form, so the results are bitwise equal to it.  A
-    non-finite gradient raises DivergenceError before anything changes.
+    one.  The vector is updated in blocks of ``ADAM_BLOCK`` elements, each
+    by the whole sequence of in-place calls while its slices of the five
+    vectors are still in cache.  The arithmetic per element, and its order,
+    is that of the textbook per-tensor form, so the results are bitwise
+    equal to it.  A non-finite gradient anywhere in the vector raises
+    DivergenceError before any block changes.
     """
     if grads.shape != params.shape or state.m.shape != params.shape:
         raise ValueError("params/grads/state shape mismatch")
     if not np.isfinite(grads).all():
         raise DivergenceError("divergence: non-finite gradient")
-    work = scratch[: params.size].reshape(params.shape)
     state.step += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**state.step
     bc2 = 1.0 - b2**state.step
-    m, v = state.m, state.v
-    m *= b1
-    np.multiply(grads, 1.0 - b1, out=work)
-    m += work
-    v *= b2
-    np.multiply(grads, 1.0 - b2, out=work)
-    work *= grads  # ((1 - b2) * g) * g
-    v += work
-    np.divide(m, bc1, out=grads)  # the numerator, in the consumed gradients
-    grads *= state.lr
-    np.divide(v, bc2, out=work)
-    np.sqrt(work, out=work)
-    work += ADAM_EPS
-    grads /= work
-    params -= grads
+    for lo in range(0, len(params), ADAM_BLOCK):
+        hi = lo + ADAM_BLOCK
+        p, g, m, v = params[lo:hi], grads[lo:hi], state.m[lo:hi], state.v[lo:hi]
+        work = scratch[: len(p)]
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=work)
+        m += work
+        v *= b2
+        np.multiply(g, 1.0 - b2, out=work)
+        work *= g  # ((1 - b2) * g) * g
+        v += work
+        np.divide(m, bc1, out=g)  # the numerator, in the consumed gradients
+        g *= state.lr
+        np.divide(v, bc2, out=work)
+        np.sqrt(work, out=work)
+        work += ADAM_EPS
+        g /= work
+        p -= g

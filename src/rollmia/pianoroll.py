@@ -161,9 +161,10 @@ def check_config_block(data, block: str, kinds: dict, required: tuple = ()) -> N
     """Raise ConfigError unless ``data``, the config block at key path
     ``block``, is an object whose keys all appear in ``kinds``, holding every
     key of ``required``, with each value of its kind (one of ``int``,
-    ``float``, ``bool``, ``str``, ``dict``, ``list``), each real finite, and
-    a ``seed`` not negative.  Values are checked, not coerced; each error
-    names the block and the key."""
+    ``float``, ``bool``, ``str``, ``dict``, ``list``), each real finite, each
+    integer but a ``seed`` in the int64 range, and a ``seed`` not negative.
+    Values are checked, not coerced; each error names the block and the
+    key."""
     if not isinstance(data, dict):
         raise ConfigError(f"{block} must be an object, got {data!r}")
     for key in data:
@@ -180,8 +181,12 @@ def check_config_block(data, block: str, kinds: dict, required: tuple = ()) -> N
         # comparison is exact for integers and false for NaN
         if kind is Real and not abs(value) <= sys.float_info.max:
             raise ConfigError(f"{block} {key} must be a finite real number, got {value!r}")
-        if key == "seed" and value < 0:  # SeedSequence takes no negative entropy
+        if key == "seed" and value < 0:  # SeedSequence takes no negative entropy, but any size
             raise ConfigError(f"{block} seed must be a non-negative integer, got {value!r}")
+        # json reads integers of any size, which numpy refuses only mid-run
+        # as array sizes, and which a training loop counts to until killed
+        if kind is Integral and key != "seed" and not -(2**63) <= value < 2**63:
+            raise ConfigError(f"{block} {key} must be an integer in the int64 range, got {value!r}")
 
 
 @contextmanager

@@ -30,7 +30,7 @@ from .metrics import ConfusionCounts
 from .pianoroll import Dataset
 
 
-@dataclass
+@dataclass(eq=False)
 class WbAttackResult:
     predicted_member_ids: np.ndarray
     confusion: ConfusionCounts

@@ -553,6 +553,18 @@ def test_unknown_config_key_exits_2_before_any_output(tmp_path, capsys, key_path
          "dataset.synthetic.style rhythm_period must be >= 1"),
         (("attacks", "mc", 0, "n_per_query"), 999, "attacks.mc[0] n_per_query cannot exceed stash_size"),
         (("attacks", "mc", 0, "heuristic"), "p:2", "attacks.mc[0] percentile heuristic needs q in (0, 1)"),
+        # integers past int64, which numpy would refuse only as array sizes
+        # after earlier stages ran; one key per block
+        (("schema_version",), 2**63,
+         "config schema_version must be an integer in the int64 range, got 9223372036854775808"),
+        (("dataset", "synthetic", "count"), 10**20,
+         "dataset.synthetic count must be an integer in the int64 range, got 100000000000000000000"),
+        (("dataset", "synthetic", "style", "transpose"), -(2**63) - 1,
+         "dataset.synthetic.style transpose must be an integer in the int64 range, got -9223372036854775809"),
+        (("train", "latent_dim"), 10**20,
+         "train latent_dim must be an integer in the int64 range, got 100000000000000000000"),
+        (("attacks", "mc", 0, "stash_size"), 10**20,
+         "attacks.mc[0] stash_size must be an integer in the int64 range, got 100000000000000000000"),
     ],
 )
 def test_mistyped_config_value_exits_2_before_any_output(tmp_path, capsys, key_path, value, message):
@@ -743,6 +755,8 @@ def _flag_argv(verb, flag, value, data, train, test, out):
         ("dataset gen", "--seed", -1, "dataset gen seed must be a non-negative integer, got -1"),
         ("dataset gen", "--count", 0, "dataset gen count must be >= 1"),
         ("attack wb", "--seed", -1, "attack wb seed must be a non-negative integer, got -1"),
+        ("dataset gen", "--count", 2**63,
+         "dataset gen count must be an integer in the int64 range, got 9223372036854775808"),
     ],
 )
 def test_flag_refusal_names_its_verb(cli_workspace, tmp_path, capsys, verb, flag, value, message):

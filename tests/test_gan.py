@@ -258,6 +258,18 @@ PINNED_CHECKPOINT_DIGESTS = {
     "checkpoint_000060.ganc": "e9fba3d7e02a4fab7229b8c881d725250df8626865efd3293bced5129a21da77",
 }
 
+# SHA-256 of the final float64 g_params then d_params bytes of the same run
+# and of the two-D-step run below: the checkpoints store float32, which can
+# hide a change in the last bits of a step's float64 arithmetic
+PINNED_FINAL_PARAMS_DIGEST = "835678db008fa7e5f0ee51737cd81be99a3853a3c8af4c147edfe65b550a1961"
+PINNED_TWO_D_STEP_PARAMS_DIGEST = "6dfd743ef51dab7b1f1b1c1422fa6255c07cd875ed274902fc74b9d69f62eee9"
+
+
+def params_digest(ckpt) -> str:
+    import hashlib
+
+    return hashlib.sha256(ckpt.gan.g_params.tobytes() + ckpt.gan.d_params.tobytes()).hexdigest()
+
 
 def test_checkpoint_bytes_are_pinned(tmp_path, desk_shape):
     import hashlib
@@ -266,7 +278,7 @@ def test_checkpoint_bytes_are_pinned(tmp_path, desk_shape):
     config = TrainConfig(
         iterations=60, batch_size=32, latent_dim=16, lr=1e-3, seed=13, checkpoint_every=20
     )
-    train(
+    final = train(
         train_set,
         config,
         checkpoint_sink=lambda c: save_checkpoint(c, tmp_path / f"checkpoint_{c.iteration:06d}.ganc"),
@@ -276,6 +288,8 @@ def test_checkpoint_bytes_are_pinned(tmp_path, desk_shape):
         for name in PINNED_CHECKPOINT_DIGESTS
     }
     assert digests == PINNED_CHECKPOINT_DIGESTS
+    assert final.iteration == 60
+    assert params_digest(final) == PINNED_FINAL_PARAMS_DIGEST
 
 
 # SHA-256 of the checkpoints of a desk-shape run with two discriminator steps
@@ -295,7 +309,7 @@ def test_two_d_step_checkpoint_bytes_are_pinned(tmp_path, desk_shape):
         iterations=40, batch_size=32, latent_dim=16, lr=1e-3, seed=14, checkpoint_every=20,
         d_steps_per_g_step=2,
     )
-    train(
+    final = train(
         train_set,
         config,
         checkpoint_sink=lambda c: save_checkpoint(c, tmp_path / f"checkpoint_{c.iteration:06d}.ganc"),
@@ -305,6 +319,8 @@ def test_two_d_step_checkpoint_bytes_are_pinned(tmp_path, desk_shape):
         for name in PINNED_TWO_D_STEP_DIGESTS
     }
     assert digests == PINNED_TWO_D_STEP_DIGESTS
+    assert final.iteration == 40
+    assert params_digest(final) == PINNED_TWO_D_STEP_PARAMS_DIGEST
 
 
 def test_training_memory_does_not_grow_with_the_training_set(desk_shape):

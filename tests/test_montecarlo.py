@@ -10,6 +10,7 @@ from rollmia import (
     Dataset,
     EpsilonHeuristic,
     McConfig,
+    McResult,
     OracleGenerator,
     PianorollShape,
     TrainConfig,
@@ -542,6 +543,13 @@ def test_run_mc_trials_deterministic(small_population):
     assert np.array_equal(a.epsilon, b.epsilon)
     assert np.array_equal(a.train_selected, b.train_selected)
     assert (a.single_mi_accuracy, a.set_mi_correct_fraction) == mc_accuracies(a.train_selected, 20)
+
+
+def test_results_compare_by_identity():
+    # array fields have no single truth value, so == is identity, as for ComposerGan
+    result = McResult(0.5, 1.0, np.array([0.25, 0.5]), np.array([3, 4]))
+    assert result == result
+    assert result != McResult(0.5, 1.0, result.epsilon.copy(), result.train_selected.copy())
 
 
 @pytest.mark.parametrize("seed", [11, 2**32 + 5, 2**128 + 3])

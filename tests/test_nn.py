@@ -14,7 +14,7 @@ from rollmia import (
     bce_logits_loss,
     forward,
 )
-from rollmia.nn import glorot_init, mlp_params, sigmoid
+from rollmia.nn import ADAM_BLOCK, glorot_init, mlp_params, sigmoid
 
 from reference import adam_step_per_tensor, sigmoid_masked
 
@@ -210,6 +210,25 @@ def test_adam_divergence_error():
     assert params.tolist() == [0.5, 0.0]
 
 
+def test_adam_divergence_in_the_last_block_moves_nothing():
+    # the only NaN sits in the ragged last block, after three whole blocks
+    # that a blocked update would reach first
+    rng = np.random.default_rng(22)
+    n = 3 * ADAM_BLOCK + 1000
+    params = rng.standard_normal(n)
+    state = AdamState.for_params(params)
+    scratch = np.empty(n)
+    adam_step(params, rng.standard_normal(n), state, scratch)
+    before = [a.copy() for a in (params, state.m, state.v)]
+    grads = rng.standard_normal(n)
+    grads[-1] = np.nan
+    with pytest.raises(DivergenceError, match="non-finite gradient"):
+        adam_step(params, grads, state, scratch)
+    assert state.step == 1
+    for got, want in zip((params, state.m, state.v), before):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_flat_adam_matches_per_tensor_reference():
     # discriminator-shaped parameters (768 -> 128 -> 1): one in-place update
     # over the flat vector against the per-tensor form, bit for bit
@@ -218,6 +237,7 @@ def test_flat_adam_matches_per_tensor_reference():
     ref_m = [np.zeros_like(p) for p in ref_params]
     ref_v = [np.zeros_like(p) for p in ref_params]
     flat = np.concatenate([p.ravel() for p in ref_params])
+    assert flat.size == 98_561 > ADAM_BLOCK  # the update runs in several blocks
     state = AdamState.for_params(flat, lr=2e-3)
     scratch = np.empty(flat.size + 7)  # longer than the vector, as when shared
     for step in range(1, 51):
@@ -249,7 +269,10 @@ def test_backward_skips_give_the_same_consumed_arrays():
 
 
 def test_sigmoid_matches_masked_form():
-    z = np.array([0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan, 36.7, -36.7, 1e-300])
+    z = np.array([
+        0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan, -np.nan, 36.7, -36.7, 1e-300,
+        1e-310, -1e-310, 709.78, -709.78, 745.13, -745.13,
+    ])
     z = np.concatenate([z, np.random.default_rng(8).standard_normal(1000) * 40.0])
     with np.errstate(invalid="ignore"):
         assert sigmoid(z).tobytes() == sigmoid_masked(z).tobytes()

@@ -505,6 +505,17 @@ def test_config_reals_must_be_finite():
                        "train", {"lr": float, "x": float})
 
 
+def test_config_integers_must_fit_int64_except_seeds():
+    kinds = {"count": int, "seed": int}
+    for value in (2**63, -(2**63) - 1, 10**400):
+        with pytest.raises(ConfigError) as info:
+            check_config_block({"count": value}, "dataset gen", kinds)
+        assert str(info.value) == f"dataset gen count must be an integer in the int64 range, got {value!r}"
+    # the int64 ends pass, and a seed of any size, which SeedSequence takes
+    for value in (2**63 - 1, -(2**63)):
+        check_config_block({"count": value, "seed": 10**400}, "dataset gen", kinds)
+
+
 # SHA-256 of the files a 200-roll desk-shape set and its 0.5 split write.
 # Only integer work feeds them, so they are fixed across platforms and BLAS
 # builds; a change here is a change to the on-disk format.

@@ -6,6 +6,7 @@ from rollmia import (
     Dataset,
     OracleDiscriminator,
     PianorollShape,
+    WbAttackResult,
     compute_metrics,
     oracle_d_score,
     rank_scores,
@@ -30,6 +31,14 @@ def test_rank_top_scores():
     result = rank_scores(ids, scores, [0, 1])
     assert result.predicted_member_ids.dtype == np.int64
     assert result.predicted_member_ids.tolist() == [0, 2]  # rank order
+
+
+def test_results_compare_by_identity():
+    # array fields have no single truth value, so == is identity, as for ComposerGan
+    ids, scores, _ = candidates([3.0, 1.0, 2.0, 0.0])
+    result = rank_scores(ids, scores, [0, 1])
+    assert result == result
+    assert result != WbAttackResult(result.predicted_member_ids.copy(), result.confusion)
 
 
 def test_rank_tiebreak_by_id():
