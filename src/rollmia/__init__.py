@@ -41,9 +41,11 @@ from .whitebox import WbAttackResult, rank_scores, run_whitebox, run_whitebox_se
 from .montecarlo import (
     EpsilonHeuristic,
     McConfig,
+    McPlan,
     McResult,
     build_stash,
     epsilon_from_heuristic,
+    plan_mc_trials,
     run_mc_trials,
     stash_seeds,
 )
@@ -68,8 +70,8 @@ __all__ = [
     "OracleGenerator", "OracleDiscriminator", "oracle_generate", "oracle_d_score",
     "ConfusionCounts", "MetricsRow", "compute_metrics",
     "WbAttackResult", "rank_scores", "run_whitebox", "run_whitebox_sets",
-    "EpsilonHeuristic", "McConfig", "McResult", "build_stash", "stash_seeds",
-    "epsilon_from_heuristic", "run_mc_trials",
+    "EpsilonHeuristic", "McConfig", "McPlan", "McResult", "build_stash", "stash_seeds",
+    "epsilon_from_heuristic", "plan_mc_trials", "run_mc_trials",
     "SyntheticSpec", "ExperimentConfig", "emit_reports",
     "load_experiment_config", "run_experiment",
 ]

@@ -7,7 +7,9 @@ Exit codes: 0 success, 2 configuration/validation error, 3 data/format error,
 own row functions, so a checkpoint gives the same line from either entry
 point, and print values read from that line's fields.
 An ``--oracle`` model scores or samples one record at a time, and is wrapped
-into the row functions' whole-set scorer and seed-array sampler.
+into the row functions' whole-set scorer and seed-array sampler.  Both verbs
+refuse their --train and --test sides, naming the verb, before any model
+scores or samples.
 The Monte Carlo stash is seeded by ``(seed, checkpoint iteration)``, or
 ``(seed, 0)`` for an oracle, as in the experiment.
 The parser is built once per process, on the first ``main`` call, and each
@@ -50,7 +52,7 @@ from .harness import (
     whitebox_row,
     write_lines,
 )
-from .montecarlo import EUCLIDEAN, METRICS, McConfig
+from .montecarlo import EUCLIDEAN, METRICS, McConfig, plan_mc_trials
 from .pianoroll import (
     SplitSpec,
     check_config_block,
@@ -62,6 +64,7 @@ from .pianoroll import (
     synth_sampler,
     write_dataset,
 )
+from .whitebox import check_sides
 
 
 def _parse_oracle(text: str, block: str, expected: tuple[str, ...]) -> dict[str, float]:
@@ -159,6 +162,8 @@ def cmd_attack_wb(args) -> int:
         )
 
     scorer, iteration, train_set, test_set = _attack_model(args, checkpoint_scorer, from_oracle)
+    with naming_block("attack wb"):
+        check_sides(train_set, test_set)
     line = whitebox_row(scorer, iteration, train_set, test_set)
     write_lines(args.out, [WB_HEADER, line])
     print(f"white-box success rate {line.split(',')[1]} -> {args.out}")
@@ -182,7 +187,9 @@ def cmd_attack_mc(args) -> int:
         return lambda seeds: np.stack([oracle_generate(oracle, s) for s in seeds.tolist()])
 
     sample_fn, iteration, train_set, test_set = _attack_model(args, checkpoint_sampler, from_oracle)
-    line = mc_row(sample_fn, iteration, train_set, test_set, config)
+    with naming_block("attack mc"):
+        plan = plan_mc_trials(train_set, test_set, config, config.stash_size)
+    line = mc_row(sample_fn, iteration, train_set, test_set, plan)
     write_lines(args.out, [MC_HEADER, line])
     single, set_level = line.split(",")[1:3]
     print(f"mc single {single} / set {set_level} -> {args.out}")

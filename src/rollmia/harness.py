@@ -8,7 +8,12 @@ moved into place, so a crash leaves the earlier file or the whole new one.
 
 ``whitebox_row`` and ``mc_row`` are the only code that turns a model into a
 table row, which they return as its CSV line; the experiment and ``rollmia
-attack`` both call them.  A model is given to them as whole-set functions:
+attack`` both call them.  ``mc_row(sampler, iteration, train_set, test_set,
+plan)`` takes its MC config from ``plan``, a ``montecarlo.McPlan`` made by
+its caller for those sides and that config's stash size, so the sides are
+checked and the trials' records and stash draws are made once, however many
+models are attacked: once per MC config for a whole run, once per
+``rollmia attack mc`` call.  A model is given to them as whole-set functions:
 
 - a white-box set scorer maps (k,) ids and a (k, tracks, bars, steps,
   pitches) roll stack to a (k,) float64 score vector;
@@ -72,7 +77,7 @@ from .gan import (
     train,
 )
 from .metrics import compute_metrics
-from .montecarlo import McConfig, run_mc_trials, stash_seeds
+from .montecarlo import McConfig, McPlan, plan_mc_trials, run_mc_trials, stash_seeds
 from .pianoroll import (
     DATASET_VERSION,
     Dataset,
@@ -418,22 +423,22 @@ def mc_row(
     iteration: int,
     train_set: Dataset,
     test_set: Dataset,
-    mc_config: McConfig,
+    plan: McPlan,
 ) -> str:
     """The Monte Carlo table's CSV line for one model, given as a sampler
-    from a seed array to a roll stack.
+    from a seed array to a roll stack, attacked with ``plan`` and its config.
 
-    The stash seeds come from ``(mc_config.seed, iteration)``, so each
-    checkpoint of a run draws its own stash; oracles use iteration 0.  A
-    subset larger than either side, or sides that share ids, are refused
-    before the stash is sampled.
+    The stash seeds come from ``(config.seed, iteration)``, so each
+    checkpoint of a run draws its own stash; oracles use iteration 0.  The
+    plan was made for these sides, so they were checked before any stash is
+    sampled.
     """
-    mc_config.check_sides(train_set, test_set)
-    stash = sampler(stash_seeds(mc_config.stash_size, (mc_config.seed, iteration)))
-    result = run_mc_trials(train_set, test_set, stash, mc_config)
+    config = plan.config
+    stash = sampler(stash_seeds(config.stash_size, (config.seed, iteration)))
+    result = run_mc_trials(train_set, test_set, stash, config, plan)
     return (
         f"{iteration},{result.single_mi_accuracy:.3f},{result.set_mi_correct_fraction:.3f},"
-        f"{mc_config.heuristic.label()},{mc_config.metric},{mc_config.trials}"
+        f"{config.heuristic.label()},{config.metric},{config.trials}"
     )
 
 
@@ -516,9 +521,10 @@ def run_experiment(config: ExperimentConfig, force: bool = False) -> dict:
             raise ConfigError(
                 f"train batch_size {config.train.batch_size} exceeds the {len(train_set)} training records"
             )
+        mc_plans: list[McPlan] = []
         for i, mc_config in enumerate(config.mc):
             with naming_block(f"attacks.mc[{i}]"):
-                mc_config.check_sides(train_set, test_set)
+                mc_plans.append(plan_mc_trials(train_set, test_set, mc_config, mc_config.stash_size))
         write_dataset(train_set, out / "train.prd")
         write_dataset(test_set, out / "test.prd")
         manifest["outputs"] += ["train.prd", "test.prd"]
@@ -550,8 +556,8 @@ def run_experiment(config: ExperimentConfig, force: bool = False) -> dict:
                     whitebox_row(checkpoint_scorer(ckpt.gan), ckpt.iteration, train_set, test_set)
                 )
             sampler = checkpoint_sampler(ckpt.gan)
-            for mc_config in config.mc:
-                mc_lines.append(mc_row(sampler, ckpt.iteration, train_set, test_set, mc_config))
+            for plan in mc_plans:
+                mc_lines.append(mc_row(sampler, ckpt.iteration, train_set, test_set, plan))
         finish_stage(stage)
 
         stage = "reports"

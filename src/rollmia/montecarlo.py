@@ -13,10 +13,17 @@ set-level answer is a frequency rather than a one-shot 0/1 outcome.
 ``McResult`` holds each trial's epsilon and train-selected count as two
 (trials,) arrays; the test side contributed the other M minus that count.
 
-A trial is one array pipeline over its 2M candidates: their features, a
-(2M, n) array of stash draws, a (2M, n) array of distances, then epsilon,
-scores and the top-M selection on whole arrays.  ``run_mc_trials`` is the
-only scoring path: a candidate is scored within its trial, never alone.
+An attack is split into a plan and a score.  The plan (``McPlan``, made by
+``plan_mc_trials``) is everything that does not depend on the model: per
+trial, the M train and M test records and a (2M, n) array of stash draws,
+all seeded by the config seed alone.  It is made once per run and MC
+config, and the sides are checked there, once.  The score
+(``run_mc_trials``) takes one model's stash and, per trial, is one array
+pipeline over the 2M candidates: their features, a (2M, n) array of
+distances to the planned draws, then epsilon, scores and the top-M
+selection on whole arrays.  Given no plan, ``run_mc_trials`` makes its own,
+so both paths share one scoring loop: a candidate is scored within its
+trial, never alone.
 Epsilon has one rank rule, the value at ascending rank max(1, ceil(q*K)) of
 the trial's K pooled distances, with q = 1/2 for the (lower) median.
 Features are computed for the 2M drawn candidates only, not for every roll
@@ -92,9 +99,11 @@ class EpsilonHeuristic:
         raise ConfigError(f"unknown heuristic {text!r}")
 
     def label(self) -> str:
+        """The text ``parse`` reads back to this heuristic: "median", or
+        "p:" and the shortest repr of q, so distinct q never share a label."""
         if self.kind == "median":
             return "median"
-        return f"p:{self.q:g}"
+        return f"p:{float(self.q)!r}"
 
 
 @dataclass(frozen=True)
@@ -120,8 +129,10 @@ class McConfig:
             raise ConfigError("n_per_query cannot exceed stash_size")
 
     def check_sides(self, train: Dataset, test: Dataset) -> None:
-        """Refuse train and test sides too small to draw ``subset_size``
-        records from each, or that share ids."""
+        """Refuse train and test sides of different shapes, too small to
+        draw ``subset_size`` records from each, or that share ids."""
+        if train.shape != test.shape:
+            raise ConfigError("train and test sides must share a shape")
         if min(len(train), len(test)) < self.subset_size:
             raise ConfigError(
                 f"subset_size {self.subset_size} needs at least that many records on each "
@@ -309,33 +320,100 @@ def _tonal_distances(candidates: np.ndarray, stash: np.ndarray, drawn: np.ndarra
 
 
 def _query_distances(
-    metric: str, candidates: np.ndarray, stash: np.ndarray, n: int, entropy: np.ndarray
+    metric: str, candidates: np.ndarray, stash: np.ndarray, drawn: np.ndarray
 ) -> np.ndarray:
-    """(k, n) distances from each of k candidate features to its ``n`` stash
-    rows drawn by ``_stash_draws``."""
-    drawn = _stash_draws(len(stash), n, entropy)
+    """(k, n) distances from each of k candidate features to its stash rows
+    ``drawn[i]``, as ``_stash_draws`` draws them."""
     if metric == EUCLIDEAN:
         squared = np.take_along_axis(_squared_euclidean(candidates, stash), drawn, axis=1)
         return np.sqrt(squared, out=squared)
     return _tonal_distances(candidates, stash, drawn)
 
 
+@dataclass(frozen=True, eq=False)
+class McPlan:
+    """The model-independent part of an MC attack: per trial, the M train
+    and M test row indices, as (trials, M) arrays, the 2M candidate ids,
+    (trials, 2M), and each candidate's stash draws, (trials, 2M, n), as the
+    smallest unsigned integers that hold a stash index.  Made by
+    ``plan_mc_trials`` for one config, one pair of sides (kept as copies of
+    their ids) and one stash size; any stash of that size, from any model,
+    is scored with it by ``run_mc_trials``."""
+
+    config: McConfig
+    stash_size: int
+    train_ids: np.ndarray
+    test_ids: np.ndarray
+    train_idx: np.ndarray
+    test_idx: np.ndarray
+    ids: np.ndarray
+    drawn: np.ndarray
+
+
+def plan_mc_trials(
+    train_rolls: Dataset, test_rolls: Dataset, config: McConfig, stash_size: int
+) -> McPlan:
+    """Pick each trial's records and draw its candidates' stash rows, which
+    depend on ``config.seed``, the sides and the stash size alone.
+
+    Trial t's SeedSequence is the t-th child of ``config.seed``; its first
+    child seeds the record picks, M train then M test rows without
+    replacement, and candidate i draws with its second child's i-th child.
+    Sides of two shapes, sides too small for ``subset_size``, sides that
+    share ids, or a stash smaller than ``n_per_query`` are refused here.
+    """
+    m = config.subset_size
+    config.check_sides(train_rolls, test_rolls)
+    if config.n_per_query > stash_size:
+        raise ConfigError("n_per_query exceeds stash size")
+    trials = config.trials
+    train_idx = np.empty((trials, m), dtype=np.int64)
+    test_idx = np.empty((trials, m), dtype=np.int64)
+    # the smallest unsigned type that holds a stash index: 1 or 2 bytes a
+    # draw in place of 8, as the plan holds every trial's draws at once
+    drawn = np.empty((trials, 2 * m, config.n_per_query), dtype=np.min_scalar_type(stash_size - 1))
+    for t, trial_ss in enumerate(np.random.SeedSequence(config.seed).spawn(trials)):
+        record_ss, candidate_root = trial_ss.spawn(2)
+        rng = np.random.default_rng(record_ss)
+        train_idx[t] = rng.choice(len(train_rolls), size=m, replace=False)
+        test_idx[t] = rng.choice(len(test_rolls), size=m, replace=False)
+        entropy = indexed_entropy(entropy_words(candidate_root.entropy, candidate_root.spawn_key), 2 * m)
+        drawn[t] = _stash_draws(stash_size, config.n_per_query, entropy)
+    ids = np.concatenate([train_rolls.ids[train_idx], test_rolls.ids[test_idx]], axis=1)
+    return McPlan(
+        config, stash_size, train_rolls.ids.copy(), test_rolls.ids.copy(), train_idx, test_idx, ids, drawn
+    )
+
+
 def run_mc_trials(
-    train_rolls: Dataset, test_rolls: Dataset, stash: np.ndarray, config: McConfig
+    train_rolls: Dataset,
+    test_rolls: Dataset,
+    stash: np.ndarray,
+    config: McConfig,
+    plan: McPlan | None = None,
 ) -> McResult:
     """Run R trials of the distance-threshold attack and aggregate.
 
-    Per trial: draw M records from each side, pool every candidate-to-
-    drawn-stash distance, pick epsilon by the configured heuristic, score all
-    2M candidates, and select the top M by (score desc, mean distance asc,
-    id asc, train before test).  Deterministic in (stash, config seed).  The
-    roll shape comes from the train set.
+    Per trial: take the plan's M records from each side, pool every
+    candidate-to-drawn-stash distance, pick epsilon by the configured
+    heuristic, score all 2M candidates, and select the top M by (score desc,
+    mean distance asc, id asc, train before test).  Without a ``plan`` one is
+    made by ``plan_mc_trials``; a given one must have been made for this
+    config, these sides and ``len(stash)``.  Deterministic in (stash, config
+    seed).  The roll shape comes from the train set.
     """
     shape = train_rolls.shape
     m = config.subset_size
-    config.check_sides(train_rolls, test_rolls)
-    if config.n_per_query > len(stash):
-        raise ConfigError("n_per_query exceeds stash size")
+    if plan is None:
+        plan = plan_mc_trials(train_rolls, test_rolls, config, len(stash))
+    elif plan.config != config:
+        raise ConfigError("MC plan was made for another config")
+    elif not (
+        np.array_equal(plan.train_ids, train_rolls.ids) and np.array_equal(plan.test_ids, test_rolls.ids)
+    ):
+        raise ConfigError("MC plan was made for other train and test sides")
+    elif plan.stash_size != len(stash):
+        raise ConfigError(f"MC plan was made for a stash of {plan.stash_size} rolls, got {len(stash)}")
     if test_rolls.shape != shape or stash.shape[1:] != shape.dims():
         raise ConfigError("train, test, and stash must share a shape")
 
@@ -344,28 +422,18 @@ def run_mc_trials(
 
     epsilon = np.empty(config.trials)
     train_selected = np.empty(config.trials, dtype=np.int64)
-    trial_seeds = np.random.SeedSequence(config.seed).spawn(config.trials)
-    for t, trial_ss in enumerate(trial_seeds):
-        record_ss, candidate_root = trial_ss.spawn(2)
-        rng = np.random.default_rng(record_ss)
-        train_idx = rng.choice(len(train_rolls), size=m, replace=False)
-        test_idx = rng.choice(len(test_rolls), size=m, replace=False)
-        ids = np.concatenate([train_rolls.ids[train_idx], test_rolls.ids[test_idx]])
-        # candidate i draws with candidate_root's i-th spawned child
-        candidates = np.concatenate([train_rolls.rolls[train_idx], test_rolls.rolls[test_idx]])
-        dists = _query_distances(
-            config.metric,
-            roll_features(config.metric, shape, candidates),
-            stash_feats,
-            config.n_per_query,
-            indexed_entropy(entropy_words(candidate_root.entropy, candidate_root.spawn_key), 2 * m),
+    for t in range(config.trials):
+        candidates = np.concatenate(
+            [train_rolls.rolls[plan.train_idx[t]], test_rolls.rolls[plan.test_idx[t]]]
         )
-
+        dists = _query_distances(
+            config.metric, roll_features(config.metric, shape, candidates), stash_feats, plan.drawn[t]
+        )
         means = dists.mean(axis=1)
         epsilon[t] = epsilon_from_heuristic(dists.ravel(), config.heuristic)
         scores = (dists <= epsilon[t]).mean(axis=1)
         # top M by (score desc, mean distance asc, id asc, origin asc)
-        selected = np.lexsort((origin, ids, means, -scores))[:m]
+        selected = np.lexsort((origin, plan.ids[t], means, -scores))[:m]
         train_selected[t] = np.count_nonzero(origin[selected] == 0)
 
     single = float(np.mean(train_selected / m))

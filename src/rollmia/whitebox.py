@@ -71,6 +71,14 @@ def rank_scores(ids, scores, member_ids) -> WbAttackResult:
     return WbAttackResult(ids[top], confusion)
 
 
+def check_sides(members: Dataset, nonmembers: Dataset) -> None:
+    """Refuse member and nonmember sides of different shapes or that share ids."""
+    if members.shape != nonmembers.shape:
+        raise ConfigError("member and nonmember datasets must share a shape")
+    if np.intersect1d(members.ids, nonmembers.ids).size:
+        raise ConfigError("member and nonmember ids must be disjoint")
+
+
 def run_whitebox_sets(
     set_scorer: Callable[[np.ndarray, np.ndarray], np.ndarray],
     members: Dataset,
@@ -80,10 +88,7 @@ def run_whitebox_sets(
     each and label the top |members|.  A scorer failure aborts with the name
     of the side it was scoring.  The result does not depend on candidate
     order."""
-    if members.shape != nonmembers.shape:
-        raise ConfigError("member and nonmember datasets must share a shape")
-    if np.intersect1d(members.ids, nonmembers.ids).size:
-        raise ConfigError("member and nonmember ids must be disjoint")
+    check_sides(members, nonmembers)
     sides = []
     for name, dataset in (("members", members), ("nonmembers", nonmembers)):
         try:

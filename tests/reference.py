@@ -16,7 +16,7 @@ candidate or latent row) that the seeded batches reproduce.
 import numpy as np
 
 from rollmia import ConfigError, ConfusionCounts, DivergenceError, McConfig, PianorollShape, StyleParams
-from rollmia.montecarlo import _TONAL_BASIS, EUCLIDEAN, _query_distances, roll_features
+from rollmia.montecarlo import _TONAL_BASIS, EUCLIDEAN, _query_distances, _stash_draws, roll_features
 from rollmia.pianoroll import _pick_table, _synth_roll, entropy_words
 
 
@@ -89,8 +89,7 @@ def mc_score(
         config.metric,
         roll_features(config.metric, shape, np.asarray(candidate)[None]),
         roll_features(config.metric, shape, stash),
-        config.n_per_query,
-        np.array([entropy_words(seed)]),
+        _stash_draws(len(stash), config.n_per_query, np.array([entropy_words(seed)])),
     )
     return float(np.mean(dists <= epsilon))
 

@@ -1,12 +1,18 @@
-"""The benchmark's workloads run against this package with no failed op.
+"""The benchmark's workloads run against this package with no failed op,
+and its counter hooks read the arguments they name.
 
 ``perfbench/workloads.py`` calls rollmia's public functions and reads its
 results by name; a renamed or deleted name shows up there as a failed op.
 Each workload runs one set-up, one job and its check, as a benchmark cycle
-does.
+does.  ``perfbench/worker.py`` counts work from the arguments of hooked
+calls, each read by position or keyword; a moved parameter would be
+counted wrong without failing, so the positions are checked here.
 """
 
+import ast
+import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -42,3 +48,38 @@ def test_workload_cycle_has_no_failed_op(name, tmp_path):
     assert [op for op in ops if not op[1]] == []
     if name == "checkpoint-audit":
         assert counts["cli.mc_rows_matching_experiment"] == counts["checkpoints"] == 5
+
+
+def hook_arguments() -> dict[str, list[tuple[int, str]]]:
+    """Each ``HOOKS`` entry of ``perfbench/worker.py``, as the hooked
+    function's "module.name" mapped to the (position, name) of every
+    ``_arg(args, kwargs, position, name)`` call in its hook, read from the
+    source without importing it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    hooks = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "HOOKS" for t in node.targets)
+    )
+    return {
+        key.value: [
+            (call.args[2].value, call.args[3].value)
+            for call in ast.walk(functions[hook.id])
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "_arg"
+        ]
+        for key, hook in zip(hooks.keys, hooks.values)
+    }
+
+
+HOOK_ARGUMENTS = hook_arguments()
+
+
+@pytest.mark.parametrize("hooked", sorted(HOOK_ARGUMENTS))
+def test_benchmark_hook_reads_the_parameter_it_names(hooked):
+    module, _, name = hooked.rpartition(".")
+    function = getattr(importlib.import_module(f"rollmia.{module}"), name)
+    parameters = list(inspect.signature(function).parameters)
+    assert HOOK_ARGUMENTS[hooked]
+    for position, parameter in HOOK_ARGUMENTS[hooked]:
+        assert parameters[position] == parameter

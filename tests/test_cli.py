@@ -836,7 +836,7 @@ def test_mc_subset_larger_than_a_side_exits_2_before_sampling(tmp_path, capsys, 
                 "--stash", 20000, "--n", 10, "--subset", 100, "--trials", 1, "--seed", 1,
                 "--out", out]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "error: subset_size 100 needs at least that many records on each side; "
+        "error: attack mc subset_size 100 needs at least that many records on each side; "
         "got 40 train and 360 test records"
     ]
     assert calls == []
@@ -852,7 +852,48 @@ def test_mc_on_sides_that_share_ids_exits_2_before_sampling(cli_workspace, tmp_p
     assert run(["attack", "mc", "--oracle", "p=1,sigma=0", "--train", train, "--test", train,
                 "--stash", 50, "--n", 5, "--subset", 5, "--trials", 1, "--seed", 1,
                 "--out", out]) == 2
-    assert capsys.readouterr().err.splitlines() == ["error: train and test ids must be disjoint"]
+    assert capsys.readouterr().err.splitlines() == ["error: attack mc train and test ids must be disjoint"]
+    assert calls == []
+    assert not out.exists()
+
+
+def test_wb_on_sides_that_share_ids_exits_2_before_scoring(cli_workspace, tmp_path, capsys, monkeypatch):
+    _, _, train, _ = cli_workspace
+    calls = []
+    monkeypatch.setattr(cli, "oracle_d_score", lambda *a: calls.append(a))
+    capsys.readouterr()
+    out = tmp_path / "wb.csv"
+    assert run(["attack", "wb", "--oracle", "margin=1,tau=0.1", "--train", train, "--test", train,
+                "--out", out]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: attack wb member and nonmember ids must be disjoint"]
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "verb, message",
+    [
+        ("wb", "attack wb member and nonmember datasets must share a shape"),
+        ("mc", "attack mc train and test sides must share a shape"),
+    ],
+)
+def test_attack_on_sides_of_two_shapes_exits_2_before_the_model_runs(
+    cli_workspace, tmp_path, capsys, monkeypatch, verb, message
+):
+    _, _, train, _ = cli_workspace
+    other = tmp_path / "other.prd"
+    assert run(["dataset", "gen", "--out", other, "--count", 20, "--tracks", 2, "--bars", 1,
+                "--steps", 16, "--pitches", 12, "--seed", 6]) == 0
+    calls = []
+    monkeypatch.setattr(cli, "oracle_d_score", lambda *a: calls.append(a))
+    monkeypatch.setattr(cli, "oracle_generate", lambda *a: calls.append(a))
+    flags = {"wb": ["--oracle", "margin=1,tau=0.1"],
+             "mc": ["--oracle", "p=1,sigma=0", "--stash", 20, "--n", 5, "--subset", 2, "--trials", 1,
+                    "--seed", 1]}[verb]
+    capsys.readouterr()
+    out = tmp_path / f"{verb}.csv"
+    assert run(["attack", verb, *flags, "--train", train, "--test", other, "--out", out]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert calls == []
     assert not out.exists()
 

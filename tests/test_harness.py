@@ -35,7 +35,7 @@ from rollmia.harness import (
     whitebox_row,
     write_lines,
 )
-from rollmia.montecarlo import EpsilonHeuristic, McConfig
+from rollmia.montecarlo import EpsilonHeuristic, McConfig, epsilon_from_heuristic
 
 from conftest import nan_gradients_from
 
@@ -275,6 +275,40 @@ def test_series_follows_the_first_mc_config(tmp_path):
     first = [r.split(",") for r in mc_rows if r.split(",")[4] == "euclidean"]
     assert [line.split(",")[2] for line in series.splitlines()[1:]] == [r[1] for r in first]
     assert _sha256(series) == PINNED_TWO_MC_SERIES_DIGEST
+
+
+def test_mc_stash_draws_are_made_once_per_run(tmp_path, monkeypatch):
+    from rollmia import montecarlo
+
+    data = tiny_config_dict(tmp_path / "run", iterations=30, every=10)
+    data["attacks"]["mc"].append(
+        dict(data["attacks"]["mc"][0], metric="tonal", heuristic="p:0.1", trials=3, seed=45)
+    )
+    calls = []
+    real_draws = montecarlo._stash_draws
+
+    def counting(*args):
+        calls.append(args)
+        return real_draws(*args)
+
+    monkeypatch.setattr(montecarlo, "_stash_draws", counting)
+    run_experiment(parse_experiment_config(data))
+    mc_rows = (tmp_path / "run" / "mc_metrics.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[0] for r in mc_rows] == ["10", "10", "20", "20", "30", "30"]
+    # one draw per trial of each config, not one per trial and checkpoint
+    assert len(calls) == 2 + 3
+
+
+def test_percentile_heuristics_that_pick_different_epsilons_hash_apart():
+    configs = {}
+    for text in ("p:0.5", "p:0.50000001"):
+        data = _minimal_config_dict()
+        data["attacks"]["mc"][0]["heuristic"] = text
+        configs[text] = parse_experiment_config(data)
+    distances = np.arange(12800.0)
+    assert [epsilon_from_heuristic(distances, c.mc[0].heuristic) for c in configs.values()] == [6399.0, 6400.0]
+    assert [config_echo(c)["attacks"]["mc"][0]["heuristic"] for c in configs.values()] == list(configs)
+    assert len({config_hash(c) for c in configs.values()}) == 2
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from rollmia import (
     epsilon_from_heuristic,
     g_sample,
     oracle_generate,
+    plan_mc_trials,
     run_mc_trials,
     stash_seeds,
     synth_generate,
@@ -117,6 +118,21 @@ def test_heuristic_parse_and_label():
         EpsilonHeuristic.parse("p:2.0")
     with pytest.raises(ConfigError):
         EpsilonHeuristic.parse("weird")
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+def test_heuristic_label_parses_back_to_itself(q):
+    heuristic = EpsilonHeuristic("percentile", q)
+    assert EpsilonHeuristic.parse(heuristic.label()) == heuristic
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.floats(min_value=1e-12, max_value=0.999999))
+def test_heuristic_label_of_a_six_digit_q_is_its_g_format(q):
+    # the label's bytes are those of "p:{q:g}" wherever that form was exact
+    q = float(f"{q:.6g}")
+    assert EpsilonHeuristic("percentile", q).label() == f"p:{q:g}"
 
 
 # --- distances ---------------------------------------------------------------
@@ -281,8 +297,8 @@ def test_tonal_plane_kernel_matches_per_candidate_reference(shape, stash_size, n
     feats = roll_features(TONAL, shape, rolls)
     stash, candidates = feats[:stash_size], feats[stash_size:]
     entropy = rng.integers(0, 2**32, size=(k, 2), dtype=np.uint32)
-    got = _query_distances(TONAL, candidates, stash, n, entropy)
     drawn = _stash_draws(stash_size, n, entropy)
+    got = _query_distances(TONAL, candidates, stash, drawn)
     want = np.stack([features_distance(TONAL, c, stash[d]) for c, d in zip(candidates, drawn)])
     assert not stash.any(axis=-1).all() and not candidates.any(axis=-1).all()
     assert got.shape == (k, n)
@@ -572,6 +588,49 @@ def test_run_mc_trials_draws_match_per_candidate_reference(small_population, mon
     assert len(draws) == 3
     for got, want in zip(draws, expected):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("metric, heuristic", [(EUCLIDEAN, "median"), (TONAL, "p:0.1")])
+def test_run_mc_trials_with_a_plan_matches_without(small_population, metric, heuristic):
+    train, test = id_blocks(small_population, 40, 50)
+    config = mc_config(stash_size=50, n_per_query=20, subset_size=12, trials=3, seed=9,
+                       metric=metric, heuristic=EpsilonHeuristic.parse(heuristic))
+    plan = plan_mc_trials(train, test, config, 50)
+    assert plan.drawn.shape == (3, 24, 20) and plan.ids.shape == (3, 24)
+    # one plan scores the stashes of two models
+    for stash_seed in (3, 4):
+        stash = build_stash(synth_sampler(small_population.shape), 50, seed=stash_seed)
+        planned = run_mc_trials(train, test, stash, config, plan)
+        unplanned = run_mc_trials(train, test, stash, config)
+        assert planned.single_mi_accuracy == unplanned.single_mi_accuracy
+        assert planned.set_mi_correct_fraction == unplanned.set_mi_correct_fraction
+        assert np.array_equal(planned.epsilon.view(np.uint64), unplanned.epsilon.view(np.uint64))
+        assert np.array_equal(planned.train_selected, unplanned.train_selected)
+
+
+def test_run_mc_trials_refuses_a_plan_made_for_something_else(small_population):
+    train, test = id_blocks(small_population, 30, 30)
+    stash = build_stash(synth_sampler(small_population.shape), 50, seed=3)
+    config = mc_config(stash_size=50, n_per_query=20, subset_size=12, trials=2, seed=9)
+    plan = plan_mc_trials(train, test, config, 50)
+    with pytest.raises(ConfigError, match="^MC plan was made for another config$"):
+        run_mc_trials(train, test, stash, mc_config(stash_size=50, n_per_query=20, subset_size=12,
+                                                    trials=2, seed=10), plan)
+    relabelled = Dataset(test.shape, test.rolls, test.ids + 1)
+    for sides in ((test, train), (train, relabelled), id_blocks(small_population, 31, 30)):
+        with pytest.raises(ConfigError, match="^MC plan was made for other train and test sides$"):
+            run_mc_trials(*sides, stash, config, plan)
+    with pytest.raises(ConfigError, match="^MC plan was made for a stash of 50 rolls, got 40$"):
+        run_mc_trials(train, test, stash[:40], config, plan)
+
+
+def test_plan_refuses_a_stash_below_n_per_query_and_sides_of_two_shapes(small_population):
+    train, test = id_blocks(small_population, 10, 10)
+    config = mc_config(stash_size=20, n_per_query=5, subset_size=2, trials=1)
+    with pytest.raises(ConfigError, match="^n_per_query exceeds stash size$"):
+        plan_mc_trials(train, test, config, 4)
+    with pytest.raises(ConfigError, match="^train and test sides must share a shape$"):
+        plan_mc_trials(train, synth_generate(0, 10, SHAPE), config, 20)
 
 
 def test_mc_rejects_negative_seed(small_population):
