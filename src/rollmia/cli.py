@@ -29,7 +29,6 @@ from .gan import (
     Checkpoint,
     OracleDiscriminator,
     OracleGenerator,
-    TrainConfig,
     load_checkpoint,
     oracle_d_score,
     oracle_generate,
@@ -40,12 +39,13 @@ from .harness import (
     MC_HEADER,
     WB_HEADER,
     SyntheticSpec,
-    check_config,
+    TrainRunConfig,
     checkpoint_name,
     checkpoint_sampler,
     checkpoint_scorer,
     load_experiment_config,
     mc_row,
+    parse_config,
     read_config_file,
     report_from_dir,
     run_experiment,
@@ -111,11 +111,8 @@ def cmd_split(args) -> int:
 
 
 def cmd_train(args) -> int:
-    data = read_config_file(args.config)
-    check_config(data, f"config {Path(args.config)}", ("schema_version", "dataset", "train"))
-    check_config_block(data["dataset"], "dataset", {"path": str}, required=("path",))
-    config = config_block(TrainConfig, data["train"], "train")
-    dataset = read_dataset(data["dataset"]["path"])
+    config = parse_config(TrainRunConfig, read_config_file(args.config), f"config {Path(args.config)}")
+    dataset = read_dataset(config.dataset.path)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -124,9 +121,9 @@ def cmd_train(args) -> int:
         save_checkpoint(ckpt, path)
         print(f"checkpoint {ckpt.iteration} -> {path}")
 
-    train(dataset, config, checkpoint_sink=sink)
-    checkpoints = config.iterations // config.checkpoint_every
-    print(f"trained {config.iterations} iterations, {checkpoints} checkpoints")
+    train(dataset, config.train, checkpoint_sink=sink)
+    checkpoints = config.train.iterations // config.train.checkpoint_every
+    print(f"trained {config.train.iterations} iterations, {checkpoints} checkpoints")
     return 0
 
 

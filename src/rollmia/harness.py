@@ -33,20 +33,26 @@ keep their per-row forms, which perfbench's oracle-audit workload calls:
 so there is one attack path and one seed rule.
 
 Each kind of file a run reads or writes has one definition here, shared
-with ``cli``.  ``read_config_file`` only decodes a config's JSON; each verb
-then checks it once (``parse_experiment_config`` for ``experiment run``):
-``check_config`` the top level, ``check_config_block`` the ``dataset`` and
-``attacks`` blocks, which have no dataclass, and ``pianoroll.config_block``
-every other block, read straight from the dataclass it builds, so a key is
-stated once, as a field, and ``config_echo`` is ``asdict`` of those.
-``checkpoint_name`` names a checkpoint file, and ``TABLES``
-lists each attack table as (file, section title, CSV header,
-success_vs_iteration.csv column) in report order.  ``emit_reports(output_dir,
-provenance, tables)`` takes each table's CSV data lines keyed by file name,
-writes every table that has lines and one report.md section for it, and
-builds the series from the first two fields of those lines;
-``report_from_dir``, behind ``rollmia report``, renders the same sections
-from the files.  A new table is one ``TABLES`` entry plus its lines.
+with ``cli``.  A config file is a tree of frozen dataclasses whose fields
+are its keys: ``ExperimentConfig`` for ``experiment run``, ``TrainRunConfig``
+for ``rollmia train``.  ``read_config_file`` only decodes the JSON, and
+``parse_config`` builds the tree with ``pianoroll.config_block`` alone, so
+each key is stated once, as a field, and then checks the schema version.
+``parse_experiment_config`` adds the rules across keys, whose messages name
+the keys themselves: a split that leaves a synthetic side empty, a label's
+train fraction, at least one attack.  ``config_echo`` is the inverse of the
+reader, the normalized form a run's manifest records and hashes: parsing it
+gives the same config.
+
+``checkpoint_name`` names a checkpoint file, and ``TABLES`` lists each
+attack table as (file, section title, CSV header, success_vs_iteration.csv
+column) in report order.  ``emit_reports(output_dir, provenance, tables)``
+takes each table's CSV data lines keyed by file name, writes every table
+that has lines and one report.md section for it, and builds the series from
+the first two fields of those lines; ``report_from_dir``, behind ``rollmia
+report``, renders the same sections from the files, and refuses a file
+whose header or row field counts are not its table's.  A new table is one
+``TABLES`` entry plus its lines.
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ import os
 import platform
 import re
 import shutil
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -85,7 +91,6 @@ from .pianoroll import (
     SplitSpec,
     StyleParams,
     atomic_open,
-    check_config_block,
     config_block,
     naming_block,
     read_dataset,
@@ -97,7 +102,8 @@ from .pianoroll import (
 from .whitebox import run_whitebox_sets
 
 CONFIG_SCHEMA_VERSION = 1
-LABELS = ("default", "overfitted", "custom")
+# each label and the split train_fraction it requires (None: any)
+LABELS = {"default": 0.5, "overfitted": 0.1, "custom": None}
 
 
 @dataclass(frozen=True)
@@ -122,44 +128,60 @@ class SyntheticSpec:
         return PianorollShape(self.tracks, self.bars, self.steps_per_bar, self.pitches, self.base_midi_pitch)
 
 
-@dataclass
+@dataclass(frozen=True)
+class DatasetSpec:
+    """The "dataset" config block: exactly one of a synthetic set or a
+    dataset file, a relative ``path`` resolving against the working
+    directory of the run."""
+
+    synthetic: SyntheticSpec | None = None
+    path: Path | None = None
+
+
+@dataclass(frozen=True)
+class AttacksSpec:
+    """The "attacks" config block: the white-box attack, on unless turned
+    off, and the MC attacks, each an "attacks.mc[i]" block."""
+
+    whitebox: bool = True
+    mc: tuple[McConfig, ...] = ()
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    label: str
+    """An ``experiment run`` config file, whose top-level keys are the
+    fields; a relative ``output_dir`` resolves against the working directory
+    of the run."""
+
+    schema_version: int
+    dataset: DatasetSpec
     split: SplitSpec
     train: TrainConfig
     output_dir: Path
-    synthetic: SyntheticSpec | None
-    dataset_path: Path | None
-    whitebox: bool
-    mc: list[McConfig]
+    label: str = "custom"
+    attacks: AttacksSpec = AttacksSpec()
 
     def __post_init__(self):
         if self.label not in LABELS:
-            raise ConfigError(f"config label must be one of {LABELS}, got {self.label!r}")
-        if (self.synthetic is None) == (self.dataset_path is None):
-            raise ConfigError("config needs exactly one of synthetic params or a dataset path")
-        if self.label == "default" and self.split.train_fraction != 0.5:
-            raise ConfigError("label 'default' requires train_fraction 0.5")
-        if self.label == "overfitted" and self.split.train_fraction != 0.1:
-            raise ConfigError("label 'overfitted' requires train_fraction 0.1")
-        if not self.whitebox and not self.mc:
-            raise ConfigError("at least one attack must be enabled")
+            raise ConfigError(f"label must be one of {tuple(LABELS)}, got {self.label!r}")
+        if (self.dataset.synthetic is None) == (self.dataset.path is None):
+            raise ConfigError("needs exactly one of synthetic params or a dataset path")
 
 
-def check_config(data, source: str, required: tuple, optional: tuple = ()) -> None:
-    """Raise ConfigError unless ``data``, read from ``source``, is a JSON
-    object at ``CONFIG_SCHEMA_VERSION`` whose top-level keys, each of its
-    kind, are all in ``required`` or ``optional`` and include all of
-    ``required``."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"{source} is not a JSON object")
-    kinds = {
-        "schema_version": int, "label": str, "dataset": dict, "split": dict, "train": dict,
-        "attacks": dict, "output_dir": str,
-    }
-    check_config_block(data, "config", {key: kinds[key] for key in required + optional}, required)
-    if data["schema_version"] != CONFIG_SCHEMA_VERSION:
-        raise ConfigError(f"unsupported config schema_version {data['schema_version']}")
+@dataclass(frozen=True)
+class DatasetFile:
+    """The "dataset" block of a ``rollmia train`` config: a dataset file."""
+
+    path: Path
+
+
+@dataclass(frozen=True)
+class TrainRunConfig:
+    """A ``rollmia train`` config file, whose top-level keys are the fields."""
+
+    schema_version: int
+    dataset: DatasetFile
+    train: TrainConfig
 
 
 def read_config_file(path: str | Path) -> dict:
@@ -171,73 +193,57 @@ def read_config_file(path: str | Path) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 
+def parse_config(cls, data, source: str):
+    """Build ``cls``, the dataclass of a whole config file, from decoded
+    JSON ``data``, read from ``source``, at ``CONFIG_SCHEMA_VERSION``."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{source} is not a JSON object")
+    config = config_block(cls, data, "config")
+    if config.schema_version != CONFIG_SCHEMA_VERSION:
+        raise ConfigError(f"unsupported config schema_version {config.schema_version}")
+    return config
+
+
 def parse_experiment_config(data, source: str = "config") -> ExperimentConfig:
     """Build an ExperimentConfig from decoded JSON, read from ``source``,
-    checking each block once.
-
-    A relative ``dataset.path`` or ``output_dir`` is kept as given, so it
-    resolves against the working directory of the run.
-    """
-    check_config(
-        data, source, ("schema_version", "dataset", "split", "train", "output_dir"), ("label", "attacks")
-    )
-    dataset = data["dataset"]
-    check_config_block(dataset, "dataset", {"synthetic": dict, "path": str})
-    synthetic = None
-    if "synthetic" in dataset:
-        synthetic = config_block(SyntheticSpec, dataset["synthetic"], "dataset.synthetic")
-    split_spec = config_block(SplitSpec, data["split"], "split")
+    checking each block once, then the rules across keys, whose messages
+    name the keys themselves."""
+    config = parse_config(ExperimentConfig, data, source)
+    synthetic, split_spec = config.dataset.synthetic, config.split
     # the split's own rule, so a synthetic set that cannot be split fails before any output
     if synthetic is not None and not 0 < split_spec.train_size(synthetic.count) < synthetic.count:
         raise ConfigError(
             f"split train_fraction {split_spec.train_fraction} leaves a side of "
             f"dataset.synthetic count {synthetic.count} empty"
         )
-    train_config = config_block(TrainConfig, data["train"], "train")
-    attacks = data.get("attacks", {})
-    check_config_block(attacks, "attacks", {"whitebox": bool, "mc": list})
-    return ExperimentConfig(
-        label=data.get("label", "custom"),
-        split=split_spec,
-        train=train_config,
-        output_dir=Path(data["output_dir"]),
-        synthetic=synthetic,
-        dataset_path=Path(dataset["path"]) if "path" in dataset else None,
-        whitebox=attacks.get("whitebox", True),
-        mc=[config_block(McConfig, m, f"attacks.mc[{i}]") for i, m in enumerate(attacks.get("mc", []))],
-    )
+    if LABELS[config.label] not in (None, split_spec.train_fraction):
+        raise ConfigError(f"label {config.label!r} requires train_fraction {LABELS[config.label]}")
+    if not config.attacks.whitebox and not config.attacks.mc:
+        raise ConfigError("at least one attack must be enabled")
+    return config
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
     return parse_experiment_config(read_config_file(path), f"config {Path(path)}")
 
 
-def config_echo(config: ExperimentConfig) -> dict:
-    """Normalized JSON form of a config; hashed into the manifest."""
-    if config.synthetic is not None:
-        dataset = {"synthetic": asdict(config.synthetic)}
-    else:
-        dataset = {"path": str(config.dataset_path)}
-    return {
-        "schema_version": CONFIG_SCHEMA_VERSION,
-        "label": config.label,
-        "dataset": dataset,
-        "split": asdict(config.split),
-        "train": asdict(config.train),
-        "attacks": {
-            "whitebox": config.whitebox,
-            "mc": [{**asdict(m), "heuristic": m.heuristic.label()} for m in config.mc],
-        },
-        "output_dir": str(config.output_dir),
-    }
-
-
-def _canonical_json(data: dict) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+def config_echo(config) -> dict:
+    """Normalized JSON form of a config, which ``config_block`` reads back to
+    it; hashed into the manifest.  Of a value in it: a dataclass is its
+    fields but those left out (None), a value whose type has ``parse`` its
+    label, a tuple a list and a path its text."""
+    if hasattr(type(config), "parse"):
+        return config.label()
+    if is_dataclass(config):
+        return {f.name: config_echo(v) for f in fields(config) if (v := getattr(config, f.name)) is not None}
+    if isinstance(config, tuple):
+        return [config_echo(v) for v in config]
+    return str(config) if isinstance(config, Path) else config
 
 
 def config_hash(config: ExperimentConfig) -> str:
-    return hashlib.sha256(_canonical_json(config_echo(config)).encode("utf-8")).hexdigest()
+    canonical = json.dumps(config_echo(config), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -313,12 +319,14 @@ def report_from_dir(in_dir: str | Path, fmt: str) -> str:
     if fmt not in ("csv", "md"):
         raise ConfigError("format must be csv or md")
     sections = []
-    for name, title, *_ in TABLES:
+    for name, title, header, _ in TABLES:
         path = in_dir / name
         if path.exists():
             lines = path.read_text(encoding="utf-8").strip().splitlines()
             if not lines:
                 raise FormatError(f"empty table {path}")
+            if lines[0] != header or any(line.count(",") != header.count(",") for line in lines):
+                raise FormatError(f"table {path} does not match its header {header!r}")
             sections.append("\n".join(lines if fmt == "csv" else _section(title, lines[0], lines[1:])))
     if not sections:
         raise ConfigError(f"no report tables found in {in_dir}")
@@ -472,7 +480,12 @@ def run_experiment(config: ExperimentConfig, force: bool = False) -> dict:
                 f"output directory {out} holds {foreign.relative_to(out)}, which rollmia does not "
                 "write; refusing to overwrite it"
             )
-        shutil.rmtree(out)
+        # the entries, not ``out``, which may be the working directory
+        for entry in out.iterdir():
+            if entry.is_dir() and not entry.is_symlink():
+                shutil.rmtree(entry)
+            else:
+                entry.unlink()
     out.mkdir(parents=True, exist_ok=True)
 
     manifest: dict = {
@@ -505,13 +518,13 @@ def run_experiment(config: ExperimentConfig, force: bool = False) -> dict:
 
     try:
         stage = "dataset"
-        synthetic = config.synthetic
+        synthetic = config.dataset.synthetic
         if synthetic is not None:
             dataset = synth_generate(synthetic.seed, synthetic.count, synthetic.shape, synthetic.style)
             write_dataset(dataset, out / "dataset.prd", style=synthetic.style)
             manifest["outputs"].append("dataset.prd")
         else:
-            dataset = read_dataset(config.dataset_path)
+            dataset = read_dataset(config.dataset.path)
         finish_stage(stage)
 
         stage = "split"
@@ -522,7 +535,7 @@ def run_experiment(config: ExperimentConfig, force: bool = False) -> dict:
                 f"train batch_size {config.train.batch_size} exceeds the {len(train_set)} training records"
             )
         mc_plans: list[McPlan] = []
-        for i, mc_config in enumerate(config.mc):
+        for i, mc_config in enumerate(config.attacks.mc):
             with naming_block(f"attacks.mc[{i}]"):
                 mc_plans.append(plan_mc_trials(train_set, test_set, mc_config, mc_config.stash_size))
         write_dataset(train_set, out / "train.prd")
@@ -551,7 +564,7 @@ def run_experiment(config: ExperimentConfig, force: bool = False) -> dict:
         # the same float32 weights as ``rollmia attack --checkpoint``
         for path in ckpt_paths:
             ckpt = load_checkpoint(path)
-            if config.whitebox:
+            if config.attacks.whitebox:
                 wb_lines.append(
                     whitebox_row(checkpoint_scorer(ckpt.gan), ckpt.iteration, train_set, test_set)
                 )
@@ -564,7 +577,7 @@ def run_experiment(config: ExperimentConfig, force: bool = False) -> dict:
         provenance = {
             "label": config.label,
             "config_hash": config_hash(config),
-            "dataset_seed": synthetic.seed if synthetic is not None else str(config.dataset_path),
+            "dataset_seed": synthetic.seed if synthetic is not None else str(config.dataset.path),
             "split_seed": config.split.seed,
             "train_seed": config.train.seed,
         }

@@ -34,7 +34,8 @@ from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from numbers import Integral, Real
 from pathlib import Path
-from typing import get_type_hints
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -63,6 +64,11 @@ class PianorollShape:
         if self.cells > MAX_CELLS:
             raise ConfigError(
                 f"total cells {self.cells} exceeds desk-scale bound {MAX_CELLS}"
+            )
+        if not -(2**31) <= self.base_midi_pitch < 2**31:
+            raise ConfigError(
+                "base_midi_pitch must be in the int32 range of the dataset header, "
+                f"got {self.base_midi_pitch}"
             )
 
     @property
@@ -198,25 +204,46 @@ def naming_block(block: str):
         raise ConfigError(f"{block} {exc}") from exc
 
 
+def field_kind(hint) -> tuple[type, type]:
+    """The type of a config field annotated ``hint``, ``X`` for ``X | None``
+    (a field whose key may be left out), and the kind ``check_config_block``
+    checks for it: a type with a ``parse`` classmethod, or ``Path``, takes a
+    string, any other dataclass is a block (an object), ``tuple[X, ...]`` a
+    list of ``X`` blocks, and any other type is its own kind."""
+    args = [arg for arg in get_args(hint) if arg is not type(None)]
+    t = args[0] if get_origin(hint) is UnionType and len(args) == 1 else hint
+    if hasattr(t, "parse") or t is Path:
+        return t, str
+    return t, dict if is_dataclass(t) else list if get_origin(t) is tuple else t
+
+
 def config_block(cls, data, block: str):
     """Build the frozen dataclass ``cls`` from ``data``, the config block at
     key path ``block``, whose keys are the fields of ``cls``: a field without
     a default is required, one typed as a dataclass is the nested block
-    ``<block>.<key>``, and one whose type has a ``parse`` classmethod
-    (``EpsilonHeuristic``) takes its text.  The kinds ``check_config_block``
+    ``<block>.<key>``, one typed ``tuple[X, ...]`` the list of ``X`` blocks
+    ``<block>.<key>[i]`` (read by this function with that tuple type as
+    ``cls``), and one that takes a string is built by its type's
+    ``parse`` classmethod (``EpsilonHeuristic``) or by the type itself
+    (``Path``).  The top-level block, ``config``, names its nested blocks by
+    the bare key (``attacks.mc[0]``).  The kinds ``check_config_block``
     checks come from the field types, so each key is stated once, and the
     build runs under ``naming_block``."""
-    types = get_type_hints(cls)
-    parsed = {key for key, kind in types.items() if hasattr(kind, "parse")}
-    kinds = {key: str if key in parsed else dict if is_dataclass(t) else t for key, t in types.items()}
+    if get_origin(cls) is tuple:  # a list of blocks
+        return tuple(config_block(get_args(cls)[0], item, f"{block}[{i}]") for i, item in enumerate(data))
+    types, kinds = {}, {}
+    for key, hint in get_type_hints(cls).items():
+        types[key], kinds[key] = field_kind(hint)
     check_config_block(data, block, kinds, tuple(f.name for f in fields(cls) if f.default is MISSING))
+    prefix = "" if block == "config" else f"{block}."
     # a nested block names its own errors, so it is built outside naming_block
     values = {
-        key: config_block(types[key], value, f"{block}.{key}") if kinds[key] is dict else value
+        key: config_block(types[key], value, prefix + key) if kinds[key] in (dict, list) else value
         for key, value in data.items()
     }
+    parse = {key: getattr(t, "parse", t) for key, t in types.items() if kinds[key] is str}
     with naming_block(block):
-        return cls(**{key: types[key].parse(v) if key in parsed else v for key, v in values.items()})
+        return cls(**{key: parse[key](v) if key in parse else v for key, v in values.items()})
 
 
 @dataclass(frozen=True)

@@ -822,6 +822,69 @@ def test_report_on_an_empty_table_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [f"error: empty table {tmp_path / 'wb_metrics.csv'}"]
 
 
+@pytest.mark.parametrize("fmt", ["md", "csv"])
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("wb_metrics.csv", "a,b\n1,2,3\n"),
+        ("wb_metrics.csv", f"{harness.WB_HEADER}\n10,0.500,0.500\n"),
+        ("mc_metrics.csv", f"{harness.MC_HEADER}\n10,0.500,1.000,median,euclidean,3,7\n"),
+    ],
+    ids=["header", "short-row", "long-row"],
+)
+def test_report_on_a_malformed_table_exits_3(tmp_path, capsys, fmt, name, text):
+    (tmp_path / name).write_text(text)
+    header = {"wb_metrics.csv": harness.WB_HEADER, "mc_metrics.csv": harness.MC_HEADER}[name]
+    capsys.readouterr()
+    assert run(["report", "--in-dir", tmp_path, "--format", fmt]) == 3
+    err = f"error: table {tmp_path / name} does not match its header {header!r}\n"
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("output_dir", ["", "."])
+def test_force_rerun_in_the_working_directory_replaces_the_run(tmp_path, monkeypatch, capsys, output_dir):
+    """A run written into the working directory is replaced entry by entry,
+    since the directory itself cannot be removed."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "schema_version": 1,
+        "dataset": {"synthetic": {"count": 40, "tracks": 1, "bars": 1, "steps_per_bar": 8, "pitches": 12,
+                                  "seed": 2}},
+        "split": {"train_fraction": 0.5, "seed": 3},
+        "train": {"iterations": 20, "batch_size": 8, "latent_dim": 4, "lr": 0.001, "seed": 4,
+                  "checkpoint_every": 10},
+        "attacks": {"mc": [{"stash_size": 16, "n_per_query": 8, "subset_size": 5, "trials": 2, "seed": 5}]},
+        "output_dir": output_dir,
+    }))
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    monkeypatch.chdir(run_dir)
+
+    def files():
+        return {p.relative_to(run_dir): p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+
+    assert run(["experiment", "run", "--config", config]) == 0
+    first = files()
+    assert Path("checkpoints/checkpoint_000020.ganc") in first
+    assert run(["experiment", "run", "--config", config]) == 2
+    capsys.readouterr()
+    assert run(["experiment", "run", "--config", config, "--force"]) == 0
+    assert capsys.readouterr().out.startswith("experiment 'custom' complete -> .\n")
+    assert files() == first
+
+
+def test_base_pitch_outside_the_int32_header_exits_2_before_any_output(tmp_path, capsys):
+    message = "base_midi_pitch must be in the int32 range of the dataset header, got 3000000000"
+    lines = _default_config_error(tmp_path, capsys, ("dataset", "synthetic", "base_midi_pitch"), 3000000000)
+    assert lines == [f"error: dataset.synthetic {message}"]
+    gen = ["dataset", "gen", "--count", 4, "--seed", 1, "--out", tmp_path / "d.prd"]
+    assert run([*gen, "--base-pitch", 3000000000]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: dataset gen {message}"]
+    assert not (tmp_path / "d.prd").exists()
+    assert run([*gen, "--base-pitch", -7]) == 0
+    assert read_dataset(tmp_path / "d.prd").shape.base_midi_pitch == -7
+
+
 def test_mc_subset_larger_than_a_side_exits_2_before_sampling(tmp_path, capsys, monkeypatch):
     data, train, test = tmp_path / "d.prd", tmp_path / "train.prd", tmp_path / "test.prd"
     assert run(["dataset", "gen", "--out", data, "--count", 400, "--tracks", 1, "--bars", 1,
@@ -924,7 +987,7 @@ def test_verbs_are_looked_up_when_called(tmp_path, monkeypatch):
 
 
 def test_usage_error_leaves_the_next_call_unchanged(tmp_path, capsys):
-    (tmp_path / "wb_metrics.csv").write_text("iterations,success_rate\n10,0.500\n")
+    (tmp_path / "wb_metrics.csv").write_text(f"{harness.WB_HEADER}\n10,0.500,0.500,0.500,0.500,0.500,0.500\n")
     argv = ["report", "--in-dir", tmp_path, "--format", "csv"]
     capsys.readouterr()
     assert run(argv) == 0

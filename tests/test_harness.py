@@ -1,7 +1,9 @@
 import builtins
 import hashlib
 import json
+from dataclasses import is_dataclass
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
@@ -26,7 +28,9 @@ from rollmia import (
 from rollmia import pianoroll
 from rollmia.cli import main as cli_main
 from rollmia.harness import (
+    DatasetFile,
     ExperimentConfig,
+    TrainRunConfig,
     _write_manifest,
     config_echo,
     config_hash,
@@ -82,18 +86,66 @@ def tiny_config_dict(out_dir, count=80, iterations=40, every=20):
     }
 
 
+def _packaged_config_dict(name):
+    return json.loads((Path(__file__).resolve().parents[1] / "configs" / name).read_text())
+
+
+def _path_config_dict():
+    """The packaged default config reading its dataset from a file, with a
+    dataset path and an output_dir that are not in normal form."""
+    data = _packaged_config_dict("default.json")
+    return {**data, "dataset": {"path": "./data//x.prd"}, "output_dir": "runs/x/"}
+
+
 def test_parse_config_roundtrip(tmp_path):
     data = tiny_config_dict(tmp_path / "run")
     config = parse_experiment_config(data)
     assert config.label == "custom"
-    assert config.synthetic.count == 80
-    assert config.mc[0].heuristic == EpsilonHeuristic("median")
+    assert config.dataset.synthetic.count == 80
+    assert config.attacks.mc[0].heuristic == EpsilonHeuristic("median")
     # the echo is the normalized form: parsing it again is a fixed point
     echo = config_echo(config)
     assert parse_experiment_config(echo) == config
     assert config_echo(parse_experiment_config(echo)) == echo
     assert echo["train"]["d_steps_per_g_step"] == 1  # defaults made explicit
     assert len(config_hash(config)) == 64
+    for data in (_packaged_config_dict("default.json"), _packaged_config_dict("overfitted.json"),
+                 _path_config_dict()):
+        config = parse_experiment_config(data)
+        echo = config_echo(config)
+        assert parse_experiment_config(echo) == config
+        assert config_echo(parse_experiment_config(echo)) == echo
+
+
+def test_config_hash_of_a_dataset_path_config_is_pinned():
+    config = parse_experiment_config(_path_config_dict())
+    assert config_hash(config) == "e28b06905972328df7edd60e39fa6a53aaa7319a5db148b5c8ae432358066541"
+    # paths are echoed in normal form, so the hash does not depend on how they were written
+    echo = config_echo(config)
+    assert (echo["dataset"], echo["output_dir"]) == ({"path": "data/x.prd"}, "runs/x")
+    assert "synthetic" not in echo["dataset"]
+
+
+def test_every_config_field_type_is_one_config_block_reads():
+    """Walk each config file's dataclass and every block it nests: each
+    field's type must map to a kind ``check_config_block`` checks, or a
+    config holding the key would fail with a KeyError, not a ConfigError."""
+    seen, todo = set(), [ExperimentConfig, TrainRunConfig]
+    while todo:
+        cls = todo.pop()
+        seen.add(cls)
+        for key, hint in get_type_hints(cls).items():
+            t, kind = pianoroll.field_kind(hint)
+            assert kind in pianoroll._CONFIG_KINDS, f"{cls.__name__}.{key}: {hint}"
+            if kind is list:
+                t, rest = get_args(t)
+                assert rest is Ellipsis and is_dataclass(t), f"{cls.__name__}.{key}: {hint}"
+            if kind in (dict, list):
+                todo.append(t)
+    assert {SyntheticSpec, StyleParams, SplitSpec, TrainConfig, McConfig, DatasetFile} <= seen
+    # the walk would see a type the reader does not take
+    for hint in (dict[str, int], list[McConfig], set, int | str):
+        assert pianoroll.field_kind(hint)[1] not in pianoroll._CONFIG_KINDS
 
 
 def test_parse_config_schema_errors(tmp_path):
@@ -306,7 +358,7 @@ def test_percentile_heuristics_that_pick_different_epsilons_hash_apart():
         data["attacks"]["mc"][0]["heuristic"] = text
         configs[text] = parse_experiment_config(data)
     distances = np.arange(12800.0)
-    assert [epsilon_from_heuristic(distances, c.mc[0].heuristic) for c in configs.values()] == [6399.0, 6400.0]
+    assert [epsilon_from_heuristic(distances, c.attacks.mc[0].heuristic) for c in configs.values()] == [6399.0, 6400.0]
     assert [config_echo(c)["attacks"]["mc"][0]["heuristic"] for c in configs.values()] == list(configs)
     assert len({config_hash(c) for c in configs.values()}) == 2
 
@@ -470,7 +522,7 @@ def test_relative_dataset_path_resolves_against_working_directory(tmp_path, monk
     data["attacks"] = {"whitebox": True, "mc": []}
     monkeypatch.chdir(tmp_path)
     config = parse_experiment_config(data)
-    assert config.dataset_path == Path("data.prd")
+    assert config.dataset.path == Path("data.prd")
     manifest = run_experiment(config)
     assert manifest["config"]["dataset"] == {"path": "data.prd"}
     assert len((tmp_path / "run" / "wb_metrics.csv").read_text().splitlines()) == 3

@@ -390,6 +390,20 @@ def test_dataset_roundtrip(tmp_path, desk_shape):
     assert read_dataset(path) == ds
 
 
+def test_base_midi_pitch_takes_the_int32_range_of_the_dataset_header(tmp_path):
+    for base in (-(2**31), 2**31 - 1):
+        shape = PianorollShape(1, 1, 4, 12, base_midi_pitch=base)
+        ds = synth_generate(1, 2, shape)
+        write_dataset(ds, tmp_path / "data.prd")
+        assert read_dataset(tmp_path / "data.prd") == ds
+    for base in (-(2**31) - 1, 2**31):
+        with pytest.raises(ConfigError) as info:
+            PianorollShape(1, 1, 4, 12, base_midi_pitch=base)
+        assert str(info.value) == (
+            f"base_midi_pitch must be in the int32 range of the dataset header, got {base}"
+        )
+
+
 def test_dataset_roundtrip_preserves_split_ids(tmp_path, desk_shape):
     ds = synth_generate(42, 20, desk_shape)
     train, _ = split(ds, SplitSpec(0.5, 1))
@@ -543,8 +557,8 @@ def test_dataset_bytes_are_pinned(tmp_path, desk_shape):
 
 def test_packaged_corpus_bytes_are_pinned(tmp_path):
     configs = Path(__file__).resolve().parents[1] / "configs"
-    spec = load_experiment_config(configs / "default.json").synthetic
-    assert load_experiment_config(configs / "overfitted.json").synthetic == spec
+    spec = load_experiment_config(configs / "default.json").dataset.synthetic
+    assert load_experiment_config(configs / "overfitted.json").dataset.synthetic == spec
     dataset = synth_generate(spec.seed, spec.count, spec.shape, spec.style)
     write_dataset(dataset, tmp_path / "dataset.prd", style=spec.style)
     digests = {
