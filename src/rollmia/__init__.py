@@ -47,6 +47,7 @@ from .montecarlo import (
     epsilon_from_heuristic,
     plan_mc_trials,
     run_mc_trials,
+    score_mc_plan,
     stash_seeds,
 )
 from .harness import (
@@ -71,7 +72,7 @@ __all__ = [
     "ConfusionCounts", "MetricsRow", "compute_metrics",
     "WbAttackResult", "rank_scores", "run_whitebox", "run_whitebox_sets",
     "EpsilonHeuristic", "McConfig", "McPlan", "McResult", "build_stash", "stash_seeds",
-    "epsilon_from_heuristic", "plan_mc_trials", "run_mc_trials",
+    "epsilon_from_heuristic", "plan_mc_trials", "run_mc_trials", "score_mc_plan",
     "SyntheticSpec", "ExperimentConfig", "emit_reports",
     "load_experiment_config", "run_experiment",
 ]

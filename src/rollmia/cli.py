@@ -40,6 +40,7 @@ from .harness import (
     WB_HEADER,
     SyntheticSpec,
     TrainRunConfig,
+    check_batch_size,
     checkpoint_name,
     checkpoint_sampler,
     checkpoint_scorer,
@@ -64,7 +65,6 @@ from .pianoroll import (
     synth_sampler,
     write_dataset,
 )
-from .whitebox import check_sides
 
 
 def _parse_oracle(text: str, block: str, expected: tuple[str, ...]) -> dict[str, float]:
@@ -113,6 +113,7 @@ def cmd_split(args) -> int:
 def cmd_train(args) -> int:
     config = parse_config(TrainRunConfig, read_config_file(args.config), f"config {Path(args.config)}")
     dataset = read_dataset(config.dataset.path)
+    check_batch_size(config.train, len(dataset))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -160,8 +161,7 @@ def cmd_attack_wb(args) -> int:
 
     scorer, iteration, train_set, test_set = _attack_model(args, checkpoint_scorer, from_oracle)
     with naming_block("attack wb"):
-        check_sides(train_set, test_set)
-    line = whitebox_row(scorer, iteration, train_set, test_set)
+        line = whitebox_row(scorer, iteration, train_set, test_set)
     write_lines(args.out, [WB_HEADER, line])
     print(f"white-box success rate {line.split(',')[1]} -> {args.out}")
     return 0
@@ -185,8 +185,8 @@ def cmd_attack_mc(args) -> int:
 
     sample_fn, iteration, train_set, test_set = _attack_model(args, checkpoint_sampler, from_oracle)
     with naming_block("attack mc"):
-        plan = plan_mc_trials(train_set, test_set, config, config.stash_size)
-    line = mc_row(sample_fn, iteration, train_set, test_set, plan)
+        plan = plan_mc_trials(train_set, test_set, config)
+    line = mc_row(sample_fn, iteration, plan)
     write_lines(args.out, [MC_HEADER, line])
     single, set_level = line.split(",")[1:3]
     print(f"mc single {single} / set {set_level} -> {args.out}")

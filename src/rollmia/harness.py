@@ -8,12 +8,12 @@ moved into place, so a crash leaves the earlier file or the whole new one.
 
 ``whitebox_row`` and ``mc_row`` are the only code that turns a model into a
 table row, which they return as its CSV line; the experiment and ``rollmia
-attack`` both call them.  ``mc_row(sampler, iteration, train_set, test_set,
-plan)`` takes its MC config from ``plan``, a ``montecarlo.McPlan`` made by
-its caller for those sides and that config's stash size, so the sides are
-checked and the trials' records and stash draws are made once, however many
-models are attacked: once per MC config for a whole run, once per
-``rollmia attack mc`` call.  A model is given to them as whole-set functions:
+attack`` both call them.  ``mc_row(sampler, iteration, plan)`` attacks a
+model with ``plan``, a ``montecarlo.McPlan`` made by its caller, which holds
+the MC config and the sides, so the sides are checked and the trials'
+records and stash draws are made once, however many models are attacked:
+once per MC config for a whole run, once per ``rollmia attack mc`` call.  A
+model is given to them as whole-set functions:
 
 - a white-box set scorer maps (k,) ids and a (k, tracks, bars, steps,
   pitches) roll stack to a (k,) float64 score vector;
@@ -83,7 +83,7 @@ from .gan import (
     train,
 )
 from .metrics import compute_metrics
-from .montecarlo import McConfig, McPlan, plan_mc_trials, run_mc_trials, stash_seeds
+from .montecarlo import McConfig, McPlan, plan_mc_trials, score_mc_plan, stash_seeds
 from .pianoroll import (
     DATASET_VERSION,
     Dataset,
@@ -426,28 +426,28 @@ def whitebox_row(
     )
 
 
-def mc_row(
-    sampler: Callable[[np.ndarray], np.ndarray],
-    iteration: int,
-    train_set: Dataset,
-    test_set: Dataset,
-    plan: McPlan,
-) -> str:
+def mc_row(sampler: Callable[[np.ndarray], np.ndarray], iteration: int, plan: McPlan) -> str:
     """The Monte Carlo table's CSV line for one model, given as a sampler
-    from a seed array to a roll stack, attacked with ``plan`` and its config.
+    from a seed array to a roll stack, attacked with ``plan``.
 
     The stash seeds come from ``(config.seed, iteration)``, so each
     checkpoint of a run draws its own stash; oracles use iteration 0.  The
-    plan was made for these sides, so they were checked before any stash is
-    sampled.
+    plan's sides were checked when it was made, before any stash is sampled.
     """
     config = plan.config
     stash = sampler(stash_seeds(config.stash_size, (config.seed, iteration)))
-    result = run_mc_trials(train_set, test_set, stash, config, plan)
+    result = score_mc_plan(plan, stash)
     return (
         f"{iteration},{result.single_mi_accuracy:.3f},{result.set_mi_correct_fraction:.3f},"
         f"{config.heuristic.label()},{config.metric},{config.trials}"
     )
+
+
+def check_batch_size(config: TrainConfig, records: int) -> None:
+    """Refuse a training set of ``records`` rolls smaller than one batch of
+    ``config``, before anything is trained or written for it."""
+    if records < config.batch_size:
+        raise ConfigError(f"train batch_size {config.batch_size} exceeds the {records} training records")
 
 
 def run_experiment(config: ExperimentConfig, force: bool = False) -> dict:
@@ -458,7 +458,7 @@ def run_experiment(config: ExperimentConfig, force: bool = False) -> dict:
     training diverges, the manifest's ``last_good_iteration`` names the last
     checkpoint written before it (null if there was none).  ``force``
     replaces only an earlier run's directory: one that holds a manifest.json
-    and nothing that a run does not write.
+    and nothing that a run does not write, and not the dataset it reads.
     """
     out = config.output_dir
     taken = next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None)
@@ -479,6 +479,15 @@ def run_experiment(config: ExperimentConfig, force: bool = False) -> dict:
             raise ConfigError(
                 f"output directory {out} holds {foreign.relative_to(out)}, which rollmia does not "
                 "write; refusing to overwrite it"
+            )
+        source = config.dataset.path
+        # the entry the run would delete: the path itself, or what it links to
+        if source is not None and any(
+            p.is_relative_to(out.resolve()) for p in (source.parent.resolve() / source.name, source.resolve())
+        ):
+            raise ConfigError(
+                f"output directory {out} holds dataset.path {source}, which the run reads; "
+                "refusing to overwrite it"
             )
         # the entries, not ``out``, which may be the working directory
         for entry in out.iterdir():
@@ -530,14 +539,11 @@ def run_experiment(config: ExperimentConfig, force: bool = False) -> dict:
         stage = "split"
         train_set, test_set = split(dataset, config.split)
         # a batch or an MC subset larger than its side fails here, not in or after training
-        if len(train_set) < config.train.batch_size:
-            raise ConfigError(
-                f"train batch_size {config.train.batch_size} exceeds the {len(train_set)} training records"
-            )
+        check_batch_size(config.train, len(train_set))
         mc_plans: list[McPlan] = []
         for i, mc_config in enumerate(config.attacks.mc):
             with naming_block(f"attacks.mc[{i}]"):
-                mc_plans.append(plan_mc_trials(train_set, test_set, mc_config, mc_config.stash_size))
+                mc_plans.append(plan_mc_trials(train_set, test_set, mc_config))
         write_dataset(train_set, out / "train.prd")
         write_dataset(test_set, out / "test.prd")
         manifest["outputs"] += ["train.prd", "test.prd"]
@@ -570,7 +576,7 @@ def run_experiment(config: ExperimentConfig, force: bool = False) -> dict:
                 )
             sampler = checkpoint_sampler(ckpt.gan)
             for plan in mc_plans:
-                mc_lines.append(mc_row(sampler, ckpt.iteration, train_set, test_set, plan))
+                mc_lines.append(mc_row(sampler, ckpt.iteration, plan))
         finish_stage(stage)
 
         stage = "reports"

@@ -13,17 +13,18 @@ set-level answer is a frequency rather than a one-shot 0/1 outcome.
 ``McResult`` holds each trial's epsilon and train-selected count as two
 (trials,) arrays; the test side contributed the other M minus that count.
 
-An attack is split into a plan and a score.  The plan (``McPlan``, made by
-``plan_mc_trials``) is everything that does not depend on the model: per
-trial, the M train and M test records and a (2M, n) array of stash draws,
-all seeded by the config seed alone.  It is made once per run and MC
-config, and the sides are checked there, once.  The score
-(``run_mc_trials``) takes one model's stash and, per trial, is one array
+An attack is a plan scored against each model's stash.  The plan
+(``McPlan``, made by ``plan_mc_trials``) holds the config, the two sides,
+and everything else that does not depend on the model: per trial, the M
+train and M test records and a (2M, n) array of stash draws, all seeded by
+the config seed alone.  It is made once per run and MC config, and the
+sides are checked there, once.  The score (``score_mc_plan``) takes one
+model's stash of ``config.stash_size`` rolls and, per trial, is one array
 pipeline over the 2M candidates: their features, a (2M, n) array of
 distances to the planned draws, then epsilon, scores and the top-M
-selection on whole arrays.  Given no plan, ``run_mc_trials`` makes its own,
-so both paths share one scoring loop: a candidate is scored within its
-trial, never alone.
+selection on whole arrays.  ``run_mc_trials`` attacks one model: it scores
+its stash under a fresh plan, so a candidate is scored within its trial,
+never alone.
 Epsilon has one rank rule, the value at ascending rank max(1, ceil(q*K)) of
 the trial's K pooled distances, with q = 1/2 for the (lower) median.
 Features are computed for the 2M drawn candidates only, not for every roll
@@ -127,19 +128,6 @@ class McConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if self.n_per_query > self.stash_size:
             raise ConfigError("n_per_query cannot exceed stash_size")
-
-    def check_sides(self, train: Dataset, test: Dataset) -> None:
-        """Refuse train and test sides of different shapes, too small to
-        draw ``subset_size`` records from each, or that share ids."""
-        if train.shape != test.shape:
-            raise ConfigError("train and test sides must share a shape")
-        if min(len(train), len(test)) < self.subset_size:
-            raise ConfigError(
-                f"subset_size {self.subset_size} needs at least that many records on each "
-                f"side; got {len(train)} train and {len(test)} test records"
-            )
-        if np.intersect1d(train.ids, test.ids).size:
-            raise ConfigError("train and test ids must be disjoint")
 
 
 @dataclass(eq=False)
@@ -332,41 +320,43 @@ def _query_distances(
 
 @dataclass(frozen=True, eq=False)
 class McPlan:
-    """The model-independent part of an MC attack: per trial, the M train
-    and M test row indices, as (trials, M) arrays, the 2M candidate ids,
-    (trials, 2M), and each candidate's stash draws, (trials, 2M, n), as the
-    smallest unsigned integers that hold a stash index.  Made by
-    ``plan_mc_trials`` for one config, one pair of sides (kept as copies of
-    their ids) and one stash size; any stash of that size, from any model,
-    is scored with it by ``run_mc_trials``."""
+    """An MC attack short of its stash: the config, the train and test
+    sides, and per trial the M train and M test row indices, as (trials, M)
+    arrays, the 2M candidate ids, (trials, 2M), and each candidate's stash
+    draws, (trials, 2M, n), as the smallest unsigned integers that hold an
+    index into ``config.stash_size`` rolls.  Made by ``plan_mc_trials``;
+    ``score_mc_plan`` scores any model's stash of that size with it."""
 
     config: McConfig
-    stash_size: int
-    train_ids: np.ndarray
-    test_ids: np.ndarray
+    train: Dataset
+    test: Dataset
     train_idx: np.ndarray
     test_idx: np.ndarray
     ids: np.ndarray
     drawn: np.ndarray
 
 
-def plan_mc_trials(
-    train_rolls: Dataset, test_rolls: Dataset, config: McConfig, stash_size: int
-) -> McPlan:
+def plan_mc_trials(train_rolls: Dataset, test_rolls: Dataset, config: McConfig) -> McPlan:
     """Pick each trial's records and draw its candidates' stash rows, which
-    depend on ``config.seed``, the sides and the stash size alone.
+    depend on ``config`` and the sides alone.
 
     Trial t's SeedSequence is the t-th child of ``config.seed``; its first
     child seeds the record picks, M train then M test rows without
     replacement, and candidate i draws with its second child's i-th child.
-    Sides of two shapes, sides too small for ``subset_size``, sides that
-    share ids, or a stash smaller than ``n_per_query`` are refused here.
+    Sides of two shapes, sides too small for ``subset_size``, or sides that
+    share ids are refused here.
     """
     m = config.subset_size
-    config.check_sides(train_rolls, test_rolls)
-    if config.n_per_query > stash_size:
-        raise ConfigError("n_per_query exceeds stash size")
-    trials = config.trials
+    if train_rolls.shape != test_rolls.shape:
+        raise ConfigError("train and test sides must share a shape")
+    if min(len(train_rolls), len(test_rolls)) < m:
+        raise ConfigError(
+            f"subset_size {m} needs at least that many records on each "
+            f"side; got {len(train_rolls)} train and {len(test_rolls)} test records"
+        )
+    if np.intersect1d(train_rolls.ids, test_rolls.ids).size:
+        raise ConfigError("train and test ids must be disjoint")
+    trials, stash_size = config.trials, config.stash_size
     train_idx = np.empty((trials, m), dtype=np.int64)
     test_idx = np.empty((trials, m), dtype=np.int64)
     # the smallest unsigned type that holds a stash index: 1 or 2 bytes a
@@ -380,42 +370,24 @@ def plan_mc_trials(
         entropy = indexed_entropy(entropy_words(candidate_root.entropy, candidate_root.spawn_key), 2 * m)
         drawn[t] = _stash_draws(stash_size, config.n_per_query, entropy)
     ids = np.concatenate([train_rolls.ids[train_idx], test_rolls.ids[test_idx]], axis=1)
-    return McPlan(
-        config, stash_size, train_rolls.ids.copy(), test_rolls.ids.copy(), train_idx, test_idx, ids, drawn
-    )
+    return McPlan(config, train_rolls, test_rolls, train_idx, test_idx, ids, drawn)
 
 
-def run_mc_trials(
-    train_rolls: Dataset,
-    test_rolls: Dataset,
-    stash: np.ndarray,
-    config: McConfig,
-    plan: McPlan | None = None,
-) -> McResult:
-    """Run R trials of the distance-threshold attack and aggregate.
+def score_mc_plan(plan: McPlan, stash: np.ndarray) -> McResult:
+    """Run the plan's R trials of the distance-threshold attack on one
+    model's stash of ``config.stash_size`` rolls, and aggregate.
 
     Per trial: take the plan's M records from each side, pool every
     candidate-to-drawn-stash distance, pick epsilon by the configured
     heuristic, score all 2M candidates, and select the top M by (score desc,
-    mean distance asc, id asc, train before test).  Without a ``plan`` one is
-    made by ``plan_mc_trials``; a given one must have been made for this
-    config, these sides and ``len(stash)``.  Deterministic in (stash, config
-    seed).  The roll shape comes from the train set.
+    mean distance asc, id asc, train before test).  Deterministic in (stash,
+    plan).
     """
-    shape = train_rolls.shape
+    config, shape = plan.config, plan.train.shape
     m = config.subset_size
-    if plan is None:
-        plan = plan_mc_trials(train_rolls, test_rolls, config, len(stash))
-    elif plan.config != config:
-        raise ConfigError("MC plan was made for another config")
-    elif not (
-        np.array_equal(plan.train_ids, train_rolls.ids) and np.array_equal(plan.test_ids, test_rolls.ids)
-    ):
-        raise ConfigError("MC plan was made for other train and test sides")
-    elif plan.stash_size != len(stash):
-        raise ConfigError(f"MC plan was made for a stash of {plan.stash_size} rolls, got {len(stash)}")
-    if test_rolls.shape != shape or stash.shape[1:] != shape.dims():
-        raise ConfigError("train, test, and stash must share a shape")
+    planned = (config.stash_size, *shape.dims())
+    if stash.shape != planned:
+        raise ConfigError(f"stash shape {stash.shape} is not the plan's {planned}")
 
     stash_feats = roll_features(config.metric, shape, stash)
     origin = np.repeat([0, 1], m)  # 0 = train, 1 = test
@@ -424,7 +396,7 @@ def run_mc_trials(
     train_selected = np.empty(config.trials, dtype=np.int64)
     for t in range(config.trials):
         candidates = np.concatenate(
-            [train_rolls.rolls[plan.train_idx[t]], test_rolls.rolls[plan.test_idx[t]]]
+            [plan.train.rolls[plan.train_idx[t]], plan.test.rolls[plan.test_idx[t]]]
         )
         dists = _query_distances(
             config.metric, roll_features(config.metric, shape, candidates), stash_feats, plan.drawn[t]
@@ -439,3 +411,11 @@ def run_mc_trials(
     single = float(np.mean(train_selected / m))
     set_fraction = float(np.mean(train_selected > m - train_selected))
     return McResult(single, set_fraction, epsilon, train_selected)
+
+
+def run_mc_trials(
+    train_rolls: Dataset, test_rolls: Dataset, stash: np.ndarray, config: McConfig
+) -> McResult:
+    """``score_mc_plan`` of the stash under a plan made for these sides and
+    this config, for an attack on one model."""
+    return score_mc_plan(plan_mc_trials(train_rolls, test_rolls, config), stash)

@@ -32,6 +32,7 @@ import struct
 import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from functools import cache
 from numbers import Integral, Real
 from pathlib import Path
 from types import UnionType
@@ -217,6 +218,17 @@ def field_kind(hint) -> tuple[type, type]:
     return t, dict if is_dataclass(t) else list if get_origin(t) is tuple else t
 
 
+@cache
+def _field_table(cls) -> tuple[dict, dict, tuple]:
+    """The config dataclass ``cls``'s field types and kinds, each keyed by
+    field name, and its required keys, worked out once per class; every
+    ``config_block`` call on ``cls`` shares them, so they are only read."""
+    types, kinds = {}, {}
+    for key, hint in get_type_hints(cls).items():
+        types[key], kinds[key] = field_kind(hint)
+    return types, kinds, tuple(f.name for f in fields(cls) if f.default is MISSING)
+
+
 def config_block(cls, data, block: str):
     """Build the frozen dataclass ``cls`` from ``data``, the config block at
     key path ``block``, whose keys are the fields of ``cls``: a field without
@@ -231,10 +243,8 @@ def config_block(cls, data, block: str):
     build runs under ``naming_block``."""
     if get_origin(cls) is tuple:  # a list of blocks
         return tuple(config_block(get_args(cls)[0], item, f"{block}[{i}]") for i, item in enumerate(data))
-    types, kinds = {}, {}
-    for key, hint in get_type_hints(cls).items():
-        types[key], kinds[key] = field_kind(hint)
-    check_config_block(data, block, kinds, tuple(f.name for f in fields(cls) if f.default is MISSING))
+    types, kinds, required = _field_table(cls)
+    check_config_block(data, block, kinds, required)
     prefix = "" if block == "config" else f"{block}."
     # a nested block names its own errors, so it is built outside naming_block
     values = {

@@ -71,24 +71,20 @@ def rank_scores(ids, scores, member_ids) -> WbAttackResult:
     return WbAttackResult(ids[top], confusion)
 
 
-def check_sides(members: Dataset, nonmembers: Dataset) -> None:
-    """Refuse member and nonmember sides of different shapes or that share ids."""
-    if members.shape != nonmembers.shape:
-        raise ConfigError("member and nonmember datasets must share a shape")
-    if np.intersect1d(members.ids, nonmembers.ids).size:
-        raise ConfigError("member and nonmember ids must be disjoint")
-
-
 def run_whitebox_sets(
     set_scorer: Callable[[np.ndarray, np.ndarray], np.ndarray],
     members: Dataset,
     nonmembers: Dataset,
 ) -> WbAttackResult:
     """Score the members and the nonmembers with one ``(ids, rolls)`` call
-    each and label the top |members|.  A scorer failure aborts with the name
-    of the side it was scoring.  The result does not depend on candidate
-    order."""
-    check_sides(members, nonmembers)
+    each and label the top |members|.  Sides of different shapes or that
+    share ids are refused before either is scored; a scorer failure aborts
+    with the name of the side it was scoring.  The result does not depend on
+    candidate order."""
+    if members.shape != nonmembers.shape:
+        raise ConfigError("member and nonmember datasets must share a shape")
+    if np.intersect1d(members.ids, nonmembers.ids).size:
+        raise ConfigError("member and nonmember ids must be disjoint")
     sides = []
     for name, dataset in (("members", members), ("nonmembers", nonmembers)):
         try:

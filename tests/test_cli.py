@@ -873,6 +873,51 @@ def test_force_rerun_in_the_working_directory_replaces_the_run(tmp_path, monkeyp
     assert files() == first
 
 
+def test_force_refuses_a_run_directory_holding_the_dataset_it_reads(tmp_path, monkeypatch, capsys):
+    """A dataset.path that is, or links to, an entry of the run directory
+    would be deleted before the dataset stage reads it."""
+    monkeypatch.chdir(tmp_path)
+    data = {
+        "schema_version": 1,
+        "dataset": {"synthetic": {"count": 40, "tracks": 1, "bars": 1, "steps_per_bar": 8, "pitches": 12,
+                                  "seed": 2}},
+        "split": {"train_fraction": 0.5, "seed": 3},
+        "train": {"iterations": 10, "batch_size": 8, "latent_dim": 4, "lr": 0.001, "seed": 4,
+                  "checkpoint_every": 10},
+        "attacks": {"mc": [{"stash_size": 16, "n_per_query": 8, "subset_size": 5, "trials": 2, "seed": 5}]},
+        "output_dir": "run",
+    }
+    Path("config.json").write_text(json.dumps(data))
+    assert run(["experiment", "run", "--config", "config.json"]) == 0
+    before = {p: p.read_bytes() for p in Path("run").rglob("*") if p.is_file()}
+    Path("link.prd").symlink_to("run/train.prd")
+    for source in ("run/dataset.prd", "link.prd"):
+        data["dataset"] = {"path": source}
+        Path("config.json").write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run(["experiment", "run", "--config", "config.json", "--force"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: output directory run holds dataset.path {source}, which the run reads; "
+            "refusing to overwrite it"
+        ]
+        assert {p: p.read_bytes() for p in Path("run").rglob("*") if p.is_file()} == before
+
+
+def test_train_verb_refuses_a_batch_larger_than_the_dataset_before_any_output(tmp_path, capsys):
+    data = tmp_path / "small.prd"
+    assert run(["dataset", "gen", "--out", data, "--count", 10, "--seed", 1]) == 0
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({
+        "schema_version": 1, "dataset": {"path": str(data)},
+        "train": {"iterations": 20, "batch_size": 32, "latent_dim": 4, "lr": 0.001, "seed": 1,
+                  "checkpoint_every": 10},
+    }))
+    capsys.readouterr()
+    assert run(["train", "--config", config, "--out-dir", tmp_path / "ck"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: train batch_size 32 exceeds the 10 training records"]
+    assert not (tmp_path / "ck").exists()
+
+
 def test_base_pitch_outside_the_int32_header_exits_2_before_any_output(tmp_path, capsys):
     message = "base_midi_pitch must be in the int32 range of the dataset header, got 3000000000"
     lines = _default_config_error(tmp_path, capsys, ("dataset", "synthetic", "base_midi_pitch"), 3000000000)

@@ -34,6 +34,7 @@ from rollmia.harness import (
     _write_manifest,
     config_echo,
     config_hash,
+    load_experiment_config,
     parse_experiment_config,
     report_from_dir,
     whitebox_row,
@@ -587,6 +588,23 @@ def test_packaged_configs_parse():
         if config.label == "overfitted":
             assert config.split.train_fraction == 0.1
             assert config.train.iterations == 10 * 2000
+
+
+def test_config_field_types_are_read_once_per_class(monkeypatch):
+    hints = []
+    real = pianoroll.get_type_hints
+
+    def counting(cls):
+        hints.append(cls)
+        return real(cls)
+
+    monkeypatch.setattr(pianoroll, "get_type_hints", counting)
+    pianoroll._field_table.cache_clear()
+    path = Path(__file__).resolve().parents[1] / "configs" / "default.json"
+    config = load_experiment_config(path)
+    assert load_experiment_config(path) == config
+    assert ExperimentConfig in hints and McConfig in hints
+    assert len(hints) == len(set(hints))
 
 
 def test_config_block_reads_each_field_of_its_dataclass():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from rollmia import (
     oracle_generate,
     plan_mc_trials,
     run_mc_trials,
+    score_mc_plan,
     stash_seeds,
     synth_generate,
     synth_sampler,
@@ -595,12 +597,13 @@ def test_run_mc_trials_with_a_plan_matches_without(small_population, metric, heu
     train, test = id_blocks(small_population, 40, 50)
     config = mc_config(stash_size=50, n_per_query=20, subset_size=12, trials=3, seed=9,
                        metric=metric, heuristic=EpsilonHeuristic.parse(heuristic))
-    plan = plan_mc_trials(train, test, config, 50)
+    plan = plan_mc_trials(train, test, config)
     assert plan.drawn.shape == (3, 24, 20) and plan.ids.shape == (3, 24)
+    assert plan.config is config and plan.train is train and plan.test is test
     # one plan scores the stashes of two models
     for stash_seed in (3, 4):
         stash = build_stash(synth_sampler(small_population.shape), 50, seed=stash_seed)
-        planned = run_mc_trials(train, test, stash, config, plan)
+        planned = score_mc_plan(plan, stash)
         unplanned = run_mc_trials(train, test, stash, config)
         assert planned.single_mi_accuracy == unplanned.single_mi_accuracy
         assert planned.set_mi_correct_fraction == unplanned.set_mi_correct_fraction
@@ -608,29 +611,26 @@ def test_run_mc_trials_with_a_plan_matches_without(small_population, metric, heu
         assert np.array_equal(planned.train_selected, unplanned.train_selected)
 
 
-def test_run_mc_trials_refuses_a_plan_made_for_something_else(small_population):
+def test_scoring_refuses_a_stash_of_another_length_or_roll_shape(small_population):
     train, test = id_blocks(small_population, 30, 30)
     stash = build_stash(synth_sampler(small_population.shape), 50, seed=3)
     config = mc_config(stash_size=50, n_per_query=20, subset_size=12, trials=2, seed=9)
-    plan = plan_mc_trials(train, test, config, 50)
-    with pytest.raises(ConfigError, match="^MC plan was made for another config$"):
-        run_mc_trials(train, test, stash, mc_config(stash_size=50, n_per_query=20, subset_size=12,
-                                                    trials=2, seed=10), plan)
-    relabelled = Dataset(test.shape, test.rolls, test.ids + 1)
-    for sides in ((test, train), (train, relabelled), id_blocks(small_population, 31, 30)):
-        with pytest.raises(ConfigError, match="^MC plan was made for other train and test sides$"):
-            run_mc_trials(*sides, stash, config, plan)
-    with pytest.raises(ConfigError, match="^MC plan was made for a stash of 50 rolls, got 40$"):
-        run_mc_trials(train, test, stash[:40], config, plan)
+    plan = plan_mc_trials(train, test, config)
+    dims = small_population.shape.dims()
+    other_roll = build_stash(synth_sampler(SHAPE), 50, seed=3)
+    for bad in (stash[:40], np.concatenate([stash, stash[:1]]), other_roll):
+        message = f"^stash shape {re.escape(str(bad.shape))} is not the plan's {re.escape(str((50, *dims)))}$"
+        with pytest.raises(ConfigError, match=message):
+            score_mc_plan(plan, bad)
+        with pytest.raises(ConfigError, match=message):
+            run_mc_trials(train, test, bad, config)
 
 
-def test_plan_refuses_a_stash_below_n_per_query_and_sides_of_two_shapes(small_population):
-    train, test = id_blocks(small_population, 10, 10)
+def test_plan_refuses_sides_of_two_shapes(small_population):
+    train, _test = id_blocks(small_population, 10, 10)
     config = mc_config(stash_size=20, n_per_query=5, subset_size=2, trials=1)
-    with pytest.raises(ConfigError, match="^n_per_query exceeds stash size$"):
-        plan_mc_trials(train, test, config, 4)
     with pytest.raises(ConfigError, match="^train and test sides must share a shape$"):
-        plan_mc_trials(train, synth_generate(0, 10, SHAPE), config, 20)
+        plan_mc_trials(train, synth_generate(0, 10, SHAPE), config)
 
 
 def test_mc_rejects_negative_seed(small_population):
