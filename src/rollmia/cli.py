@@ -19,6 +19,7 @@ verb is looked up in this module by name when it is called.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -67,10 +68,11 @@ from .pianoroll import (
 )
 
 
-def _parse_oracle(text: str, block: str, expected: tuple[str, ...]) -> dict[str, float]:
+def _parse_oracle(text: str, block: str, bounds: dict[str, tuple[float, float]]) -> dict[str, float]:
     """Parse "k=v,k=v" oracle descriptors, e.g. "p=1,sigma=0" or
     "margin=1,tau=0.1", given by the flag at key path ``block``, which must
-    hold the keys ``expected``, each a finite real number."""
+    hold the keys of ``bounds``, each a finite real number within its
+    (low, high) bounds; every refusal names the block and the key."""
     values: dict[str, float] = {}
     for part in text.split(","):
         if "=" not in part:
@@ -83,7 +85,11 @@ def _parse_oracle(text: str, block: str, expected: tuple[str, ...]) -> dict[str,
             values[key] = float(raw)
         except ValueError as exc:
             raise ConfigError(f"oracle spec {text!r}: bad value for {key!r}") from exc
-    check_config_block(values, block, dict.fromkeys(expected, float), expected)
+    check_config_block(values, block, dict.fromkeys(bounds, float), tuple(bounds))
+    for key, (low, high) in bounds.items():
+        if not low <= values[key] <= high:
+            rule = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+            raise ConfigError(f"{block} {key} must be {rule}, got {values[key]!r}")
     return values
 
 
@@ -103,7 +109,8 @@ def cmd_dataset_gen(args) -> int:
 def cmd_split(args) -> int:
     spec = config_block(SplitSpec, {"train_fraction": args.fraction, "seed": args.seed}, "split")
     dataset = read_dataset(args.input)
-    train_set, test_set = split(dataset, spec)
+    with naming_block("split"):
+        train_set, test_set = split(dataset, spec)
     write_dataset(train_set, args.train)
     write_dataset(test_set, args.test)
     print(f"split {len(dataset)} -> train {len(train_set)} / test {len(test_set)}")
@@ -147,7 +154,8 @@ def _attack_model(args, from_gan, from_oracle):
 
 def cmd_attack_wb(args) -> int:
     def from_oracle(text, train_set):
-        spec = _parse_oracle(text, "attack wb --oracle", ("margin", "tau"))
+        bounds = {"margin": (-math.inf, math.inf), "tau": (0, math.inf)}
+        spec = _parse_oracle(text, "attack wb --oracle", bounds)
         # a bad seed is a usage error, found before any scoring
         check_config_block({"seed": args.seed}, "attack wb", {"seed": int})
         oracle = OracleDiscriminator(
@@ -174,7 +182,7 @@ def cmd_attack_mc(args) -> int:
     ), "attack mc")
 
     def from_oracle(text, train_set):
-        spec = _parse_oracle(text, "attack mc --oracle", ("p", "sigma"))
+        spec = _parse_oracle(text, "attack mc --oracle", {"p": (0, 1), "sigma": (0, 1)})
         oracle = OracleGenerator(
             memorization_rate=spec["p"],
             flip_noise=spec["sigma"],

@@ -5,6 +5,10 @@ report, and a manifest recording every seed and format version, so identical
 configs reproduce identical bytes on the same platform and BLAS thread
 count, which the manifest records.  Every file is written to a temp file and
 moved into place, so a crash leaves the earlier file or the whole new one.
+The manifest is written when each stage starts, so it is on disk from the
+first stage on; a stage still marked "running" in it was interrupted (the
+process was killed, or stopped by Ctrl-C), and ``force`` replaces such a
+run like any other.
 
 ``whitebox_row`` and ``mc_row`` are the only code that turns a model into a
 table row, which they return as its CSV line; the experiment and ``rollmia
@@ -63,6 +67,7 @@ import os
 import platform
 import re
 import shutil
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Callable
@@ -453,6 +458,10 @@ def check_batch_size(config: TrainConfig, records: int) -> None:
 def run_experiment(config: ExperimentConfig, force: bool = False) -> dict:
     """Run the full pipeline and return the manifest dict.
 
+    Each of the five stages runs as one ``stage(name)`` block.  The manifest
+    is on disk from the first stage on, with each stage marked "running"
+    when it starts and "ok" when it completes, so a run that was killed or
+    interrupted leaves a manifest whose last stage is still "running".
     Partial outputs plus a manifest naming the failed stage are left behind
     when a stage raises; the exception propagates to the caller.  When
     training diverges, the manifest's ``last_good_iteration`` names the last
@@ -513,31 +522,38 @@ def run_experiment(config: ExperimentConfig, force: bool = False) -> dict:
         "outputs": [],
     }
 
-    def finish_stage(name: str) -> None:
+    @contextmanager
+    def stage(name: str):
+        """Record the block as stage ``name``: "running" on disk while it
+        runs, then "ok"; an exception marks it "failed", names it and its
+        error in the manifest, writes the manifest and propagates."""
+        manifest["stages"][name] = "running"
+        _write_manifest(out, manifest)
+        try:
+            yield
+        except Exception as exc:
+            manifest["stages"][name] = "failed"
+            manifest["failed_stage"] = name
+            manifest["error"] = str(exc)
+            if isinstance(exc, DivergenceError):
+                last = exc.last_checkpoint
+                manifest["last_good_iteration"] = None if last is None else last.iteration
+            _write_manifest(out, manifest)
+            raise
         manifest["stages"][name] = "ok"
 
-    def fail(name: str, exc: Exception) -> None:
-        manifest["stages"][name] = "failed"
-        manifest["failed_stage"] = name
-        manifest["error"] = str(exc)
-        if isinstance(exc, DivergenceError):
-            last = exc.last_checkpoint
-            manifest["last_good_iteration"] = None if last is None else last.iteration
-        _write_manifest(out, manifest)
-
-    try:
-        stage = "dataset"
-        synthetic = config.dataset.synthetic
+    synthetic = config.dataset.synthetic
+    with stage("dataset"):
         if synthetic is not None:
             dataset = synth_generate(synthetic.seed, synthetic.count, synthetic.shape, synthetic.style)
             write_dataset(dataset, out / "dataset.prd", style=synthetic.style)
             manifest["outputs"].append("dataset.prd")
         else:
             dataset = read_dataset(config.dataset.path)
-        finish_stage(stage)
 
-        stage = "split"
-        train_set, test_set = split(dataset, config.split)
+    with stage("split"):
+        with naming_block("split"):
+            train_set, test_set = split(dataset, config.split)
         # a batch or an MC subset larger than its side fails here, not in or after training
         check_batch_size(config.train, len(train_set))
         mc_plans: list[McPlan] = []
@@ -548,9 +564,8 @@ def run_experiment(config: ExperimentConfig, force: bool = False) -> dict:
         write_dataset(test_set, out / "test.prd")
         manifest["outputs"] += ["train.prd", "test.prd"]
         del dataset  # the splits are copies and nothing after reads the full set
-        finish_stage(stage)
 
-        stage = "train"
+    with stage("train"):
         ckpt_dir = out / "checkpoints"
         ckpt_dir.mkdir(exist_ok=True)
         ckpt_paths: list[Path] = []
@@ -561,9 +576,8 @@ def run_experiment(config: ExperimentConfig, force: bool = False) -> dict:
 
         train(train_set, config.train, checkpoint_sink=sink)
         manifest["outputs"].append("checkpoints/")
-        finish_stage(stage)
 
-        stage = "attacks"
+    with stage("attacks"):
         wb_lines: list[str] = []
         mc_lines: list[str] = []
         # each model is read back from its file, so the experiment attacks
@@ -577,12 +591,11 @@ def run_experiment(config: ExperimentConfig, force: bool = False) -> dict:
             sampler = checkpoint_sampler(ckpt.gan)
             for plan in mc_plans:
                 mc_lines.append(mc_row(sampler, ckpt.iteration, plan))
-        finish_stage(stage)
 
-        stage = "reports"
+    with stage("reports"):
         provenance = {
-            "label": config.label,
-            "config_hash": config_hash(config),
+            "label": manifest["label"],
+            "config_hash": manifest["config_hash"],
             "dataset_seed": synthetic.seed if synthetic is not None else str(config.dataset.path),
             "split_seed": config.split.seed,
             "train_seed": config.train.seed,
@@ -591,10 +604,6 @@ def run_experiment(config: ExperimentConfig, force: bool = False) -> dict:
             out, provenance, {"wb_metrics.csv": wb_lines, "mc_metrics.csv": mc_lines}
         )
         manifest["outputs"] += [p.name for p in written]
-        finish_stage(stage)
-    except Exception as exc:
-        fail(stage, exc)
-        raise
 
     _write_manifest(out, manifest)
     return manifest

@@ -591,15 +591,14 @@ def synth_sampler(shape: PianorollShape):
 def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     """Uniform random partition into (train, test); ids keep their provenance.
 
-    Train size is floor(train_fraction * n); indices are selected by a seeded
-    permutation and kept in ascending order on both sides.
+    Train size is floor(train_fraction * n), and a split that leaves a side
+    empty is refused, naming the fraction and n; indices are selected by a
+    seeded permutation and kept in ascending order on both sides.
     """
     n = len(dataset)
-    if n < 2:
-        raise ConfigError("dataset must have at least 2 rolls to split")
     train_size = spec.train_size(n)
     if not 0 < train_size < n:
-        raise ConfigError("degenerate split")
+        raise ConfigError(f"train_fraction {spec.train_fraction} leaves a side of the {n} records empty")
     rng = np.random.default_rng(spec.seed)
     perm = rng.permutation(n)
 

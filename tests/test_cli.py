@@ -257,7 +257,7 @@ def test_exit_code_config_error(tmp_path, cli_workspace, capsys):
         ["split", "--in", data, "--fraction", 0.001, "--seed", 1,
          "--train", tmp_path / "a.prd", "--test", tmp_path / "b.prd"]
     )
-    assert code == 2  # degenerate split
+    assert code == 2  # a split that leaves a side empty
     code = run(
         ["attack", "wb", "--oracle", "margin=1", "--train", train, "--test", test,
          "--out", tmp_path / "o.csv"]
@@ -551,6 +551,9 @@ def test_unknown_config_key_exits_2_before_any_output(tmp_path, capsys, key_path
          "dataset.synthetic pitches must be >= 12 to hold every pitch class"),
         (("dataset", "synthetic", "style", "rhythm_period"), 0,
          "dataset.synthetic.style rhythm_period must be >= 1"),
+        (("dataset", "synthetic", "style", "ornament_prob"), 1.5,
+         "dataset.synthetic.style ornament_prob must be in [0, 1]"),
+        (("attacks", "mc", 0), 5, "attacks.mc[0] must be an object, got 5"),
         (("attacks", "mc", 0, "n_per_query"), 999, "attacks.mc[0] n_per_query cannot exceed stash_size"),
         (("attacks", "mc", 0, "heuristic"), "p:2", "attacks.mc[0] percentile heuristic needs q in (0, 1)"),
         # integers past int64, which numpy would refuse only as array sizes
@@ -597,11 +600,43 @@ def test_batch_larger_than_the_train_side_exits_2_before_training(tmp_path, caps
     assert sorted(p.name for p in out.iterdir()) == ["dataset.prd", "dataset.prd.meta.json", "manifest.json"]
 
 
+def test_split_of_one_roll_exits_2_before_any_output(tmp_path, capsys):
+    data = tmp_path / "one.prd"
+    assert run(["dataset", "gen", "--out", data, "--count", 1, "--tracks", 1, "--bars", 1, "--steps", 4,
+                "--pitches", 12, "--seed", 3]) == 0
+    capsys.readouterr()
+    assert run(["split", "--in", data, "--fraction", 0.5, "--seed", 1,
+                "--train", tmp_path / "a.prd", "--test", tmp_path / "b.prd"]) == 2
+    message = "split train_fraction 0.5 leaves a side of the 1 records empty"
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["one.prd", "one.prd.meta.json"]
+
+
+def test_split_stage_names_a_dataset_file_it_leaves_a_side_of_empty(tmp_path, capsys):
+    data = tmp_path / "ten.prd"
+    assert run(["dataset", "gen", "--out", data, "--count", 10, "--tracks", 1, "--bars", 1, "--steps", 4,
+                "--pitches", 12, "--seed", 3]) == 0
+    config = json.loads((Path(__file__).resolve().parents[1] / "configs" / "default.json").read_text())
+    out = tmp_path / "run"
+    config.update(dataset={"path": str(data)}, split={"train_fraction": 0.05, "seed": 1}, label="custom",
+                  output_dir=str(out))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert run(["experiment", "run", "--config", path]) == 2
+    message = "split train_fraction 0.05 leaves a side of the 10 records empty"
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["stages"] == {"dataset": "ok", "split": "failed"}
+    assert (manifest["failed_stage"], manifest["error"]) == ("split", message)
+
+
 def test_attack_mc_flag_out_of_range_exits_2(cli_workspace, tmp_path, capsys):
     _, _, train, test = cli_workspace
     for flag, value, message in (
         ("--trials", 0, "attack mc trials must be >= 1"),
         ("--heuristic", "p:2", "attack mc percentile heuristic needs q in (0, 1)"),
+        ("--heuristic", "p:abc", "attack mc bad percentile in 'p:abc'"),
     ):
         flags = {"--stash": 20, "--n": 5, "--subset": 2, "--trials": 1, "--seed": 1, flag: value}
         capsys.readouterr()
@@ -750,6 +785,7 @@ def _flag_argv(verb, flag, value, data, train, test, out):
     [
         ("split", "--fraction", 1.5, "split train_fraction must be in (0, 1)"),
         ("split", "--seed", -2, "split seed must be a non-negative integer, got -2"),
+        ("split", "--fraction", 0.01, "split train_fraction 0.01 leaves a side of the 60 records empty"),
         ("dataset gen", "--pitches", 8, "dataset gen pitches must be >= 12 to hold every pitch class"),
         ("dataset gen", "--tracks", 0, "dataset gen tracks must be >= 1"),
         ("dataset gen", "--seed", -1, "dataset gen seed must be a non-negative integer, got -1"),
@@ -778,6 +814,10 @@ def test_flag_refusal_names_its_verb(cli_workspace, tmp_path, capsys, verb, flag
         ("wb", "margin=1", "attack wb --oracle is missing 'tau'"),
         ("mc", "p=nan,sigma=0", "attack mc --oracle p must be a finite real number, got nan"),
         ("mc", "sigma=0", "attack mc --oracle is missing 'p'"),
+        # values the oracle could not use
+        ("wb", "margin=1,tau=-1", "attack wb --oracle tau must be >= 0, got -1.0"),
+        ("mc", "p=2,sigma=0", "attack mc --oracle p must be in [0, 1], got 2.0"),
+        ("mc", "p=0.5,sigma=-0.1", "attack mc --oracle sigma must be in [0, 1], got -0.1"),
     ],
 )
 def test_oracle_spec_is_checked_as_a_block(cli_workspace, tmp_path, capsys, verb, spec, message):

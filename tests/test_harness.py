@@ -25,7 +25,7 @@ from rollmia import (
     synth_generate,
     write_dataset,
 )
-from rollmia import pianoroll
+from rollmia import harness, pianoroll
 from rollmia.cli import main as cli_main
 from rollmia.harness import (
     DatasetFile,
@@ -404,6 +404,27 @@ def test_rerun_with_force_is_byte_identical(finished_run):
     assert before.keys() == after.keys()
     for name in before:
         assert before[name] == after[name], name
+
+
+def test_interrupted_run_leaves_a_manifest_and_force_replaces_it(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    config = parse_experiment_config(tiny_config_dict(out))
+    run_experiment(config)
+    before = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt  # Ctrl-C; not an Exception, so no stage is marked failed
+
+    monkeypatch.setattr(harness, "train", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(config, force=True)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["stages"] == {"dataset": "ok", "split": "ok", "train": "running"}
+    assert "failed_stage" not in manifest
+    monkeypatch.undo()
+    run_experiment(config, force=True)
+    after = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    assert after == before
 
 
 def test_force_refuses_a_directory_without_manifest(tmp_path):

@@ -285,7 +285,7 @@ def test_split_deterministic(desk_shape):
 
 def test_split_degenerate(desk_shape):
     ds = synth_generate(1, 4, desk_shape)
-    with pytest.raises(ConfigError, match="degenerate split"):
+    with pytest.raises(ConfigError, match=r"^train_fraction 0\.1 leaves a side of the 4 records empty$"):
         split(ds, SplitSpec(0.1, 0))
     with pytest.raises(ConfigError):
         SplitSpec(0.0, 0)
@@ -474,6 +474,9 @@ def test_dataset_invariants(desk_shape):
     other = PianorollShape(1, 1, 16, 24)
     with pytest.raises(ConfigError, match="share"):
         Dataset(desk_shape, [roll, make_roll(other)], [0, 1])
+    # rolls that share one shape, but not the dataset's
+    with pytest.raises(ConfigError, match="share"):
+        Dataset(desk_shape, [make_roll(other)] * 2, [0, 1])
 
 
 def test_pianoroll_must_be_binary(desk_shape):
