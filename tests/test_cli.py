@@ -551,9 +551,6 @@ def test_unknown_config_key_exits_2_before_any_output(tmp_path, capsys, key_path
          "dataset.synthetic pitches must be >= 12 to hold every pitch class"),
         (("dataset", "synthetic", "style", "rhythm_period"), 0,
          "dataset.synthetic.style rhythm_period must be >= 1"),
-        (("dataset", "synthetic", "style", "ornament_prob"), 1.5,
-         "dataset.synthetic.style ornament_prob must be in [0, 1]"),
-        (("attacks", "mc", 0), 5, "attacks.mc[0] must be an object, got 5"),
         (("attacks", "mc", 0, "n_per_query"), 999, "attacks.mc[0] n_per_query cannot exceed stash_size"),
         (("attacks", "mc", 0, "heuristic"), "p:2", "attacks.mc[0] percentile heuristic needs q in (0, 1)"),
         # integers past int64, which numpy would refuse only as array sizes
@@ -568,6 +565,10 @@ def test_unknown_config_key_exits_2_before_any_output(tmp_path, capsys, key_path
          "train latent_dim must be an integer in the int64 range, got 100000000000000000000"),
         (("attacks", "mc", 0, "stash_size"), 10**20,
          "attacks.mc[0] stash_size must be an integer in the int64 range, got 100000000000000000000"),
+        # more values of the right type that the run could not use
+        (("dataset", "synthetic", "style", "ornament_prob"), 1.5,
+         "dataset.synthetic.style ornament_prob must be in [0, 1]"),
+        (("attacks", "mc", 0), 5, "attacks.mc[0] must be an object, got 5"),
     ],
 )
 def test_mistyped_config_value_exits_2_before_any_output(tmp_path, capsys, key_path, value, message):
