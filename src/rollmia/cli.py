@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 configuration/validation error, 3 data/format error,
-4 training divergence or a white-box scorer that raises.
+Exit codes: 0 success, 2 configuration/validation error, or a size set by a
+flag or config key too large to allocate, 3 data/format error, 4 training
+divergence or a white-box scorer that raises.
 
 ``attack wb`` and ``attack mc`` compute their CSV line with the experiment's
 own row functions, so a checkpoint gives the same line from either entry
@@ -317,6 +318,9 @@ def main(argv=None) -> int:
         return 3
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

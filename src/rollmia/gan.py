@@ -291,18 +291,22 @@ def train(
     last_good: Checkpoint | None = None
 
     for it in range(1, config.iterations + 1):
+        # train checks the gradient, the losses and the checkpoint weights
+        # itself, so numpy need not warn of the overflow that comes first;
+        # the checkpoint sink runs outside, with numpy's own settings
         try:
-            for _ in range(config.d_steps_per_g_step):
-                real_idx = rng.choice(n, size=batch, replace=False)
-                z_batch = rng.standard_normal((batch, config.latent_dim))
-                np.copyto(x[:batch], rolls[real_idx])
-                np.greater(_generator_logits(gan, z_batch)[0], 0.0, out=x[batch:])
-                d_loss = _disc_step(gan, x, targets, grads)
-                nn.adam_step(gan.d_params, grads.d_params, d_state, scratch)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(config.d_steps_per_g_step):
+                    real_idx = rng.choice(n, size=batch, replace=False)
+                    z_batch = rng.standard_normal((batch, config.latent_dim))
+                    np.copyto(x[:batch], rolls[real_idx])
+                    np.greater(_generator_logits(gan, z_batch)[0], 0.0, out=x[batch:])
+                    d_loss = _disc_step(gan, x, targets, grads)
+                    nn.adam_step(gan.d_params, grads.d_params, d_state, scratch)
 
-            z_batch = rng.standard_normal((batch, config.latent_dim))
-            g_loss = _gen_step(gan, z_batch, grads)
-            nn.adam_step(gan.g_params, grads.g_params, g_state, scratch)
+                z_batch = rng.standard_normal((batch, config.latent_dim))
+                g_loss = _gen_step(gan, z_batch, grads)
+                nn.adam_step(gan.g_params, grads.g_params, g_state, scratch)
         except DivergenceError as exc:
             raise DivergenceError(f"{exc} at iteration {it}", last_checkpoint=last_good) from exc
 

@@ -41,9 +41,14 @@ bit for bit; a regrouped sum would not.
 A distance metric's name, "euclidean" or "tonal", is also its label in
 configs, ``attack mc --metric`` and the MC table.
 
-Candidate i of a trial draws the stream that ``default_rng`` gives on the
-trial's i-th candidate SeedSequence child; one ``pianoroll.seeded_generators``
-pass derives the streams of all 2M candidates.
+Candidate i of a trial draws its n stash rows as ``choice(stash_size, n,
+replace=False)`` of the Generator that ``default_rng`` gives on the trial's
+i-th candidate SeedSequence child.  A plan hashes the seeds of all its
+candidates in ``pianoroll.seed_states`` passes over one entropy matrix.
+Up to BATCH_MAX_DRAWS draws from a stash of at most FLOYD_MAX_STASH rows,
+it replays numpy's draws for blocks of candidates at once from each one's n
+raw PCG64 words (``_floyd_rows``), as ``pianoroll.synth_generate`` replays
+its rolls; larger draws call ``choice`` per candidate (``_choice_rows``).
 """
 
 from __future__ import annotations
@@ -58,9 +63,10 @@ from .errors import ConfigError
 from .pianoroll import (
     Dataset,
     PianorollShape,
+    _bounded_draws,
+    _SeedState,
     entropy_words,
-    indexed_entropy,
-    seeded_generators,
+    seed_states,
 )
 
 EUCLIDEAN = "euclidean"
@@ -260,13 +266,114 @@ def _squared_euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stash_draws(stash_size: int, n: int, entropy: np.ndarray) -> np.ndarray:
+# Stash draws: n of stash_size rows per candidate, as ``choice(stash_size, n,
+# replace=False)`` draws them.  The largest n drawn in batches: per plan of
+# 600 candidates the batched replay was level with per-candidate calls at
+# n = 128 and 1.7x slower at n = 256 (see ``_stash_draws``).
+BATCH_MAX_DRAWS = 128
+# numpy's choice runs Floyd's algorithm, which ``_floyd_rows`` replays, on a
+# population up to this size (and on larger ones only for few draws)
+FLOYD_MAX_STASH = 10000
+# scratch bytes of one block of batched rows: about 72 a draw (its raw word,
+# its two uint32 halves widened to uint64 and ``_bounded_draws``' products)
+# and one a stash row (the block's taken flags); a block holds at least a row
+DRAW_BLOCK = 1 << 20
+
+
+def _choice_rows(stash_size: int, states: np.ndarray, out: np.ndarray) -> None:
+    """Write ``choice(stash_size, n, replace=False)`` into each row of the
+    (k, n) ``out``, row r drawn by a PCG64 seeded with the ``seed_states``
+    row ``states[r]``."""
+    for row, state in zip(out, states):
+        rng = np.random.Generator(np.random.PCG64(_SeedState(state)))
+        row[:] = rng.choice(stash_size, size=len(row), replace=False)
+
+
+def _floyd_rows(stash_size: int, states: np.ndarray, out: np.ndarray) -> None:
+    """``_choice_rows`` for a stash of at most FLOYD_MAX_STASH rows, replayed
+    for all k rows at once from each row's n raw PCG64 words.
+
+    numpy's choice draws by Floyd's algorithm, then shuffles.  Floyd takes,
+    for j from S - n to S - 1 (S = stash_size), v = integers(j + 1), or j
+    when v is already taken; j = 0 draws nothing.  The shuffle swaps
+    position i with integers(i + 1), for i from n - 1 down to 1.  Each
+    bounded draw takes the row's next uint32 half, low half first, by
+    ``_bounded_draws``, so a row takes at most 2n - 1 halves of its n words.
+    A row with a half that numpy would reject, drawing another, is drawn
+    again by ``_choice_rows``.  The steps run on (draw, row) arrays, one
+    contiguous row of k entries a step.
+    """
+    k, n = out.shape
+    # a whole stash's first Floyd step has j = 0 and draws nothing
+    first = int(stash_size == n)
+    floyd = np.arange(stash_size - n + first, stash_size)
+    bounds = np.concatenate([floyd + 1, np.arange(n, 1, -1)]).astype(np.uint64)
+    words = np.concatenate(
+        [np.random.PCG64(_SeedState(state)).random_raw(n) for state in states], dtype="<u8"
+    )
+    halves = np.empty((n, 2, k), dtype=np.uint64)
+    halves[...] = words.view("<u4").reshape(k, n, 2).transpose(1, 2, 0)
+    # each temporary goes once used, so the block stays within DRAW_BLOCK
+    del words
+    # bounds as a column: one bound per draw, for every row
+    values, rejected = _bounded_draws(halves.reshape(2 * n, k)[: len(bounds)], bounds[:, None])
+    del halves
+    # draw value v of row r as a flat index v * k + r into a (., k) array
+    index = values.astype(np.intp)
+    index *= k
+    index += np.arange(k)
+
+    # Floyd: taken[v, r] marks v taken in row r, and hit[c] the rows whose
+    # step c took j; j is never taken before its step, so taken[j] = hit[c]
+    taken = np.zeros((stash_size, k), dtype=bool)
+    taken[:first] = True
+    hit = np.zeros((n, k), dtype=bool)
+    flags = taken.reshape(-1)
+    for c, (j, step) in enumerate(zip(floyd, index), start=first):
+        hit[c] = flags[step]
+        taken[j] = hit[c]
+        flags[step] = True
+    drawn = np.zeros((n, k), dtype=np.intp)
+    drawn[first:] = np.where(hit[first:], floyd[:, None], values[: n - first])
+
+    flat = drawn.reshape(-1)
+    for i, swap in zip(range(n - 1, 0, -1), index[n - first :]):
+        other = flat[swap]
+        flat[swap] = drawn[i]
+        drawn[i] = other
+    out[...] = drawn.T
+    for r in np.flatnonzero(rejected.any(axis=0)):
+        _choice_rows(stash_size, states[r : r + 1], out[r : r + 1])
+
+
+def _stash_draws(
+    stash_size: int, n: int, entropy: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """(k, n) stash indices, row r drawn without replacement by the Generator
-    that ``default_rng`` gives on the assembled entropy words ``entropy[r]``."""
-    drawn = np.empty((len(entropy), n), dtype=np.int64)
-    for row, rng in zip(drawn, seeded_generators(entropy)):
-        row[:] = rng.choice(stash_size, size=n, replace=False)
-    return drawn
+    that ``default_rng`` gives on the assembled entropy words ``entropy[r]``,
+    written into ``out``: by default a new array of the smallest unsigned
+    type that holds an index.
+
+    Up to BATCH_MAX_DRAWS draws from at most FLOYD_MAX_STASH rows, blocks of
+    rows are seeded (``seed_states``) and drawn by ``_floyd_rows``, each
+    block within DRAW_BLOCK bytes of scratch; otherwise every row is seeded
+    in one pass and drawn by its own ``choice`` call (``_choice_rows``).
+    A ``choice`` call costs about 12 us a row, mostly numpy's per-call work;
+    the replay costs a PCG64 a row and a few numpy operations per draw and
+    block, so it wins on many rows of few draws and loses on long rows.
+    Per plan (2 vCPUs, numpy 2.4.6), per-row against batched: 600 rows of
+    n = 64 took 7.8 against 4.5 ms, of n = 128 about the same, of n = 256
+    9.4 against 15.5 ms; 1200 rows of n = 500 took 21.7 against 67.7 ms.
+    """
+    if out is None:
+        out = np.empty((len(entropy), n), dtype=np.min_scalar_type(stash_size - 1))
+    if n > BATCH_MAX_DRAWS or stash_size > FLOYD_MAX_STASH:
+        _choice_rows(stash_size, seed_states(entropy), out)
+        return out
+    block = max(1, DRAW_BLOCK // (72 * n + stash_size))
+    for start in range(0, len(out), block):
+        _floyd_rows(stash_size, seed_states(entropy[start : start + block]), out[start : start + block])
+    return out
 
 
 # float64 elements in each of the tonal kernel's two block buffers (512 KB
@@ -362,13 +469,22 @@ def plan_mc_trials(train_rolls: Dataset, test_rolls: Dataset, config: McConfig) 
     # the smallest unsigned type that holds a stash index: 1 or 2 bytes a
     # draw in place of 8, as the plan holds every trial's draws at once
     drawn = np.empty((trials, 2 * m, config.n_per_query), dtype=np.min_scalar_type(stash_size - 1))
+    roots = []
     for t, trial_ss in enumerate(np.random.SeedSequence(config.seed).spawn(trials)):
         record_ss, candidate_root = trial_ss.spawn(2)
         rng = np.random.default_rng(record_ss)
         train_idx[t] = rng.choice(len(train_rolls), size=m, replace=False)
         test_idx[t] = rng.choice(len(test_rolls), size=m, replace=False)
-        entropy = indexed_entropy(entropy_words(candidate_root.entropy, candidate_root.spawn_key), 2 * m)
-        drawn[t] = _stash_draws(stash_size, config.n_per_query, entropy)
+        roots.append(entropy_words(candidate_root.entropy, candidate_root.spawn_key))
+    # candidate i of trial t hashes its root's words, then i; every root has
+    # as many words, its trial number being one
+    entropy = np.empty((trials, 2 * m, len(roots[0]) + 1), dtype=np.uint32)
+    entropy[..., :-1] = np.array(roots, dtype=np.uint32)[:, None]
+    entropy[..., -1] = np.arange(2 * m)
+    _stash_draws(
+        stash_size, config.n_per_query, entropy.reshape(trials * 2 * m, -1),
+        drawn.reshape(trials * 2 * m, -1),
+    )
     ids = np.concatenate([train_rolls.ids[train_idx], test_rolls.ids[test_idx]], axis=1)
     return McPlan(config, train_rolls, test_rolls, train_idx, test_idx, ids, drawn)
 

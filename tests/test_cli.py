@@ -316,11 +316,67 @@ def test_exit_code_divergence(cli_workspace, tmp_path):
             }
         )
     )
-    import warnings
+    assert run(["train", "--config", config, "--out-dir", tmp_path / "ck"]) == 4
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert run(["train", "--config", config, "--out-dir", tmp_path / "ck"]) == 4
+
+@pytest.mark.parametrize("lr, iteration", [(1e110, 2), (1e280, 1)])
+def test_divergence_prints_its_error_line_and_no_numpy_warning(tmp_path, lr, iteration):
+    # in a fresh interpreter, where numpy's RuntimeWarnings would print to stderr
+    data = json.loads((Path(__file__).resolve().parents[1] / "configs" / "default.json").read_text())
+    data["train"].update(lr=lr, iterations=200, checkpoint_every=50)
+    data["output_dir"] = str(tmp_path / "run")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    src = Path(rollmia.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "rollmia", "experiment", "run", "--config", str(config)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (
+        4, f"error: divergence: non-finite gradient at iteration {iteration}\n"
+    )
+
+
+# sizes no machine can allocate, so the refusals take no real memory
+UNALLOCATABLE = 10**15
+
+
+def test_attack_mc_trials_too_many_to_allocate_exits_2(cli_workspace, tmp_path, capsys):
+    _, _, train, test = cli_workspace
+    capsys.readouterr()
+    assert run(["attack", "mc", "--oracle", "p=1,sigma=0", "--train", train, "--test", test,
+                "--stash", 20, "--n", 5, "--subset", 2, "--trials", UNALLOCATABLE, "--seed", 1,
+                "--out", tmp_path / "mc.csv"]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: Unable to allocate ")
+    assert not (tmp_path / "mc.csv").exists()
+
+
+def test_dataset_count_too_large_to_allocate_exits_2(tmp_path, capsys):
+    capsys.readouterr()
+    assert run(["dataset", "gen", "--out", tmp_path / "data.prd", "--count", UNALLOCATABLE,
+                "--tracks", 2, "--bars", 1, "--steps", 8, "--pitches", 12, "--seed", 5]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: Unable to allocate ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_experiment_mc_trials_too_many_to_allocate_exits_2_in_the_split_stage(tmp_path, capsys):
+    data = json.loads((Path(__file__).resolve().parents[1] / "configs" / "default.json").read_text())
+    data["dataset"]["synthetic"]["count"] = 100
+    data["attacks"]["mc"][0].update(subset_size=20, trials=UNALLOCATABLE)
+    out = tmp_path / "run"
+    data["output_dir"] = str(out)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(["experiment", "run", "--config", config]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: Unable to allocate ")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failed_stage"] == "split"
+    assert manifest["stages"] == {"dataset": "ok", "split": "failed"}
 
 
 def test_exit_code_scorer_failure(cli_workspace, tmp_path, monkeypatch, capsys):

@@ -181,7 +181,6 @@ def test_d_score_blocks_match_one_row_scores(tiny_train_set):
     )
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_carries_last_checkpoint(tiny_train_set):
     config = TrainConfig(
         iterations=40, batch_size=8, latent_dim=4, lr=1e280, seed=1, checkpoint_every=10
@@ -379,9 +378,8 @@ def test_weights_that_overflow_after_the_loss_never_reach_the_sink(tiny_train_se
     # at this lr the first generator update overflows after both losses were taken
     config = TrainConfig(iterations=20, batch_size=8, latent_dim=4, lr=1e110, seed=1, checkpoint_every=1)
     sunk = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DivergenceError, match="^divergence: non-finite weights at iteration 1$") as excinfo:
-            train(tiny_train_set, config, checkpoint_sink=sunk.append)
+    with pytest.raises(DivergenceError, match="^divergence: non-finite weights at iteration 1$") as excinfo:
+        train(tiny_train_set, config, checkpoint_sink=sunk.append)
     assert sunk == [] and excinfo.value.last_checkpoint is None
 
 

@@ -348,8 +348,8 @@ def test_mc_stash_draws_are_made_once_per_run(tmp_path, monkeypatch):
     run_experiment(parse_experiment_config(data))
     mc_rows = (tmp_path / "run" / "mc_metrics.csv").read_text().splitlines()[1:]
     assert [r.split(",")[0] for r in mc_rows] == ["10", "10", "20", "20", "30", "30"]
-    # one draw per trial of each config, not one per trial and checkpoint
-    assert len(calls) == 2 + 3
+    # one draw per MC config, not one per trial or checkpoint
+    assert len(calls) == 2
 
 
 def test_percentile_heuristics_that_pick_different_epsilons_hash_apart():

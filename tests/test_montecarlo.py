@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from rollmia.montecarlo import (
     _stash_draws,
     roll_features,
 )
+from rollmia.pianoroll import entropy_words, indexed_entropy
 
 from conftest import make_roll
 from reference import (
@@ -571,25 +573,86 @@ def test_results_compare_by_identity():
 
 
 @pytest.mark.parametrize("seed", [11, 2**32 + 5, 2**128 + 3])
-def test_run_mc_trials_draws_match_per_candidate_reference(small_population, monkeypatch, seed):
+def test_run_mc_trials_draws_match_per_candidate_reference(small_population, seed):
+    train, test = id_blocks(small_population, 30, 30)
+    config = mc_config(stash_size=50, n_per_query=20, subset_size=12, trials=3, seed=seed)
+    plan = plan_mc_trials(train, test, config)
+    expected = candidate_draws(seed, trials=3, m=12, stash_size=50, n=20)
+    assert np.array_equal(plan.drawn, np.stack(expected))
+
+
+# (stash size, draws): Floyd with and without collisions, one draw, a whole
+# stash (whose first Floyd step draws nothing), and one draw short of it
+DRAW_CASES = [(256, 64), (50, 20), (1000, 500), (10, 10), (5, 1), (1, 1), (300, 299), (300, 300)]
+
+
+def choice_reference(seed, count: int, stash_size: int, n: int) -> np.ndarray:
+    """Row i: ``choice(stash_size, n, replace=False)`` of the Generator that
+    ``default_rng`` gives on ``SeedSequence((seed, i))``."""
+    return np.stack([
+        np.random.default_rng(np.random.SeedSequence((seed, i))).choice(stash_size, size=n, replace=False)
+        for i in range(count)
+    ])
+
+
+@pytest.mark.parametrize("seed", [11, 2**32 + 5, 2**128 + 3])
+def test_batched_stash_draws_match_per_row_choice(monkeypatch, seed):
     from rollmia import montecarlo
 
-    train, test = id_blocks(small_population, 30, 30)
-    stash = build_stash(synth_sampler(small_population.shape), 50, seed=3)
-    config = mc_config(stash_size=50, n_per_query=20, subset_size=12, trials=3, seed=seed)
-    draws = []
-    real_draws = montecarlo._stash_draws
+    blocks = []
+    real_rows = montecarlo._floyd_rows
 
-    def recording(stash_size, n, entropy):
-        draws.append(real_draws(stash_size, n, entropy))
-        return draws[-1]
+    def recorded_rows(stash_size, states, out):
+        blocks.append(len(out))
+        real_rows(stash_size, states, out)
 
-    monkeypatch.setattr(montecarlo, "_stash_draws", recording)
-    run_mc_trials(train, test, stash, config)
-    expected = candidate_draws(seed, trials=3, m=12, stash_size=50, n=20)
-    assert len(draws) == 3
-    for got, want in zip(draws, expected):
-        assert np.array_equal(got, want)
+    monkeypatch.setattr(montecarlo, "_floyd_rows", recorded_rows)
+    # every case batched, in blocks of 16 rows: 40 rows end on a ragged block
+    monkeypatch.setattr(montecarlo, "BATCH_MAX_DRAWS", 10**9)
+    for stash_size, n in DRAW_CASES:
+        monkeypatch.setattr(montecarlo, "DRAW_BLOCK", 16 * (72 * n + stash_size))
+        blocks.clear()
+        entropy = indexed_entropy(entropy_words(seed), 40)
+        drawn = _stash_draws(stash_size, n, entropy)
+        assert drawn.dtype == np.min_scalar_type(stash_size - 1)
+        assert np.array_equal(drawn, choice_reference(seed, 40, stash_size, n)), (stash_size, n)
+        assert blocks == [16, 16, 8]
+
+
+def test_rows_with_a_rejected_half_are_redrawn_by_choice(monkeypatch):
+    from rollmia import montecarlo
+
+    real_draws = montecarlo._bounded_draws
+
+    def reject_some(halves, bounds):
+        values, rejected = real_draws(halves, bounds)
+        # rows run along the last axis; zeroed values draw wrong rows unless redrawn
+        values[:, ::3] = 0
+        rejected[:, ::3] = True
+        return values, rejected
+
+    monkeypatch.setattr(montecarlo, "_bounded_draws", reject_some)
+    monkeypatch.setattr(montecarlo, "BATCH_MAX_DRAWS", 10**9)
+    for stash_size, n in [(256, 64), (300, 300), (5, 1)]:
+        entropy = indexed_entropy(entropy_words(17), 10)
+        assert np.array_equal(_stash_draws(stash_size, n, entropy), choice_reference(17, 10, stash_size, n))
+
+
+@pytest.mark.parametrize("trials, n, stash_size", [(50, 64, 256), (6, 500, 1000)])
+def test_plan_memory_is_the_plan_and_a_bounded_block(small_population, trials, n, stash_size):
+    train, test = id_blocks(small_population, 120, 120)
+    config = mc_config(stash_size=stash_size, n_per_query=n, subset_size=100, trials=trials, seed=5)
+    # first-call set-up outside the trace
+    plan_mc_trials(train, test, mc_config(stash_size=stash_size, n_per_query=n, subset_size=100))
+    tracemalloc.start()
+    try:
+        plan = plan_mc_trials(train, test, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    plan_bytes = sum(a.nbytes for a in (plan.train_idx, plan.test_idx, plan.ids, plan.drawn))
+    # the draws of 10000 or 1200 candidates as int64 would take about 5 MB
+    assert peak < plan_bytes + 1.25 * 2**20
 
 
 @pytest.mark.parametrize("metric, heuristic", [(EUCLIDEAN, "median"), (TONAL, "p:0.1")])
