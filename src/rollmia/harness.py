@@ -34,7 +34,9 @@ For such models ``whitebox.run_whitebox`` and ``montecarlo.build_stash``
 keep their per-row forms, which perfbench's oracle-audit workload calls:
 ``run_whitebox`` wraps a per-candidate scorer into a set scorer for
 ``run_whitebox_sets``, and ``build_stash`` draws from the same stash seeds,
-so there is one attack path and one seed rule.
+so there is one attack path and one seed rule.  Each oracle call builds its
+own Generator by the scalar path (``pianoroll._seeded_generator``), which
+draws what ``default_rng`` draws at about 0.7 of its cost.
 
 Each kind of file a run reads or writes has one definition here, shared
 with ``cli``.  A config file is a tree of frozen dataclasses whose fields

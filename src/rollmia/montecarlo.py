@@ -65,6 +65,7 @@ from .pianoroll import (
     PianorollShape,
     _bounded_draws,
     _SeedState,
+    _state_generator,
     entropy_words,
     seed_states,
 )
@@ -285,8 +286,7 @@ def _choice_rows(stash_size: int, states: np.ndarray, out: np.ndarray) -> None:
     (k, n) ``out``, row r drawn by a PCG64 seeded with the ``seed_states``
     row ``states[r]``."""
     for row, state in zip(out, states):
-        rng = np.random.Generator(np.random.PCG64(_SeedState(state)))
-        row[:] = rng.choice(stash_size, size=len(row), replace=False)
+        row[:] = _state_generator(state).choice(stash_size, size=len(row), replace=False)
 
 
 def _floyd_rows(stash_size: int, states: np.ndarray, out: np.ndarray) -> None:

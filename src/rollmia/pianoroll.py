@@ -11,7 +11,12 @@ Each item of a seeded batch (a synthetic roll here, an MC candidate's stash
 draw, a stash sample's latent row) draws the stream that
 ``np.random.default_rng`` on its own entropy would give; ``seed_states``
 hashes the seeds of the whole batch at once, and ``seeded_generators``
-builds each item's Generator from them.
+builds each item's Generator from them.  A per-record draw (an oracle's
+score or sample, ``synth_sampler``'s roll) gets the same Generator that
+``default_rng`` would from ``_seeded_generator``, which lets numpy's C code
+mix the seed into the SeedSequence pool and hashes the pool on Python ints,
+without numpy's per-call Python wrappers.  Every one of these Generators is
+a PCG64 on a precomputed seed state (``_state_generator``).
 
 ``synth_generate`` writes its rolls in blocks straight from each roll's raw
 PCG64 words, laid out as numpy's own draws would take them: a bounded draw
@@ -283,10 +288,12 @@ class StyleParams:
 
 
 # ---------------------------------------------------------------------------
-# Seeded batches.  The PCG64 seeds of a whole batch are hashed in one
-# vectorized pass that reproduces numpy's SeedSequence bit for bit (NEP 19
-# keeps that algorithm stable), so building an item's Generator costs only
-# PCG64's own seeding.
+# Seeded batches and records.  The PCG64 seeds of a whole batch are hashed
+# in one vectorized pass that reproduces numpy's SeedSequence bit for bit
+# (NEP 19 keeps that algorithm stable), so building an item's Generator costs
+# only PCG64's own seeding.  One record's seed is mixed by SeedSequence's C
+# code and its output hashed on Python ints, which skips numpy's per-call
+# Python work around both.
 # ---------------------------------------------------------------------------
 
 _MASK32 = 0xFFFFFFFF
@@ -310,7 +317,14 @@ def _int_words(entropy) -> list[int]:
         return words
     if isinstance(entropy, (str, bytes, float, np.inexact)) or not hasattr(entropy, "__iter__"):
         raise TypeError(f"seed must be integer, not {entropy!r}")
-    return [word for item in entropy for word in _int_words(item)]
+    words = []
+    for item in entropy:
+        # a one-word int, the common item, costs no call
+        if type(item) is int and 0 <= item <= _MASK32:
+            words.append(item)
+        else:
+            words += _int_words(item)
+    return words
 
 
 def entropy_words(entropy, spawn_key=()) -> list[int]:
@@ -354,6 +368,10 @@ def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
     return out
 
 
+# the constants of generate_state's hash of the pool into 8 output words
+_STATE_CONSTS = _hash_constants(_INIT_B, _MULT_B, 8)
+
+
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     out = x * _MIX_MULT_L
     out -= y * _MIX_MULT_R
@@ -387,7 +405,7 @@ def seed_states(entropy: np.ndarray) -> np.ndarray:
     for src in range(_POOL_SIZE, length):
         pool = _mix(pool, _hashmix(words[src], consts[used : used + _POOL_SIZE + 1]))
         used += _POOL_SIZE
-    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_constants(_INIT_B, _MULT_B, 8))
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_CONSTS)
     low, high = state[0::2].astype(np.uint64), state[1::2].astype(np.uint64)
     return np.ascontiguousarray((low | high << np.uint64(32)).T)
 
@@ -400,9 +418,15 @@ class _SeedState(np.random.bit_generator.ISeedSequence):
         self.state = state
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
+        # PCG64 passes np.uint64 itself, which skips building a dtype
+        if n_words != 4 or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
             raise ValueError("a seed state row holds 4 uint64 words")
         return self.state
+
+
+def _state_generator(state: np.ndarray) -> np.random.Generator:
+    """The Generator on a PCG64 seeded with the ``seed_states`` row ``state``."""
+    return np.random.Generator(np.random.PCG64(_SeedState(state)))
 
 
 def seeded_generators(entropy: np.ndarray):
@@ -410,7 +434,46 @@ def seeded_generators(entropy: np.ndarray):
     words (``entropy_words``), each drawing what ``np.random.default_rng``
     gives on that entropy, yielded one at a time."""
     for state in seed_states(entropy):
-        yield np.random.Generator(np.random.PCG64(_SeedState(state)))
+        yield _state_generator(state)
+
+
+# ``_STATE_CONSTS`` as Python ints, for one seed's hash in ``_seeded_generator``
+_STATE_INTS = _STATE_CONSTS[:, 0].tolist()
+
+
+def _seeded_generator(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)``, bit for bit, for a seed that is a
+    non-negative int or a sequence of them; any other seed raises what
+    ``entropy_words`` raises.
+
+    numpy's C code mixes the seed's words, passed as one uint32 array, into
+    the SeedSequence pool; the pool is hashed here into the words of
+    ``generate_state(4, np.uint64)`` on Python ints, one seed's twin of the
+    last lines of ``seed_states``.  This skips numpy's per-call Python work
+    (an array built per int of the seed, an ``errstate`` wrapper around
+    ``generate_state``), about 30 % of the call.  The 8 steps are
+    written out, as a loop over them costs about 0.5 us more.  The name
+    stays private because perfbench's tracer wraps every public function,
+    which would add a span per record to a traced job.
+    """
+    p0, p1, p2, p3 = np.random.SeedSequence(np.array(_int_words(seed), dtype=np.uint32)).pool.tolist()
+    c0, c1, c2, c3, c4, c5, c6, c7, c8 = _STATE_INTS
+    # output word j hashes pool word j % 4 with constants j and j + 1
+    w0 = (p0 ^ c0) * c1 & _MASK32
+    w1 = (p1 ^ c1) * c2 & _MASK32
+    w2 = (p2 ^ c2) * c3 & _MASK32
+    w3 = (p3 ^ c3) * c4 & _MASK32
+    w4 = (p0 ^ c4) * c5 & _MASK32
+    w5 = (p1 ^ c5) * c6 & _MASK32
+    w6 = (p2 ^ c6) * c7 & _MASK32
+    w7 = (p3 ^ c7) * c8 & _MASK32
+    # uint64 word i is output words 2i (low) and 2i + 1 (high)
+    return _state_generator(np.array([
+        w0 ^ w0 >> 16 | (w1 ^ w1 >> 16) << 32,
+        w2 ^ w2 >> 16 | (w3 ^ w3 >> 16) << 32,
+        w4 ^ w4 >> 16 | (w5 ^ w5 >> 16) << 32,
+        w6 ^ w6 >> 16 | (w7 ^ w7 >> 16) << 32,
+    ], dtype=np.uint64))
 
 
 def _pick_table(shape: PianorollShape) -> np.ndarray:
@@ -535,8 +598,7 @@ def _synth_rolls(states: np.ndarray, shape: PianorollShape, style: StyleParams) 
             flat |= raw[:, head:] <= np.uint64(math.ceil(style.ornament_prob * 2**53) * 2**11 - 1)
 
         for i in np.flatnonzero(rejected.any(axis=1) | whole):
-            rng = np.random.Generator(np.random.PCG64(_SeedState(rows[i])))
-            out[i] = _synth_roll(rng, shape, style, picks)
+            out[i] = _synth_roll(_state_generator(rows[i]), shape, style, picks)
     return rolls
 
 
@@ -576,14 +638,15 @@ def synth_generate(
 def synth_sampler(shape: PianorollShape):
     """Seeded single-roll sampler over the synthetic population; used as the
     population source for oracle generators and one-off draws.  It calls
-    ``_synth_roll`` per seed, which costs less than a one-roll block."""
+    ``_synth_roll`` per seed, which costs less than a one-roll block, on the
+    Generator that ``default_rng(seed)`` gives (``_seeded_generator``)."""
     if shape.pitches < 12:
         raise ConfigError("pitch range too small for pitch classes")
     style = StyleParams()
     picks = _pick_table(shape)
 
     def sample(seed) -> np.ndarray:
-        return _synth_roll(np.random.default_rng(seed), shape, style, picks)
+        return _synth_roll(_seeded_generator(seed), shape, style, picks)
 
     return sample
 

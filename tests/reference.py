@@ -8,9 +8,12 @@ features (which the Gram product and the tonal plane kernel reproduce bit
 for bit) and between two rolls, one candidate's Monte Carlo score, the two Monte Carlo
 accuracies as means of per-trial floats, the white-box ranking as a
 sort of tuples and its confusion counts as id-set algebra, the pitch indices
-of one class, the masked logistic function, the per-tensor Adam update, and
+of one class, the masked logistic function, the per-tensor Adam update,
 the per-item Generators (one ``default_rng`` per synthetic roll, MC
-candidate or latent row) that the seeded batches reproduce.
+candidate or latent row) that the seeded batches reproduce, and the
+per-record oracle forms on ``default_rng`` (a discriminator score, a
+generator draw, a population sample) that the library's own per-record
+Generators reproduce.
 """
 
 import numpy as np
@@ -192,3 +195,33 @@ def candidate_draws(seed, trials: int, m: int, stash_size: int, n: int) -> list[
 def latent_rows(seeds: np.ndarray, latent_dim: int) -> np.ndarray:
     """One latent row per seed, ``default_rng(seed).standard_normal(latent_dim)``."""
     return np.stack([np.random.default_rng(s).standard_normal(latent_dim) for s in seeds.tolist()])
+
+
+def oracle_score_by_default_rng(oracle, record_id: int, seed) -> float:
+    """``gan.oracle_d_score`` with its noise drawn by ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    noise = rng.normal(0.0, oracle.score_noise) if oracle.score_noise > 0.0 else 0.0
+    base = oracle.margin if record_id in oracle.member_ids else 0.0
+    return float(base + noise)
+
+
+def population_sample_by_default_rng(shape: PianorollShape, seed) -> np.ndarray:
+    """``synth_sampler(shape)(seed)``: one default-style roll drawn by
+    ``_synth_roll`` on ``default_rng(seed)``."""
+    return _synth_roll(np.random.default_rng(seed), shape, StyleParams(), _pick_table(shape))
+
+
+def oracle_draw_by_default_rng(oracle, seed) -> np.ndarray:
+    """``gan.oracle_generate`` drawn by ``default_rng(seed)``, for an oracle
+    whose population sampler is ``synth_sampler`` of its training rolls'
+    shape, here ``population_sample_by_default_rng``."""
+    rng = np.random.default_rng(seed)
+    memorize = rng.random() < oracle.memorization_rate
+    pop_seed = int(rng.integers(2**63))
+    if not memorize:
+        return population_sample_by_default_rng(oracle.training_rolls.shape, pop_seed)
+    roll = oracle.training_rolls.rolls[int(rng.integers(len(oracle.training_rolls)))]
+    if oracle.flip_noise > 0.0:
+        flips = rng.random(roll.shape) < oracle.flip_noise
+        return np.where(flips, 1 - roll, roll).astype(np.uint8)
+    return roll.copy()

@@ -29,8 +29,10 @@ from rollmia import (
 )
 from rollmia import nn
 from rollmia.gan import NET_BLOCK
+from rollmia.montecarlo import stash_seeds
 from rollmia.pianoroll import SplitSpec, split
 
+import reference
 from conftest import nan_gradients_from
 
 SHAPE = PianorollShape(2, 1, 8, 12)
@@ -551,3 +553,49 @@ def test_oracle_discriminator_no_margin():
     a = oracle_d_score(oracle, 1, seed=5)
     b = oracle_d_score(oracle, 2, seed=5)
     assert a == b  # same noise stream, no membership signal
+
+
+def _per_record_seeds() -> list:
+    """Stash seeds, which reach past 2**32, and ``(seed, id)`` pairs with a
+    seed past 2**64, as ``attack wb --seed`` can pass."""
+    seeds = stash_seeds(60, 29).tolist()
+    assert max(seeds) >= 2**32
+    return seeds + [(2**64 + 9, rid) for rid in range(30)] + [(5, rid) for rid in range(30)]
+
+
+def test_oracle_forms_match_default_rng_references(oracle_train_set):
+    seeds = _per_record_seeds()
+    for tau in (0.0, 0.1, 1.0):
+        oracle = OracleDiscriminator(1.0, tau, frozenset(range(0, 30, 2)))
+        for i, seed in enumerate(seeds):
+            rid = i % 30
+            expected = reference.oracle_score_by_default_rng(oracle, rid, seed)
+            assert oracle_d_score(oracle, rid, seed) == expected, (tau, seed)
+    for p in (0.0, 0.5, 1.0):
+        for sigma in (0.0, 0.3):
+            oracle = OracleGenerator(p, sigma, oracle_train_set, synth_sampler(SHAPE))
+            for seed in seeds:
+                roll = oracle_generate(oracle, seed)
+                expected = reference.oracle_draw_by_default_rng(oracle, seed)
+                assert roll.dtype == np.uint8 and np.array_equal(roll, expected), (p, sigma, seed)
+    sample = synth_sampler(SHAPE)
+    for seed in seeds:
+        assert np.array_equal(sample(seed), reference.population_sample_by_default_rng(SHAPE, seed)), seed
+
+
+def test_per_record_oracles_build_no_default_rng(monkeypatch, oracle_train_set):
+    """The per-record paths build their Generators without numpy's slower
+    ``default_rng``; a later edit that brings it back fails here."""
+    sample = synth_sampler(SHAPE)
+    memorizing = OracleGenerator(1.0, 0.3, oracle_train_set, sample)
+    population = OracleGenerator(0.0, 0.0, oracle_train_set, sample)
+    disc = OracleDiscriminator(1.0, 0.1, frozenset({1}))
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a per-record path called np.random.default_rng")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    oracle_d_score(disc, 1, (5, 1))
+    oracle_generate(memorizing, 7)
+    oracle_generate(population, 7)
+    sample(11)

@@ -26,6 +26,7 @@ from rollmia.harness import load_experiment_config
 from rollmia.pianoroll import (
     _bounded_draws,
     _pick_table,
+    _seeded_generator,
     check_config_block,
     entropy_words,
     indexed_entropy,
@@ -152,6 +153,27 @@ def test_entropy_words_reject_what_seedsequence_rejects():
     for bad in (1.5, (1.5, 2), "7", None):
         with pytest.raises(TypeError):
             entropy_words(bad)
+
+
+def test_seeded_generator_draws_what_default_rng_draws():
+    rng = np.random.default_rng(29)
+    seeds = [
+        0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**100 + 5,
+        (0, 0), (5, 2**32), (2**40, 3), (),
+        [3, 2**33], (1, 2, 3), np.uint64(7), (np.int64(3), 4), True,
+    ]
+    seeds += [int(s) for s in rng.integers(2**63, size=300)]
+    seeds += [tuple(pair) for pair in rng.integers(2**32, size=(300, 2)).tolist()]
+    for seed in seeds:
+        ours, ref = _seeded_generator(seed), np.random.default_rng(seed)
+        assert np.array_equal(ours.random(4), ref.random(4)), seed
+        assert np.array_equal(ours.normal(size=4), ref.normal(size=4)), seed
+    for bad in (-1, (1, -2), 1.5, "3"):
+        with pytest.raises(Exception) as expected:
+            np.random.default_rng(bad)
+        with pytest.raises(Exception) as raised:
+            _seeded_generator(bad)
+        assert raised.type is expected.type, bad
 
 
 SYNTH_SHAPES = (
