@@ -184,12 +184,14 @@ def cmd_attack_mc(args) -> int:
 
     def from_oracle(text, train_set):
         spec = _parse_oracle(text, "attack mc --oracle", {"p": (0, 1), "sigma": (0, 1)})
-        oracle = OracleGenerator(
-            memorization_rate=spec["p"],
-            flip_noise=spec["sigma"],
-            training_rolls=train_set,
-            population_sampler=synth_sampler(train_set.shape),
-        )
+        # the population sampler refuses a pitch range without every class
+        with naming_block("attack mc --oracle"):
+            oracle = OracleGenerator(
+                memorization_rate=spec["p"],
+                flip_noise=spec["sigma"],
+                training_rolls=train_set,
+                population_sampler=synth_sampler(train_set.shape),
+            )
         return lambda seeds: np.stack([oracle_generate(oracle, s) for s in seeds.tolist()])
 
     sample_fn, iteration, train_set, test_set = _attack_model(args, checkpoint_sampler, from_oracle)

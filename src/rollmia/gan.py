@@ -30,10 +30,8 @@ training set.
 
 Also hosts the oracle models used to validate attack power: a generator with
 a memorization dial and a discriminator with a controllable member margin.
-They score or draw one record at a time, and building that record's
-Generator is most of a call's cost: each call builds the Generator that
-``np.random.default_rng(seed)`` gives with ``pianoroll._seeded_generator``,
-which skips numpy's per-call Python wrappers.
+They score or draw one record at a time, on the Generator that
+``default_rng(seed)`` gives, built by ``streams.seeded_generator``.
 """
 
 from __future__ import annotations
@@ -49,7 +47,8 @@ import numpy as np
 
 from . import nn
 from .errors import ConfigError, DivergenceError, FormatError
-from .pianoroll import Dataset, PianorollShape, _seeded_generator, atomic_open
+from .pianoroll import Dataset, PianorollShape, atomic_open
+from .streams import seeded_generator
 
 CHECKPOINT_MAGIC = b"GANC"
 CHECKPOINT_VERSION = 1
@@ -359,7 +358,7 @@ class OracleGenerator:
 
 
 def oracle_generate(oracle: OracleGenerator, seed) -> np.ndarray:
-    rng = _seeded_generator(seed)
+    rng = seeded_generator(seed)
     memorize = rng.random() < oracle.memorization_rate
     pop_seed = int(rng.integers(2**63))
     if not memorize:
@@ -387,7 +386,7 @@ class OracleDiscriminator:
 
 
 def oracle_d_score(oracle: OracleDiscriminator, record_id: int, seed) -> float:
-    rng = _seeded_generator(seed)
+    rng = seeded_generator(seed)
     noise = rng.normal(0.0, oracle.score_noise) if oracle.score_noise > 0.0 else 0.0
     base = oracle.margin if record_id in oracle.member_ids else 0.0
     return float(base + noise)

@@ -34,9 +34,8 @@ For such models ``whitebox.run_whitebox`` and ``montecarlo.build_stash``
 keep their per-row forms, which perfbench's oracle-audit workload calls:
 ``run_whitebox`` wraps a per-candidate scorer into a set scorer for
 ``run_whitebox_sets``, and ``build_stash`` draws from the same stash seeds,
-so there is one attack path and one seed rule.  Each oracle call builds its
-own Generator by the scalar path (``pianoroll._seeded_generator``), which
-draws what ``default_rng`` draws at about 0.7 of its cost.
+so there is one attack path and one seed rule.  How each seed becomes a
+record's or a row's draws is told once, in ``rollmia.streams``.
 
 Each kind of file a run reads or writes has one definition here, shared
 with ``cli``.  A config file is a tree of frozen dataclasses whose fields
@@ -101,11 +100,11 @@ from .pianoroll import (
     config_block,
     naming_block,
     read_dataset,
-    seeded_generators,
     split,
     synth_generate,
     write_dataset,
 )
+from .streams import seed_states, state_generator
 from .whitebox import run_whitebox_sets
 
 CONFIG_SCHEMA_VERSION = 1
@@ -410,8 +409,8 @@ def checkpoint_sampler(gan: ComposerGan):
     def sample(seeds: np.ndarray) -> np.ndarray:
         entropy = np.ascontiguousarray(seeds, dtype="<u8").view("<u4").reshape(len(seeds), 2)
         z = np.empty((len(seeds), gan.latent_dim))
-        for row, rng in zip(z, seeded_generators(entropy)):
-            rng.standard_normal(out=row)
+        for row, state in zip(z, seed_states(entropy)):
+            state_generator(state).standard_normal(out=row)
         return g_sample(gan, z)
 
     return sample

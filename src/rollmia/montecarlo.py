@@ -43,12 +43,11 @@ configs, ``attack mc --metric`` and the MC table.
 
 Candidate i of a trial draws its n stash rows as ``choice(stash_size, n,
 replace=False)`` of the Generator that ``default_rng`` gives on the trial's
-i-th candidate SeedSequence child.  A plan hashes the seeds of all its
-candidates in ``pianoroll.seed_states`` passes over one entropy matrix.
-Up to BATCH_MAX_DRAWS draws from a stash of at most FLOYD_MAX_STASH rows,
-it replays numpy's draws for blocks of candidates at once from each one's n
-raw PCG64 words (``_floyd_rows``), as ``pianoroll.synth_generate`` replays
-its rolls; larger draws call ``choice`` per candidate (``_choice_rows``).
+i-th candidate SeedSequence child.  Up to BATCH_MAX_DRAWS draws from a stash
+of at most FLOYD_MAX_STASH rows, blocks of candidates replay numpy's draws
+from their raw words (``_floyd_rows``); larger draws call ``choice`` per
+candidate (``_choice_rows``).  How a seed becomes those draws is told once,
+in ``rollmia.streams``.
 """
 
 from __future__ import annotations
@@ -60,15 +59,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .pianoroll import (
-    Dataset,
-    PianorollShape,
-    _bounded_draws,
-    _SeedState,
-    _state_generator,
-    entropy_words,
-    seed_states,
-)
+from .pianoroll import Dataset, PianorollShape
+from .streams import bounded_draws, entropy_words, indexed_entropy, raw_words, seed_states, state_generator
 
 EUCLIDEAN = "euclidean"
 TONAL = "tonal"
@@ -275,9 +267,11 @@ BATCH_MAX_DRAWS = 128
 # numpy's choice runs Floyd's algorithm, which ``_floyd_rows`` replays, on a
 # population up to this size (and on larger ones only for few draws)
 FLOYD_MAX_STASH = 10000
-# scratch bytes of one block of batched rows: about 72 a draw (its raw word,
-# its two uint32 halves widened to uint64 and ``_bounded_draws``' products)
-# and one a stash row (the block's taken flags); a block holds at least a row
+# scratch bytes of one block of batched rows: about 60 a draw (its draws'
+# uint64 values and flat indices, its drawn rows and their Floyd choice, and
+# its seed states; tracemalloc peaks 69, 58 and 55 a draw at n = 16, 64 and
+# 128) and one a stash row (the block's taken flags); a block holds at least
+# a row
 DRAW_BLOCK = 1 << 20
 
 
@@ -286,7 +280,7 @@ def _choice_rows(stash_size: int, states: np.ndarray, out: np.ndarray) -> None:
     (k, n) ``out``, row r drawn by a PCG64 seeded with the ``seed_states``
     row ``states[r]``."""
     for row, state in zip(out, states):
-        row[:] = _state_generator(state).choice(stash_size, size=len(row), replace=False)
+        row[:] = state_generator(state).choice(stash_size, size=len(row), replace=False)
 
 
 def _floyd_rows(stash_size: int, states: np.ndarray, out: np.ndarray) -> None:
@@ -297,8 +291,8 @@ def _floyd_rows(stash_size: int, states: np.ndarray, out: np.ndarray) -> None:
     for j from S - n to S - 1 (S = stash_size), v = integers(j + 1), or j
     when v is already taken; j = 0 draws nothing.  The shuffle swaps
     position i with integers(i + 1), for i from n - 1 down to 1.  Each
-    bounded draw takes the row's next uint32 half, low half first, by
-    ``_bounded_draws``, so a row takes at most 2n - 1 halves of its n words.
+    bounded draw takes the row's next uint32 half (``streams.bounded_draws``),
+    so a row takes at most 2n - 1 halves of its n words.
     A row with a half that numpy would reject, drawing another, is drawn
     again by ``_choice_rows``.  The steps run on (draw, row) arrays, one
     contiguous row of k entries a step.
@@ -308,18 +302,10 @@ def _floyd_rows(stash_size: int, states: np.ndarray, out: np.ndarray) -> None:
     first = int(stash_size == n)
     floyd = np.arange(stash_size - n + first, stash_size)
     bounds = np.concatenate([floyd + 1, np.arange(n, 1, -1)]).astype(np.uint64)
-    words = np.concatenate(
-        [np.random.PCG64(_SeedState(state)).random_raw(n) for state in states], dtype="<u8"
-    )
-    halves = np.empty((n, 2, k), dtype=np.uint64)
-    halves[...] = words.view("<u4").reshape(k, n, 2).transpose(1, 2, 0)
-    # each temporary goes once used, so the block stays within DRAW_BLOCK
-    del words
-    # bounds as a column: one bound per draw, for every row
-    values, rejected = _bounded_draws(halves.reshape(2 * n, k)[: len(bounds)], bounds[:, None])
-    del halves
+    values, rejected = bounded_draws(raw_words(states, n), bounds)
     # draw value v of row r as a flat index v * k + r into a (., k) array
-    index = values.astype(np.intp)
+    values = values.T
+    index = values.astype(np.intp, order="C")
     index *= k
     index += np.arange(k)
 
@@ -342,7 +328,7 @@ def _floyd_rows(stash_size: int, states: np.ndarray, out: np.ndarray) -> None:
         flat[swap] = drawn[i]
         drawn[i] = other
     out[...] = drawn.T
-    for r in np.flatnonzero(rejected.any(axis=0)):
+    for r in np.flatnonzero(rejected.any(axis=1)):
         _choice_rows(stash_size, states[r : r + 1], out[r : r + 1])
 
 
@@ -370,7 +356,7 @@ def _stash_draws(
     if n > BATCH_MAX_DRAWS or stash_size > FLOYD_MAX_STASH:
         _choice_rows(stash_size, seed_states(entropy), out)
         return out
-    block = max(1, DRAW_BLOCK // (72 * n + stash_size))
+    block = max(1, DRAW_BLOCK // (60 * n + stash_size))
     for start in range(0, len(out), block):
         _floyd_rows(stash_size, seed_states(entropy[start : start + block]), out[start : start + block])
     return out
@@ -478,13 +464,7 @@ def plan_mc_trials(train_rolls: Dataset, test_rolls: Dataset, config: McConfig) 
         roots.append(entropy_words(candidate_root.entropy, candidate_root.spawn_key))
     # candidate i of trial t hashes its root's words, then i; every root has
     # as many words, its trial number being one
-    entropy = np.empty((trials, 2 * m, len(roots[0]) + 1), dtype=np.uint32)
-    entropy[..., :-1] = np.array(roots, dtype=np.uint32)[:, None]
-    entropy[..., -1] = np.arange(2 * m)
-    _stash_draws(
-        stash_size, config.n_per_query, entropy.reshape(trials * 2 * m, -1),
-        drawn.reshape(trials * 2 * m, -1),
-    )
+    _stash_draws(stash_size, config.n_per_query, indexed_entropy(roots, 2 * m), drawn.reshape(trials * 2 * m, -1))
     ids = np.concatenate([train_rolls.ids[train_idx], test_rolls.ids[test_idx]], axis=1)
     return McPlan(config, train_rolls, test_rolls, train_idx, test_idx, ids, drawn)
 

@@ -7,25 +7,12 @@ stable ids; generation, splitting and file I/O all act on the whole array.
 Everything here is a pure function of its seed, so identical calls
 reproduce identical bytes.
 
-Each item of a seeded batch (a synthetic roll here, an MC candidate's stash
-draw, a stash sample's latent row) draws the stream that
-``np.random.default_rng`` on its own entropy would give; ``seed_states``
-hashes the seeds of the whole batch at once, and ``seeded_generators``
-builds each item's Generator from them.  A per-record draw (an oracle's
-score or sample, ``synth_sampler``'s roll) gets the same Generator that
-``default_rng`` would from ``_seeded_generator``, which lets numpy's C code
-mix the seed into the SeedSequence pool and hashes the pool on Python ints,
-without numpy's per-call Python wrappers.  Every one of these Generators is
-a PCG64 on a precomputed seed state (``_state_generator``).
-
-``synth_generate`` writes its rolls in blocks straight from each roll's raw
-PCG64 words, laid out as numpy's own draws would take them: a bounded draw
-(``Generator.integers``) takes a uint32 half, low half first, and a uniform
-(``Generator.random``) a whole word; a roll with a draw that numpy would
-reject and draw again is redrawn by its own Generator.  ``synth_sampler``
-draws one roll per seed and stays per roll, through ``_synth_roll``, which
-is also the reference the blocks are tested against: a one-roll block costs
-more than the per-roll draw.
+Synthesis draws from numpy's seeded streams as ``rollmia.streams`` sets
+out: roll i of a dataset is the stream of ``default_rng`` on ``(seed, i)``.
+``synth_generate`` replays those streams for blocks of rolls from their raw
+words; ``synth_sampler`` draws one roll per seed through ``_synth_roll``,
+which is also the reference the blocks are tested against, since a one-roll
+block costs more than the per-roll draw.
 """
 
 from __future__ import annotations
@@ -46,6 +33,15 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .errors import ConfigError, FormatError
+from .streams import (
+    bounded_draws,
+    entropy_words,
+    indexed_entropy,
+    raw_words,
+    seed_states,
+    seeded_generator,
+    state_generator,
+)
 
 DATASET_MAGIC = b"PRD1"
 DATASET_VERSION = 1
@@ -288,192 +284,9 @@ class StyleParams:
 
 
 # ---------------------------------------------------------------------------
-# Seeded batches and records.  The PCG64 seeds of a whole batch are hashed
-# in one vectorized pass that reproduces numpy's SeedSequence bit for bit
-# (NEP 19 keeps that algorithm stable), so building an item's Generator costs
-# only PCG64's own seeding.  One record's seed is mixed by SeedSequence's C
-# code and its output hashed on Python ints, which skips numpy's per-call
-# Python work around both.
+# Synthesis.  How a seed becomes draws, and how a block of rolls replays
+# them from raw words, is told once, in ``rollmia.streams``.
 # ---------------------------------------------------------------------------
-
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-
-
-def _int_words(entropy) -> list[int]:
-    """uint32 words of a non-negative int, least significant first, or of a
-    sequence of them, concatenated; raises what SeedSequence raises."""
-    if isinstance(entropy, (int, np.integer)):
-        value = int(entropy)
-        if value < 0:
-            raise ValueError("expected non-negative integer")
-        words = [value & _MASK32]
-        while value > _MASK32:
-            value >>= 32
-            words.append(value & _MASK32)
-        return words
-    if isinstance(entropy, (str, bytes, float, np.inexact)) or not hasattr(entropy, "__iter__"):
-        raise TypeError(f"seed must be integer, not {entropy!r}")
-    words = []
-    for item in entropy:
-        # a one-word int, the common item, costs no call
-        if type(item) is int and 0 <= item <= _MASK32:
-            words.append(item)
-        else:
-            words += _int_words(item)
-    return words
-
-
-def entropy_words(entropy, spawn_key=()) -> list[int]:
-    """The uint32 words that ``SeedSequence(entropy, spawn_key=spawn_key)``
-    hashes: the run entropy, zero-padded to the pool size when a spawn key
-    follows, then the spawn key.  ``entropy`` is an int or a sequence of
-    ints, each non-negative."""
-    words = _int_words(entropy)
-    key = _int_words(spawn_key)
-    if key and len(words) < _POOL_SIZE:
-        words += [0] * (_POOL_SIZE - len(words))
-    return words + key
-
-
-def indexed_entropy(prefix: list[int], count: int) -> np.ndarray:
-    """(count, len(prefix) + 1) uint32 rows ``prefix + [i]``: the entropy of
-    items ``(..., i)`` for ``i < count``, one word each."""
-    rows = np.empty((count, len(prefix) + 1), dtype=np.uint32)
-    rows[:, :-1] = prefix
-    rows[:, -1] = np.arange(count)
-    return rows
-
-
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """The SeedSequence hash constant and its next ``count`` values, as a
-    uint32 column; they evolve independently of the data, so every row of a
-    batch shares them."""
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, dtype=np.uint32)[:, None]
-
-
-def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """SeedSequence's hashmix applied ``len(consts) - 1`` times in turn, the
-    j-th with constants j and j + 1: a (k,) vector is hashed once per step,
-    an (n, k) array row by row."""
-    out = values ^ consts[:-1]
-    out *= consts[1:]
-    out ^= out >> 16
-    return out
-
-
-# the constants of generate_state's hash of the pool into 8 output words
-_STATE_CONSTS = _hash_constants(_INIT_B, _MULT_B, 8)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = x * _MIX_MULT_L
-    out -= y * _MIX_MULT_R
-    out ^= out >> 16
-    return out
-
-
-def seed_states(entropy: np.ndarray) -> np.ndarray:
-    """(k, 4) uint64: row r is ``generate_state(4, np.uint64)`` of the
-    SeedSequence whose assembled entropy (``entropy_words``) is
-    ``entropy[r]``, for a (k, L) uint32 matrix of such words.
-
-    Up to the pool size, trailing zero words hash as absent ones, so rows of
-    at most 4 words may be zero-extended to a common length; beyond it every
-    word counts.
-    """
-    words = np.ascontiguousarray(np.asarray(entropy, dtype=np.uint32).T)
-    length, k = words.shape
-    extra = max(0, length - _POOL_SIZE)
-    consts = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * extra)
-    pool = np.zeros((_POOL_SIZE, k), dtype=np.uint32)
-    pool[: min(length, _POOL_SIZE)] = words[:_POOL_SIZE]
-    pool = _hashmix(pool, consts[: _POOL_SIZE + 1])
-    used = _POOL_SIZE
-    # mix all bits together so late words affect earlier ones
-    for src in range(_POOL_SIZE):
-        dst = [d for d in range(_POOL_SIZE) if d != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[used : used + _POOL_SIZE]))
-        used += _POOL_SIZE - 1
-    # words beyond the pool are mixed into every pool word
-    for src in range(_POOL_SIZE, length):
-        pool = _mix(pool, _hashmix(words[src], consts[used : used + _POOL_SIZE + 1]))
-        used += _POOL_SIZE
-    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_CONSTS)
-    low, high = state[0::2].astype(np.uint64), state[1::2].astype(np.uint64)
-    return np.ascontiguousarray((low | high << np.uint64(32)).T)
-
-
-class _SeedState(np.random.bit_generator.ISeedSequence):
-    """A precomputed ``generate_state(4, np.uint64)`` row, handed to PCG64,
-    whose own C seeding then runs unchanged."""
-
-    def __init__(self, state: np.ndarray):
-        self.state = state
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        # PCG64 passes np.uint64 itself, which skips building a dtype
-        if n_words != 4 or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
-            raise ValueError("a seed state row holds 4 uint64 words")
-        return self.state
-
-
-def _state_generator(state: np.ndarray) -> np.random.Generator:
-    """The Generator on a PCG64 seeded with the ``seed_states`` row ``state``."""
-    return np.random.Generator(np.random.PCG64(_SeedState(state)))
-
-
-def seeded_generators(entropy: np.ndarray):
-    """One Generator per row of a (k, L) uint32 matrix of assembled entropy
-    words (``entropy_words``), each drawing what ``np.random.default_rng``
-    gives on that entropy, yielded one at a time."""
-    for state in seed_states(entropy):
-        yield _state_generator(state)
-
-
-# ``_STATE_CONSTS`` as Python ints, for one seed's hash in ``_seeded_generator``
-_STATE_INTS = _STATE_CONSTS[:, 0].tolist()
-
-
-def _seeded_generator(seed) -> np.random.Generator:
-    """``np.random.default_rng(seed)``, bit for bit, for a seed that is a
-    non-negative int or a sequence of them; any other seed raises what
-    ``entropy_words`` raises.
-
-    numpy's C code mixes the seed's words, passed as one uint32 array, into
-    the SeedSequence pool; the pool is hashed here into the words of
-    ``generate_state(4, np.uint64)`` on Python ints, one seed's twin of the
-    last lines of ``seed_states``.  This skips numpy's per-call Python work
-    (an array built per int of the seed, an ``errstate`` wrapper around
-    ``generate_state``), about 30 % of the call.  The 8 steps are
-    written out, as a loop over them costs about 0.5 us more.  The name
-    stays private because perfbench's tracer wraps every public function,
-    which would add a span per record to a traced job.
-    """
-    p0, p1, p2, p3 = np.random.SeedSequence(np.array(_int_words(seed), dtype=np.uint32)).pool.tolist()
-    c0, c1, c2, c3, c4, c5, c6, c7, c8 = _STATE_INTS
-    # output word j hashes pool word j % 4 with constants j and j + 1
-    w0 = (p0 ^ c0) * c1 & _MASK32
-    w1 = (p1 ^ c1) * c2 & _MASK32
-    w2 = (p2 ^ c2) * c3 & _MASK32
-    w3 = (p3 ^ c3) * c4 & _MASK32
-    w4 = (p0 ^ c4) * c5 & _MASK32
-    w5 = (p1 ^ c5) * c6 & _MASK32
-    w6 = (p2 ^ c6) * c7 & _MASK32
-    w7 = (p3 ^ c7) * c8 & _MASK32
-    # uint64 word i is output words 2i (low) and 2i + 1 (high)
-    return _state_generator(np.array([
-        w0 ^ w0 >> 16 | (w1 ^ w1 >> 16) << 32,
-        w2 ^ w2 >> 16 | (w3 ^ w3 >> 16) << 32,
-        w4 ^ w4 >> 16 | (w5 ^ w5 >> 16) << 32,
-        w6 ^ w6 >> 16 | (w7 ^ w7 >> 16) << 32,
-    ], dtype=np.uint64))
 
 
 def _pick_table(shape: PianorollShape) -> np.ndarray:
@@ -532,16 +345,6 @@ def _synth_roll(
 SYNTH_BLOCK = 1 << 14
 
 
-def _bounded_draws(halves: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``Generator.integers(h)`` on uint32 halves, by numpy's (Lemire's) rule
-    for a bound h in [2, 2**32]: the scaled half m = half * h draws m >> 32,
-    and numpy rejects the half, drawing another, when m mod 2**32 is below
-    (2**32 - h) mod h.  ``halves`` is (..., k) and ``bounds`` (k,), both
-    uint64; returns the (..., k) values and the (..., k) rejected mask."""
-    m = halves * bounds
-    return m >> 32, (m & _MASK32) < (2**32 - bounds) % bounds
-
-
 def _synth_rolls(states: np.ndarray, shape: PianorollShape, style: StyleParams) -> np.ndarray:
     """The rolls that ``_synth_roll`` draws with a PCG64 on each of the
     ``seed_states`` rows ``states``, written for blocks of rows at once from
@@ -566,13 +369,9 @@ def _synth_rolls(states: np.ndarray, shape: PianorollShape, style: StyleParams) 
     for start in range(0, len(states), block):
         rows = states[start : start + block]
         n = len(rows)
-        out, raw = rolls[start : start + n], words[:n]
-        for word_row, state in zip(raw, rows):
-            word_row[:] = np.random.PCG64(_SeedState(state)).random_raw(row_words)
-        # each word splits low half first, as PCG64's next_uint32 hands them out
-        halves = raw[:, :head].astype("<u8").view("<u4")[:, : len(drawn)].astype(np.uint64)
+        out, raw = rolls[start : start + n], raw_words(rows, row_words, words[:n])
         values = np.zeros((n, len(bounds)), dtype=np.int64)
-        values[:, drawn], rejected = _bounded_draws(halves, drawn_bounds)
+        values[:, drawn], rejected = bounded_draws(raw[:, :head], drawn_bounds)
         root, shift, third0, third1, octave, phase = values.T
 
         # track 0: the two chords' pitch rows, each held over its half
@@ -598,7 +397,7 @@ def _synth_rolls(states: np.ndarray, shape: PianorollShape, style: StyleParams) 
             flat |= raw[:, head:] <= np.uint64(math.ceil(style.ornament_prob * 2**53) * 2**11 - 1)
 
         for i in np.flatnonzero(rejected.any(axis=1) | whole):
-            out[i] = _synth_roll(_state_generator(rows[i]), shape, style, picks)
+            out[i] = _synth_roll(state_generator(rows[i]), shape, style, picks)
     return rolls
 
 
@@ -619,18 +418,16 @@ def synth_generate(
     The rolls are ``_synth_roll``'s, written in blocks of ``SYNTH_BLOCK``
     raw PCG64 words from the layout of numpy's draws: the bounded draws
     (root, second chord, two thirds, octave, phase; those of bound 1 draw
-    nothing) take the uint32 halves of the first words in turn, low half
-    first, by ``_bounded_draws``; each ornament cell then takes one whole
+    nothing) take the uint32 halves of the first words in turn
+    (``streams.bounded_draws``); each ornament cell then takes one whole
     word of those that follow, on when (w >> 11) * 2**-53 < ornament_prob.
     A row with a draw that numpy would reject (odds at most 4 in 2**32 a
-    draw) is redrawn by its own Generator.  A numpy change to
-    ``Generator.integers`` or ``random`` therefore fails the per-roll
-    reference test rather than changing dataset bytes.
+    draw) is redrawn by its own Generator.
     """
     if count < 1:
         raise ConfigError("count must be >= 1")
     if shape.pitches < 12:
-        raise ConfigError("pitch range too small for pitch classes")
+        raise ConfigError(f"pitches must be >= 12 to hold every pitch class, got {shape.pitches}")
     states = seed_states(indexed_entropy(entropy_words(seed), count))
     return Dataset(shape, _synth_rolls(states, shape, style or StyleParams()), np.arange(count))
 
@@ -639,14 +436,14 @@ def synth_sampler(shape: PianorollShape):
     """Seeded single-roll sampler over the synthetic population; used as the
     population source for oracle generators and one-off draws.  It calls
     ``_synth_roll`` per seed, which costs less than a one-roll block, on the
-    Generator that ``default_rng(seed)`` gives (``_seeded_generator``)."""
+    Generator that ``default_rng(seed)`` gives (``streams.seeded_generator``)."""
     if shape.pitches < 12:
-        raise ConfigError("pitch range too small for pitch classes")
+        raise ConfigError(f"pitches must be >= 12 to hold every pitch class, got {shape.pitches}")
     style = StyleParams()
     picks = _pick_table(shape)
 
     def sample(seed) -> np.ndarray:
-        return _synth_roll(_seeded_generator(seed), shape, style, picks)
+        return _synth_roll(seeded_generator(seed), shape, style, picks)
 
     return sample
 

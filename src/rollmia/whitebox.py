@@ -108,8 +108,7 @@ def run_whitebox(
     (id, roll); a failure names the side and the candidate id, as in
     ``scorer failed on nonmembers: candidate 7: boom``.  The oracle
     discriminator is such a scorer: ``gan.oracle_d_score`` seeds one
-    Generator per candidate by the scalar path (``pianoroll._seeded_generator``),
-    so its per-call cost is that Generator's, not numpy's ``default_rng``."""
+    Generator per candidate, as ``rollmia.streams`` tells."""
 
     def set_scorer(ids: np.ndarray, rolls: np.ndarray) -> list[float]:
         scores = []

@@ -3,6 +3,9 @@ import pytest
 
 from rollmia import PianorollShape, synth_generate
 
+# seeds of one to four uint32 words, at and around the word boundaries
+SEED_CASES = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**96 + 5)
+
 
 @pytest.fixture(scope="session")
 def desk_shape():

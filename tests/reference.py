@@ -20,7 +20,8 @@ import numpy as np
 
 from rollmia import ConfigError, ConfusionCounts, DivergenceError, McConfig, PianorollShape, StyleParams
 from rollmia.montecarlo import _TONAL_BASIS, EUCLIDEAN, _query_distances, _stash_draws, roll_features
-from rollmia.pianoroll import _pick_table, _synth_roll, entropy_words
+from rollmia.pianoroll import _pick_table, _synth_roll
+from rollmia.streams import entropy_words
 
 
 def flatten(rolls: np.ndarray) -> np.ndarray:

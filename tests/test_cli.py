@@ -5,12 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rollmia
 from rollmia import cli, gan, harness
 from rollmia.cli import main
-from rollmia.pianoroll import PianorollShape, read_dataset
+from rollmia.pianoroll import Dataset, PianorollShape, read_dataset, write_dataset
 
 
 def run(argv):
@@ -774,6 +775,24 @@ def _set_u32(blob: bytes, at: int, value: int) -> bytes:
 def _bump_first_dim(blob: bytes) -> bytes:
     dim = _first_tensor_offset(blob) + 4
     return _set_u32(blob, dim, int.from_bytes(blob[dim:dim + 4], "little") + 1)
+
+
+@pytest.mark.parametrize("spec", ["p=0.5,sigma=0", "p=1,sigma=0", "p=0,sigma=0.1"])
+def test_attack_mc_oracle_refuses_a_range_without_every_pitch_class(tmp_path, capsys, spec):
+    shape = PianorollShape(2, 1, 8, 8)
+    rolls = np.random.default_rng(3).integers(2, size=(20, *shape.dims()), dtype=np.uint8)
+    train, test = tmp_path / "train.prd", tmp_path / "test.prd"
+    write_dataset(Dataset(shape, rolls[:10], np.arange(10)), train)
+    write_dataset(Dataset(shape, rolls[10:], np.arange(10, 20)), test)
+    out = tmp_path / "out" / "mc.csv"
+    out.parent.mkdir()
+    capsys.readouterr()
+    assert run(["attack", "mc", "--oracle", spec, "--train", train, "--test", test, "--stash", 20,
+                "--n", 5, "--subset", 2, "--trials", 1, "--seed", 1, "--out", out]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: attack mc --oracle pitches must be >= 12 to hold every pitch class, got 8"
+    ]
+    assert list(out.parent.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -39,7 +39,7 @@ from rollmia.montecarlo import (
     _stash_draws,
     roll_features,
 )
-from rollmia.pianoroll import entropy_words, indexed_entropy
+from rollmia.streams import entropy_words, indexed_entropy
 
 from conftest import make_roll
 from reference import (
@@ -610,7 +610,7 @@ def test_batched_stash_draws_match_per_row_choice(monkeypatch, seed):
     # every case batched, in blocks of 16 rows: 40 rows end on a ragged block
     monkeypatch.setattr(montecarlo, "BATCH_MAX_DRAWS", 10**9)
     for stash_size, n in DRAW_CASES:
-        monkeypatch.setattr(montecarlo, "DRAW_BLOCK", 16 * (72 * n + stash_size))
+        monkeypatch.setattr(montecarlo, "DRAW_BLOCK", 16 * (60 * n + stash_size))
         blocks.clear()
         entropy = indexed_entropy(entropy_words(seed), 40)
         drawn = _stash_draws(stash_size, n, entropy)
@@ -622,16 +622,16 @@ def test_batched_stash_draws_match_per_row_choice(monkeypatch, seed):
 def test_rows_with_a_rejected_half_are_redrawn_by_choice(monkeypatch):
     from rollmia import montecarlo
 
-    real_draws = montecarlo._bounded_draws
+    real_draws = montecarlo.bounded_draws
 
-    def reject_some(halves, bounds):
-        values, rejected = real_draws(halves, bounds)
-        # rows run along the last axis; zeroed values draw wrong rows unless redrawn
-        values[:, ::3] = 0
-        rejected[:, ::3] = True
+    def reject_some(words, bounds):
+        values, rejected = real_draws(words, bounds)
+        # zeroed values draw wrong rows unless redrawn
+        values[::3] = 0
+        rejected[::3] = True
         return values, rejected
 
-    monkeypatch.setattr(montecarlo, "_bounded_draws", reject_some)
+    monkeypatch.setattr(montecarlo, "bounded_draws", reject_some)
     monkeypatch.setattr(montecarlo, "BATCH_MAX_DRAWS", 10**9)
     for stash_size, n in [(256, 64), (300, 300), (5, 1)]:
         entropy = indexed_entropy(entropy_words(17), 10)

@@ -134,3 +134,19 @@ def test_every_probe_the_benchmark_installs_names_a_rollmia_function():
         assert reads, f"hook {hook} reads no argument of {probe}"
         wrong += [f"{probe} parameter {i} is not {name!r}" for i, name in reads if params[i:i + 1] != [name]]
     assert wrong == []
+
+
+def test_no_rollmia_module_imports_another_ones_private_name():
+    """A name with a leading underscore (a dunder such as ``__version__``
+    aside) belongs to its own module: no rollmia module imports one from
+    another, so what several modules share is public where it is defined,
+    as the seeded streams are in ``rollmia.streams``."""
+    package = Path(rollmia.__file__).parent
+    private = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").startswith("rollmia")):
+                private += [f"{path.stem}: {alias.name}" for alias in node.names
+                            if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert private == []

@@ -23,21 +23,10 @@ from rollmia import (
 )
 from rollmia import pianoroll
 from rollmia.harness import load_experiment_config
-from rollmia.pianoroll import (
-    _bounded_draws,
-    _pick_table,
-    _seeded_generator,
-    check_config_block,
-    entropy_words,
-    indexed_entropy,
-    seed_states,
-    seeded_generators,
-)
+from rollmia.pianoroll import _pick_table, check_config_block
 
-from conftest import make_roll
+from conftest import SEED_CASES, make_roll
 from reference import flatten, pitch_class_profile, pitch_indices_for_class, synth_rolls_per_roll
-
-SEED_CASES = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**96 + 5)
 
 
 def test_shape_validation():
@@ -79,9 +68,10 @@ def test_synth_prefix_stability(desk_shape):
 
 def test_synth_pitch_range_too_small():
     shape = PianorollShape(1, 1, 4, 11)
-    with pytest.raises(ConfigError, match="pitch range too small"):
+    message = "^pitches must be >= 12 to hold every pitch class, got 11$"
+    with pytest.raises(ConfigError, match=message):
         synth_generate(1, 1, shape)
-    with pytest.raises(ConfigError, match="pitch range too small"):
+    with pytest.raises(ConfigError, match=message):
         synth_sampler(shape)
 
 
@@ -98,82 +88,6 @@ def test_pick_table_matches_pitch_indices_for_class():
                     pick = register[0] if register.size else candidates[0]
                     assert table[octave, pc] == pick
                 assert table[0, pc] == candidates[0]  # the rhythm track's pitch
-
-
-def _seedsequence_cases():
-    """(entropy, spawn_key) pairs: single ints, (seed, i) tuples, 1 to 9
-    words of entropy, and spawned children at depth 1 to 3 with spawn-key
-    entries at and above 2**32."""
-    cases = [(seed, ()) for seed in SEED_CASES]
-    cases += [((seed, i), ()) for seed in SEED_CASES for i in (0, 1, 2**32 - 1, 2**32 + 3)]
-    cases += [(list(range(1, words + 1)), ()) for words in range(1, 10)]
-    cases += [(2**(32 * (words - 1)) + 7, ()) for words in range(1, 10)]
-    for seed in SEED_CASES + ((3, 4, 5, 6, 7),):
-        for key in ((0,), (2**32,), (1, 2**40 + 9), (2**32 - 1, 5, 2**64 - 1)):
-            cases.append((seed, key))
-    return cases
-
-
-def test_seed_rows_match_seedsequence():
-    for entropy, key in _seedsequence_cases():
-        words = entropy_words(entropy, key)
-        expected = np.random.SeedSequence(entropy, spawn_key=key).generate_state(4, np.uint64)
-        assert np.array_equal(seed_states(np.array([words]))[0], expected), (entropy, key)
-        rng, = seeded_generators(np.array([words]))
-        ref = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=key))
-        assert rng.choice(1000, size=5, replace=False).tolist() == ref.choice(1000, size=5, replace=False).tolist()
-        assert rng.standard_normal() == ref.standard_normal()
-        assert rng.integers(2**63) == ref.integers(2**63)
-    # spawned children, by numpy's own spawn, at depth 1 to 3
-    for seed in (5, 2**64 - 1, 2**128 + 1):
-        node = np.random.SeedSequence(seed)
-        for _depth in range(3):
-            children = node.spawn(3)
-            rows = np.array([entropy_words(c.entropy, c.spawn_key) for c in children])
-            expected = [c.generate_state(4, np.uint64) for c in children]
-            assert np.array_equal(seed_states(rows), np.stack(expected))
-            node = children[-1]
-
-
-def test_indexed_entropy_rows_match_seedsequence():
-    for seed in SEED_CASES:
-        states = seed_states(indexed_entropy(entropy_words(seed), 40))
-        for i, state in enumerate(states):
-            assert np.array_equal(state, np.random.SeedSequence((seed, i)).generate_state(4, np.uint64))
-
-
-def test_entropy_words_reject_what_seedsequence_rejects():
-    for bad in (-1, np.int64(-3), (4, -1), [1, [2, -5]]):
-        with pytest.raises(ValueError, match="expected non-negative integer"):
-            np.random.SeedSequence(bad)
-        with pytest.raises(ValueError, match="expected non-negative integer"):
-            entropy_words(bad)
-    with pytest.raises(ValueError):
-        entropy_words(3, spawn_key=(-2,))
-    for bad in (1.5, (1.5, 2), "7", None):
-        with pytest.raises(TypeError):
-            entropy_words(bad)
-
-
-def test_seeded_generator_draws_what_default_rng_draws():
-    rng = np.random.default_rng(29)
-    seeds = [
-        0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**100 + 5,
-        (0, 0), (5, 2**32), (2**40, 3), (),
-        [3, 2**33], (1, 2, 3), np.uint64(7), (np.int64(3), 4), True,
-    ]
-    seeds += [int(s) for s in rng.integers(2**63, size=300)]
-    seeds += [tuple(pair) for pair in rng.integers(2**32, size=(300, 2)).tolist()]
-    for seed in seeds:
-        ours, ref = _seeded_generator(seed), np.random.default_rng(seed)
-        assert np.array_equal(ours.random(4), ref.random(4)), seed
-        assert np.array_equal(ours.normal(size=4), ref.normal(size=4)), seed
-    for bad in (-1, (1, -2), 1.5, "3"):
-        with pytest.raises(Exception) as expected:
-            np.random.default_rng(bad)
-        with pytest.raises(Exception) as raised:
-            _seeded_generator(bad)
-        assert raised.type is expected.type, bad
 
 
 SYNTH_SHAPES = (
@@ -204,13 +118,13 @@ def _synth_layout(shape, style) -> tuple[int, int]:
 
 def test_synth_generate_matches_per_roll_reference(monkeypatch):
     blocks = []
-    real_draws = pianoroll._bounded_draws
+    real_draws = pianoroll.bounded_draws
 
-    def recorded_draws(block_halves, bounds):
-        blocks.append(block_halves.shape)
-        return real_draws(block_halves, bounds)
+    def recorded_draws(words, bounds):
+        blocks.append((len(words), len(bounds)))
+        return real_draws(words, bounds)
 
-    monkeypatch.setattr(pianoroll, "_bounded_draws", recorded_draws)
+    monkeypatch.setattr(pianoroll, "bounded_draws", recorded_draws)
     for shape in SYNTH_SHAPES:
         for style in SYNTH_STYLES:
             halves, row_words = _synth_layout(shape, style)
@@ -225,27 +139,15 @@ def test_synth_generate_matches_per_roll_reference(monkeypatch):
                     assert blocks == [(rows, halves) for rows in block_rows]
 
 
-def test_bounded_draws_flag_the_halves_numpy_rejects():
-    halves = np.array([[0], [1], [2**30], [2**31 + 1], [2**32 - 1]], dtype=np.uint64)
-    values, rejected = _bounded_draws(halves, np.array([12], dtype=np.uint64))
-    assert values[:, 0].tolist() == [0, 0, 3, 6, 11]
-    # 12 * half mod 2**32 falls below (2**32 - 12) % 12 == 4 only for the
-    # multiples of 2**30, a zero half among them
-    assert rejected[:, 0].tolist() == [True, False, True, False, False]
-    # (2**32 - 2) % 2 == 0: numpy never rejects a half for bound 2
-    _, rejected = _bounded_draws(halves, np.array([2], dtype=np.uint64))
-    assert not rejected.any()
-
-
 def test_rejected_rows_are_redrawn_by_their_own_generator(monkeypatch):
-    real_draws = pianoroll._bounded_draws
+    real_draws = pianoroll.bounded_draws
 
-    def reject_all(halves, bounds):
-        values, rejected = real_draws(halves, bounds)
+    def reject_all(words, bounds):
+        values, rejected = real_draws(words, bounds)
         # zeroed values give wrong rolls unless every row is redrawn
         return np.zeros_like(values), np.ones_like(rejected)
 
-    monkeypatch.setattr(pianoroll, "_bounded_draws", reject_all)
+    monkeypatch.setattr(pianoroll, "bounded_draws", reject_all)
     style = StyleParams(ornament_prob=0.3)
     for shape in SYNTH_SHAPES:
         assert np.array_equal(
