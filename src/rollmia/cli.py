@@ -31,6 +31,7 @@ from .gan import (
     Checkpoint,
     OracleDiscriminator,
     OracleGenerator,
+    check_batch_size,
     load_checkpoint,
     oracle_d_score,
     oracle_generate,
@@ -42,7 +43,6 @@ from .harness import (
     WB_HEADER,
     SyntheticSpec,
     TrainRunConfig,
-    check_batch_size,
     checkpoint_name,
     checkpoint_sampler,
     checkpoint_scorer,

@@ -205,6 +205,13 @@ class TrainConfig:
             raise ConfigError("checkpoint_every must divide iterations")
 
 
+def check_batch_size(config: TrainConfig, records: int) -> None:
+    """Refuse a training set of ``records`` rolls smaller than one batch of
+    ``config``, before anything is trained or written for it."""
+    if records < config.batch_size:
+        raise ConfigError(f"train batch_size {config.batch_size} exceeds the {records} training records")
+
+
 @dataclass
 class Checkpoint:
     iteration: int
@@ -273,8 +280,7 @@ def train(
     raises DivergenceError naming the iteration and carrying the last good
     checkpoint (None before the first), so no sink sees such a model.
     """
-    if len(train_set) < config.batch_size:
-        raise ConfigError("training set smaller than batch size")
+    check_batch_size(config, len(train_set))
     init_ss, loop_ss = np.random.SeedSequence(config.seed).spawn(2)
     gan = build_gan(train_set.shape, config.latent_dim, init_ss)
     rng = np.random.default_rng(loop_ss)

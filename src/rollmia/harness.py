@@ -14,10 +14,10 @@ run like any other.
 table row, which they return as its CSV line; the experiment and ``rollmia
 attack`` both call them.  ``mc_row(sampler, iteration, plan)`` attacks a
 model with ``plan``, a ``montecarlo.McPlan`` made by its caller, which holds
-the MC config and the sides, so the sides are checked and the trials'
-records and stash draws are made once, however many models are attacked:
-once per MC config for a whole run, once per ``rollmia attack mc`` call.  A
-model is given to them as whole-set functions:
+the MC config, the sides and each trial's picks of records and stash rows,
+so the sides are checked once, however many models are attacked: once per
+MC config for a whole run, once per ``rollmia attack mc`` call.  A model is
+given to them as whole-set functions:
 
 - a white-box set scorer maps (k,) ids and a (k, tracks, bars, steps,
   pitches) roll stack to a (k,) float64 score vector;
@@ -82,6 +82,7 @@ from .gan import (
     Checkpoint,
     ComposerGan,
     TrainConfig,
+    check_batch_size,
     d_score,
     g_sample,
     load_checkpoint,
@@ -97,6 +98,7 @@ from .pianoroll import (
     SplitSpec,
     StyleParams,
     atomic_open,
+    check_pitch_classes,
     config_block,
     naming_block,
     read_dataset,
@@ -126,8 +128,7 @@ class SyntheticSpec:
     style: StyleParams = StyleParams()
 
     def __post_init__(self):
-        if self.shape.pitches < 12:  # the shape checks its own fields first
-            raise ConfigError("pitches must be >= 12 to hold every pitch class")
+        check_pitch_classes(self.shape)  # the shape checks its own fields first
 
     @property
     def shape(self) -> PianorollShape:
@@ -447,13 +448,6 @@ def mc_row(sampler: Callable[[np.ndarray], np.ndarray], iteration: int, plan: Mc
         f"{iteration},{result.single_mi_accuracy:.3f},{result.set_mi_correct_fraction:.3f},"
         f"{config.heuristic.label()},{config.metric},{config.trials}"
     )
-
-
-def check_batch_size(config: TrainConfig, records: int) -> None:
-    """Refuse a training set of ``records`` rolls smaller than one batch of
-    ``config``, before anything is trained or written for it."""
-    if records < config.batch_size:
-        raise ConfigError(f"train batch_size {config.batch_size} exceeds the {records} training records")
 
 
 def run_experiment(config: ExperimentConfig, force: bool = False) -> dict:

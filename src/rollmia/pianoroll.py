@@ -289,13 +289,20 @@ class StyleParams:
 # ---------------------------------------------------------------------------
 
 
+def check_pitch_classes(shape: PianorollShape) -> None:
+    """Refuse a shape whose pitch range cannot hold every pitch class, which
+    a synthetic roll may draw."""
+    if shape.pitches < 12:
+        raise ConfigError(f"pitches must be >= 12 to hold every pitch class, got {shape.pitches}")
+
+
 def _pick_table(shape: PianorollShape) -> np.ndarray:
     """(octave, pitch class) -> the lowest pitch index of that class at or
     above 12 * octave, for every octave a roll can draw.
 
     Class c's indices are r, r + 12, ... with r = (c - base_midi_pitch) mod
     12, so the pick is 12 * octave + r, which lies in range for every
-    octave below pitches // 12 once pitches >= 12 (checked by the callers).
+    octave below pitches // 12 once pitches >= 12 (``check_pitch_classes``).
     """
     octaves = np.arange(max(1, shape.pitches // 12))
     return 12 * octaves[:, None] + (np.arange(12) - shape.base_midi_pitch) % 12
@@ -369,7 +376,7 @@ def _synth_rolls(states: np.ndarray, shape: PianorollShape, style: StyleParams) 
     for start in range(0, len(states), block):
         rows = states[start : start + block]
         n = len(rows)
-        out, raw = rolls[start : start + n], raw_words(rows, row_words, words[:n])
+        out, raw = rolls[start : start + n], raw_words(rows, words[:n])
         values = np.zeros((n, len(bounds)), dtype=np.int64)
         values[:, drawn], rejected = bounded_draws(raw[:, :head], drawn_bounds)
         root, shift, third0, third1, octave, phase = values.T
@@ -426,8 +433,7 @@ def synth_generate(
     """
     if count < 1:
         raise ConfigError("count must be >= 1")
-    if shape.pitches < 12:
-        raise ConfigError(f"pitches must be >= 12 to hold every pitch class, got {shape.pitches}")
+    check_pitch_classes(shape)
     states = seed_states(indexed_entropy(entropy_words(seed), count))
     return Dataset(shape, _synth_rolls(states, shape, style or StyleParams()), np.arange(count))
 
@@ -437,8 +443,7 @@ def synth_sampler(shape: PianorollShape):
     population source for oracle generators and one-off draws.  It calls
     ``_synth_roll`` per seed, which costs less than a one-roll block, on the
     Generator that ``default_rng(seed)`` gives (``streams.seeded_generator``)."""
-    if shape.pitches < 12:
-        raise ConfigError(f"pitches must be >= 12 to hold every pitch class, got {shape.pitches}")
+    check_pitch_classes(shape)
     style = StyleParams()
     picks = _pick_table(shape)
 

@@ -1,15 +1,15 @@
 """numpy's seeded streams, reproduced for whole batches and single records.
 
 Every seeded draw in rollmia is the stream that ``np.random.default_rng``
-gives on some entropy: a synthetic roll on ``(seed, i)``, an MC candidate's
-stash draw on a child of its trial's SeedSequence, a stash sample's latent
-row on its stash seed, an oracle's score or sample on its record's seed.
-This module is the only one that knows how numpy turns such entropy into
-draws, so the rest of the package asks it for states, Generators or words.
+gives on some entropy: a synthetic roll on ``(seed, i)``, a stash sample's
+latent row on its stash seed, an oracle's score or sample on its record's
+seed.  This module is the only one that knows how numpy turns such entropy
+into draws, so the rest of the package asks it for states, Generators or
+words.
 
 - **Entropy.** ``entropy_words`` lists the uint32 words that
-  ``SeedSequence(entropy, spawn_key)`` hashes, and ``indexed_entropy`` the
-  rows ``prefix + [i]`` of a batch of items, one prefix or a matrix of them.
+  ``SeedSequence(entropy)`` hashes, and ``indexed_entropy`` the rows
+  ``prefix + [i]`` of a batch of items.
 - **States.** ``seed_states`` hashes a (k, L) matrix of such words in one
   vectorized pass into ``generate_state(4, np.uint64)`` rows, bit for bit
   as SeedSequence does (NEP 19 keeps that algorithm stable).  Building an
@@ -24,10 +24,9 @@ draws, so the rest of the package asks it for states, Generators or words.
   row's words as uint32 halves, low half first, as ``Generator.integers``
   takes them, and flags a half that numpy would reject and draw again; a
   uniform (``Generator.random``) takes a whole word, (w >> 11) * 2**-53.
-  ``pianoroll.synth_generate`` replays its rolls this way and
-  ``montecarlo`` its stash draws; a row with a rejected half is drawn again
-  by its own Generator, so a numpy change to a draw fails a per-row
-  reference test rather than changing bytes.
+  ``pianoroll.synth_generate`` replays its rolls this way; a row with a
+  rejected half is drawn again by its own Generator, so a numpy change to a
+  draw fails a per-row reference test rather than changing bytes.
 
 The per-record functions are public here, yet a traced benchmark job adds
 no span per record: perfbench's tracer wraps the public functions of its
@@ -45,9 +44,10 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 
-def _int_words(entropy) -> list[int]:
-    """uint32 words of a non-negative int, least significant first, or of a
-    sequence of them, concatenated; raises what SeedSequence raises."""
+def entropy_words(entropy) -> list[int]:
+    """The uint32 words that ``SeedSequence(entropy)`` hashes: those of a
+    non-negative int, least significant first, or of a sequence of them,
+    concatenated; raises what SeedSequence raises."""
     if isinstance(entropy, (int, np.integer)):
         value = int(entropy)
         if value < 0:
@@ -65,32 +65,17 @@ def _int_words(entropy) -> list[int]:
         if type(item) is int and 0 <= item <= _MASK32:
             words.append(item)
         else:
-            words += _int_words(item)
+            words += entropy_words(item)
     return words
 
 
-def entropy_words(entropy, spawn_key=()) -> list[int]:
-    """The uint32 words that ``SeedSequence(entropy, spawn_key=spawn_key)``
-    hashes: the run entropy, zero-padded to the pool size when a spawn key
-    follows, then the spawn key.  ``entropy`` is an int or a sequence of
-    ints, each non-negative."""
-    words = _int_words(entropy)
-    key = _int_words(spawn_key)
-    if key and len(words) < _POOL_SIZE:
-        words += [0] * (_POOL_SIZE - len(words))
-    return words + key
-
-
-def indexed_entropy(prefix, count: int) -> np.ndarray:
-    """uint32 rows ``prefix + [i]`` for ``i < count``: the entropy of items
-    ``(..., i)``, one word each.  ``prefix`` is a list of L words, giving
-    (count, L + 1) rows, or a (p, L) matrix of prefixes, giving (p * count,
-    L + 1) rows, prefix by prefix."""
-    prefixes = np.atleast_2d(np.asarray(prefix, dtype=np.uint32))
-    rows = np.empty((len(prefixes), count, prefixes.shape[1] + 1), dtype=np.uint32)
-    rows[..., :-1] = prefixes[:, None]
-    rows[..., -1] = np.arange(count)
-    return rows.reshape(-1, rows.shape[-1])
+def indexed_entropy(prefix: list[int], count: int) -> np.ndarray:
+    """(count, L + 1) uint32 rows ``prefix + [i]`` for ``i < count``, from a
+    list of L words: the entropy of items ``(..., i)``, one word each."""
+    rows = np.empty((count, len(prefix) + 1), dtype=np.uint32)
+    rows[:, :-1] = prefix
+    rows[:, -1] = np.arange(count)
+    return rows
 
 
 def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
@@ -191,7 +176,7 @@ def seeded_generator(seed) -> np.random.Generator:
     ``generate_state``), about 30 % of the call.  The 8 steps are
     written out, as a loop over them costs about 0.5 us more.
     """
-    p0, p1, p2, p3 = np.random.SeedSequence(np.array(_int_words(seed), dtype=np.uint32)).pool.tolist()
+    p0, p1, p2, p3 = np.random.SeedSequence(np.array(entropy_words(seed), dtype=np.uint32)).pool.tolist()
     c0, c1, c2, c3, c4, c5, c6, c7, c8 = _STATE_INTS
     # output word j hashes pool word j % 4 with constants j and j + 1
     w0 = (p0 ^ c0) * c1 & _MASK32
@@ -211,14 +196,11 @@ def seeded_generator(seed) -> np.random.Generator:
     ], dtype=np.uint64))
 
 
-def raw_words(states: np.ndarray, count: int, out: np.ndarray | None = None) -> np.ndarray:
-    """(k, count) uint64: row r is the first ``count`` raw words of a PCG64
-    seeded with the ``seed_states`` row ``states[r]``, written into ``out``
-    when given."""
-    if out is None:
-        out = np.empty((len(states), count), dtype=np.uint64)
+def raw_words(states: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The (k, count) uint64 ``out``, row r filled with the first ``count``
+    raw words of a PCG64 seeded with the ``seed_states`` row ``states[r]``."""
     for row, state in zip(out, states):
-        row[:] = np.random.PCG64(_SeedState(state)).random_raw(count)
+        row[:] = np.random.PCG64(_SeedState(state)).random_raw(len(row))
     return out
 
 

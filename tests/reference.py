@@ -9,8 +9,8 @@ for bit) and between two rolls, one candidate's Monte Carlo score, the two Monte
 accuracies as means of per-trial floats, the white-box ranking as a
 sort of tuples and its confusion counts as id-set algebra, the pitch indices
 of one class, the masked logistic function, the per-tensor Adam update,
-the per-item Generators (one ``default_rng`` per synthetic roll, MC
-candidate or latent row) that the seeded batches reproduce, and the
+the per-item Generators (one ``default_rng`` per synthetic roll or latent
+row) that the seeded batches reproduce, each MC trial's stash rows, and the
 per-record oracle forms on ``default_rng`` (a discriminator score, a
 generator draw, a population sample) that the library's own per-record
 Generators reproduce.
@@ -19,9 +19,8 @@ Generators reproduce.
 import numpy as np
 
 from rollmia import ConfigError, ConfusionCounts, DivergenceError, McConfig, PianorollShape, StyleParams
-from rollmia.montecarlo import _TONAL_BASIS, EUCLIDEAN, _query_distances, _stash_draws, roll_features
+from rollmia.montecarlo import _TONAL_BASIS, EUCLIDEAN, roll_features
 from rollmia.pianoroll import _pick_table, _synth_roll
-from rollmia.streams import entropy_words
 
 
 def flatten(rolls: np.ndarray) -> np.ndarray:
@@ -82,18 +81,19 @@ def mc_score(
     epsilon: float,
     seed,
 ) -> float:
-    """Fraction of n stash draws within ``epsilon`` of the candidate, drawn
-    by ``default_rng(seed)``: one candidate's score, as ``run_mc_trials``
-    scores each of its 2M candidates."""
+    """Fraction of n stash rows within ``epsilon`` of the candidate, the rows
+    drawn as ``default_rng(seed).choice(len(stash), n, replace=False)``: one
+    candidate's score, as ``score_mc_plan`` scores each of a trial's 2M
+    candidates against the trial's rows."""
     if epsilon < 0.0:
         raise ConfigError("epsilon must be >= 0")
     if config.n_per_query > len(stash):
         raise ConfigError("n_per_query exceeds stash size")
-    dists = _query_distances(
+    drawn = np.random.default_rng(seed).choice(len(stash), size=config.n_per_query, replace=False)
+    dists = features_distance(
         config.metric,
-        roll_features(config.metric, shape, np.asarray(candidate)[None]),
-        roll_features(config.metric, shape, stash),
-        _stash_draws(len(stash), config.n_per_query, np.array([entropy_words(seed)])),
+        roll_features(config.metric, shape, candidate),
+        roll_features(config.metric, shape, stash[drawn]),
     )
     return float(np.mean(dists <= epsilon))
 
@@ -179,18 +179,14 @@ def synth_rolls_per_roll(
     ])
 
 
-def candidate_draws(seed, trials: int, m: int, stash_size: int, n: int) -> list[np.ndarray]:
-    """Per trial, the (2m, n) stash draws of its candidates: candidate i
-    draws ``n`` of ``stash_size`` rows without replacement with
-    ``default_rng`` on the i-th of ``candidate_root.spawn(2 * m)``."""
-    draws = []
-    for trial_ss in np.random.SeedSequence(seed).spawn(trials):
-        _record_ss, candidate_root = trial_ss.spawn(2)
-        draws.append(np.stack([
-            np.random.default_rng(child).choice(stash_size, size=n, replace=False)
-            for child in candidate_root.spawn(2 * m)
-        ]))
-    return draws
+def trial_draws(seed, trials: int, stash_size: int, n: int) -> np.ndarray:
+    """(trials, n): each trial's ``n`` of ``stash_size`` stash rows, drawn
+    without replacement by ``default_rng`` on the second child of the
+    trial's SeedSequence, one of the ``trials`` children of ``seed``."""
+    return np.stack([
+        np.random.default_rng(trial_ss.spawn(2)[1]).choice(stash_size, size=n, replace=False)
+        for trial_ss in np.random.SeedSequence(seed).spawn(trials)
+    ])
 
 
 def latent_rows(seeds: np.ndarray, latent_dim: int) -> np.ndarray:

@@ -7,8 +7,8 @@ Each workload runs one set-up, one job and its check, as a benchmark cycle
 does.  ``perfbench/worker.py`` counts work from the arguments of hooked
 calls, each read by position or keyword; a moved parameter would be
 counted wrong without failing, so the positions are checked here.  The
-workloads' MC plans keep to their sides of the rule that batches stash
-draws, so the benchmark goes on measuring both paths.
+checkpoint-audit job drives ``rollmia attack`` by argument lists, which
+must still parse to the values of its experiment config.
 """
 
 import ast
@@ -18,7 +18,6 @@ import inspect
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 
@@ -88,50 +87,29 @@ def test_benchmark_hook_reads_the_parameter_it_names(hooked):
         assert parameters[position] == parameter
 
 
-def workload_mc_configs(name: str) -> list:
-    """The McConfigs a workload's jobs plan, read from its inputs at seed 1:
-    an experiment config's ``attacks.mc``, or the oracle attacks."""
-    from rollmia import harness, montecarlo
+def test_checkpoint_audit_argv_parses_to_its_mc_config(tmp_path, monkeypatch):
+    from rollmia import cli
 
-    inputs = WORKLOADS[name].make_inputs(1)
-    if "config" in inputs:
-        return list(harness.parse_experiment_config(inputs["config"]).attacks.mc)
-    return [
-        montecarlo.McConfig(**inputs["mc"], trials=attack["trials"], seed=attack["seed"])
-        for attack in inputs["attacks"]
-    ]
-
-
-@pytest.mark.parametrize(
-    "name, batched", [("checkpoint-audit", True), ("desk-train", True), ("oracle-audit", False)]
-)
-def test_workload_mc_plans_keep_their_side_of_the_batching_rule(name, batched, monkeypatch):
-    from rollmia import montecarlo
-    from rollmia.pianoroll import Dataset, PianorollShape
-
-    rows = {"_floyd_rows": 0, "_choice_rows": 0}
-
-    def counting(real):
-        def count(stash_size, states, out):
-            rows[real.__name__] += len(out)
-            real(stash_size, states, out)
-
-        return count
-
-    for drawing in rows:
-        monkeypatch.setattr(montecarlo, drawing, counting(getattr(montecarlo, drawing)))
-    shape = PianorollShape(1, 1, 1, 12)
-    candidates = 0
-    for config in workload_mc_configs(name):
-        m = config.subset_size
-        train, test = (
-            Dataset(shape, np.zeros((m, *shape.dims()), dtype=np.uint8), np.arange(first, first + m))
-            for first in (0, m)
-        )
-        montecarlo.plan_mc_trials(train, test, config)
-        candidates += config.trials * 2 * m
-    if batched:
-        # a row with a rejected half is drawn again by _choice_rows
-        assert rows["_floyd_rows"] == candidates
-    else:
-        assert rows == {"_floyd_rows": 0, "_choice_rows": candidates}
+    module = sys.modules["perfbench_workloads"]
+    argvs = []
+    monkeypatch.setattr(module, "_cli", argvs.append)
+    mc = WORKLOADS["checkpoint-audit"].make_inputs(1)["config"]["attacks"]["mc"][0]
+    state = {
+        "config": {"attacks": {"mc": [mc]}},
+        "train": tmp_path / "train.prd",
+        "test": tmp_path / "test.prd",
+        "checkpoints": [tmp_path / "ckpt_000002.ganc"],
+    }
+    result = module.audit_job(state, tmp_path, 0)
+    assert [op for op in result["ops"] if not op[1]] == []
+    parsed = {argv[1]: cli.build_parser().parse_args(argv) for argv in argvs}
+    assert sorted(parsed) == ["mc", "wb"]
+    for args in parsed.values():
+        assert args.checkpoint == str(state["checkpoints"][0])
+        assert (args.train, args.test) == (str(state["train"]), str(state["test"]))
+    args = parsed["mc"]
+    assert (args.verb, parsed["wb"].verb) == ("cmd_attack_mc", "cmd_attack_wb")
+    assert (args.stash, args.n, args.subset, args.trials, args.seed) == (
+        mc["stash_size"], mc["n_per_query"], mc["subset_size"], mc["trials"], mc["seed"]
+    )
+    assert (args.heuristic, args.metric) == (mc["heuristic"], mc["metric"])

@@ -74,7 +74,9 @@ def test_attack_mc_oracle(cli_workspace, capsys):
     assert fields[2] == "1.000"
     assert fields[3] == "p:0.0001"
     assert fields[4] == "euclidean"
-    assert capsys.readouterr().out == f"mc single 0.940 / set 1.000 -> {out}\n"
+    # 0.940 when each candidate drew its own 100 stash rows; each trial now
+    # draws one set of rows for all its candidates
+    assert capsys.readouterr().out == f"mc single 1.000 / set 1.000 -> {out}\n"
 
 
 def test_train_and_checkpoint_attacks(cli_workspace):
@@ -605,7 +607,7 @@ def test_unknown_config_key_exits_2_before_any_output(tmp_path, capsys, key_path
         (("split", "train_fraction"), 1.5, "split train_fraction must be in (0, 1)"),
         (("dataset", "synthetic", "tracks"), 0, "dataset.synthetic tracks must be >= 1"),
         (("dataset", "synthetic", "pitches"), 8,
-         "dataset.synthetic pitches must be >= 12 to hold every pitch class"),
+         "dataset.synthetic pitches must be >= 12 to hold every pitch class, got 8"),
         (("dataset", "synthetic", "style", "rhythm_period"), 0,
          "dataset.synthetic.style rhythm_period must be >= 1"),
         (("attacks", "mc", 0, "n_per_query"), 999, "attacks.mc[0] n_per_query cannot exceed stash_size"),
@@ -862,7 +864,7 @@ def _flag_argv(verb, flag, value, data, train, test, out):
         ("split", "--fraction", 1.5, "split train_fraction must be in (0, 1)"),
         ("split", "--seed", -2, "split seed must be a non-negative integer, got -2"),
         ("split", "--fraction", 0.01, "split train_fraction 0.01 leaves a side of the 60 records empty"),
-        ("dataset gen", "--pitches", 8, "dataset gen pitches must be >= 12 to hold every pitch class"),
+        ("dataset gen", "--pitches", 8, "dataset gen pitches must be >= 12 to hold every pitch class, got 8"),
         ("dataset gen", "--tracks", 0, "dataset gen tracks must be >= 1"),
         ("dataset gen", "--seed", -1, "dataset gen seed must be a non-negative integer, got -1"),
         ("dataset gen", "--count", 0, "dataset gen count must be >= 1"),

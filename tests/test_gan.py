@@ -147,6 +147,14 @@ def test_train_requires_enough_rolls():
         train(small, train_config())
 
 
+def test_train_refuses_a_short_set_as_the_cli_and_the_experiment_do():
+    # one batch-size rule, ``gan.check_batch_size``, for train, rollmia train
+    # and the experiment's split stage
+    config = TrainConfig(iterations=2, batch_size=32, latent_dim=4, lr=1e-3, seed=0, checkpoint_every=1)
+    with pytest.raises(ConfigError, match="^train batch_size 32 exceeds the 10 training records$"):
+        train(synth_generate(0, 10, SHAPE), config)
+
+
 def test_train_deterministic_bytes(tiny_train_set, tmp_path):
     for name in ("a", "b"):
         sub = tmp_path / name

@@ -270,11 +270,15 @@ def test_manifest_records_all_seeds(finished_run):
 
 # SHA-256 of the tables of the tiny two-checkpoint run, recorded before
 # training moved from per-sample to batched gradients: the batch sums change
-# the summation order, and no table may change with it.
+# the summation order, and no table may change with it.  The MC entries were
+# recorded again when each trial came to draw one set of stash rows for all
+# its candidates; its single-MI accuracy at iteration 20 moved from 0.400 to
+# 0.450, and the other MC figures stayed (0.000 set-MI at 20, 0.550 and
+# 0.500 at 40).
 PINNED_TABLE_DIGESTS = {
     "wb_metrics.csv": "a8eeda74c44895fdd36fd028e33936091e84019e5fd0d0281a5edf8e426a98bb",
-    "mc_metrics.csv": "088c8c8685dd020b311e666f16a56015c29de2ee91c48e7ad074c30ea2f9cda9",
-    "success_vs_iteration.csv": "dd96ab58b444297faf56746dfef0817d097182c218559145da6d0aa18e5d30d2",
+    "mc_metrics.csv": "12923e42b2cde8a9f92f86fea65b7662d2c159a63cca7d13ee767b97df6f1ae1",
+    "success_vs_iteration.csv": "950e1dcef73d841718e98e4c71a7744a2a84af64beea89aa982d4ffc7fca56e4",
 }
 
 
@@ -294,10 +298,11 @@ def _sha256(text: str) -> str:
 # recorded before ``emit_reports`` and ``report_from_dir`` came to share one
 # table spec.  The config hash in report.md covers the run's temporary output
 # path, so report.md is hashed with that hash replaced by "CONFIG_HASH".
+# Recorded again with the MC table above (single-MI 0.400 -> 0.450 at 20).
 PINNED_REPORT_DIGESTS = {
-    "report.md": "ba4015602a45e6a46955f4c987c05e20ef1cb6ab82a4bdf4bf925641944afa13",
-    "report --format md": "c505ff637dbead6de2c2cdd9141ead11e4f559cc56260e46eb7e381b538a2a6e",
-    "report --format csv": "e808021b320d78501621e98e513b4fe9cc1d3f9b82c2c39604d91f3f30830e5e",
+    "report.md": "3f88c75d08786876b6231566e7f92bb69da2016035e3a5684c922244912b09cc",
+    "report --format md": "9cae2d1fcf66901d3a87bf2d2be048239d9dd854c01b0c7ab4ed31283a597202",
+    "report --format csv": "0eee07306914744656fde929ff3a1908a7207b15f6d8d88aa93a31cda780d36a",
 }
 
 
@@ -314,9 +319,12 @@ def test_report_bytes_are_pinned(finished_run, capsys):
 
 
 # success_vs_iteration.csv of the tiny run with a second, tonal MC config,
-# whose single-MI accuracies differ from the first's at both checkpoints: the
-# series takes each checkpoint's row of the first MC config only.
-PINNED_TWO_MC_SERIES_DIGEST = "dd96ab58b444297faf56746dfef0817d097182c218559145da6d0aa18e5d30d2"
+# whose single-MI accuracy differs from the first's at iteration 20 (0.400
+# against 0.450; both read 0.550 at 40): the series takes each checkpoint's
+# row of the first MC config only.  Recorded again with the tables above;
+# the tonal rows were 0.500 / 0.500 at both checkpoints, and read 0.400 /
+# 0.000 at 20 and 0.550 / 0.500 at 40.
+PINNED_TWO_MC_SERIES_DIGEST = "950e1dcef73d841718e98e4c71a7744a2a84af64beea89aa982d4ffc7fca56e4"
 
 
 def test_series_follows_the_first_mc_config(tmp_path):
@@ -326,30 +334,33 @@ def test_series_follows_the_first_mc_config(tmp_path):
     series = (tmp_path / "run" / "success_vs_iteration.csv").read_text()
     mc_rows = (tmp_path / "run" / "mc_metrics.csv").read_text().splitlines()[1:]
     first = [r.split(",") for r in mc_rows if r.split(",")[4] == "euclidean"]
+    second = [r.split(",") for r in mc_rows if r.split(",")[4] == "tonal"]
+    assert first[0][1] != second[0][1]
     assert [line.split(",")[2] for line in series.splitlines()[1:]] == [r[1] for r in first]
     assert _sha256(series) == PINNED_TWO_MC_SERIES_DIGEST
 
 
 def test_mc_stash_draws_are_made_once_per_run(tmp_path, monkeypatch):
-    from rollmia import montecarlo
+    from rollmia import harness
 
     data = tiny_config_dict(tmp_path / "run", iterations=30, every=10)
     data["attacks"]["mc"].append(
         dict(data["attacks"]["mc"][0], metric="tonal", heuristic="p:0.1", trials=3, seed=45)
     )
     calls = []
-    real_draws = montecarlo._stash_draws
+    real_plan = harness.plan_mc_trials
 
     def counting(*args):
         calls.append(args)
-        return real_draws(*args)
+        return real_plan(*args)
 
-    monkeypatch.setattr(montecarlo, "_stash_draws", counting)
+    monkeypatch.setattr(harness, "plan_mc_trials", counting)
     run_experiment(parse_experiment_config(data))
     mc_rows = (tmp_path / "run" / "mc_metrics.csv").read_text().splitlines()[1:]
     assert [r.split(",")[0] for r in mc_rows] == ["10", "10", "20", "20", "30", "30"]
-    # one draw per MC config, not one per trial or checkpoint
-    assert len(calls) == 2
+    # one plan, and so one draw of each trial's stash rows, per MC config,
+    # not one per checkpoint
+    assert [args[2].seed for args in calls] == [44, 45]
 
 
 def test_percentile_heuristics_that_pick_different_epsilons_hash_apart():

@@ -35,15 +35,11 @@ from rollmia.montecarlo import (
     TONAL,
     TONAL_BLOCK,
     _query_distances,
-    _squared_euclidean,
-    _stash_draws,
     roll_features,
 )
-from rollmia.streams import entropy_words, indexed_entropy
 
 from conftest import make_roll
 from reference import (
-    candidate_draws,
     distance,
     features_distance,
     flatten,
@@ -52,6 +48,7 @@ from reference import (
     mc_score,
     pitch_class_profile,
     step_centroid,
+    trial_draws,
 )
 
 SHAPE = PianorollShape(2, 1, 8, 12)
@@ -252,7 +249,8 @@ def test_gram_distances_are_exact(desk_shape):
     rolls[0], rolls[1] = 0, 1
     feats = roll_features(EUCLIDEAN, desk_shape, rolls)
     picked = np.r_[0, 1, 2, GRAM_BLOCK, count - 1, 40:80]
-    got = np.sqrt(_squared_euclidean(feats[picked], feats))
+    # the candidates against shared rows, here the whole stash in its order
+    got = _query_distances(EUCLIDEAN, feats[picked], feats)
     expected = np.linalg.norm(
         feats.astype(np.float64)[None] - feats[picked].astype(np.float64)[:, None], axis=-1
     )
@@ -284,7 +282,7 @@ def test_tonal_features_match_per_step_reference(small_population):
     "shape, stash_size, n, k",
     [
         (PianorollShape(2, 1, 16, 24), 60, 60, 97),  # n == stash size; k not a multiple of the block
-        (PianorollShape(2, 1, 16, 24), 60, 25, 1),  # one candidate, as in mc_score
+        (PianorollShape(2, 1, 16, 24), 60, 25, 1),  # one candidate
         (PianorollShape(2, 1, 8, 12), 40, 37, 250),  # n * steps does not divide PLANE_BLOCK
         (PianorollShape(4, 4, 16, 12), 300, 300, 3),  # n * steps > PLANE_BLOCK: one per block
     ],
@@ -300,10 +298,10 @@ def test_tonal_plane_kernel_matches_per_candidate_reference(shape, stash_size, n
     rolls[0] = rolls[-1] = 0
     feats = roll_features(TONAL, shape, rolls)
     stash, candidates = feats[:stash_size], feats[stash_size:]
-    entropy = rng.integers(0, 2**32, size=(k, 2), dtype=np.uint32)
-    drawn = _stash_draws(stash_size, n, entropy)
-    got = _query_distances(TONAL, candidates, stash, drawn)
-    want = np.stack([features_distance(TONAL, c, stash[d]) for c, d in zip(candidates, drawn)])
+    # every candidate against one trial's shared stash rows
+    rows = stash[rng.choice(stash_size, size=n, replace=False)]
+    got = _query_distances(TONAL, candidates, rows)
+    want = np.stack([features_distance(TONAL, c, rows) for c in candidates])
     assert not stash.any(axis=-1).all() and not candidates.any(axis=-1).all()
     assert got.shape == (k, n)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -573,69 +571,70 @@ def test_results_compare_by_identity():
 
 
 @pytest.mark.parametrize("seed", [11, 2**32 + 5, 2**128 + 3])
-def test_run_mc_trials_draws_match_per_candidate_reference(small_population, seed):
+def test_plan_draws_match_per_trial_reference(small_population, seed):
     train, test = id_blocks(small_population, 30, 30)
-    config = mc_config(stash_size=50, n_per_query=20, subset_size=12, trials=3, seed=seed)
+    for stash_size, n in [(50, 20), (50, 50), (1, 1), (1000, 500)]:
+        config = mc_config(stash_size=stash_size, n_per_query=n, subset_size=12, trials=3, seed=seed)
+        plan = plan_mc_trials(train, test, config)
+        assert plan.drawn.dtype == np.int64
+        assert np.array_equal(plan.drawn, trial_draws(seed, trials=3, stash_size=stash_size, n=n))
+
+
+# Each trial's record picks for two seeds, drawn by the first child of the
+# trial's SeedSequence and so independent of how its stash rows are drawn.
+PINNED_PICKS = {
+    7: ([[6, 2, 5], [7, 4, 6]], [[1, 0, 3], [7, 5, 1]],
+        [[6, 2, 5, 101, 100, 103], [7, 4, 6, 107, 105, 101]]),
+    2**64 + 3: ([[3, 2, 4], [6, 2, 3]], [[2, 4, 3], [6, 8, 1]],
+                [[3, 2, 4, 102, 104, 103], [6, 2, 3, 106, 108, 101]]),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_PICKS))
+def test_plan_record_picks_are_pinned(seed):
+    shape = PianorollShape(1, 1, 1, 12)
+    train = Dataset(shape, np.zeros((8, *shape.dims()), dtype=np.uint8), np.arange(8))
+    test = Dataset(shape, np.zeros((9, *shape.dims()), dtype=np.uint8), np.arange(100, 109))
+    plan = plan_mc_trials(train, test, McConfig(10, 4, 3, 2, seed))
+    assert (plan.train_idx.tolist(), plan.test_idx.tolist(), plan.ids.tolist()) == PINNED_PICKS[seed]
+
+
+def whole_stash_result(plan, stash) -> tuple[list, list]:
+    """Each trial's epsilon and train-selected count, every candidate scored
+    against the whole stash in the stash's own order, one candidate at a
+    time by ``features_distance``."""
+    config, shape = plan.config, plan.train.shape
+    m = config.subset_size
+    stash_feats = roll_features(config.metric, shape, stash)
+    epsilons, selected = [], []
+    for t in range(config.trials):
+        rolls = [*plan.train.rolls[plan.train_idx[t]], *plan.test.rolls[plan.test_idx[t]]]
+        dists = np.stack([
+            features_distance(config.metric, roll_features(config.metric, shape, roll), stash_feats)
+            for roll in rolls
+        ])
+        epsilon = epsilon_from_heuristic(dists.ravel(), config.heuristic)
+        ranked = sorted(
+            range(2 * m),
+            key=lambda i: (-np.mean(dists[i] <= epsilon), np.mean(dists[i]), plan.ids[t][i], i >= m),
+        )
+        epsilons.append(epsilon)
+        selected.append(sum(i < m for i in ranked[:m]))
+    return epsilons, selected
+
+
+@pytest.mark.parametrize("metric, heuristic", [(EUCLIDEAN, "median"), (TONAL, "p:0.1"), (EUCLIDEAN, "p:0.01")])
+def test_a_whole_stash_draw_is_the_whole_stash_attack(pinned_setup, metric, heuristic):
+    train, test, stash = pinned_setup
+    config = McConfig(120, 120, 12, 4, 17, metric, EpsilonHeuristic.parse(heuristic))
     plan = plan_mc_trials(train, test, config)
-    expected = candidate_draws(seed, trials=3, m=12, stash_size=50, n=20)
-    assert np.array_equal(plan.drawn, np.stack(expected))
-
-
-# (stash size, draws): Floyd with and without collisions, one draw, a whole
-# stash (whose first Floyd step draws nothing), and one draw short of it
-DRAW_CASES = [(256, 64), (50, 20), (1000, 500), (10, 10), (5, 1), (1, 1), (300, 299), (300, 300)]
-
-
-def choice_reference(seed, count: int, stash_size: int, n: int) -> np.ndarray:
-    """Row i: ``choice(stash_size, n, replace=False)`` of the Generator that
-    ``default_rng`` gives on ``SeedSequence((seed, i))``."""
-    return np.stack([
-        np.random.default_rng(np.random.SeedSequence((seed, i))).choice(stash_size, size=n, replace=False)
-        for i in range(count)
-    ])
-
-
-@pytest.mark.parametrize("seed", [11, 2**32 + 5, 2**128 + 3])
-def test_batched_stash_draws_match_per_row_choice(monkeypatch, seed):
-    from rollmia import montecarlo
-
-    blocks = []
-    real_rows = montecarlo._floyd_rows
-
-    def recorded_rows(stash_size, states, out):
-        blocks.append(len(out))
-        real_rows(stash_size, states, out)
-
-    monkeypatch.setattr(montecarlo, "_floyd_rows", recorded_rows)
-    # every case batched, in blocks of 16 rows: 40 rows end on a ragged block
-    monkeypatch.setattr(montecarlo, "BATCH_MAX_DRAWS", 10**9)
-    for stash_size, n in DRAW_CASES:
-        monkeypatch.setattr(montecarlo, "DRAW_BLOCK", 16 * (60 * n + stash_size))
-        blocks.clear()
-        entropy = indexed_entropy(entropy_words(seed), 40)
-        drawn = _stash_draws(stash_size, n, entropy)
-        assert drawn.dtype == np.min_scalar_type(stash_size - 1)
-        assert np.array_equal(drawn, choice_reference(seed, 40, stash_size, n)), (stash_size, n)
-        assert blocks == [16, 16, 8]
-
-
-def test_rows_with_a_rejected_half_are_redrawn_by_choice(monkeypatch):
-    from rollmia import montecarlo
-
-    real_draws = montecarlo.bounded_draws
-
-    def reject_some(words, bounds):
-        values, rejected = real_draws(words, bounds)
-        # zeroed values draw wrong rows unless redrawn
-        values[::3] = 0
-        rejected[::3] = True
-        return values, rejected
-
-    monkeypatch.setattr(montecarlo, "bounded_draws", reject_some)
-    monkeypatch.setattr(montecarlo, "BATCH_MAX_DRAWS", 10**9)
-    for stash_size, n in [(256, 64), (300, 300), (5, 1)]:
-        entropy = indexed_entropy(entropy_words(17), 10)
-        assert np.array_equal(_stash_draws(stash_size, n, entropy), choice_reference(17, 10, stash_size, n))
+    # each trial's draw is the whole stash, in its own order
+    assert all(sorted(row) == list(range(120)) for row in plan.drawn.tolist())
+    result = score_mc_plan(plan, stash)
+    epsilons, selected = whole_stash_result(plan, stash)
+    assert result.epsilon.tolist() == epsilons
+    assert result.train_selected.tolist() == selected
+    assert (result.single_mi_accuracy, result.set_mi_correct_fraction) == mc_accuracies(selected, 12)
 
 
 @pytest.mark.parametrize("trials, n, stash_size", [(50, 64, 256), (6, 500, 1000)])
@@ -661,7 +660,7 @@ def test_run_mc_trials_with_a_plan_matches_without(small_population, metric, heu
     config = mc_config(stash_size=50, n_per_query=20, subset_size=12, trials=3, seed=9,
                        metric=metric, heuristic=EpsilonHeuristic.parse(heuristic))
     plan = plan_mc_trials(train, test, config)
-    assert plan.drawn.shape == (3, 24, 20) and plan.ids.shape == (3, 24)
+    assert plan.drawn.shape == (3, 20) and plan.ids.shape == (3, 24)
     assert plan.config is config and plan.train is train and plan.test is test
     # one plan scores the stashes of two models
     for stash_seed in (3, 4):
@@ -790,26 +789,26 @@ def test_population_stash_set_mi_envelope(small_population):
 
 # --- pinned results ------------------------------------------------------------
 
-# Recorded from the per-candidate reference implementation.  Half the stash
-# copies training rolls, so distances hold exact zeros and many ties, and the
-# 1% threshold lands on 0.0.
+# Recorded when each trial came to draw one set of stash rows for all its
+# candidates.  Half the stash copies training rolls, so distances hold exact
+# zeros and many ties, and the 1% threshold lands on 0.0.
 MC_PINS = {
     (EUCLIDEAN, "median"): (
-        [("11.090536506409418", 6, False), ("11.135528725660043", 7, True),
-         ("11.135528725660043", 7, True), ("11.135528725660043", 7, True)],
-        [0.76, 0.36, 0.28],
+        [("11.135528725660043", 4, False), ("11.135528725660043", 6, False),
+         ("11.135528725660043", 4, False), ("11.135528725660043", 5, False)],
+        [0.76, 0.44, 0.28],
     ),
     (EUCLIDEAN, "p:0.01"): (
-        [("0.0", 10, True), ("0.0", 10, True), ("0.0", 9, True), ("0.0", 8, True)],
+        [("0.0", 10, True), ("0.0", 11, True), ("0.0", 8, True), ("0.0", 8, True)],
         [0.0, 0.0, 0.0],
     ),
     (TONAL, "median"): (
-        [("1.2468034939407597", 7, True), ("1.2484265318654542", 6, False),
-         ("1.253708488971753", 6, False), ("1.255769128621985", 6, False)],
+        [("1.246703058755858", 6, False), ("1.2531850646019893", 7, True),
+         ("1.2574498012476352", 6, False), ("1.2387237946657215", 7, True)],
         [0.54, 0.28, 0.24],
     ),
     (TONAL, "p:0.01"): (
-        [("0.0", 10, True), ("0.0", 10, True), ("0.0", 8, True), ("0.0", 8, True)],
+        [("0.0", 10, True), ("0.0", 11, True), ("0.0", 10, True), ("0.0", 8, True)],
         [0.0, 0.0, 0.0],
     ),
 }

@@ -14,39 +14,33 @@ from conftest import SEED_CASES
 
 
 def _seedsequence_cases():
-    """(entropy, spawn_key) pairs: single ints, (seed, i) tuples, 1 to 9
-    words of entropy, and spawned children at depth 1 to 3 with spawn-key
-    entries at and above 2**32."""
-    cases = [(seed, ()) for seed in SEED_CASES]
-    cases += [((seed, i), ()) for seed in SEED_CASES for i in (0, 1, 2**32 - 1, 2**32 + 3)]
-    cases += [(list(range(1, words + 1)), ()) for words in range(1, 10)]
-    cases += [(2**(32 * (words - 1)) + 7, ()) for words in range(1, 10)]
-    for seed in SEED_CASES + ((3, 4, 5, 6, 7),):
-        for key in ((0,), (2**32,), (1, 2**40 + 9), (2**32 - 1, 5, 2**64 - 1)):
-            cases.append((seed, key))
+    """Entropies: single ints, (seed, i) tuples, and 1 to 9 words of
+    entropy, as lists and as long ints; rows longer than the 4-word pool
+    mix their extra words into every pool word."""
+    cases = list(SEED_CASES)
+    cases += [(seed, i) for seed in SEED_CASES for i in (0, 1, 2**32 - 1, 2**32 + 3)]
+    cases += [list(range(1, words + 1)) for words in range(1, 10)]
+    cases += [2**(32 * (words - 1)) + 7 for words in range(1, 10)]
     return cases
 
 
 def test_seed_rows_match_seedsequence():
-    for entropy, key in _seedsequence_cases():
-        words = entropy_words(entropy, key)
-        expected = np.random.SeedSequence(entropy, spawn_key=key).generate_state(4, np.uint64)
+    for entropy in _seedsequence_cases():
+        words = entropy_words(entropy)
+        expected = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
         state, = seed_states(np.array([words]))
-        assert np.array_equal(state, expected), (entropy, key)
+        assert np.array_equal(state, expected), entropy
         rng = state_generator(state)
-        ref = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=key))
+        ref = np.random.default_rng(entropy)
         assert rng.choice(1000, size=5, replace=False).tolist() == ref.choice(1000, size=5, replace=False).tolist()
         assert rng.standard_normal() == ref.standard_normal()
         assert rng.integers(2**63) == ref.integers(2**63)
-    # spawned children, by numpy's own spawn, at depth 1 to 3
-    for seed in (5, 2**64 - 1, 2**128 + 1):
-        node = np.random.SeedSequence(seed)
-        for _depth in range(3):
-            children = node.spawn(3)
-            rows = np.array([entropy_words(c.entropy, c.spawn_key) for c in children])
-            expected = [c.generate_state(4, np.uint64) for c in children]
-            assert np.array_equal(seed_states(rows), np.stack(expected))
-            node = children[-1]
+    # a long entropy integer: rows of 9 words, beyond the pool, in one batch
+    longs = [2**256 + 3 * i for i in range(5)]
+    rows = np.array([entropy_words(value) for value in longs])
+    assert rows.shape == (5, 9)
+    expected = [np.random.SeedSequence(value).generate_state(4, np.uint64) for value in longs]
+    assert np.array_equal(seed_states(rows), np.stack(expected))
 
 
 def test_indexed_entropy_rows_match_seedsequence():
@@ -54,15 +48,6 @@ def test_indexed_entropy_rows_match_seedsequence():
         states = seed_states(indexed_entropy(entropy_words(seed), 40))
         for i, state in enumerate(states):
             assert np.array_equal(state, np.random.SeedSequence((seed, i)).generate_state(4, np.uint64))
-    # a matrix of prefixes, as an MC plan builds it: per trial, the words of
-    # the second child of the trial's SeedSequence, whose children the
-    # trial's candidates draw with
-    for seed in SEED_CASES:
-        roots = [trial.spawn(2)[1] for trial in np.random.SeedSequence(seed).spawn(3)]
-        prefixes = [entropy_words(root.entropy, root.spawn_key) for root in roots]
-        states = seed_states(indexed_entropy(prefixes, 5))
-        expected = [child.generate_state(4, np.uint64) for root in roots for child in root.spawn(5)]
-        assert np.array_equal(states, np.stack(expected)), seed
 
 
 def test_entropy_words_reject_what_seedsequence_rejects():
@@ -71,8 +56,6 @@ def test_entropy_words_reject_what_seedsequence_rejects():
             np.random.SeedSequence(bad)
         with pytest.raises(ValueError, match="expected non-negative integer"):
             entropy_words(bad)
-    with pytest.raises(ValueError):
-        entropy_words(3, spawn_key=(-2,))
     for bad in (1.5, (1.5, 2), "7", None):
         with pytest.raises(TypeError):
             entropy_words(bad)
