@@ -4,6 +4,13 @@ Exit codes: 0 success, 2 configuration/validation error, or a size set by a
 flag or config key too large to allocate, 3 data/format error, 4 training
 divergence or a white-box scorer that raises.
 
+A flag that sets a config key has that key as its ``dest``, and
+``dataset gen``, ``split`` and ``attack mc`` build their config blocks from
+the parsed flags with ``config.flags_block``, so the flags are checked as
+the config file's blocks are and each refusal names the verb.  A flag whose
+key has a default in its dataclass has none of its own
+(``argparse.SUPPRESS``): left out, it leaves the key out.
+
 ``attack wb`` and ``attack mc`` compute their CSV line with the experiment's
 own row functions, so a checkpoint gives the same line from either entry
 point, and print values read from that line's fields.
@@ -26,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import check_config_block, flags_block, naming_block, parse_config, read_config_file
 from .errors import ConfigError, DivergenceError, FormatError
 from .gan import (
     Checkpoint,
@@ -48,19 +56,14 @@ from .harness import (
     checkpoint_scorer,
     load_experiment_config,
     mc_row,
-    parse_config,
-    read_config_file,
     report_from_dir,
     run_experiment,
     whitebox_row,
     write_lines,
 )
-from .montecarlo import EUCLIDEAN, METRICS, McConfig, plan_mc_trials
+from .montecarlo import METRICS, McConfig, plan_mc_trials
 from .pianoroll import (
     SplitSpec,
-    check_config_block,
-    config_block,
-    naming_block,
     read_dataset,
     split,
     synth_generate,
@@ -95,10 +98,7 @@ def _parse_oracle(text: str, block: str, bounds: dict[str, tuple[float, float]])
 
 
 def cmd_dataset_gen(args) -> int:
-    spec = config_block(SyntheticSpec, dict(
-        count=args.count, seed=args.seed, tracks=args.tracks, bars=args.bars, steps_per_bar=args.steps,
-        pitches=args.pitches, base_midi_pitch=args.base_pitch,
-    ), "dataset gen")
+    spec = flags_block(SyntheticSpec, args, "dataset gen")
     # the spec leaves count to the config's split rule; synth_generate refuses one below 1
     with naming_block("dataset gen"):
         dataset = synth_generate(spec.seed, spec.count, spec.shape)
@@ -108,7 +108,7 @@ def cmd_dataset_gen(args) -> int:
 
 
 def cmd_split(args) -> int:
-    spec = config_block(SplitSpec, {"train_fraction": args.fraction, "seed": args.seed}, "split")
+    spec = flags_block(SplitSpec, args, "split")
     dataset = read_dataset(args.input)
     with naming_block("split"):
         train_set, test_set = split(dataset, spec)
@@ -177,10 +177,7 @@ def cmd_attack_wb(args) -> int:
 
 
 def cmd_attack_mc(args) -> int:
-    config = config_block(McConfig, dict(
-        stash_size=args.stash, n_per_query=args.n, heuristic=args.heuristic, metric=args.metric,
-        subset_size=args.subset, trials=args.trials, seed=args.seed,
-    ), "attack mc")
+    config = flags_block(McConfig, args, "attack mc")
 
     def from_oracle(text, train_set):
         spec = _parse_oracle(text, "attack mc --oracle", {"p": (0, 1), "sigma": (0, 1)})
@@ -231,15 +228,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--count", type=int, required=True)
     p_gen.add_argument("--tracks", type=int, default=2)
     p_gen.add_argument("--bars", type=int, default=1)
-    p_gen.add_argument("--steps", type=int, default=16)
+    p_gen.add_argument("--steps", dest="steps_per_bar", type=int, default=16)
     p_gen.add_argument("--pitches", type=int, default=24)
-    p_gen.add_argument("--base-pitch", type=int, default=24)
+    p_gen.add_argument("--base-pitch", dest="base_midi_pitch", type=int, default=argparse.SUPPRESS)
     p_gen.add_argument("--seed", type=int, required=True)
     p_gen.set_defaults(verb="cmd_dataset_gen")
 
     p_split = sub.add_parser("split", help="split a dataset into train/test")
     p_split.add_argument("--in", dest="input", required=True)
-    p_split.add_argument("--fraction", type=float, required=True)
+    p_split.add_argument("--fraction", dest="train_fraction", type=float, required=True)
     p_split.add_argument("--seed", type=int, required=True)
     p_split.add_argument("--train", required=True)
     p_split.add_argument("--test", required=True)
@@ -269,11 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
     mc_model.add_argument("--oracle", help='oracle generator, e.g. "p=1,sigma=0"')
     p_mc.add_argument("--train", required=True)
     p_mc.add_argument("--test", required=True)
-    p_mc.add_argument("--heuristic", default="median", help="median or p:Q")
-    p_mc.add_argument("--metric", choices=sorted(METRICS), default=EUCLIDEAN)
-    p_mc.add_argument("--stash", type=int, required=True)
-    p_mc.add_argument("--n", type=int, required=True)
-    p_mc.add_argument("--subset", type=int, required=True)
+    p_mc.add_argument("--heuristic", default=argparse.SUPPRESS, help="median or p:Q")
+    p_mc.add_argument("--metric", choices=sorted(METRICS), default=argparse.SUPPRESS)
+    p_mc.add_argument("--stash", dest="stash_size", type=int, required=True)
+    p_mc.add_argument("--n", dest="n_per_query", type=int, required=True)
+    p_mc.add_argument("--subset", dest="subset_size", type=int, required=True)
     p_mc.add_argument("--trials", type=int, required=True)
     p_mc.add_argument(
         "--seed",

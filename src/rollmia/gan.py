@@ -46,6 +46,7 @@ from typing import Callable
 import numpy as np
 
 from . import nn
+from .config import check_at_least_one
 from .errors import ConfigError, DivergenceError, FormatError
 from .pianoroll import Dataset, PianorollShape, atomic_open
 from .streams import seeded_generator
@@ -195,10 +196,8 @@ class TrainConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "lr", float(self.lr))  # so an integer lr echoes as a float
-        for name in ("iterations", "batch_size", "latent_dim", "checkpoint_every",
-                     "d_steps_per_g_step"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+        check_at_least_one(self, "iterations", "batch_size", "latent_dim", "checkpoint_every",
+                           "d_steps_per_g_step")
         if self.lr <= 0.0:
             raise ConfigError("lr must be positive")
         if self.iterations % self.checkpoint_every != 0:

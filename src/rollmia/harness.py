@@ -40,14 +40,11 @@ record's or a row's draws is told once, in ``rollmia.streams``.
 Each kind of file a run reads or writes has one definition here, shared
 with ``cli``.  A config file is a tree of frozen dataclasses whose fields
 are its keys: ``ExperimentConfig`` for ``experiment run``, ``TrainRunConfig``
-for ``rollmia train``.  ``read_config_file`` only decodes the JSON, and
-``parse_config`` builds the tree with ``pianoroll.config_block`` alone, so
-each key is stated once, as a field, and then checks the schema version.
-``parse_experiment_config`` adds the rules across keys, whose messages name
-the keys themselves: a split that leaves a synthetic side empty, a label's
-train fraction, at least one attack.  ``config_echo`` is the inverse of the
-reader, the normalized form a run's manifest records and hashes: parsing it
-gives the same config.
+for ``rollmia train``.  ``rollmia.config`` reads such a file into its tree,
+so each key is stated once, as a field, and echoes and hashes it for the
+manifest.  ``parse_experiment_config`` adds the rules across keys, whose
+messages name the keys themselves: a split that leaves a synthetic side
+empty, a label's train fraction, at least one attack.
 
 ``checkpoint_name`` names a checkpoint file, and ``TABLES`` lists each
 attack table as (file, section title, CSV header, success_vs_iteration.csv
@@ -62,20 +59,19 @@ whose header or row field counts are not its table's.  A new table is one
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import platform
-import re
 import shutil
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from . import __version__
+from .config import CONFIG_SCHEMA_VERSION, config_echo, config_hash, naming_block, parse_config, read_config_file
 from .errors import ConfigError, DivergenceError, FormatError
 from .gan import (
     CHECKPOINT_VERSION,
@@ -98,18 +94,17 @@ from .pianoroll import (
     SplitSpec,
     StyleParams,
     atomic_open,
+    atomic_target,
     check_pitch_classes,
-    config_block,
-    naming_block,
     read_dataset,
+    sidecar_path,
     split,
     synth_generate,
     write_dataset,
 )
-from .streams import seed_states, state_generator
+from .streams import uint64_generators
 from .whitebox import run_whitebox_sets
 
-CONFIG_SCHEMA_VERSION = 1
 # each label and the split train_fraction it requires (None: any)
 LABELS = {"default": 0.5, "overfitted": 0.1, "custom": None}
 
@@ -124,7 +119,7 @@ class SyntheticSpec:
     bars: int
     steps_per_bar: int
     pitches: int
-    base_midi_pitch: int = 24
+    base_midi_pitch: int = PianorollShape.base_midi_pitch
     style: StyleParams = StyleParams()
 
     def __post_init__(self):
@@ -191,26 +186,6 @@ class TrainRunConfig:
     train: TrainConfig
 
 
-def read_config_file(path: str | Path) -> dict:
-    """Decode a JSON config file; its caller checks what it holds."""
-    path = Path(path)
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-
-
-def parse_config(cls, data, source: str):
-    """Build ``cls``, the dataclass of a whole config file, from decoded
-    JSON ``data``, read from ``source``, at ``CONFIG_SCHEMA_VERSION``."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"{source} is not a JSON object")
-    config = config_block(cls, data, "config")
-    if config.schema_version != CONFIG_SCHEMA_VERSION:
-        raise ConfigError(f"unsupported config schema_version {config.schema_version}")
-    return config
-
-
 def parse_experiment_config(data, source: str = "config") -> ExperimentConfig:
     """Build an ExperimentConfig from decoded JSON, read from ``source``,
     checking each block once, then the rules across keys, whose messages
@@ -232,25 +207,6 @@ def parse_experiment_config(data, source: str = "config") -> ExperimentConfig:
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
     return parse_experiment_config(read_config_file(path), f"config {Path(path)}")
-
-
-def config_echo(config) -> dict:
-    """Normalized JSON form of a config, which ``config_block`` reads back to
-    it; hashed into the manifest.  Of a value in it: a dataclass is its
-    fields but those left out (None), a value whose type has ``parse`` its
-    label, a tuple a list and a path its text."""
-    if hasattr(type(config), "parse"):
-        return config.label()
-    if is_dataclass(config):
-        return {f.name: config_echo(v) for f in fields(config) if (v := getattr(config, f.name)) is not None}
-    if isinstance(config, tuple):
-        return [config_echo(v) for v in config]
-    return str(config) if isinstance(config, Path) else config
-
-
-def config_hash(config: ExperimentConfig) -> str:
-    canonical = json.dumps(config_echo(config), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +285,10 @@ def report_from_dir(in_dir: str | Path, fmt: str) -> str:
     for name, title, header, _ in TABLES:
         path = in_dir / name
         if path.exists():
-            lines = path.read_text(encoding="utf-8").strip().splitlines()
+            try:
+                lines = path.read_text(encoding="utf-8").strip().splitlines()
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"table {path} is not UTF-8 text: {exc}") from exc
             if not lines:
                 raise FormatError(f"empty table {path}")
             if lines[0] != header or any(line.count(",") != header.count(",") for line in lines):
@@ -367,7 +326,7 @@ def checkpoint_name(iteration: int) -> str:
 # ``checkpoints/`` folder of ``checkpoint_name`` files
 _RUN_FILES = frozenset(
     ["manifest.json", "success_vs_iteration.csv", "report.md", *(name for name, *_ in TABLES)]
-    + [f"{stem}.prd{ext}" for stem in ("dataset", "train", "test") for ext in ("", ".meta.json")]
+    + [file for name in ("dataset.prd", "train.prd", "test.prd") for file in (name, sidecar_path(name).name)]
 )
 
 
@@ -377,8 +336,7 @@ def _foreign_entry(out: Path) -> Path | None:
     counts as the file it replaces."""
     ckpts = out / "checkpoints"
     for entry in sorted(out.iterdir()) + (sorted(ckpts.iterdir()) if ckpts.is_dir() else []):
-        temp = re.fullmatch(r"\.(.+)\.\d+\.tmp", entry.name)
-        name = temp[1] if temp else entry.name
+        name = atomic_target(entry.name) or entry.name
         if entry == ckpts:
             ours = entry.is_dir()
         elif entry.parent == ckpts:
@@ -399,20 +357,13 @@ def checkpoint_scorer(gan: ComposerGan):
 
 def checkpoint_sampler(gan: ComposerGan):
     """uint64 seed array -> binarized generator samples: each seed's latent
-    row is the stream of ``default_rng(seed)``, drawn as
-    ``standard_normal(latent_dim)``, then one blocked generator pass.
-
-    A seed's entropy is its two little-endian uint32 halves; a seed below
-    2**32 is one word under ``default_rng``, and a zero high word hashes as
-    an absent one, so the streams agree.
-    """
+    row is the stream of ``default_rng(seed)`` (``streams.uint64_generators``),
+    drawn as ``standard_normal(latent_dim)``, then one blocked generator
+    pass."""
 
     def sample(seeds: np.ndarray) -> np.ndarray:
-        entropy = np.ascontiguousarray(seeds, dtype="<u8").view("<u4").reshape(len(seeds), 2)
-        z = np.empty((len(seeds), gan.latent_dim))
-        for row, state in zip(z, seed_states(entropy)):
-            state_generator(state).standard_normal(out=row)
-        return g_sample(gan, z)
+        z = [rng.standard_normal(gan.latent_dim) for rng in uint64_generators(seeds)]
+        return g_sample(gan, np.stack(z))
 
     return sample
 

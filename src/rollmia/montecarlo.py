@@ -57,6 +57,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import check_at_least_one
 from .errors import ConfigError
 from .pianoroll import Dataset, PianorollShape
 
@@ -107,7 +108,7 @@ class EpsilonHeuristic:
 @dataclass(frozen=True)
 class McConfig:
     """One MC attack; also an "attacks.mc" config entry, read by
-    ``pianoroll.config_block`` with the heuristic given by its label."""
+    ``config.config_block`` with the heuristic given by its label."""
 
     stash_size: int
     n_per_query: int
@@ -120,9 +121,7 @@ class McConfig:
     def __post_init__(self):
         if self.metric not in METRICS:
             raise ConfigError(f"metric must be one of {METRICS}, got {self.metric!r}")
-        for name in ("stash_size", "n_per_query", "subset_size", "trials"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+        check_at_least_one(self, "stash_size", "n_per_query", "subset_size", "trials")
         if self.n_per_query > self.stash_size:
             raise ConfigError("n_per_query cannot exceed stash_size")
 

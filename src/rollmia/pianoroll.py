@@ -20,18 +20,15 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import struct
-import sys
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
-from functools import cache
-from numbers import Integral, Real
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from types import UnionType
-from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from .config import check_at_least_one, config_block
 from .errors import ConfigError, FormatError
 from .streams import (
     bounded_draws,
@@ -60,9 +57,7 @@ class PianorollShape:
     base_midi_pitch: int = 24
 
     def __post_init__(self):
-        for name in ("tracks", "bars", "steps_per_bar", "pitches"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+        check_at_least_one(self, "tracks", "bars", "steps_per_bar", "pitches")
         if self.cells > MAX_CELLS:
             raise ConfigError(
                 f"total cells {self.cells} exceeds desk-scale bound {MAX_CELLS}"
@@ -153,110 +148,6 @@ class SplitSpec:
         return math.floor(self.train_fraction * n)
 
 
-# kinds of config values and their names in errors: ``int`` is an integer,
-# ``float`` a real number, an integer included; a bool is neither
-_CONFIG_KINDS = {
-    int: (Integral, "an integer"),
-    float: (Real, "a real number"),
-    bool: (bool, "true or false"),
-    str: (str, "a string"),
-    dict: (dict, "an object"),
-    list: (list, "a list"),
-}
-
-
-def check_config_block(data, block: str, kinds: dict, required: tuple = ()) -> None:
-    """Raise ConfigError unless ``data``, the config block at key path
-    ``block``, is an object whose keys all appear in ``kinds``, holding every
-    key of ``required``, with each value of its kind (one of ``int``,
-    ``float``, ``bool``, ``str``, ``dict``, ``list``), each real finite, each
-    integer but a ``seed`` in the int64 range, and a ``seed`` not negative.
-    Values are checked, not coerced; each error names the block and the
-    key."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"{block} must be an object, got {data!r}")
-    for key in data:
-        if key not in kinds:
-            raise ConfigError(f"unknown {block} key {key!r}")
-    for key in required:
-        if key not in data:
-            raise ConfigError(f"{block} is missing {key!r}")
-    for key, value in data.items():
-        kind, noun = _CONFIG_KINDS[kinds[key]]
-        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-            raise ConfigError(f"{block} {key} must be {noun}, got {value!r}")
-        # json reads NaN, Infinity and integers past float range; the
-        # comparison is exact for integers and false for NaN
-        if kind is Real and not abs(value) <= sys.float_info.max:
-            raise ConfigError(f"{block} {key} must be a finite real number, got {value!r}")
-        if key == "seed" and value < 0:  # SeedSequence takes no negative entropy, but any size
-            raise ConfigError(f"{block} seed must be a non-negative integer, got {value!r}")
-        # json reads integers of any size, which numpy refuses only mid-run
-        # as array sizes, and which a training loop counts to until killed
-        if kind is Integral and key != "seed" and not -(2**63) <= value < 2**63:
-            raise ConfigError(f"{block} {key} must be an integer in the int64 range, got {value!r}")
-
-
-@contextmanager
-def naming_block(block: str):
-    """Prefix a ConfigError raised inside with the config block's key path."""
-    try:
-        yield
-    except ConfigError as exc:
-        raise ConfigError(f"{block} {exc}") from exc
-
-
-def field_kind(hint) -> tuple[type, type]:
-    """The type of a config field annotated ``hint``, ``X`` for ``X | None``
-    (a field whose key may be left out), and the kind ``check_config_block``
-    checks for it: a type with a ``parse`` classmethod, or ``Path``, takes a
-    string, any other dataclass is a block (an object), ``tuple[X, ...]`` a
-    list of ``X`` blocks, and any other type is its own kind."""
-    args = [arg for arg in get_args(hint) if arg is not type(None)]
-    t = args[0] if get_origin(hint) is UnionType and len(args) == 1 else hint
-    if hasattr(t, "parse") or t is Path:
-        return t, str
-    return t, dict if is_dataclass(t) else list if get_origin(t) is tuple else t
-
-
-@cache
-def _field_table(cls) -> tuple[dict, dict, tuple]:
-    """The config dataclass ``cls``'s field types and kinds, each keyed by
-    field name, and its required keys, worked out once per class; every
-    ``config_block`` call on ``cls`` shares them, so they are only read."""
-    types, kinds = {}, {}
-    for key, hint in get_type_hints(cls).items():
-        types[key], kinds[key] = field_kind(hint)
-    return types, kinds, tuple(f.name for f in fields(cls) if f.default is MISSING)
-
-
-def config_block(cls, data, block: str):
-    """Build the frozen dataclass ``cls`` from ``data``, the config block at
-    key path ``block``, whose keys are the fields of ``cls``: a field without
-    a default is required, one typed as a dataclass is the nested block
-    ``<block>.<key>``, one typed ``tuple[X, ...]`` the list of ``X`` blocks
-    ``<block>.<key>[i]`` (read by this function with that tuple type as
-    ``cls``), and one that takes a string is built by its type's
-    ``parse`` classmethod (``EpsilonHeuristic``) or by the type itself
-    (``Path``).  The top-level block, ``config``, names its nested blocks by
-    the bare key (``attacks.mc[0]``).  The kinds ``check_config_block``
-    checks come from the field types, so each key is stated once, and the
-    build runs under ``naming_block``."""
-    if get_origin(cls) is tuple:  # a list of blocks
-        return tuple(config_block(get_args(cls)[0], item, f"{block}[{i}]") for i, item in enumerate(data))
-    types, kinds, required = _field_table(cls)
-    check_config_block(data, block, kinds, required)
-    prefix = "" if block == "config" else f"{block}."
-    # a nested block names its own errors, so it is built outside naming_block
-    values = {
-        key: config_block(types[key], value, prefix + key) if kinds[key] in (dict, list) else value
-        for key, value in data.items()
-    }
-    parse = {key: getattr(t, "parse", t) for key, t in types.items() if kinds[key] is str}
-    with naming_block(block):
-        return cls(**{key: parse[key](v) if key in parse else v for key, v in values.items()})
-
-
 @dataclass(frozen=True)
 class StyleParams:
     """Knobs for the synthetic generator.
@@ -272,8 +163,7 @@ class StyleParams:
     transpose: int = 12
 
     def __post_init__(self):
-        if self.rhythm_period < 1:
-            raise ConfigError("rhythm_period must be >= 1")
+        check_at_least_one(self, "rhythm_period")
         if not 0.0 <= self.ornament_prob <= 1.0:
             raise ConfigError("ornament_prob must be in [0, 1]")
 
@@ -488,7 +378,8 @@ def atomic_open(path: str | Path, mode: str = "wb"):
     """Open a temp file beside ``path`` for writing and move it over ``path``
     with ``os.replace`` once the block completes, so a reader sees the old
     file or the whole new one.  If the block raises, the temp file is removed
-    and ``path`` is left as it was."""
+    and ``path`` is left as it was.  The temp file is named
+    ".<name>.<pid>.tmp", which ``atomic_target`` reads back."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -500,8 +391,16 @@ def atomic_open(path: str | Path, mode: str = "wb"):
         raise
 
 
-def _sidecar_path(path: Path) -> Path:
-    return path.parent / (path.name + ".meta.json")
+def atomic_target(name: str) -> str | None:
+    """The name of the file that the ``atomic_open`` temp file named
+    ``name`` replaces, or None if ``name`` names no such temp file."""
+    return temp[1] if (temp := re.fullmatch(r"\.(.+)\.\d+\.tmp", name)) else None
+
+
+def sidecar_path(path: str | Path) -> Path:
+    """The ids sidecar that ``write_dataset`` writes beside the dataset file
+    ``path``."""
+    return Path(f"{path}.meta.json")
 
 
 def write_dataset(dataset: Dataset, path: str | Path, style: StyleParams | None = None) -> None:
@@ -527,7 +426,7 @@ def write_dataset(dataset: Dataset, path: str | Path, style: StyleParams | None 
     meta: dict = {"ids": dataset.ids.tolist()}
     if style is not None:
         meta["style"] = asdict(style)
-    with atomic_open(_sidecar_path(path), "w") as fh:
+    with atomic_open(sidecar_path(path), "w") as fh:
         # json.dumps takes the C encoder, json.dump the pure-Python one
         fh.write(json.dumps(meta, sort_keys=True))
         fh.write("\n")
@@ -566,11 +465,11 @@ def read_dataset(path: str | Path) -> Dataset:
     rolls = bits.reshape(count, *shape.dims())
 
     ids = np.arange(count)
-    sidecar = _sidecar_path(path)
+    sidecar = sidecar_path(path)
     if sidecar.exists():
         try:
             meta = json.loads(sidecar.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not UTF-8, or not JSON
             raise FormatError(f"bad sidecar json for {path}: {exc}") from exc
         if not isinstance(meta, dict):
             raise FormatError(f"bad sidecar for {path}: expected a JSON object")

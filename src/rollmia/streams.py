@@ -18,7 +18,8 @@ words.
 - **Single records.** ``seeded_generator(seed)`` is ``default_rng(seed)``
   for one seed: numpy's C code mixes the seed into the SeedSequence pool,
   and the pool is hashed here on Python ints, which skips numpy's per-call
-  Python wrappers.
+  Python wrappers.  ``uint64_generators(seeds)`` gives ``default_rng``'s
+  Generator for each seed of a uint64 array, such as a stash's seeds.
 - **Raw words.** ``raw_words`` gives each state's first raw PCG64 words,
   from which a batch replays numpy's own draws: ``bounded_draws`` reads a
   row's words as uint32 halves, low half first, as ``Generator.integers``
@@ -194,6 +195,16 @@ def seeded_generator(seed) -> np.random.Generator:
         w4 ^ w4 >> 16 | (w5 ^ w5 >> 16) << 32,
         w6 ^ w6 >> 16 | (w7 ^ w7 >> 16) << 32,
     ], dtype=np.uint64))
+
+
+def uint64_generators(seeds: np.ndarray):
+    """The Generators ``default_rng(int(s))`` gives for each seed s of a
+    uint64 array, in order, as an iterator.  A seed's words are its two
+    little-endian uint32 halves, and the zero high word of a seed below
+    2**32, which ``default_rng`` sees as one word, hashes as an absent one
+    (``seed_states``), so one (k, 2) matrix serves every seed."""
+    entropy = np.ascontiguousarray(seeds, dtype="<u8").view("<u4").reshape(len(seeds), 2)
+    return map(state_generator, seed_states(entropy))
 
 
 def raw_words(states: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -89,6 +89,8 @@ def test_benchmark_hook_reads_the_parameter_it_names(hooked):
 
 def test_checkpoint_audit_argv_parses_to_its_mc_config(tmp_path, monkeypatch):
     from rollmia import cli
+    from rollmia.config import config_block, flags_block
+    from rollmia.montecarlo import McConfig
 
     module = sys.modules["perfbench_workloads"]
     argvs = []
@@ -109,7 +111,4 @@ def test_checkpoint_audit_argv_parses_to_its_mc_config(tmp_path, monkeypatch):
         assert (args.train, args.test) == (str(state["train"]), str(state["test"]))
     args = parsed["mc"]
     assert (args.verb, parsed["wb"].verb) == ("cmd_attack_mc", "cmd_attack_wb")
-    assert (args.stash, args.n, args.subset, args.trials, args.seed) == (
-        mc["stash_size"], mc["n_per_query"], mc["subset_size"], mc["trials"], mc["seed"]
-    )
-    assert (args.heuristic, args.metric) == (mc["heuristic"], mc["metric"])
+    assert flags_block(McConfig, args, "attack mc") == config_block(McConfig, mc, "attacks.mc[0]")

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,14 @@ import pytest
 import rollmia
 from rollmia import cli, gan, harness
 from rollmia.cli import main
-from rollmia.pianoroll import Dataset, PianorollShape, read_dataset, write_dataset
+from rollmia.config import config_block, flags_block
+from rollmia.harness import SyntheticSpec
+from rollmia.montecarlo import McConfig
+from rollmia.pianoroll import Dataset, PianorollShape, SplitSpec, read_dataset, write_dataset
+
+
+# the decoder's message for a file that starts with the byte 0xff
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
 
 
 def run(argv):
@@ -221,6 +229,41 @@ def test_experiment_run_and_report(tmp_path):
     assert run(["report", "--in-dir", out_dir, "--format", "md"]) == 0
 
 
+# the dests of each verb's flags that are files or a model, not config keys
+NOT_KEYS = {"command", "dataset_command", "attack_command", "verb", "out", "input", "train", "test", "oracle",
+            "checkpoint"}
+MC_FLAGS = ["attack", "mc", "--oracle", "p=1,sigma=0", "--train", "a.prd", "--test", "b.prd", "--out", "o.csv",
+            "--stash", "20", "--n", "5", "--subset", "2", "--trials", "3", "--seed", "4"]
+MC_KEYS = {"stash_size": 20, "n_per_query": 5, "subset_size": 2, "trials": 3, "seed": 4}
+GEN_FLAGS = ["dataset", "gen", "--out", "d.prd", "--count", "10", "--seed", "1", "--steps", "8"]
+GEN_KEYS = {"count": 10, "seed": 1, "tracks": 2, "bars": 1, "steps_per_bar": 8, "pitches": 24}
+
+
+@pytest.mark.parametrize(
+    "argv, cls, block, keys",
+    [
+        (GEN_FLAGS, SyntheticSpec, "dataset gen", GEN_KEYS),
+        ([*GEN_FLAGS, "--base-pitch", "30", "--tracks", "3"], SyntheticSpec, "dataset gen",
+         {**GEN_KEYS, "base_midi_pitch": 30, "tracks": 3}),
+        (["split", "--in", "d.prd", "--fraction", "0.25", "--seed", "3", "--train", "a.prd", "--test", "b.prd"],
+         SplitSpec, "split", {"train_fraction": 0.25, "seed": 3}),
+        (MC_FLAGS, McConfig, "attack mc", MC_KEYS),
+        ([*MC_FLAGS, "--heuristic", "p:0.1", "--metric", "tonal"], McConfig, "attack mc",
+         {**MC_KEYS, "heuristic": "p:0.1", "metric": "tonal"}),
+    ],
+    ids=["gen", "gen-every-flag", "split", "mc", "mc-every-flag"],
+)
+def test_flags_give_the_block_their_keys_give(argv, cls, block, keys):
+    """A verb's parsed flags build the block that a config file holding the
+    same keys builds; a flag left out without a default of its own leaves
+    its key out.  Every dest the verb reads is a field of its class, so no
+    flag is dropped for a dest that names no key."""
+    args = cli.build_parser().parse_args(argv)
+    assert flags_block(cls, args, block) == config_block(cls, keys, block)
+    assert set(vars(args)) - NOT_KEYS == set(keys)
+    assert set(keys) <= {f.name for f in fields(cls)}
+
+
 def test_exit_code_format_error(tmp_path):
     bad = tmp_path / "bad.prd"
     bad.write_bytes(b"XXXX" + b"\x00" * 40)
@@ -252,6 +295,18 @@ def test_exit_code_bad_sidecar(tmp_path, cli_workspace, make_sidecar):
          "--train", tmp_path / "a.prd", "--test", tmp_path / "b.prd"]
     )
     assert code == 3
+
+
+def test_sidecar_that_is_not_utf8_exits_3_naming_the_dataset(tmp_path, cli_workspace, capsys):
+    _, data, _, _ = cli_workspace
+    path = tmp_path / "bad.prd"
+    path.write_bytes(data.read_bytes())
+    (tmp_path / "bad.prd.meta.json").write_bytes(b"\xff")
+    capsys.readouterr()
+    assert run(["split", "--in", path, "--fraction", 0.5, "--seed", 1,
+                "--train", tmp_path / "a.prd", "--test", tmp_path / "b.prd"]) == 3
+    assert capsys.readouterr().err.splitlines() == [f"error: bad sidecar json for {path}: {NOT_UTF8}"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.prd", "bad.prd.meta.json"]
 
 
 def test_exit_code_config_error(tmp_path, cli_workspace, capsys):
@@ -488,6 +543,16 @@ def test_config_that_is_not_json_exits_2(tmp_path, capsys):
             f"error: config {config} is not valid JSON: "
             "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
         ]
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_config_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes(b"\xff{}")
+    capsys.readouterr()
+    for verb in (["experiment", "run"], ["train", "--out-dir", tmp_path / "ck"]):
+        assert run([*verb, "--config", config]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: config {config} is not valid JSON: {NOT_UTF8}"]
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
@@ -931,6 +996,14 @@ def test_split_of_a_corrupt_dataset_exits_3(cli_workspace, tmp_path, capsys, cor
                 "--train", tmp_path / "a.prd", "--test", tmp_path / "b.prd"]) == 3
     assert capsys.readouterr().err.splitlines() == ["error: " + message.format(path=path)]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.prd", "bad.prd.meta.json"]
+
+
+def test_report_on_a_table_that_is_not_utf8_exits_3_naming_it(tmp_path, capsys):
+    table = tmp_path / "mc_metrics.csv"
+    table.write_bytes(b"\xff" + harness.MC_HEADER.encode() + b"\n")
+    capsys.readouterr()
+    assert run(["report", "--in-dir", tmp_path]) == 3
+    assert capsys.readouterr().err.splitlines() == [f"error: table {table} is not UTF-8 text: {NOT_UTF8}"]
 
 
 def test_report_on_an_empty_table_exits_3(tmp_path, capsys):

@@ -25,15 +25,14 @@ from rollmia import (
     synth_generate,
     write_dataset,
 )
-from rollmia import harness, pianoroll
+from rollmia import config as config_module, harness, pianoroll
 from rollmia.cli import main as cli_main
+from rollmia.config import config_echo, config_hash
 from rollmia.harness import (
     DatasetFile,
     ExperimentConfig,
     TrainRunConfig,
     _write_manifest,
-    config_echo,
-    config_hash,
     load_experiment_config,
     parse_experiment_config,
     report_from_dir,
@@ -136,8 +135,8 @@ def test_every_config_field_type_is_one_config_block_reads():
         cls = todo.pop()
         seen.add(cls)
         for key, hint in get_type_hints(cls).items():
-            t, kind = pianoroll.field_kind(hint)
-            assert kind in pianoroll._CONFIG_KINDS, f"{cls.__name__}.{key}: {hint}"
+            t, kind = config_module.field_kind(hint)
+            assert kind in config_module._CONFIG_KINDS, f"{cls.__name__}.{key}: {hint}"
             if kind is list:
                 t, rest = get_args(t)
                 assert rest is Ellipsis and is_dataclass(t), f"{cls.__name__}.{key}: {hint}"
@@ -146,7 +145,7 @@ def test_every_config_field_type_is_one_config_block_reads():
     assert {SyntheticSpec, StyleParams, SplitSpec, TrainConfig, McConfig, DatasetFile} <= seen
     # the walk would see a type the reader does not take
     for hint in (dict[str, int], list[McConfig], set, int | str):
-        assert pianoroll.field_kind(hint)[1] not in pianoroll._CONFIG_KINDS
+        assert config_module.field_kind(hint)[1] not in config_module._CONFIG_KINDS
 
 
 def test_parse_config_schema_errors(tmp_path):
@@ -468,7 +467,8 @@ def test_force_refuses_a_run_directory_holding_other_files(finished_run):
 
 def test_force_replaces_a_run_with_its_temp_files(finished_run):
     out, config, _ = finished_run
-    for temp in (out / ".report.md.123.tmp", out / "checkpoints" / ".checkpoint_000020.ganc.7.tmp"):
+    for temp in (out / ".report.md.123.tmp", out / "checkpoints" / ".checkpoint_000020.ganc.7.tmp",
+                 out / ".train.prd.meta.json.4321.tmp"):
         temp.write_text("partial")
     run_experiment(config, force=True)
     assert not list(out.rglob("*.tmp"))
@@ -624,14 +624,14 @@ def test_packaged_configs_parse():
 
 def test_config_field_types_are_read_once_per_class(monkeypatch):
     hints = []
-    real = pianoroll.get_type_hints
+    real = config_module.get_type_hints
 
     def counting(cls):
         hints.append(cls)
         return real(cls)
 
-    monkeypatch.setattr(pianoroll, "get_type_hints", counting)
-    pianoroll._field_table.cache_clear()
+    monkeypatch.setattr(config_module, "get_type_hints", counting)
+    config_module._field_table.cache_clear()
     path = Path(__file__).resolve().parents[1] / "configs" / "default.json"
     config = load_experiment_config(path)
     assert load_experiment_config(path) == config
@@ -641,11 +641,11 @@ def test_config_field_types_are_read_once_per_class(monkeypatch):
 
 def test_config_block_reads_each_field_of_its_dataclass():
     block = {"count": 4, "seed": 1, "tracks": 1, "bars": 1, "steps_per_bar": 4, "pitches": 12}
-    spec = pianoroll.config_block(SyntheticSpec, {**block, "style": {"transpose": 5}}, "b")
+    spec = config_module.config_block(SyntheticSpec, {**block, "style": {"transpose": 5}}, "b")
     assert spec == SyntheticSpec(**block, style=StyleParams(transpose=5))
     assert spec.shape == PianorollShape(1, 1, 4, 12)
     mc = {"stash_size": 8, "n_per_query": 4, "subset_size": 1, "trials": 1, "seed": 0}
-    assert pianoroll.config_block(McConfig, {**mc, "heuristic": "p:0.5"}, "m").heuristic == (
+    assert config_module.config_block(McConfig, {**mc, "heuristic": "p:0.5"}, "m").heuristic == (
         EpsilonHeuristic("percentile", 0.5)
     )
     for cls, data, message in (
@@ -658,7 +658,7 @@ def test_config_block_reads_each_field_of_its_dataclass():
         (McConfig, {**mc, "metric": "x"}, "m metric must be one of ('euclidean', 'tonal'), got 'x'"),
     ):
         with pytest.raises(ConfigError) as info:
-            pianoroll.config_block(cls, data, message[0])
+            config_module.config_block(cls, data, message[0])
         assert str(info.value) == message
 
 

@@ -150,3 +150,20 @@ def test_no_rollmia_module_imports_another_ones_private_name():
                 private += [f"{path.stem}: {alias.name}" for alias in node.names
                             if alias.name.startswith("_") and not alias.name.endswith("__")]
     assert private == []
+
+
+def test_only_the_config_module_reads_dataclass_field_types():
+    """``typing.get_type_hints`` and ``dataclasses.is_dataclass`` turn a
+    dataclass into a config reader; only ``rollmia.config`` calls them, so
+    what a config key is and how it is read stays in that one module."""
+    package = Path(rollmia.__file__).parent
+    readers = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            else:
+                names = {node.attr} if isinstance(node, ast.Attribute) else set()
+            if names & {"get_type_hints", "is_dataclass"}:
+                readers.add(path.stem)
+    assert readers == {"config"}

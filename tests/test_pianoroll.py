@@ -22,8 +22,9 @@ from rollmia import (
     write_dataset,
 )
 from rollmia import pianoroll
+from rollmia.config import check_config_block
 from rollmia.harness import load_experiment_config
-from rollmia.pianoroll import _pick_table, check_config_block
+from rollmia.pianoroll import _pick_table
 
 from conftest import SEED_CASES, make_roll
 from reference import flatten, pitch_class_profile, pitch_indices_for_class, synth_rolls_per_roll

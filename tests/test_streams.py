@@ -8,9 +8,11 @@ from rollmia.streams import (
     seed_states,
     seeded_generator,
     state_generator,
+    uint64_generators,
 )
 
 from conftest import SEED_CASES
+from reference import latent_rows
 
 
 def _seedsequence_cases():
@@ -101,3 +103,11 @@ def test_bounded_draws_flag_the_halves_numpy_rejects():
     rng, word = np.random.default_rng(5), np.random.default_rng(5).bit_generator.random_raw(1)
     values, _ = bounded_draws(word[None], np.array([7, 1000], dtype=np.uint64))
     assert values.tolist() == [[rng.integers(7), rng.integers(1000)]]
+
+
+def test_uint64_generators_are_default_rng_of_each_seed():
+    """A seed below 2**32 is one word to ``default_rng`` and two to
+    ``uint64_generators``, whose zero high word must hash as absent."""
+    seeds = np.array([0, 1, 2**32 - 1, 2**32, 2**64 - 1], dtype=np.uint64)
+    rows = np.stack([rng.standard_normal(16) for rng in uint64_generators(seeds)])
+    assert rows.tobytes() == latent_rows(seeds, 16).tobytes()
