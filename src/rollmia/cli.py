@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--train", required=True)
     p_mc.add_argument("--test", required=True)
     p_mc.add_argument("--heuristic", default=argparse.SUPPRESS, help="median or p:Q")
-    p_mc.add_argument("--metric", choices=sorted(METRICS), default=argparse.SUPPRESS)
+    p_mc.add_argument("--metric", default=argparse.SUPPRESS, help=" or ".join(sorted(METRICS)))
     p_mc.add_argument("--stash", dest="stash_size", type=int, required=True)
     p_mc.add_argument("--n", dest="n_per_query", type=int, required=True)
     p_mc.add_argument("--subset", dest="subset_size", type=int, required=True)

@@ -172,7 +172,7 @@ def read_config_file(path: str | Path) -> dict:
     path = Path(path)
     try:
         return json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 

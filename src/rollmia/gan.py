@@ -7,12 +7,15 @@ checkpoints on a fixed cadence, and is a pure function of its config seed.
 Scoring and sampling act on whole sets: ``d_score`` maps a
 (k, tracks, bars, steps, pitches) stack to k logits and ``g_sample`` maps k
 latent rows to a (k, ...) uint8 stack.  Both run the network over blocks of
-NET_BLOCK rows, so one float64 block of flattened rolls or logits exists at
-a time, however large the set; a single roll is passed as ``roll[None]``.
+NET_BLOCK rows, so one MODEL_DTYPE block of flattened rolls or logits
+exists at a time, however large the set; a single roll is passed as
+``roll[None]``.
 
-The model is its two contiguous float64 parameter vectors, laid out as
-``_architecture`` states: ``g_params`` holds the trunk then the heads in
-track order, ``d_params`` the discriminator, each layer's weights then bias.
+The model is its two contiguous parameter vectors of MODEL_DTYPE, float32,
+the precision a checkpoint stores, so a loaded checkpoint is bit for bit
+the model that was saved.  They are laid out as ``_architecture`` states:
+``g_params`` holds the trunk then the heads in track order, ``d_params``
+the discriminator, each layer's weights then bias.
 Building, snapshotting and loading a model all make the two vectors and cut
 every layer from them as views, and training cuts its gradient vector the
 same way.  A step computes only what it consumes: the discriminator step has
@@ -22,11 +25,11 @@ gradients before the other step writes, so one gradient vector and one
 scratch vector serve both families.  A checkpoint's model is a snapshot over
 copies of the vectors, so training on does not move it.
 
-Training's working set is therefore both parameter vectors, their Adam
-moments, that gradient and scratch vector, and one (2 * batch_size, cells)
-float64 batch buffer that every discriminator step refills; the training
-rolls stay uint8 and are never copied whole, so it does not grow with the
-training set.
+Training runs in MODEL_DTYPE throughout.  Its working set is therefore both
+parameter vectors, their Adam moments, that gradient and scratch vector,
+and one (2 * batch_size, cells) batch buffer that every discriminator step
+refills, all of MODEL_DTYPE; the training rolls stay uint8 and are never
+copied whole, so it does not grow with the training set.
 
 Also hosts the oracle models used to validate attack power: a generator with
 a memorization dial and a discriminator with a controllable member margin.
@@ -57,7 +60,10 @@ CHECKPOINT_VERSION = 1
 TRUNK_WIDTH = 128
 DISC_WIDTH = 128
 
-# rows per block of a scoring or sampling pass, which bounds its float64 copies
+# the one precision of the model: its parameters, training and scoring
+MODEL_DTYPE = np.float32
+
+# rows per block of a scoring or sampling pass, which bounds its MODEL_DTYPE copies
 NET_BLOCK = 256
 
 
@@ -131,12 +137,15 @@ class ComposerGan:
 
 def build_gan(shape: PianorollShape, latent_dim: int, seed) -> ComposerGan:
     """Seeded construction; Glorot init order is trunk, heads in track order,
-    then discriminator, so identical seeds give identical weights."""
+    then discriminator, so identical seeds give identical weights.  The
+    float64 draws are rounded into MODEL_DTYPE vectors."""
     if latent_dim < 1:
         raise ConfigError("latent_dim must be >= 1")
     rng = np.random.default_rng(seed)
     g_params, d_params = (
-        np.concatenate([p.ravel() for net in family for p in nn.mlp_params(nn.glorot_init(*net, rng))])
+        np.concatenate(
+            [p.ravel() for net in family for p in nn.mlp_params(nn.glorot_init(*net, rng))], dtype=MODEL_DTYPE
+        )
         for family in _families(_architecture(shape, latent_dim))
     )
     return ComposerGan(latent_dim, shape, g_params, d_params)
@@ -154,7 +163,7 @@ def g_sample(gan: ComposerGan, z: np.ndarray) -> np.ndarray:
     """Deterministic samples for a (k, latent_dim) batch of latent rows: a
     (k, tracks, bars, steps, pitches) uint8 stack whose cells are 1 where the
     head logit is strictly positive, computed in blocks of NET_BLOCK rows."""
-    z = np.asarray(z, dtype=np.float64)
+    z = np.asarray(z, dtype=MODEL_DTYPE)
     if z.ndim != 2 or z.shape[1] != gan.latent_dim:
         raise ConfigError(f"latent rows must have shape (k, {gan.latent_dim})")
     out = np.empty((len(z), gan.shape.cells), dtype=np.uint8)
@@ -166,15 +175,16 @@ def g_sample(gan: ComposerGan, z: np.ndarray) -> np.ndarray:
 
 def d_score(gan: ComposerGan, rolls: np.ndarray) -> np.ndarray:
     """Raw discriminator logits of a (k, tracks, bars, steps, pitches) stack
-    as a (k,) float64 vector; larger means more training-set-like.  Rolls are
-    flattened and scored in blocks of NET_BLOCK, each cast into one float64
-    block buffer reused for the whole stack."""
+    as a (k,) float64 vector, the MODEL_DTYPE logits widened exactly; larger
+    means more training-set-like.  Rolls are flattened and scored in blocks
+    of NET_BLOCK, each cast into one MODEL_DTYPE block buffer reused for the
+    whole stack."""
     rolls = np.asarray(rolls)
     if rolls.shape[1:] != gan.shape.dims():
         raise ConfigError("rolls shape does not match the model")
     flat = rolls.reshape(len(rolls), gan.shape.cells)
     out = np.empty(len(rolls))
-    buffer = np.empty((min(NET_BLOCK, len(rolls)), gan.shape.cells))
+    buffer = np.empty((min(NET_BLOCK, len(rolls)), gan.shape.cells), dtype=MODEL_DTYPE)
     for start in range(0, len(rolls), NET_BLOCK):
         block = flat[start : start + NET_BLOCK]
         x = buffer[: len(block)]
@@ -247,7 +257,7 @@ def _gen_step(gan: ComposerGan, z: np.ndarray, grads: ComposerGan) -> float:
     dlogits = dx * cont * (1.0 - cont)
 
     cpt = gan.shape.cells_per_track
-    trunk_out_grad = np.zeros((len(z), gan.trunk.out_dim))
+    trunk_out_grad = np.zeros((len(z), gan.trunk.out_dim), dtype=MODEL_DTYPE)
     for t, head in enumerate(gan.heads):
         _, dh = nn.backward(
             head, head_caches[t], dlogits[:, t * cpt : (t + 1) * cpt],
@@ -270,10 +280,12 @@ def train(
     Each step is one batched pass: the discriminator trains on real rolls
     (target 1) stacked over binarized generator samples (target 0), and the
     gradients are batch sums of per-row gradients scaled by 1/batch_size.
-    The working set is the parameter vectors, the Adam moments, one gradient
-    and one scratch vector, and one (2 * batch_size, cells) float64 buffer
-    into which each discriminator step casts its gathered uint8 real rows
-    and writes its fakes; the training rolls themselves stay uint8.
+    Every step runs in MODEL_DTYPE; latent rows are drawn in float64 and
+    cast.  The working set is the parameter vectors, the Adam moments, one
+    gradient and one scratch vector, and one (2 * batch_size, cells) buffer,
+    all of MODEL_DTYPE, into which each discriminator step casts its
+    gathered uint8 real rows and writes its fakes; the training rolls
+    themselves stay uint8.
     Only the latest checkpoint is kept in memory; the sink sees each one.
     A non-finite gradient or loss, or non-finite weights at a checkpoint,
     raises DivergenceError naming the iteration and carrying the last good
@@ -286,13 +298,13 @@ def train(
 
     n, batch = len(train_set), config.batch_size
     rolls = train_set.rolls.reshape(n, gan.shape.cells)
-    x = np.empty((2 * batch, gan.shape.cells))
-    targets = np.concatenate([np.ones(batch), np.zeros(batch)])[:, None]
+    x = np.empty((2 * batch, gan.shape.cells), dtype=MODEL_DTYPE)
+    targets = np.concatenate([np.ones(batch, MODEL_DTYPE), np.zeros(batch, MODEL_DTYPE)])[:, None]
     # the two steps take turns, and each step's Adam update consumes its
     # gradients before the other step writes, so both families share one
     # gradient vector, cut into the model's layer views, and one scratch vector
     size = max(gan.g_params.size, gan.d_params.size)
-    grad, scratch = np.empty(size), np.empty(size)
+    grad, scratch = np.empty(size, MODEL_DTYPE), np.empty(size, MODEL_DTYPE)
     grads = ComposerGan(gan.latent_dim, gan.shape, grad[: gan.g_params.size], grad[: gan.d_params.size])
     g_state = nn.AdamState.for_params(gan.g_params, lr=config.lr)
     d_state = nn.AdamState.for_params(gan.d_params, lr=config.lr)
@@ -481,9 +493,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             tensors[-1].append(np.frombuffer(blob, dtype="<f4", count=size, offset=off - 4 * size))
     if off != len(blob):
         raise FormatError(f"trailing data in checkpoint {path}")
-    # tested on the float32 views: casting a signalling NaN to float64 warns
     if not all(np.isfinite(t).all() for family in tensors for t in family):
         raise FormatError(f"non-finite weights in checkpoint {path}")
-    # each family's float32 tensors, joined into its own float64 vector
-    vectors = [np.concatenate(family, dtype=np.float64) for family in tensors]
+    # each family's float32 tensors, joined unchanged into its own vector
+    vectors = [np.concatenate(family, dtype=MODEL_DTYPE) for family in tensors]
     return Checkpoint(iteration, ComposerGan(latent_dim, shape, *vectors))

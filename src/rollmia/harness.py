@@ -26,10 +26,11 @@ given to them as whole-set functions:
 
 A checkpoint meets both contracts with one network pass per set
 (``checkpoint_scorer``, ``checkpoint_sampler``), run in blocks of
-``gan.NET_BLOCK`` rows: flattening a whole set to float64 takes 8 bytes per
-cell (11 MB for 1,800 desk rolls), a block of 256 rolls 1.5 MB.  Models that
-score or sample one record at a time, such as the oracles, whose noise is
-seeded per id or per seed, are wrapped into the same shapes by their caller.
+``gan.NET_BLOCK`` rows: flattening a whole set to the model's float32 takes
+4 bytes per cell (5.5 MB for 1,800 desk rolls), a block of 256 rolls
+0.75 MB.  Models that score or sample one record at a time, such as the
+oracles, whose noise is seeded per id or per seed, are wrapped into the same
+shapes by their caller.
 For such models ``whitebox.run_whitebox`` and ``montecarlo.build_stash``
 keep their per-row forms, which perfbench's oracle-audit workload calls:
 ``run_whitebox`` wraps a per-candidate scorer into a set scorer for

@@ -1,15 +1,17 @@
 """Minimal dense-network kernel: forward, hand-derived backward, Adam.
 
-Rows are samples: activations are ``(batch, dim)`` float64 matrices, each
-layer is one ``a @ W.T + b`` product, and backward returns batch-summed
+Rows are samples: activations are ``(batch, dim)`` matrices in the dtype of
+the network's weights, which this module reads and never fixes (the GAN's
+are float32; ``glorot_init`` draws float64, as the gradient checks use).
+Each layer is one ``a @ W.T + b`` product, and backward returns batch-summed
 parameter gradients (``dW = dZ.T @ X``, one GEMM per layer).  Gradients are
 exact reverse-mode derivatives of the forward map and are checked against
 finite differences in the test suite.  Results are bitwise reproducible for
 a fixed BLAS build and thread count.
 
 Training works on flat vectors.  A layer's ``weights`` and ``bias`` may be
-reshaped views of one contiguous float64 vector that holds a family of
-networks, and ``backward`` fills gradient views of the same shapes in place
+reshaped views of one contiguous vector that holds a family of networks,
+and ``backward`` fills gradient views of the same shapes in place
 through ``out``; the model that owns the vectors cuts both sets of views.  A
 step asks backward only for what it consumes (``param_grads`` and
 ``input_grad``), and ``adam_step`` updates a whole vector with a handful of
@@ -36,8 +38,8 @@ ACTIVATIONS = ("linear", "relu", "tanh", "sigmoid")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# elements per block of adam_step: five 256 KB float64 slices fit in a 2 MB L2
-ADAM_BLOCK = 1 << 15
+# elements per block of adam_step: five 256 KB float32 slices fit in a 2 MB L2
+ADAM_BLOCK = 1 << 16
 
 
 @dataclass
@@ -97,17 +99,28 @@ def glorot_init(dims: list[int], activations: list[str], rng: np.random.Generato
     return Mlp(layers)
 
 
+def _float(x) -> np.ndarray:
+    """``x`` as an array of its own float dtype; integers, bools and Python
+    numbers become float64."""
+    x = np.asarray(x)
+    return x.astype(np.result_type(x, 0.0), copy=False)
+
+
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Elementwise logistic function, stable on both tails."""
-    z = np.asarray(z, dtype=np.float64)
+    """Elementwise logistic function, stable on both tails, in the float
+    dtype of ``z``."""
+    z = _float(z)
     # e is exp(-|z|), the exp of each masked textbook branch, so neither
     # overflows: min(z, -z) is -z where z >= 0 and z elsewhere (either zero
     # gives exp 1), and a NaN z comes back unchanged, sign and all, since
     # minimum returns its first argument when both are NaN (-|z| would make
-    # every NaN negative).  The numerator max(e, pos) is 1 where z >= 0,
+    # every NaN negative).  float32 exp drops a NaN's sign, so e is the
+    # larger of m and exp(m), which is exp(m) wherever m is a number and m
+    # itself where it is NaN.  The numerator max(e, pos) is 1 where z >= 0,
     # since e <= 1 there, and e elsewhere, NaN again included
     pos = z >= 0
-    e = np.exp(np.minimum(z, -z))
+    m = np.minimum(z, -z)
+    e = np.maximum(m, np.exp(m))
     return np.maximum(e, pos) / (1.0 + e)
 
 
@@ -133,8 +146,9 @@ def _apply_grad(activation: str, z: np.ndarray, a: np.ndarray, da: np.ndarray) -
 
 def forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[tuple]]:
     """Run the network on a ``(batch, in_dim)`` matrix; returns the
-    ``(batch, out_dim)`` output and a cache consumed by backward."""
-    x = np.asarray(x, dtype=np.float64)
+    ``(batch, out_dim)`` output and a cache consumed by backward.  The input
+    is cast to the dtype of the weights, in which the whole pass runs."""
+    x = np.asarray(x, dtype=mlp.layers[0].weights.dtype)
     if x.ndim != 2 or x.shape[1] != mlp.in_dim:
         raise ValueError(f"expected input of shape (batch, {mlp.in_dim}), got {x.shape}")
     cache = []
@@ -172,7 +186,7 @@ def backward(
     """
     if len(cache) != len(mlp.layers):
         raise ValueError("cache does not match network depth")
-    dy = np.asarray(dy, dtype=np.float64)
+    dy = np.asarray(dy, dtype=mlp.layers[0].weights.dtype)
     batch = len(cache[0][0])
     if dy.shape != (batch, mlp.out_dim):
         raise ValueError(f"expected dy of shape ({batch}, {mlp.out_dim}), got {dy.shape}")
@@ -197,10 +211,10 @@ def bce_logits_loss(logit: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, 
     """Elementwise binary cross-entropy on raw logits.
 
     Uses the log(1 + exp(.)) form that never overflows; the gradient is
-    sigmoid(logit) - target.
+    sigmoid(logit) - target.  Both are in the float dtype of ``logit``.
     """
-    z = np.asarray(logit, dtype=np.float64)
-    t = np.asarray(target, dtype=np.float64)
+    z = _float(logit)
+    t = np.asarray(target, dtype=z.dtype)
     loss = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
     return loss, sigmoid(z) - t
 
@@ -234,9 +248,9 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, scratch: 
     vector, in place.
 
     ``grads`` is consumed: it is overwritten with the step taken.
-    ``scratch``, a float64 vector at least as long as ``params``, is the
-    only other work space, so optimizers that never run at once can share
-    one.  The vector is updated in blocks of ``ADAM_BLOCK`` elements, each
+    ``scratch``, a vector of the params' dtype at least as long as them, is
+    the only other work space, so optimizers that never run at once can
+    share one.  The vector is updated in blocks of ``ADAM_BLOCK`` elements, each
     by the whole sequence of in-place calls while its slices of the five
     vectors are still in cache.  The arithmetic per element, and its order,
     is that of the textbook per-tensor form, so the results are bitwise

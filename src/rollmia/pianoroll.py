@@ -469,7 +469,7 @@ def read_dataset(path: str | Path) -> Dataset:
     if sidecar.exists():
         try:
             meta = json.loads(sidecar.read_text(encoding="utf-8"))
-        except ValueError as exc:  # not UTF-8, or not JSON
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
             raise FormatError(f"bad sidecar json for {path}: {exc}") from exc
         if not isinstance(meta, dict):
             raise FormatError(f"bad sidecar for {path}: expected a JSON object")

@@ -183,8 +183,8 @@ def test_d_score_blocks_match_one_row_scores(tiny_train_set):
     candidates = synth_generate(3, 2 * NET_BLOCK + 1, SHAPE)
     blocked = d_score(gan, candidates.rolls)
     rows = np.array([d_score(gan, roll[None])[0] for roll in candidates.rolls])
-    # only the summation order of the products may differ
-    assert np.max(np.abs(blocked - rows)) <= 1e-12 * np.max(np.abs(rows))
+    # only the summation order of the float32 products may differ
+    assert np.max(np.abs(blocked - rows)) <= 8 * np.finfo(np.float32).eps * np.max(np.abs(rows))
     members = candidates.ids[: NET_BLOCK]
     assert set(rank_scores(candidates.ids, blocked, members).predicted_member_ids) == set(
         rank_scores(candidates.ids, rows, members).predicted_member_ids
@@ -232,7 +232,7 @@ def test_model_layers_are_views_of_its_family_vectors(tmp_path):
         families = (([model.trunk, *model.heads], model.g_params), ([model.discriminator], model.d_params))
         for mlps, flat in families:
             params = [p for mlp in mlps for p in nn.mlp_params(mlp)]
-            assert flat.dtype == np.float64 and flat.flags.c_contiguous
+            assert flat.dtype == np.float32 and flat.flags.c_contiguous
             assert all(np.shares_memory(p, flat) for p in params)
             assert flat.tobytes() == np.concatenate([p.ravel() for p in params]).tobytes()
             # distinct values read back in order: every element is covered once
@@ -258,26 +258,15 @@ def test_model_refuses_a_vector_of_the_wrong_length():
             ComposerGan(gan.latent_dim, gan.shape, g_params, d_params)
 
 
-# SHA-256 of the checkpoints of a short desk-shape run, recorded before the
-# training kernel moved to flat parameter vectors; any change to the
+# SHA-256 of the checkpoints of a short desk-shape run, recorded when
+# training moved to float32, the precision the checkpoints store, so the
+# final file holds every bit of the trained model; any change to the
 # arithmetic of a step shows here
 PINNED_CHECKPOINT_DIGESTS = {
-    "checkpoint_000020.ganc": "0bf17a0ba825a8c37ed992af8d5a2949bbea6efefec6fa434fb60df70217c832",
-    "checkpoint_000040.ganc": "bd697848d435d100291a3a0a185c8b3b68143c36ab183555e5812ad751a7b5da",
-    "checkpoint_000060.ganc": "e9fba3d7e02a4fab7229b8c881d725250df8626865efd3293bced5129a21da77",
+    "checkpoint_000020.ganc": "54e57b58540fab53721c44fe3d2f06747fdff4acea91d8f2cbf284d1bd71f9e9",
+    "checkpoint_000040.ganc": "e2e73dfca40cfb3822652c3a8c3f925d18bd0d4c8c6f7ac0bde890fd43a64fba",
+    "checkpoint_000060.ganc": "484a44cc5f55689716828493d114595987ba120b21a31a929251874152529dcf",
 }
-
-# SHA-256 of the final float64 g_params then d_params bytes of the same run
-# and of the two-D-step run below: the checkpoints store float32, which can
-# hide a change in the last bits of a step's float64 arithmetic
-PINNED_FINAL_PARAMS_DIGEST = "835678db008fa7e5f0ee51737cd81be99a3853a3c8af4c147edfe65b550a1961"
-PINNED_TWO_D_STEP_PARAMS_DIGEST = "6dfd743ef51dab7b1f1b1c1422fa6255c07cd875ed274902fc74b9d69f62eee9"
-
-
-def params_digest(ckpt) -> str:
-    import hashlib
-
-    return hashlib.sha256(ckpt.gan.g_params.tobytes() + ckpt.gan.d_params.tobytes()).hexdigest()
 
 
 def test_checkpoint_bytes_are_pinned(tmp_path, desk_shape):
@@ -298,15 +287,14 @@ def test_checkpoint_bytes_are_pinned(tmp_path, desk_shape):
     }
     assert digests == PINNED_CHECKPOINT_DIGESTS
     assert final.iteration == 60
-    assert params_digest(final) == PINNED_FINAL_PARAMS_DIGEST
 
 
 # SHA-256 of the checkpoints of a desk-shape run with two discriminator steps
-# per generator step, recorded while training still held a float64 copy of
-# the training set; every discriminator step rewrites the batch buffer
+# per generator step, recorded with the pins above; every discriminator step
+# rewrites the batch buffer
 PINNED_TWO_D_STEP_DIGESTS = {
-    "checkpoint_000020.ganc": "c363beaf7bc4e6cf328d4132b6677d383aa67125d220440a7d6875d059763f9f",
-    "checkpoint_000040.ganc": "a0b5cff4ff18d4172bab4fd75b539a604c136f51e2e40ce12ccdf3efd62f06b7",
+    "checkpoint_000020.ganc": "d06ca9172092120a2208f9ef2cdb356a7714e7c24a9fa8735b44f8a725728e38",
+    "checkpoint_000040.ganc": "96df1001d03f112525c6b32c1b1642a3a5bca1d673bb913384a7266516ddd333",
 }
 
 
@@ -329,7 +317,6 @@ def test_two_d_step_checkpoint_bytes_are_pinned(tmp_path, desk_shape):
     }
     assert digests == PINNED_TWO_D_STEP_DIGESTS
     assert final.iteration == 40
-    assert params_digest(final) == PINNED_TWO_D_STEP_PARAMS_DIGEST
 
 
 def test_training_memory_does_not_grow_with_the_training_set(desk_shape):
@@ -385,8 +372,9 @@ def test_loss_divergence_carries_the_last_checkpoint(tiny_train_set, monkeypatch
 
 
 def test_weights_that_overflow_after_the_loss_never_reach_the_sink(tiny_train_set):
-    # at this lr the first generator update overflows after both losses were taken
-    config = TrainConfig(iterations=20, batch_size=8, latent_dim=4, lr=1e110, seed=1, checkpoint_every=1)
+    # at this lr the first generator update overflows float32 after both
+    # losses were taken (from about 3e18 on, the gradient overflows first)
+    config = TrainConfig(iterations=20, batch_size=8, latent_dim=4, lr=1e15, seed=1, checkpoint_every=1)
     sunk = []
     with pytest.raises(DivergenceError, match="^divergence: non-finite weights at iteration 1$") as excinfo:
         train(tiny_train_set, config, checkpoint_sink=sunk.append)

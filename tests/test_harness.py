@@ -20,9 +20,13 @@ from rollmia import (
     TrainConfig,
     build_gan,
     emit_reports,
+    load_checkpoint,
+    plan_mc_trials,
     run_experiment,
     save_checkpoint,
+    split,
     synth_generate,
+    train,
     write_dataset,
 )
 from rollmia import config as config_module, harness, pianoroll
@@ -33,7 +37,11 @@ from rollmia.harness import (
     ExperimentConfig,
     TrainRunConfig,
     _write_manifest,
+    checkpoint_name,
+    checkpoint_sampler,
+    checkpoint_scorer,
     load_experiment_config,
+    mc_row,
     parse_experiment_config,
     report_from_dir,
     whitebox_row,
@@ -697,6 +705,35 @@ def test_config_hash_with_an_integer_lr_and_a_tonal_mc_entry_is_pinned():
     echo = config_echo(config)
     assert type(echo["train"]["lr"]) is float
     assert (echo["attacks"]["mc"][1]["heuristic"], echo["attacks"]["mc"][1]["metric"]) == ("p:0.01", "tonal")
+
+
+def test_one_checkpoint_gives_one_model(tmp_path):
+    """The model training hands its sink and the model its saved file loads
+    are the same bits, so both give the same attack rows."""
+    shape = PianorollShape(2, 1, 8, 12)
+    train_set, test_set = split(synth_generate(2, 60, shape), SplitSpec(0.5, 3))
+    paths = []
+
+    def sink(ckpt):
+        paths.append(tmp_path / checkpoint_name(ckpt.iteration))
+        save_checkpoint(ckpt, paths[-1])
+
+    config = TrainConfig(iterations=30, batch_size=8, latent_dim=4, lr=0.01, seed=4, checkpoint_every=10)
+    final = train(train_set, config, checkpoint_sink=sink)
+    loaded = load_checkpoint(paths[-1])
+    assert len(paths) == 3 and final.iteration == loaded.iteration == 30
+    for got, want in ((final.gan.g_params, loaded.gan.g_params), (final.gan.d_params, loaded.gan.d_params)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    plans = [
+        plan_mc_trials(train_set, test_set, McConfig(32, 16, 10, 3, 44, metric))
+        for metric in ("euclidean", "tonal")
+    ]
+    rows = [
+        [whitebox_row(checkpoint_scorer(gan), 30, train_set, test_set)]
+        + [mc_row(checkpoint_sampler(gan), 30, plan) for plan in plans]
+        for gan in (final.gan, loaded.gan)
+    ]
+    assert rows[0] == rows[1]
 
 
 @pytest.mark.parametrize("n_members, n_nonmembers", [(1, 1), (1, 5), (5, 1)])

@@ -1,4 +1,5 @@
 import math
+import warnings
 import zlib
 
 import numpy as np
@@ -14,7 +15,7 @@ from rollmia import (
     bce_logits_loss,
     forward,
 )
-from rollmia.nn import ADAM_BLOCK, glorot_init, mlp_params, sigmoid
+from rollmia.nn import ADAM_BLOCK, ADAM_EPS, glorot_init, mlp_params, sigmoid
 
 from reference import adam_step_per_tensor, sigmoid_masked
 
@@ -282,6 +283,56 @@ def test_sigmoid_tails():
     z = np.array([-800.0, 0.0, 800.0])
     s = sigmoid(z)
     assert s[0] == 0.0 and s[1] == 0.5 and s[2] == 1.0
+
+
+def test_sigmoid_keeps_float32_at_its_edges():
+    z = np.array([np.inf, -np.inf, 1e4, -1e4, 0.0, -0.0, np.nan, -np.nan], dtype=np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # a lone element and a long vector, which numpy runs through SIMD loops
+        for tiled in (z, np.tile(z, 64)):
+            s = sigmoid(tiled)
+            assert s.dtype == np.float32
+            assert s[:6].tolist() == [1.0, 0.0, 1.0, 0.0, 0.5, 0.5]
+            assert np.isnan(s[6::8]).all() and np.isnan(s[7::8]).all()
+            assert np.array_equal(np.signbit(s[6::8]), np.signbit(tiled[6::8]))
+            assert np.array_equal(np.signbit(s[7::8]), np.signbit(tiled[7::8]))
+
+
+def test_bce_keeps_float32_and_is_finite_at_large_logits():
+    z = np.array([1e4, -1e4, 1e4, -1e4], dtype=np.float32)
+    t = np.array([1.0, 0.0, 0.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss, dlogit = bce_logits_loss(z, t)
+    assert loss.dtype == dlogit.dtype == np.float32
+    assert loss.tolist() == [0.0, 0.0, 1e4, 1e4]
+    assert dlogit.tolist() == [0.0, 0.0, 1.0, -1.0]
+
+
+def test_float32_adam_matches_per_tensor_reference_in_float32():
+    # the flat update over float32 vectors against the per-tensor form run in
+    # float32, bit for bit; each element's gradient keeps one scale from
+    # 1e-12 to 1e2, and the small ones put sqrt(v) below ADAM_EPS, so the
+    # offset shows in their steps
+    rng = np.random.default_rng(23)
+    ref_params = [p.astype(np.float32) for p in mlp_params(glorot_init([768, 128, 1], ["relu", "linear"], rng))]
+    ref_m = [np.zeros_like(p) for p in ref_params]
+    ref_v = [np.zeros_like(p) for p in ref_params]
+    scales = [10.0 ** rng.integers(-12, 3, size=p.shape) for p in ref_params]
+    flat = np.concatenate([p.ravel() for p in ref_params])
+    assert flat.dtype == np.float32 and flat.size > ADAM_BLOCK
+    state = AdamState.for_params(flat, lr=2e-3)
+    assert state.m.dtype == state.v.dtype == np.float32
+    scratch = np.empty(flat.size, dtype=np.float32)
+    for step in range(1, 31):
+        grads = [(rng.standard_normal(p.shape) * scale).astype(np.float32) for p, scale in zip(ref_params, scales)]
+        adam_step(flat, np.concatenate([g.ravel() for g in grads]), state, scratch)
+        adam_step_per_tensor(ref_params, grads, ref_m, ref_v, step, lr=2e-3, eps=ADAM_EPS)
+    assert np.sqrt(state.v / (1.0 - 0.999**30)).min() < ADAM_EPS / 100
+    for got, want in ((flat, ref_params), (state.m, ref_m), (state.v, ref_v)):
+        assert got.dtype == np.float32
+        assert got.tobytes() == np.concatenate([w.ravel() for w in want]).tobytes()
 
 
 def test_glorot_init_bounds():

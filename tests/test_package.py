@@ -3,7 +3,10 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 import rollmia
+from rollmia import gan
 
 
 def test_every_export_resolves_once():
@@ -167,3 +170,37 @@ def test_only_the_config_module_reads_dataclass_field_types():
             if names & {"get_type_hints", "is_dataclass"}:
                 readers.add(path.stem)
     assert readers == {"config"}
+
+
+def _code(path: Path) -> str:
+    """The module's code with its comments and docstrings left out."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and ast.get_docstring(node) is not None:
+            node.body = node.body[1:] or [ast.Pass()]
+    return ast.unparse(tree)
+
+
+def test_the_model_precision_is_stated_once(tmp_path):
+    """``gan.MODEL_DTYPE`` is the model's one precision, float32 as a
+    checkpoint stores it, and ``nn`` computes in the dtype of the weights it
+    is given: neither module names float64 in its code.  Every way of making
+    a model gives vectors of that dtype."""
+    package = Path(rollmia.__file__).parent
+    assert [name for name in ("nn.py", "gan.py") if "float64" in _code(package / name)] == []
+    assert gan.MODEL_DTYPE is np.float32
+
+    shape = rollmia.PianorollShape(2, 1, 8, 12)
+    config = gan.TrainConfig(iterations=4, batch_size=8, latent_dim=4, lr=1e-3, seed=1, checkpoint_every=2)
+    sunk = []
+    final = gan.train(rollmia.synth_generate(3, 16, shape), config, checkpoint_sink=sunk.append)
+    gan.save_checkpoint(final, tmp_path / "c.ganc")
+    models = [
+        ("build_gan", gan.build_gan(shape, 4, 0)),
+        *((f"train's checkpoint {c.iteration}", c.gan) for c in sunk),
+        ("snapshot", final.gan.snapshot()),
+        ("load_checkpoint", gan.load_checkpoint(tmp_path / "c.ganc").gan),
+    ]
+    assert len(models) == 5
+    wrong = [name for name, model in models if not model.g_params.dtype == model.d_params.dtype == np.float32]
+    assert wrong == []
