@@ -18,6 +18,10 @@ An ``--oracle`` model scores or samples one record at a time, and is wrapped
 into the row functions' whole-set scorer and seed-array sampler.  Both verbs
 refuse their --train and --test sides, naming the verb, before any model
 scores or samples.
+``split`` and ``attack wb|mc`` refuse two file flags that name one file,
+naming both flags, before they read or write anything: ``split`` its
+``--in``, ``--train`` and ``--test``, an attack its ``--out`` against its
+``--train``, ``--test`` and ``--checkpoint``.
 The Monte Carlo stash is seeded by ``(seed, checkpoint iteration)``, or
 ``(seed, 0)`` for an oracle, as in the experiment.
 The parser is built once per process, on the first ``main`` call, and each
@@ -27,6 +31,7 @@ verb is looked up in this module by name when it is called.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -97,6 +102,17 @@ def _parse_oracle(text: str, block: str, bounds: dict[str, tuple[float, float]])
     return values
 
 
+def _refuse_one_file(verb: str, pairs) -> None:
+    """Refuse the first pair of ``(flag, path)`` pairs whose paths name one
+    file, resolved or hard-linked; a path of None is a flag left out."""
+    for (flag, path), (other, other_path) in pairs:
+        if path is None or other_path is None:
+            continue
+        a, b = Path(path), Path(other_path)
+        if a.resolve() == b.resolve() or (a.exists() and b.exists() and a.samefile(b)):
+            raise ConfigError(f"{verb} {flag} and {other} name the same file {other_path}")
+
+
 def cmd_dataset_gen(args) -> int:
     spec = flags_block(SyntheticSpec, args, "dataset gen")
     # the spec leaves count to the config's split rule; synth_generate refuses one below 1
@@ -108,6 +124,8 @@ def cmd_dataset_gen(args) -> int:
 
 
 def cmd_split(args) -> int:
+    files = [("--in", args.input), ("--train", args.train), ("--test", args.test)]
+    _refuse_one_file("split", itertools.combinations(files, 2))
     spec = flags_block(SplitSpec, args, "split")
     dataset = read_dataset(args.input)
     with naming_block("split"):
@@ -137,12 +155,15 @@ def cmd_train(args) -> int:
 
 
 def _attack_model(args, from_gan, from_oracle):
-    """Read --train and --test and build the attacked model: ``from_gan(gan)``
-    for a --checkpoint, whose shape must match the datasets, or
+    """Refuse an --out that names an input file, then read --train and
+    --test and build the attacked model: ``from_gan(gan)`` for a
+    --checkpoint, whose shape must match the datasets, or
     ``from_oracle(spec, train_set)`` for an --oracle spec.
 
     Returns (model, iteration, train_set, test_set); an oracle's iteration is 0.
     """
+    inputs = [("--train", args.train), ("--test", args.test), ("--checkpoint", args.checkpoint)]
+    _refuse_one_file(f"attack {args.attack_command}", ((flag, ("--out", args.out)) for flag in inputs))
     train_set = read_dataset(args.train)
     test_set = read_dataset(args.test)
     if args.oracle is not None:
@@ -293,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_report = sub.add_parser("report", help="re-render report tables from a run dir")
     p_report.add_argument("--in-dir", required=True)
-    p_report.add_argument("--format", choices=("csv", "md"), default="md")
+    p_report.add_argument("--format", default="md", help="csv or md")
     p_report.set_defaults(verb="cmd_report")
 
     return parser

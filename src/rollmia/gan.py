@@ -1,8 +1,8 @@
-"""Multi-track GAN with a shared latent trunk and per-track generator heads.
-
-One discriminator scores flattened rolls.  Training alternates discriminator
-and generator updates with logistic loss (non-saturating for the generator),
-checkpoints on a fixed cadence, and is a pure function of its config seed.
+"""Multi-track GAN: one generator network maps a latent row to the logits of
+every cell of a roll, track-major, and one discriminator scores flattened
+rolls.  Training alternates discriminator and generator updates with
+logistic loss (non-saturating for the generator), checkpoints on a fixed
+cadence, and is a pure function of its config seed.
 
 Scoring and sampling act on whole sets: ``d_score`` maps a
 (k, tracks, bars, steps, pitches) stack to k logits and ``g_sample`` maps k
@@ -14,15 +14,16 @@ exists at a time, however large the set; a single roll is passed as
 The model is its two contiguous parameter vectors of MODEL_DTYPE, float32,
 the precision a checkpoint stores, so a loaded checkpoint is bit for bit
 the model that was saved.  They are laid out as ``_architecture`` states:
-``g_params`` holds the trunk then the heads in track order, ``d_params``
-the discriminator, each layer's weights then bias.
+``g_params`` holds the generator and ``d_params`` the discriminator, each
+one two-layer network, relu then linear, laid out layer by layer as its
+weights then bias.
 Building, snapshotting and loading a model all make the two vectors and cut
 every layer from them as views, and training cuts its gradient vector the
 same way.  A step computes only what it consumes: the discriminator step has
 no input gradient, and the generator step takes no discriminator parameter
-gradients and no trunk input gradient.  Each step's Adam update consumes its
-gradients before the other step writes, so one gradient vector and one
-scratch vector serve both families.  A checkpoint's model is a snapshot over
+gradients and no generator input gradient.  Each step's Adam update consumes
+its gradients before the other step writes, so one gradient vector and one
+scratch vector serve both networks.  A checkpoint's model is a snapshot over
 copies of the vectors, so training on does not move it.
 
 Training runs in MODEL_DTYPE throughout.  Its working set is therefore both
@@ -57,7 +58,7 @@ from .streams import seeded_generator
 CHECKPOINT_MAGIC = b"GANC"
 CHECKPOINT_VERSION = 1
 
-TRUNK_WIDTH = 128
+GEN_WIDTH = 128
 DISC_WIDTH = 128
 
 # the one precision of the model: its parameters, training and scoring
@@ -73,62 +74,52 @@ def _architecture(shape: PianorollShape, latent_dim: int) -> dict:
     return {
         "latent_dim": latent_dim,
         "shape": asdict(shape),
-        "trunk": [latent_dim, TRUNK_WIDTH],
-        "heads": [[TRUNK_WIDTH, shape.cells_per_track] for _ in range(shape.tracks)],
+        "generator": [latent_dim, GEN_WIDTH, shape.cells],
         "discriminator": [shape.cells, DISC_WIDTH, 1],
     }
 
 
-# each network's activation per layer, beside its widths above
-_ACTIVATIONS = {"trunk": ["relu"], "heads": ["linear"], "discriminator": ["relu", "linear"]}
+# the networks of g_params, then of d_params, and the activation of each
+# layer of either one, beside their widths above
+_NETWORKS = ("generator", "discriminator")
+_ACTIVATIONS = ("relu", "linear")
 
 
-def _families(arch: dict) -> tuple[list, list]:
-    """The (widths, activations) of each network held in ``g_params``, then
-    of each held in ``d_params``, in vector order."""
-    heads = [(widths, _ACTIVATIONS["heads"]) for widths in arch["heads"]]
-    return (
-        [(arch["trunk"], _ACTIVATIONS["trunk"]), *heads],
-        [(arch["discriminator"], _ACTIVATIONS["discriminator"])],
-    )
-
-
-def _tensor_shapes(family: list) -> list[tuple[int, ...]]:
+def _tensor_shapes(widths: list[int]) -> list[tuple[int, ...]]:
     """The shape of each layer's weights, then bias, in vector order."""
-    return [s for widths, _ in family for i, o in zip(widths, widths[1:]) for s in ((o, i), (o,))]
+    return [s for i, o in zip(widths, widths[1:]) for s in ((o, i), (o,))]
 
 
-def _cut(flat: np.ndarray, family: list) -> list[nn.Mlp]:
-    """The family's networks over views tiling ``flat`` in vector order; a
-    vector of another length raises ValueError."""
-    shapes = _tensor_shapes(family)
+def _cut(flat: np.ndarray, widths: list[int]) -> nn.Mlp:
+    """The network of these layer widths over views tiling ``flat`` in
+    vector order; a vector of another length raises ValueError."""
+    shapes = _tensor_shapes(widths)
     ends = np.cumsum([math.prod(s) for s in shapes])
     if flat.shape != (ends[-1],):
         raise ValueError(f"parameter vector of shape {flat.shape}; the architecture has {ends[-1]} values")
     tensors = iter(part.reshape(s) for part, s in zip(np.split(flat, ends[:-1]), shapes))
     # each layer takes the next two views: its weights, then its bias
-    return [nn.Mlp([nn.DenseLayer(next(tensors), next(tensors), a) for a in acts]) for _, acts in family]
+    return nn.Mlp([nn.DenseLayer(next(tensors), next(tensors), a) for a in _ACTIVATIONS])
 
 
 @dataclass(eq=False)
 class ComposerGan:
-    """Shared latent -> trunk feature -> one logit head per track, plus a
-    discriminator over flattened rolls.  The model is its two parameter
-    vectors; the networks are views cut from them, and a vector whose length
-    is not the architecture's raises ValueError."""
+    """A generator from latent rows to the logits of every cell, track-major,
+    plus a discriminator over flattened rolls.  The model is its two
+    parameter vectors, each holding one network cut from it as views; a
+    vector whose length is not the architecture's raises ValueError."""
 
     latent_dim: int
     shape: PianorollShape
     g_params: np.ndarray = field(repr=False)
     d_params: np.ndarray = field(repr=False)
-    trunk: nn.Mlp = field(init=False, repr=False)
-    heads: list[nn.Mlp] = field(init=False, repr=False)
+    generator: nn.Mlp = field(init=False, repr=False)
     discriminator: nn.Mlp = field(init=False, repr=False)
 
     def __post_init__(self):
-        g_family, d_family = _families(_architecture(self.shape, self.latent_dim))
-        self.trunk, *self.heads = _cut(self.g_params, g_family)
-        (self.discriminator,) = _cut(self.d_params, d_family)
+        arch = _architecture(self.shape, self.latent_dim)
+        self.generator = _cut(self.g_params, arch["generator"])
+        self.discriminator = _cut(self.d_params, arch["discriminator"])
 
     def snapshot(self) -> "ComposerGan":
         """A copy over new parameter vectors, independent of this model."""
@@ -136,39 +127,32 @@ class ComposerGan:
 
 
 def build_gan(shape: PianorollShape, latent_dim: int, seed) -> ComposerGan:
-    """Seeded construction; Glorot init order is trunk, heads in track order,
-    then discriminator, so identical seeds give identical weights.  The
-    float64 draws are rounded into MODEL_DTYPE vectors."""
+    """Seeded construction; Glorot init order is generator, then
+    discriminator, each layer by layer, so identical seeds give identical
+    weights.  The float64 draws are rounded into MODEL_DTYPE vectors."""
     if latent_dim < 1:
         raise ConfigError("latent_dim must be >= 1")
     rng = np.random.default_rng(seed)
+    arch = _architecture(shape, latent_dim)
     g_params, d_params = (
-        np.concatenate(
-            [p.ravel() for net in family for p in nn.mlp_params(nn.glorot_init(*net, rng))], dtype=MODEL_DTYPE
-        )
-        for family in _families(_architecture(shape, latent_dim))
+        np.concatenate([p.ravel() for p in nn.mlp_params(nn.glorot_init(arch[net], _ACTIVATIONS, rng))],
+                       dtype=MODEL_DTYPE)
+        for net in _NETWORKS
     )
     return ComposerGan(latent_dim, shape, g_params, d_params)
-
-
-def _generator_logits(gan: ComposerGan, z: np.ndarray) -> tuple[np.ndarray, list]:
-    """Per-track logits concatenated track-major, one row per latent row of
-    ``z``, plus caches for backward."""
-    h, trunk_cache = nn.forward(gan.trunk, z)
-    outs, head_caches = zip(*(nn.forward(head, h) for head in gan.heads))
-    return np.concatenate(outs, axis=1), [trunk_cache, head_caches]
 
 
 def g_sample(gan: ComposerGan, z: np.ndarray) -> np.ndarray:
     """Deterministic samples for a (k, latent_dim) batch of latent rows: a
     (k, tracks, bars, steps, pitches) uint8 stack whose cells are 1 where the
-    head logit is strictly positive, computed in blocks of NET_BLOCK rows."""
+    generator's logit is strictly positive, computed in blocks of NET_BLOCK
+    rows."""
     z = np.asarray(z, dtype=MODEL_DTYPE)
     if z.ndim != 2 or z.shape[1] != gan.latent_dim:
         raise ConfigError(f"latent rows must have shape (k, {gan.latent_dim})")
     out = np.empty((len(z), gan.shape.cells), dtype=np.uint8)
     for start in range(0, len(z), NET_BLOCK):
-        logits, _ = _generator_logits(gan, z[start : start + NET_BLOCK])
+        logits, _ = nn.forward(gan.generator, z[start : start + NET_BLOCK])
         np.greater(logits, 0.0, out=out[start : start + NET_BLOCK])
     return out.reshape(len(z), *gan.shape.dims())
 
@@ -242,29 +226,20 @@ def _disc_step(gan: ComposerGan, x: np.ndarray, targets: np.ndarray, grads: Comp
 
 
 def _gen_step(gan: ComposerGan, z: np.ndarray, grads: ComposerGan) -> float:
-    """Non-saturating generator loss through sigmoid head outputs; the
-    gradients, each row's scaled by 1/len(z), are written into the trunk and
-    heads of ``grads``.
+    """Non-saturating generator loss through the sigmoid of the generator's
+    logits; its parameter gradients, each row's scaled by 1/len(z), are
+    written into ``grads.generator``.
 
     The discriminator sees the continuous sigmoid roll here so gradients can
     flow back into the generator; its own parameters are left untouched.
     """
-    logits, (trunk_cache, head_caches) = _generator_logits(gan, z)
+    logits, g_cache = nn.forward(gan.generator, z)
     cont = nn.sigmoid(logits)
     d_out, d_cache = nn.forward(gan.discriminator, cont)
     loss, dlogit = nn.bce_logits_loss(d_out, 1.0)
     _, dx = nn.backward(gan.discriminator, d_cache, dlogit * (1.0 / len(z)), param_grads=False)
     dlogits = dx * cont * (1.0 - cont)
-
-    cpt = gan.shape.cells_per_track
-    trunk_out_grad = np.zeros((len(z), gan.trunk.out_dim), dtype=MODEL_DTYPE)
-    for t, head in enumerate(gan.heads):
-        _, dh = nn.backward(
-            head, head_caches[t], dlogits[:, t * cpt : (t + 1) * cpt],
-            out=nn.mlp_params(grads.heads[t]),
-        )
-        trunk_out_grad += dh
-    nn.backward(gan.trunk, trunk_cache, trunk_out_grad, out=nn.mlp_params(grads.trunk), input_grad=False)
+    nn.backward(gan.generator, g_cache, dlogits, out=nn.mlp_params(grads.generator), input_grad=False)
     return float(loss.sum())
 
 
@@ -301,7 +276,7 @@ def train(
     x = np.empty((2 * batch, gan.shape.cells), dtype=MODEL_DTYPE)
     targets = np.concatenate([np.ones(batch, MODEL_DTYPE), np.zeros(batch, MODEL_DTYPE)])[:, None]
     # the two steps take turns, and each step's Adam update consumes its
-    # gradients before the other step writes, so both families share one
+    # gradients before the other step writes, so both networks share one
     # gradient vector, cut into the model's layer views, and one scratch vector
     size = max(gan.g_params.size, gan.d_params.size)
     grad, scratch = np.empty(size, MODEL_DTYPE), np.empty(size, MODEL_DTYPE)
@@ -320,7 +295,7 @@ def train(
                     real_idx = rng.choice(n, size=batch, replace=False)
                     z_batch = rng.standard_normal((batch, config.latent_dim))
                     np.copyto(x[:batch], rolls[real_idx])
-                    np.greater(_generator_logits(gan, z_batch)[0], 0.0, out=x[batch:])
+                    np.greater(nn.forward(gan.generator, z_batch)[0], 0.0, out=x[batch:])
                     d_loss = _disc_step(gan, x, targets, grads)
                     nn.adam_step(gan.d_params, grads.d_params, d_state, scratch)
 
@@ -423,7 +398,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     gan = ckpt.gan
     arch = _architecture(gan.shape, gan.latent_dim)
     desc = json.dumps(arch, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    tensors = [p for mlp in (gan.trunk, *gan.heads, gan.discriminator) for p in nn.mlp_params(mlp)]
+    tensors = [*nn.mlp_params(gan.generator), *nn.mlp_params(gan.discriminator)]
     with atomic_open(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
@@ -438,7 +413,8 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Load a checkpoint, rebuilding the model from its descriptor.
+    """Load a checkpoint, rebuilding the model from its descriptor: the
+    generator's tensors, then the discriminator's, become its two vectors.
 
     Distinct FormatErrors cover bad magic, unsupported version, truncation,
     trailing bytes, an architecture mismatch (a descriptor other than
@@ -477,12 +453,12 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if desc != arch:
         raise FormatError(f"architecture mismatch: descriptor in {path} is not the model's architecture")
 
-    families = [_tensor_shapes(family) for family in _families(arch)]
-    expected, (count,) = sum(map(len, families)), take("I")
+    networks = [_tensor_shapes(arch[net]) for net in _NETWORKS]
+    expected, (count,) = sum(map(len, networks)), take("I")
     if count != expected:
         raise FormatError(f"architecture mismatch: architecture has {expected} tensors, file has {count}")
-    tensors = []  # float32 views, one list per family
-    for shapes in families:
+    tensors = []  # float32 views, one list per network
+    for shapes in networks:
         tensors.append([])
         for dims in shapes:
             (rank,) = take("I")
@@ -493,8 +469,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             tensors[-1].append(np.frombuffer(blob, dtype="<f4", count=size, offset=off - 4 * size))
     if off != len(blob):
         raise FormatError(f"trailing data in checkpoint {path}")
-    if not all(np.isfinite(t).all() for family in tensors for t in family):
+    if not all(np.isfinite(t).all() for network in tensors for t in network):
         raise FormatError(f"non-finite weights in checkpoint {path}")
-    # each family's float32 tensors, joined unchanged into its own vector
-    vectors = [np.concatenate(family, dtype=MODEL_DTYPE) for family in tensors]
+    # each network's float32 tensors, joined unchanged into its own vector
+    vectors = [np.concatenate(network, dtype=MODEL_DTYPE) for network in tensors]
     return Checkpoint(iteration, ComposerGan(latent_dim, shape, *vectors))

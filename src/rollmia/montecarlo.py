@@ -64,7 +64,7 @@ from .pianoroll import Dataset, PianorollShape
 EUCLIDEAN = "euclidean"
 TONAL = "tonal"
 METRICS = (EUCLIDEAN, TONAL)
-# label -> metric, now the identity; read by perfbench's oracle-audit workload
+# label -> metric, the identity; read by perfbench's oracle-audit workload
 METRIC_FROM_LABEL = {metric: metric for metric in METRICS}
 
 
@@ -361,7 +361,8 @@ def score_mc_plan(plan: McPlan, stash: np.ndarray) -> McResult:
     Per trial: take the plan's M records from each side, pool the distances
     from all 2M candidates to the trial's n stash rows, pick epsilon by the
     configured heuristic, score every candidate, and select the top M by
-    (score desc, mean distance asc, id asc, train before test).
+    (score desc, mean distance asc, id asc).  A trial's 2M candidate ids
+    are distinct, so the order is total.
     Deterministic in (stash, plan).
     """
     config, shape = plan.config, plan.train.shape
@@ -371,7 +372,6 @@ def score_mc_plan(plan: McPlan, stash: np.ndarray) -> McResult:
         raise ConfigError(f"stash shape {stash.shape} is not the plan's {planned}")
 
     stash_feats = roll_features(config.metric, shape, stash)
-    origin = np.repeat([0, 1], m)  # 0 = train, 1 = test
 
     epsilon = np.empty(config.trials)
     train_selected = np.empty(config.trials, dtype=np.int64)
@@ -385,9 +385,10 @@ def score_mc_plan(plan: McPlan, stash: np.ndarray) -> McResult:
         means = dists.mean(axis=1)
         epsilon[t] = epsilon_from_heuristic(dists.ravel(), config.heuristic)
         scores = (dists <= epsilon[t]).mean(axis=1)
-        # top M by (score desc, mean distance asc, id asc, origin asc)
-        selected = np.lexsort((origin, plan.ids[t], means, -scores))[:m]
-        train_selected[t] = np.count_nonzero(origin[selected] == 0)
+        # top M by (score desc, mean distance asc, id asc); the first M
+        # candidates are the train side's
+        selected = np.lexsort((plan.ids[t], means, -scores))[:m]
+        train_selected[t] = np.count_nonzero(selected < m)
 
     single = float(np.mean(train_selected / m))
     set_fraction = float(np.mean(train_selected > m - train_selected))

@@ -10,7 +10,7 @@ finite differences in the test suite.  Results are bitwise reproducible for
 a fixed BLAS build and thread count.
 
 Training works on flat vectors.  A layer's ``weights`` and ``bias`` may be
-reshaped views of one contiguous vector that holds a family of networks,
+reshaped views of one contiguous vector that holds a whole network,
 and ``backward`` fills gradient views of the same shapes in place
 through ``out``; the model that owns the vectors cuts both sets of views.  A
 step asks backward only for what it consumes (``param_grads`` and

@@ -72,10 +72,6 @@ class PianorollShape:
     def cells(self) -> int:
         return self.tracks * self.bars * self.steps_per_bar * self.pitches
 
-    @property
-    def cells_per_track(self) -> int:
-        return self.bars * self.steps_per_bar * self.pitches
-
     def dims(self) -> tuple[int, int, int, int]:
         return (self.tracks, self.bars, self.steps_per_bar, self.pitches)
 

@@ -1,9 +1,11 @@
 import argparse
 import json
 import os
+import shutil
+import struct
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -837,8 +839,8 @@ def test_attack_on_a_checkpoint_of_another_architecture_exits_3(
     cli_workspace, tmp_path, capsys, monkeypatch
 ):
     _, _, train, test = cli_workspace
-    # a trunk 64 wide, with a descriptor and tensors that agree with it
-    monkeypatch.setattr(gan, "TRUNK_WIDTH", 64)
+    # a generator 64 wide, with a descriptor and tensors that agree with it
+    monkeypatch.setattr(gan, "GEN_WIDTH", 64)
     path = tmp_path / "narrow.ganc"
     gan.save_checkpoint(gan.Checkpoint(10, gan.build_gan(read_dataset(train).shape, 4, 0)), path)
     monkeypatch.undo()
@@ -853,6 +855,33 @@ def test_attack_on_a_checkpoint_of_another_architecture_exits_3(
                 "--out", tmp_path / "wb.csv"]) == 3
     assert capsys.readouterr().err.splitlines() == [
         "error: architecture mismatch: checkpoint shape differs from dataset"
+    ]
+    assert not (tmp_path / "wb.csv").exists()
+
+
+def test_attack_on_a_checkpoint_with_a_trunk_and_heads_exits_3(cli_workspace, tmp_path, capsys):
+    # the layout of a checkpoint whose generator was a 128-wide trunk with
+    # one linear head per track: the descriptor names trunk and heads, and
+    # the tensors follow them
+    _, _, train, test = cli_workspace
+    shape = read_dataset(train).shape
+    per_track = shape.cells // shape.tracks
+    desc = {"latent_dim": 4, "shape": asdict(shape), "trunk": [4, 128],
+            "heads": [[128, per_track]] * shape.tracks, "discriminator": [shape.cells, 128, 1]}
+    dims = [(128, 4), (128,), *[(per_track, 128), (per_track,)] * shape.tracks,
+            (128, shape.cells), (128,), (1, 128), (1,)]
+    text = json.dumps(desc, sort_keys=True, separators=(",", ":")).encode()
+    parts = [gan.CHECKPOINT_MAGIC, struct.pack("<IQI", gan.CHECKPOINT_VERSION, 10, len(text)), text,
+             struct.pack("<I", len(dims))]
+    for d in dims:
+        parts += [struct.pack(f"<{1 + len(d)}I", len(d), *d), np.zeros(d, "<f4").tobytes()]
+    path = tmp_path / "trunk_and_heads.ganc"
+    path.write_bytes(b"".join(parts))
+    capsys.readouterr()
+    assert run(["attack", "wb", "--checkpoint", path, "--train", train, "--test", test,
+                "--out", tmp_path / "wb.csv"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: architecture mismatch: descriptor in {path} is not the model's architecture"
     ]
     assert not (tmp_path / "wb.csv").exists()
 
@@ -1265,3 +1294,61 @@ def test_usage_error_leaves_the_next_call_unchanged(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("usage: rollmia")
         assert run(argv) == 0
         assert capsys.readouterr() == before
+
+
+def _one_file_cases():
+    split = ["split", "--in", "{data}", "--fraction", 0.5, "--seed", 2]
+    attack = ["--train", "{train}", "--test", "{test}"]
+    mc = ["--stash", 20, "--n", 10, "--subset", 5, "--trials", 2, "--seed", 3]
+    return {
+        "split train is test": (
+            [*split, "--train", "{new}", "--test", "{new}"], "split --train and --test name the same file {new}"),
+        "split train is in": (
+            [*split, "--train", "{data}", "--test", "{new}"], "split --in and --train name the same file {data}"),
+        "split test is in, by another path": (
+            [*split, "--train", "{new}", "--test", "{data_again}"],
+            "split --in and --test name the same file {data_again}"),
+        "split test is in, through a hard link": (
+            [*split, "--train", "{new}", "--test", "{hard}"], "split --in and --test name the same file {hard}"),
+        "wb out is train": (
+            ["attack", "wb", "--oracle", "margin=1,tau=0.1", *attack, "--out", "{train}"],
+            "attack wb --train and --out name the same file {train}"),
+        "wb out is checkpoint": (
+            ["attack", "wb", "--checkpoint", "{checkpoint}", *attack, "--out", "{checkpoint}"],
+            "attack wb --checkpoint and --out name the same file {checkpoint}"),
+        "mc out is test": (
+            ["attack", "mc", "--oracle", "p=1,sigma=0", *attack, *mc, "--out", "{test}"],
+            "attack mc --test and --out name the same file {test}"),
+        "mc out is checkpoint, through a link": (
+            ["attack", "mc", "--checkpoint", "{checkpoint}", *attack, *mc, "--out", "{link}"],
+            "attack mc --checkpoint and --out name the same file {link}"),
+    }
+
+
+@pytest.mark.parametrize("argv, message", _one_file_cases().values(), ids=list(_one_file_cases()))
+def test_flags_that_name_one_file_exit_2_before_any_io(cli_workspace, tmp_path, capsys, argv, message):
+    _, data, train, test = cli_workspace
+    files = {name: tmp_path / path.name for name, path in (("data", data), ("train", train), ("test", test))}
+    for name, path in (("data", data), ("train", train), ("test", test)):
+        shutil.copy(path, files[name])
+    files["checkpoint"] = tmp_path / "model.ganc"
+    gan.save_checkpoint(gan.Checkpoint(10, gan.build_gan(read_dataset(train).shape, 4, 0)), files["checkpoint"])
+    (tmp_path / "sub").mkdir()
+    files["data_again"] = tmp_path / "sub" / ".." / data.name
+    files["link"] = tmp_path / "link.ganc"
+    files["link"].symlink_to(files["checkpoint"])
+    files["hard"] = tmp_path / "hard.prd"
+    os.link(files["data"], files["hard"])
+    files["new"] = tmp_path / "new.prd"
+    before = {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+    capsys.readouterr()
+    assert run([str(a).format(**files) for a in argv]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message.format(**files)}"]
+    assert {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == before
+
+
+def test_report_refuses_an_unknown_format_as_the_library_does(tmp_path, capsys):
+    (tmp_path / "wb_metrics.csv").write_text(f"{harness.WB_HEADER}\n10,0.500,0.500,0.500,0.500,0.500,0.500\n")
+    capsys.readouterr()
+    assert run(["report", "--in-dir", tmp_path, "--format", "xml"]) == 2
+    assert capsys.readouterr() == ("", "error: format must be csv or md\n")

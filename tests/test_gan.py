@@ -52,23 +52,38 @@ def test_g_sample_deterministic():
 
 def test_g_sample_bias_controls_output():
     gan = small_gan()
-    for head in gan.heads:
-        head.layers[-1].weights[:] = 0.0
-        head.layers[-1].bias[:] = -1.0
+    output = gan.generator.layers[-1]
+    output.weights[:] = 0.0
+    output.bias[:] = -1.0
     roll = g_sample(gan, np.zeros((1, 4)))
     assert not roll.any()
-    for head in gan.heads:
-        head.layers[-1].bias[:] = 1.0
+    output.bias[:] = 1.0
     roll = g_sample(gan, np.zeros((1, 4)))
     assert roll.all()
 
 
 def test_g_sample_zero_logit_is_off():
     gan = small_gan()
-    for head in gan.heads:
-        head.layers[-1].weights[:] = 0.0
-        head.layers[-1].bias[:] = 0.0
+    output = gan.generator.layers[-1]
+    output.weights[:] = 0.0
+    output.bias[:] = 0.0
     assert not g_sample(gan, np.zeros((1, 4))).any()
+
+
+@pytest.mark.parametrize("track", range(SHAPE.tracks))
+def test_generator_output_cells_are_track_major(track):
+    # the output layer's rows are the cells of a roll in track order, so one
+    # track's block of bias rows turns on that track alone
+    gan = small_gan()
+    output = gan.generator.layers[-1]
+    output.weights[:] = 0.0
+    output.bias[:] = -1.0
+    per_track = SHAPE.cells // SHAPE.tracks
+    output.bias[track * per_track : (track + 1) * per_track] = 1.0
+    roll = g_sample(gan, np.random.default_rng(2).standard_normal((3, 4)))
+    on = np.zeros((3, *SHAPE.dims()), dtype=np.uint8)
+    on[:, track] = 1
+    assert np.array_equal(roll, on)
 
 
 def test_g_sample_dim_mismatch():
@@ -229,9 +244,9 @@ def test_model_layers_are_views_of_its_family_vectors(tmp_path):
     path = tmp_path / "c.ganc"
     save_checkpoint(Checkpoint(1, gan), path)
     for model in (gan, load_checkpoint(path).gan, gan.snapshot()):
-        families = (([model.trunk, *model.heads], model.g_params), ([model.discriminator], model.d_params))
-        for mlps, flat in families:
-            params = [p for mlp in mlps for p in nn.mlp_params(mlp)]
+        for mlp, flat in ((model.generator, model.g_params), (model.discriminator, model.d_params)):
+            assert [layer.activation for layer in mlp.layers] == ["relu", "linear"]
+            params = nn.mlp_params(mlp)
             assert flat.dtype == np.float32 and flat.flags.c_contiguous
             assert all(np.shares_memory(p, flat) for p in params)
             assert flat.tobytes() == np.concatenate([p.ravel() for p in params]).tobytes()
@@ -261,11 +276,13 @@ def test_model_refuses_a_vector_of_the_wrong_length():
 # SHA-256 of the checkpoints of a short desk-shape run, recorded when
 # training moved to float32, the precision the checkpoints store, so the
 # final file holds every bit of the trained model; any change to the
-# arithmetic of a step shows here
+# arithmetic of a step shows here.  Recorded again when the generator's
+# trunk and per-track heads became one network, whose output layer is drawn
+# with its own Glorot bound and written as one tensor
 PINNED_CHECKPOINT_DIGESTS = {
-    "checkpoint_000020.ganc": "54e57b58540fab53721c44fe3d2f06747fdff4acea91d8f2cbf284d1bd71f9e9",
-    "checkpoint_000040.ganc": "e2e73dfca40cfb3822652c3a8c3f925d18bd0d4c8c6f7ac0bde890fd43a64fba",
-    "checkpoint_000060.ganc": "484a44cc5f55689716828493d114595987ba120b21a31a929251874152529dcf",
+    "checkpoint_000020.ganc": "8c225aa948babbe07b6590010e98755047bc158dc7784d54692e1dd9ef8a47cb",
+    "checkpoint_000040.ganc": "66a73d208532cb082079000b1d417c4bc0f9d0da070f988e6194a9c74e18019c",
+    "checkpoint_000060.ganc": "8c9dc2b3b00895416a0286e45e7bffb4d67587f760f8ae8c34ffd5c7b8c8a0c2",
 }
 
 
@@ -293,8 +310,8 @@ def test_checkpoint_bytes_are_pinned(tmp_path, desk_shape):
 # per generator step, recorded with the pins above; every discriminator step
 # rewrites the batch buffer
 PINNED_TWO_D_STEP_DIGESTS = {
-    "checkpoint_000020.ganc": "d06ca9172092120a2208f9ef2cdb356a7714e7c24a9fa8735b44f8a725728e38",
-    "checkpoint_000040.ganc": "96df1001d03f112525c6b32c1b1642a3a5bca1d673bb913384a7266516ddd333",
+    "checkpoint_000020.ganc": "250a476343ea54ddee2435ecde965cd680f010e895ad6e9b824f1005c005f566",
+    "checkpoint_000040.ganc": "b37972d633a8d3c95dd9ee3e37a7e16fd2ee2948dcb0ad9f26fa209d8ca41d1b",
 }
 
 
@@ -461,7 +478,9 @@ def test_checkpoint_latent_dim_must_be_a_positive_int(tmp_path, latent_dim):
     # True == 1 in Python, so the file holds a latent_dim 1 model to compare with
     path = tmp_path / "x.ganc"
     save_checkpoint(Checkpoint(10, build_gan(SHAPE, latent_dim=1, seed=0)), path)
-    rewrite_descriptor(path, lambda desc: {**desc, "latent_dim": latent_dim, "trunk": [latent_dim, 128]})
+    rewrite_descriptor(
+        path, lambda desc: {**desc, "latent_dim": latent_dim, "generator": [latent_dim, 128, SHAPE.cells]}
+    )
     with pytest.raises(FormatError, match="architecture mismatch"):
         load_checkpoint(path)
 
@@ -476,7 +495,7 @@ def test_checkpoint_trailing_data(tmp_path):
 @pytest.mark.parametrize("nan_bits", [0x7FC00000, 0x7FA00000], ids=["quiet", "signalling"])
 @pytest.mark.parametrize("tensor", ["first", "last"])
 def test_checkpoint_with_non_finite_weights(tmp_path, nan_bits, tensor):
-    # the first tensor is the trunk's weights, the last the discriminator's output bias
+    # the first tensor is the generator's input weights, the last the discriminator's output bias
     path = make_saved_checkpoint(tmp_path)
     blob = bytearray(path.read_bytes())
     at = len(blob) - 4 if tensor == "last" else 20 + int.from_bytes(blob[16:20], "little") + 4 + 12

@@ -37,7 +37,6 @@ def test_shape_validation():
         PianorollShape(256, 256, 256, 256)  # over the cell bound
     shape = PianorollShape(2, 1, 16, 24)
     assert shape.cells == 2 * 16 * 24
-    assert shape.cells_per_track == 16 * 24
 
 
 def test_synth_deterministic(desk_shape):
